@@ -31,9 +31,7 @@ fn rotation_ring() -> Vec<u64> {
 /// Serves `req` and also runs it in-process; returns the two response
 /// bodies plus the daemon's `X-Cache` verdict.
 fn served_vs_inprocess(client: &mut Client, req: &ElectRequest) -> (String, String, String) {
-    let resp = client
-        .post_json("/elect", &req.to_json().to_string())
-        .expect("daemon reachable on loopback");
+    let resp = client.post_json("/elect", &req.to_json()).expect("daemon reachable on loopback");
     let cache = resp.header("x-cache").unwrap_or("—").to_string();
     let local = match run_election(req) {
         Ok(out) => hre_svc::response_json(req, &out),

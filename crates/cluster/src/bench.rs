@@ -187,9 +187,9 @@ fn worker(
             let mut labels = base.labels.clone();
             let d = (i as usize) % labels.len();
             labels.rotate_left(d);
-            ElectRequest { labels, ..base.clone() }.to_json().to_string()
+            ElectRequest { labels, ..base.clone() }.to_json()
         } else {
-            base.to_json().to_string()
+            base.to_json()
         };
         // Retry 503s honoring Retry-After; reconnect on transport
         // errors (the router stays up through backend chaos, so a few

@@ -50,8 +50,9 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, DEFAULT_TRACE_CAP};
 use hre_svc::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
-use hre_svc::json::{self, Json};
+use hre_svc::json::{self, ArrayWriter, Json};
 use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest, IoMode};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -881,24 +882,20 @@ pub(crate) fn handle_elect_batch(req: &Request, shared: &Arc<Shared>) -> Respons
     })
 }
 
+/// Where one batch entry's answer comes from: its local validation
+/// error (never forwarded), or element `index` of the answer to the
+/// sub-batch sent to backend `shard`.
+enum Slot {
+    Local(String),
+    Shard { shard: usize, index: usize },
+}
+
 /// The traced interior of [`handle_elect_batch`]. Entries that fail
 /// validation are answered in place (never forwarded); valid entries
 /// are grouped by the backend that owns their shard key, each group is
-/// re-serialized as a sub-batch body and forwarded concurrently through
-/// [`forward`], and a 200 sub-response is scattered element-by-element
-/// back to the originating slots. A sub-batch that comes back non-200
-/// (shard unreachable, budget exhausted) scatters its error document to
-/// every entry it carried; the batch itself still answers 200, with
-/// `x-batch-errors` counting the affected entries.
-/// One backend's share of a batch: a representative label sequence
-/// (every entry in the group shards to the same backend), the original
-/// entry indices to scatter answers back to, and the entry bodies.
-struct ShardBatch {
-    labels: Vec<u64>,
-    members: Vec<usize>,
-    bodies: Vec<String>,
-}
-
+/// re-encoded as a sub-batch body and forwarded concurrently through
+/// [`forward`], and the answers are scattered back into request order
+/// by [`gather`].
 fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: TraceCtx) -> Response {
     ClusterMetrics::inc(&shared.metrics.batch_requests);
     let entries = match hre_svc::batch_from_json(body) {
@@ -915,94 +912,104 @@ fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: Trac
         );
     }
 
-    // Group valid entries by owning backend. Re-serializing each entry
-    // from its parsed form is safe: `parse ∘ to_json` is idempotent, and
-    // the backend re-validates anyway. BTreeMap keeps dispatch order
-    // deterministic (ring order, not hash order).
-    let mut parts: Vec<Option<String>> = Vec::with_capacity(entries.len());
-    let mut groups: BTreeMap<usize, ShardBatch> = BTreeMap::new();
-    for (i, entry) in entries.into_iter().enumerate() {
+    // Group valid entries by owning backend. Re-encoding each entry
+    // from its parsed form is safe: `from_json ∘ to_json` is the
+    // identity, and the backend re-validates anyway. BTreeMap keeps
+    // dispatch order deterministic (ring order, not hash order).
+    let mut slots: Vec<Slot> = Vec::with_capacity(entries.len());
+    let mut groups: BTreeMap<usize, Vec<ElectRequest>> = BTreeMap::new();
+    for entry in entries {
         match entry {
-            Err(why) => parts.push(Some(error_json(&why))),
+            Err(why) => slots.push(Slot::Local(error_json(&why))),
             Ok(request) => {
-                let primary =
-                    topo.ring.primary(shard_key(&request.labels)).expect("non-empty ring");
-                let group = groups.entry(primary).or_insert_with(|| ShardBatch {
-                    labels: request.labels.clone(),
-                    members: Vec::new(),
-                    bodies: Vec::new(),
-                });
-                group.members.push(i);
-                group.bodies.push(request.to_json().to_string());
-                parts.push(None);
+                let shard = topo.ring.primary(shard_key(&request.labels)).expect("non-empty ring");
+                let group = groups.entry(shard).or_default();
+                slots.push(Slot::Shard { shard, index: group.len() });
+                group.push(request);
             }
         }
     }
     shared.metrics.batch_fanout.fetch_add(groups.len() as u64, Ordering::Relaxed);
 
     // Forward every sub-batch concurrently; each gets the same failover
-    // and hedging treatment a single request would.
-    let groups: Vec<ShardBatch> = groups.into_values().collect();
-    let responses: Vec<Response> = std::thread::scope(|scope| {
+    // and hedging treatment a single request would. Every entry in a
+    // group shards to the same backend, so the first one's labels stand
+    // for the group.
+    let topo = &topo;
+    let responses: BTreeMap<usize, Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = groups
             .iter()
-            .map(|group| {
-                scope.spawn(|| {
-                    let sub_body = hre_svc::batch_response_body(&group.bodies);
-                    forward(
-                        shared,
-                        &topo,
-                        &group.labels,
-                        "/elect/batch",
-                        sub_body.as_bytes(),
-                        started,
-                        ctx,
-                    )
-                })
+            .map(|(&shard, requests)| {
+                let sub_batch = scope.spawn(move || {
+                    let mut sub_body = String::new();
+                    let mut arr = ArrayWriter::new(&mut sub_body);
+                    for request in requests {
+                        request.write_json(arr.element());
+                    }
+                    arr.finish();
+                    let labels = &requests[0].labels;
+                    forward(shared, topo, labels, "/elect/batch", sub_body.as_bytes(), started, ctx)
+                });
+                (shard, sub_batch)
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("sub-batch thread")).collect()
+        handles.into_iter().map(|(shard, h)| (shard, h.join().expect("sub-batch thread"))).collect()
     });
 
-    let mut failed_entries = 0u64;
-    for (group, resp) in groups.iter().zip(&responses) {
-        let members = &group.members;
-        let scattered = if resp.status == 200 {
-            std::str::from_utf8(&resp.body).ok().and_then(|text| Json::parse(text).ok()).and_then(
-                |doc| {
-                    let arr = doc.as_arr()?;
-                    if arr.len() != members.len() {
-                        return None;
-                    }
-                    Some(arr.iter().map(|e| e.to_string()).collect::<Vec<String>>())
-                },
-            )
-        } else {
-            None
-        };
-        match scattered {
-            Some(elements) => {
-                for (&slot, element) in members.iter().zip(elements) {
-                    parts[slot] = Some(element);
-                }
-            }
-            None => {
-                // The whole shard failed: relay its error document to
-                // every entry it carried.
-                failed_entries += members.len() as u64;
-                let error = String::from_utf8_lossy(&resp.body).into_owned();
-                for &slot in members {
-                    parts[slot] = Some(error.clone());
-                }
-            }
+    let (body, failed_entries) = gather(&slots, &responses);
+    shared.metrics.batch_entry_errors.fetch_add(failed_entries, Ordering::Relaxed);
+    Response::json(200, body).with_header("x-batch-errors", failed_entries.to_string())
+}
+
+/// Joins the batch answer in request order from the local answers and
+/// each shard's response. A shard's 200 answer is split at its
+/// top-level element boundaries with the grammar's allocation-free skip
+/// ([`json::split_array`]), and each element's bytes are relayed as
+/// they are: svc prints compact, canonical JSON, so those are the bytes
+/// parsing and re-printing the element would give. A shard whose answer
+/// is not 200, not a JSON array, or not one element per entry it carried
+/// failed as a whole (unreachable, budget exhausted, malformed): its
+/// body is relayed to every entry it carried, and the batch itself still
+/// answers 200. Returns the body and the number of entries whose shard
+/// failed (the `x-batch-errors` count).
+fn gather(slots: &[Slot], responses: &BTreeMap<usize, Response>) -> (String, u64) {
+    let mut carried: BTreeMap<usize, usize> = BTreeMap::new();
+    for slot in slots {
+        if let Slot::Shard { shard, .. } = slot {
+            *carried.entry(*shard).or_default() += 1;
         }
     }
-    shared.metrics.batch_entry_errors.fetch_add(failed_entries, Ordering::Relaxed);
+    let answers: BTreeMap<usize, Result<Vec<&str>, Cow<'_, str>>> = responses
+        .iter()
+        .map(|(shard, resp)| {
+            let elements = std::str::from_utf8(&resp.body)
+                .ok()
+                .filter(|_| resp.status == 200)
+                .and_then(|text| json::split_array(text).ok())
+                .filter(|elements| carried.get(shard) == Some(&elements.len()));
+            (*shard, elements.ok_or_else(|| String::from_utf8_lossy(&resp.body)))
+        })
+        .collect();
 
-    let parts: Vec<String> =
-        parts.into_iter().map(|p| p.expect("every batch entry was answered")).collect();
-    Response::json(200, hre_svc::batch_response_body(&parts))
-        .with_header("x-batch-errors", failed_entries.to_string())
+    let mut failed = 0u64;
+    let relayed: usize = responses.values().map(|r| r.body.len()).sum();
+    let mut body = String::with_capacity(relayed + 256 * slots.len());
+    let mut arr = ArrayWriter::new(&mut body);
+    for slot in slots {
+        let part: &str = match slot {
+            Slot::Local(doc) => doc,
+            Slot::Shard { shard, index } => match &answers[shard] {
+                Ok(elements) => elements[*index],
+                Err(doc) => {
+                    failed += 1;
+                    doc
+                }
+            },
+        };
+        arr.element().push_str(part);
+    }
+    arr.finish();
+    (body, failed)
 }
 
 /// Candidate selection against one topology snapshot: ring walk from
@@ -1245,5 +1252,82 @@ fn prober_loop(shared: &Arc<Shared>) {
             std::thread::sleep(step);
             slept += step;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Error documents whose text holds every byte that could be taken
+    /// for an element boundary.
+    const TRICKY: [&str; 3] = [
+        r#"{"error":"unknown algo \"a,b]\" (ak | bk)"}"#,
+        r#"{"error":"x}],{[\\\"\\"}"#,
+        r#"{"error":"\\"}"#,
+    ];
+
+    fn ok(body: &str) -> Response {
+        Response::json(200, body.to_string())
+    }
+
+    #[test]
+    fn gather_relays_each_element_at_its_top_level_boundary() {
+        let doc = r#"{"algo":"ak","ring":[1,2],"n":2}"#;
+        let slots = vec![
+            Slot::Shard { shard: 4, index: 0 },
+            Slot::Local(error_json("ring needs at least two labels")),
+            Slot::Shard { shard: 1, index: 0 },
+            Slot::Shard { shard: 4, index: 1 },
+            Slot::Shard { shard: 4, index: 2 },
+            Slot::Shard { shard: 1, index: 1 },
+        ];
+        let responses = BTreeMap::from([
+            (4, ok(&format!("[{},{doc},{}]", TRICKY[0], TRICKY[1]))),
+            (1, ok(&format!("[{}, {doc}]", TRICKY[2]))),
+        ]);
+        let (body, failed) = gather(&slots, &responses);
+        assert_eq!(failed, 0);
+        let want = [
+            TRICKY[0],
+            r#"{"error":"ring needs at least two labels"}"#,
+            TRICKY[2],
+            doc,
+            TRICKY[1],
+            doc,
+        ];
+        assert_eq!(body, format!("[{}]", want.join(",")));
+        // The joined body is the tree's own rendering of itself.
+        assert_eq!(Json::parse(&body).unwrap().to_string(), body);
+    }
+
+    #[test]
+    fn a_malformed_or_wrong_length_answer_fails_its_whole_shard() {
+        let good = format!("[{},{}]", TRICKY[0], TRICKY[1]);
+        let bad_answers = [
+            format!("[{}]", TRICKY[0]), // one element short
+            format!("[{},{},{}]", TRICKY[0], TRICKY[1], TRICKY[2]), // one too many
+            good[..good.len() - 1].to_string(), // truncated
+            format!("{good}x"),         // trailing garbage
+            format!("{{\"a\":{good}}}"), // not an array
+            r#"{"error":"no backend reachable"}"#.to_string(),
+        ];
+        for answer in bad_answers {
+            let slots = vec![
+                Slot::Shard { shard: 0, index: 0 },
+                Slot::Shard { shard: 2, index: 0 },
+                Slot::Shard { shard: 0, index: 1 },
+                Slot::Shard { shard: 2, index: 1 },
+            ];
+            let responses = BTreeMap::from([(0, ok(&answer)), (2, ok(&good))]);
+            let (body, failed) = gather(&slots, &responses);
+            assert_eq!(failed, 2, "{answer}");
+            assert_eq!(body, format!("[{answer},{},{answer},{}]", TRICKY[0], TRICKY[1]));
+        }
+        // A well-formed answer under a non-200 status fails the shard too.
+        let slots = vec![Slot::Shard { shard: 0, index: 0 }];
+        let busy = Response::json(503, format!("[{}]", TRICKY[2]));
+        let (body, failed) = gather(&slots, &BTreeMap::from([(0, busy)]));
+        assert_eq!((body, failed), (format!("[[{}]]", TRICKY[2]), 1));
     }
 }

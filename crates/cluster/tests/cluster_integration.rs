@@ -474,6 +474,98 @@ fn batch_fans_out_by_shard(io: IoMode) {
     }
 }
 
+/// Entries the router answers itself (invalid, unknown algorithm)
+/// sit between relayed backend elements (a success, an escaped algorithm
+/// name, a spec violation): the routed batch must be byte-identical to
+/// the direct answers of the backends, joined.
+#[test]
+fn batch_with_rejected_entries_matches_the_joined_direct_answers() {
+    batch_with_rejected_entries(IoMode::Threads);
+}
+
+#[test]
+#[cfg(unix)]
+fn batch_with_rejected_entries_matches_the_joined_direct_answers_epoll() {
+    batch_with_rejected_entries(IoMode::Epoll);
+}
+
+fn batch_with_rejected_entries(io: IoMode) {
+    let (handles, addrs) = backends(3, SvcConfig::default());
+    // Hedging off: placement must stay deterministic for byte-equality.
+    let router = start(ClusterConfig {
+        backends: addrs.clone(),
+        hedge_min: Duration::from_secs(10),
+        io,
+        ..Default::default()
+    })
+    .expect("router");
+    let entries: Vec<String> = vec![
+        body_for(&rings()[0]),
+        r#"{"ring":[1]}"#.into(),
+        r#"{"ring":[3,9,4,7],"algo":"quantum"}"#.into(),
+        r#"{"ring":[2,2,3,2,3,3],"algo":"b\u006b","x":{"y":"]"}}"#.into(),
+        r#"{"ring":[5,1,5,2],"algo":"cr"}"#.into(),
+        body_for(&rings()[4]),
+    ];
+    // Each entry straight to its home backend; the ones the router
+    // rejects go to any backend, which rejects them the same way.
+    let direct: Vec<String> = entries
+        .iter()
+        .map(|entry| {
+            let home = match hre_svc::ElectRequest::from_json(entry.as_bytes()) {
+                Ok(request) => router.primary_backend(&request.labels),
+                Err(_) => addrs[0].clone(),
+            };
+            client(&home).post_json("/elect", entry).expect("direct").body_text()
+        })
+        .collect();
+    assert!(direct[2].contains(r#"unknown algo \"quantum\""#), "{}", direct[2]);
+
+    let mut c = client(&router.addr.to_string());
+    let batch = c.post_json("/elect/batch", &format!("[{}]", entries.join(","))).expect("batch");
+    assert_eq!(batch.status, 200, "{}", batch.body_text());
+    assert_eq!(batch.header("x-batch-errors"), Some("0"));
+    assert_eq!(batch.body_text(), format!("[{}]", direct.join(",")));
+    router.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// A 200 KB body of nested `[` once overflowed the router's recursive
+/// parser and aborted it. Both election endpoints must answer it with a
+/// 400 of their own (nothing is forwarded), in both serving cores, and
+/// the router must keep answering.
+#[test]
+fn nested_json_is_rejected_and_the_router_keeps_serving() {
+    nested_json_is_rejected(IoMode::Threads);
+}
+
+#[test]
+#[cfg(unix)]
+fn nested_json_is_rejected_and_the_router_keeps_serving_epoll() {
+    nested_json_is_rejected(IoMode::Epoll);
+}
+
+fn nested_json_is_rejected(io: IoMode) {
+    let (handles, addrs) = backends(1, SvcConfig::default());
+    let router =
+        start(ClusterConfig { backends: addrs, io, ..Default::default() }).expect("router");
+    let addr = router.addr.to_string();
+    let nested = "[".repeat(200_000);
+    for path in ["/elect", "/elect/batch"] {
+        let resp = client(&addr).post_json(path, &nested).expect("answered, not dropped");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body_text());
+        assert!(resp.body_text().starts_with(r#"{"error":"bad JSON: nesting deeper than"#));
+        assert_eq!(client(&addr).get("/healthz").expect("healthz").status, 200);
+    }
+    let summary = router.shutdown();
+    assert_eq!(summary.backends[0].requests, 0, "{summary}");
+    for h in handles {
+        h.shutdown();
+    }
+}
+
 #[test]
 fn batch_scatters_shard_errors_to_the_entries_it_carried() {
     let (mut handles, addrs) = backends(1, SvcConfig::default());

@@ -191,6 +191,9 @@ struct Inner {
     config: Mutex<Option<ClusterTopology>>,
     pending: Mutex<Option<Pending>>,
     round_active: AtomicBool,
+    /// Locked after `view` whenever both are held (`absorb_view_doc`,
+    /// `handle_join`, `detect_failures`); the opposite order deadlocks
+    /// the manager against a gossip handler.
     last_seen: Mutex<BTreeMap<MemberId, Instant>>,
     recorder: Arc<FlightRecorder>,
     shutdown: AtomicBool,
@@ -828,8 +831,8 @@ fn gossip_tick(inner: &Arc<Inner>) {
 fn detect_failures(inner: &Arc<Inner>) {
     let now = inner.cfg.clock.now();
     let stale: Vec<MemberId> = {
-        let seen = inner.last_seen.lock().unwrap();
         let view = inner.view.lock().unwrap();
+        let seen = inner.last_seen.lock().unwrap();
         view.live()
             .filter(|m| m.id != inner.me)
             .filter(|m| {

@@ -9,7 +9,7 @@
 //! share cache entries; [`ElectOutcome::into_coords`] maps a canonical
 //! outcome back into the coordinates of the request.
 
-use crate::json::{self, Json};
+use crate::json::{ArrayWriter, Json, Kind, ObjWriter, Parser};
 use hre_ring::RingLabeling;
 use hre_sim::{run, RoundRobinSched, RunOptions, RunReport};
 use hre_words::Label;
@@ -136,48 +136,45 @@ impl ElectRequest {
 
     /// Parses a `POST /elect` JSON body:
     /// `{"ring": [1,2,2], "algo": "ak", "k": 2}` (`algo` defaults to
-    /// `"ak"`, `k` to the ring's maximum multiplicity).
+    /// `"ak"`, `k` to the ring's maximum multiplicity). One pass over the
+    /// bytes, no tree: the answer, error text included, is what
+    /// [`Json::parse`] followed by [`ElectRequest::from_doc`] gives.
     pub fn from_json(body: &[u8]) -> Result<ElectRequest, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-        let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-        ElectRequest::from_doc(&doc)
+        Parser::document(text, RequestFields::decode)
+            .map_err(|e| format!("bad JSON: {e}"))?
+            .into_request()
     }
 
-    /// Parses one already-parsed request document — the shared interior
-    /// of [`ElectRequest::from_json`] and [`batch_from_json`], so a
-    /// batch entry's validation error is byte-identical to what the
-    /// same document would get from single-request `POST /elect`.
+    /// Parses one already-parsed request document, with the same
+    /// validation, in the same order, as the streaming decoders
+    /// [`ElectRequest::from_json`] and [`batch_from_json`].
     pub fn from_doc(doc: &Json) -> Result<ElectRequest, String> {
-        let ring = doc.get("ring").ok_or("missing \"ring\"")?;
-        let arr = ring.as_arr().ok_or("\"ring\" must be an array of labels")?;
-        let mut labels = Vec::with_capacity(arr.len());
-        for v in arr {
-            labels.push(v.as_u64().ok_or("labels must be non-negative integers")?);
+        RequestFields {
+            ring: doc.get("ring").map(|ring| {
+                let arr = ring.as_arr().ok_or(RING_NOT_ARRAY)?;
+                arr.iter().map(|v| v.as_u64().ok_or(BAD_LABEL)).collect()
+            }),
+            algo: doc.get("algo").map(|a| algo_named(a.as_str())),
+            k: doc.get("k").map(|v| v.as_usize().ok_or(BAD_K)),
         }
-        let algo = match doc.get("algo") {
-            Some(a) => {
-                let name = a.as_str().ok_or("\"algo\" must be a string")?;
-                AlgoId::parse(name).ok_or_else(|| {
-                    let known: Vec<&str> = AlgoId::ALL.iter().map(|a| a.name()).collect();
-                    format!("unknown algo {name:?} ({})", known.join(" | "))
-                })?
-            }
-            None => AlgoId::Ak,
-        };
-        let k = match doc.get("k") {
-            Some(v) => Some(v.as_usize().ok_or("\"k\" must be a positive integer")?),
-            None => None,
-        };
-        ElectRequest::new(labels, algo, k)
+        .into_request()
     }
 
     /// The request as a JSON body (what clients send).
-    pub fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("ring", json::nums(self.labels.iter().copied())),
-            ("algo", Json::Str(self.algo.name().into())),
-            ("k", Json::Num(self.k as i128)),
-        ])
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(40 + 21 * self.labels.len());
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`ElectRequest::to_json`] to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut obj = ObjWriter::new(out);
+        obj.nums("ring", &self.labels);
+        obj.str("algo", self.algo.name());
+        obj.num("k", self.k as u64);
+        obj.finish();
     }
 
     /// The labeled ring described by the request.
@@ -208,6 +205,100 @@ impl ElectRequest {
         let d = scratch.canonical_rotation_into(&self.labels, &mut labels);
         (ElectRequest { labels, algo: self.algo, k: self.k }, d)
     }
+}
+
+const RING_NOT_ARRAY: &str = "\"ring\" must be an array of labels";
+const BAD_LABEL: &str = "labels must be non-negative integers";
+const BAD_K: &str = "\"k\" must be a positive integer";
+
+/// The first `"ring"`, `"algo"` and `"k"` members of a request
+/// document, each already judged, but not yet checked against each
+/// other. Both decoders fill one — [`ElectRequest::from_doc`] from a
+/// tree, [`RequestFields::decode`] straight from the grammar — and
+/// [`RequestFields::into_request`] reports the first error in one fixed
+/// order, so both paths answer with the same text.
+#[derive(Default)]
+struct RequestFields {
+    ring: Option<Result<Vec<u64>, &'static str>>,
+    algo: Option<Result<AlgoId, String>>,
+    k: Option<Result<usize, &'static str>>,
+}
+
+impl RequestFields {
+    /// Consumes one request document from the grammar. `Err` is a syntax
+    /// error; a document that is not an object has no members.
+    fn decode(p: &mut Parser<'_>) -> Result<RequestFields, String> {
+        let mut fields = RequestFields::default();
+        if p.kind()? != Kind::Obj {
+            p.skip_value()?;
+            return Ok(fields);
+        }
+        p.object(&mut String::new(), |p, key| {
+            match key {
+                "ring" if fields.ring.is_none() => fields.ring = Some(decode_labels(p)?),
+                "algo" if fields.algo.is_none() => {
+                    fields.algo = Some(if p.kind()? == Kind::Str {
+                        algo_named(Some(p.string(&mut String::new())?))
+                    } else {
+                        p.skip_value()?;
+                        algo_named(None)
+                    });
+                }
+                "k" if fields.k.is_none() => {
+                    fields.k = Some(if p.kind()? == Kind::Num {
+                        usize::try_from(p.number()?).map_err(|_| BAD_K)
+                    } else {
+                        p.skip_value()?;
+                        Err(BAD_K)
+                    });
+                }
+                // Unknown members and later duplicates: checked, not kept.
+                _ => p.skip_value()?,
+            }
+            Ok(())
+        })?;
+        Ok(fields)
+    }
+
+    fn into_request(self) -> Result<ElectRequest, String> {
+        let labels = self.ring.ok_or("missing \"ring\"")??;
+        let algo = self.algo.unwrap_or(Ok(AlgoId::Ak))?;
+        let k = self.k.transpose()?;
+        ElectRequest::new(labels, algo, k)
+    }
+}
+
+/// The `"ring"` member's value: its labels, or why it has none.
+fn decode_labels(p: &mut Parser<'_>) -> Result<Result<Vec<u64>, &'static str>, String> {
+    if p.kind()? != Kind::Arr {
+        p.skip_value()?;
+        return Ok(Err(RING_NOT_ARRAY));
+    }
+    let mut labels = Vec::new();
+    let mut all_labels = true;
+    p.array(|p| {
+        if p.kind()? == Kind::Num {
+            match u64::try_from(p.number()?) {
+                Ok(label) => labels.push(label),
+                Err(_) => all_labels = false,
+            }
+        } else {
+            p.skip_value()?;
+            all_labels = false;
+        }
+        Ok(())
+    })?;
+    Ok(if all_labels { Ok(labels) } else { Err(BAD_LABEL) })
+}
+
+/// The `"algo"` member's value: a known name, or the error for a
+/// non-string (`None`) or an unknown name.
+fn algo_named(name: Option<&str>) -> Result<AlgoId, String> {
+    let name = name.ok_or("\"algo\" must be a string")?;
+    AlgoId::parse(name).ok_or_else(|| {
+        let known: Vec<&str> = AlgoId::ALL.iter().map(|a| a.name()).collect();
+        format!("unknown algo {name:?} ({})", known.join(" | "))
+    })
 }
 
 /// The result of a successful election, in the coordinates of whichever
@@ -318,25 +409,42 @@ fn digest<M>(rep: RunReport<M>) -> (bool, Option<usize>, hre_sim::RunMetrics) {
 /// of the contract: `hre elect --json` and `POST /elect` both emit this
 /// and must stay byte-identical.
 pub fn response_json(req: &ElectRequest, out: &ElectOutcome) -> String {
-    json::obj(vec![
-        ("algo", Json::Str(req.algo.name().into())),
-        ("ring", json::nums(req.labels.iter().copied())),
-        ("n", Json::Num(req.labels.len() as i128)),
-        ("k", Json::Num(req.k as i128)),
-        ("leader", Json::Num(out.leader as i128)),
-        ("leader_label", Json::Num(out.leader_label as i128)),
-        ("label_word", json::nums(out.label_word.iter().copied())),
-        ("messages", Json::Num(out.messages as i128)),
-        ("actions", Json::Num(out.actions as i128)),
-        ("time_units", Json::Num(out.time_units as i128)),
-        ("wire_bits", Json::Num(out.wire_bits as i128)),
-    ])
-    .to_string()
+    // Room for every member at its widest (20-digit numbers), so the
+    // one buffer never grows.
+    let mut body = String::with_capacity(320 + 21 * (req.labels.len() + out.label_word.len()));
+    write_response(&mut body, req, out);
+    body
+}
+
+/// Appends [`response_json`] to `body`.
+pub(crate) fn write_response(body: &mut String, req: &ElectRequest, out: &ElectOutcome) {
+    let mut obj = ObjWriter::new(body);
+    obj.str("algo", req.algo.name());
+    obj.nums("ring", &req.labels);
+    obj.num("n", req.labels.len() as u64);
+    obj.num("k", req.k as u64);
+    obj.num("leader", out.leader as u64);
+    obj.num("leader_label", out.leader_label);
+    obj.nums("label_word", &out.label_word);
+    obj.num("messages", out.messages);
+    obj.num("actions", out.actions);
+    obj.num("time_units", out.time_units);
+    obj.num("wire_bits", out.wire_bits);
+    obj.finish();
 }
 
 /// Builds the error-response document (also byte-stable).
 pub fn error_json(message: &str) -> String {
-    json::obj(vec![("error", Json::Str(message.into()))]).to_string()
+    let mut body = String::with_capacity(16 + message.len());
+    write_error(&mut body, message);
+    body
+}
+
+/// Appends [`error_json`] to `body`.
+pub(crate) fn write_error(body: &mut String, message: &str) {
+    let mut obj = ObjWriter::new(body);
+    obj.str("error", message);
+    obj.finish();
 }
 
 /// Largest number of entries accepted in one `POST /elect/batch` body.
@@ -357,33 +465,51 @@ pub const MAX_BATCH: usize = 1024;
 /// always matches the request array position by position.
 pub fn batch_from_json(body: &[u8]) -> Result<Vec<Result<ElectRequest, String>>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-    let arr = doc.as_arr().ok_or("batch body must be a JSON array of election requests")?;
-    if arr.is_empty() {
+    let mut count = 0usize;
+    let entries = Parser::document(text, |p| {
+        if p.kind()? != Kind::Arr {
+            p.skip_value()?;
+            return Ok(None);
+        }
+        let mut entries = Vec::new();
+        p.array(|p| {
+            // Entries past the cap are still checked for syntax (a syntax
+            // error anywhere decides the answer) and counted, not kept.
+            if count < MAX_BATCH {
+                entries.push(RequestFields::decode(p)?.into_request());
+            } else {
+                p.skip_value()?;
+            }
+            count += 1;
+            Ok(())
+        })?;
+        Ok(Some(entries))
+    })
+    .map_err(|e| format!("bad JSON: {e}"))?
+    .ok_or("batch body must be a JSON array of election requests")?;
+    if count == 0 {
         return Err("batch is empty".into());
     }
-    if arr.len() > MAX_BATCH {
-        return Err(format!("batch too large ({} entries, max {MAX_BATCH})", arr.len()));
+    if count > MAX_BATCH {
+        return Err(format!("batch too large ({count} entries, max {MAX_BATCH})"));
     }
-    Ok(arr.iter().map(ElectRequest::from_doc).collect())
+    Ok(entries)
 }
 
 /// Joins per-entry response documents into the batch response body.
 /// Each part is already a complete JSON document (success or error
 /// object); the batch body is exactly `[part,part,…]` with no
 /// whitespace, so an entry's bytes inside the array are identical to
-/// that entry's single-request response body. Shared by the daemon, the
-/// router's scatter-gather, and `hre elect --batch-file`.
+/// that entry's single-request response body. `hre elect --batch-file`
+/// joins with it; the daemon and the router's scatter-gather write the
+/// same layout straight into one buffer with [`ArrayWriter`].
 pub fn batch_response_body(parts: &[String]) -> String {
     let mut out = String::with_capacity(parts.iter().map(|p| p.len() + 1).sum::<usize>() + 2);
-    out.push('[');
-    for (i, part) in parts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(part);
+    let mut arr = ArrayWriter::new(&mut out);
+    for part in parts {
+        arr.element().push_str(part);
     }
-    out.push(']');
+    arr.finish();
     out
 }
 

@@ -28,6 +28,7 @@
 use crate::api::{self, ElectRequest};
 use crate::cache::{CacheKey, CacheSnapshot, CachedResult, ShardedLru};
 use crate::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
+use crate::json::ArrayWriter;
 use crate::metrics::SvcMetrics;
 use crate::tracewire;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
@@ -814,36 +815,39 @@ fn batch_response(
         computed
     };
 
-    let mut parts = Vec::with_capacity(slots.len());
+    // The answers are written straight into the batch body, each
+    // element the bytes the single-request path would send. Answers run
+    // to a few hundred bytes; a longer one just grows the buffer.
+    let mut body = String::with_capacity(2 + 512 * slots.len());
+    let mut arr = ArrayWriter::new(&mut body);
     for slot in slots {
         match slot {
-            Err(why) => parts.push(api::error_json(&why)),
+            Err(why) => api::write_error(arr.element(), &why),
             Ok(pending) => {
                 let result = match pending.source {
                     Source::Cached(result) => result,
                     Source::Miss(idx) => computed[idx].clone(),
                 };
-                let part = match result {
+                match result {
                     Ok(canon_out) => {
                         SvcMetrics::inc(&shared.metrics.elect_ok);
                         let n = pending.request.labels.len();
                         let out = canon_out.into_coords(pending.rot, n);
-                        api::response_json(&pending.request, &out)
+                        api::write_response(arr.element(), &pending.request, &out);
                     }
                     Err(why) => {
                         SvcMetrics::inc(&shared.metrics.elect_failed);
-                        api::error_json(&why)
+                        api::write_error(arr.element(), &why);
                     }
-                };
+                }
                 shared
                     .metrics
                     .observe_elect(shared.cfg.clock.now().saturating_duration_since(admitted));
-                parts.push(part);
             }
         }
     }
-    Response::json(200, api::batch_response_body(&parts))
-        .with_header("x-batch-hits", hits.to_string())
+    arr.finish();
+    Response::json(200, body).with_header("x-batch-hits", hits.to_string())
 }
 
 /// Turns a (canonical-coordinates) result into the HTTP response in the

@@ -97,8 +97,7 @@ fn concurrent_mixed_workload(io: IoMode) {
                 let mut client = Client::connect(&addr, Duration::from_secs(30)).expect("connect");
                 let mut seen = Seen::default();
                 for req in &reqs {
-                    let resp =
-                        client.post_json("/elect", &req.to_json().to_string()).expect("response");
+                    let resp = client.post_json("/elect", &req.to_json()).expect("response");
                     assert_eq!(resp.status, 200, "{}", resp.body_text());
                     seen.ok += 1;
                     match resp.header("x-cache") {
@@ -338,7 +337,7 @@ fn responses_are_bytewise_stable_across_cache_hit_and_miss() {
     let mut client =
         Client::connect(&handle.addr.to_string(), Duration::from_secs(30)).expect("connect");
     let req = ElectRequest::new(vec![1, 3, 1, 3, 2, 2, 1, 2], AlgoId::Ak, None).expect("valid");
-    let body = req.to_json().to_string();
+    let body = req.to_json();
     let first = client.post_json("/elect", &body).expect("miss");
     let second = client.post_json("/elect", &body).expect("hit");
     assert_eq!(first.header("x-cache"), Some("MISS"));
@@ -455,4 +454,35 @@ fn batch_equals_singles(io: IoMode) {
     assert_eq!(sb.elect_ok, 2 * sa.elect_ok);
     assert_eq!(sb.elect_failed, 2 * sa.elect_failed);
     assert_eq!(sb.latency.count, 2 * sa.latency.count);
+}
+
+/// A 200 KB body of nested `[` once overflowed the recursive parser's
+/// stack and aborted the daemon. It must get a `bad JSON` 400 on both
+/// election endpoints, in both serving cores, and the daemon must keep
+/// answering.
+#[test]
+fn nested_json_is_rejected_and_the_daemon_keeps_serving() {
+    nested_json_is_rejected(IoMode::Threads);
+}
+
+#[test]
+#[cfg(unix)]
+fn nested_json_is_rejected_and_the_daemon_keeps_serving_epoll() {
+    nested_json_is_rejected(IoMode::Epoll);
+}
+
+fn nested_json_is_rejected(io: IoMode) {
+    let handle = start(SvcConfig { io, ..SvcConfig::default() }).expect("start daemon");
+    let addr = handle.addr.to_string();
+    let nested = "[".repeat(200_000);
+    let wrapped = format!(r#"{{"ring":[1,2],"x":{nested}}}"#);
+    for (path, body) in [("/elect", &nested), ("/elect/batch", &nested), ("/elect", &wrapped)] {
+        let mut c = Client::connect(&addr, Duration::from_secs(30)).expect("connect");
+        let resp = c.post_json(path, body).expect("answered, not dropped");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body_text());
+        assert!(resp.body_text().starts_with(r#"{"error":"bad JSON: nesting deeper than"#));
+        let mut c = Client::connect(&addr, Duration::from_secs(30)).expect("still listening");
+        assert_eq!(c.get("/healthz").expect("healthz").status, 200);
+    }
+    handle.shutdown();
 }
