@@ -1,6 +1,6 @@
-//! The router's `--io epoll` serving core: one reactor thread holds
-//! every client connection **and** every backend attempt as a state
-//! machine, and hedges are timers instead of parked threads.
+//! The router's serving core: one reactor thread holds every client
+//! connection **and** every backend attempt as a state machine, and
+//! hedges are timers.
 //!
 //! Front-connection lifecycle (the same shape as the service daemon's,
 //! DESIGN §7):
@@ -9,11 +9,18 @@
 //!            accept            ParseStep::Request
 //!   listener ──────▶ READING ───────────────────────▶ dispatch
 //!                      ▲  ▲                             │
-//!        flush done,   │  │ win / exhaustion /          │ /elect,
-//!        keep-alive    │  │ deadline timer (504)        │ /elect/batch
+//!        flush done,   │  │ last forward concluded /    │ /elect: one forward,
+//!        keep-alive    │  │ deadline timer (504)        │ /elect/batch: one per shard
 //!                      │  │                             ▼
 //!                    WRITING ◀───────────────────── FORWARDING
 //! ```
+//!
+//! A front request in FORWARDING owns one [`Forward`] per target: a
+//! single `/elect` owns one, a batch owns one per owning shard, carrying
+//! that shard's `/elect/batch` sub-body. Every forward runs the same
+//! race over its candidates, and the request is answered when the last
+//! one concludes (a batch's answers joined by the pure [`gather`]) or
+//! when the request deadline fires first.
 //!
 //! Backend-attempt lifecycle (one per proxied try, multiplexed on the
 //! same reactor):
@@ -26,46 +33,39 @@
 //!                               └────────── transport error┴──▶ failover
 //! ```
 //!
-//! Equivalences with the thread-per-attempt core, by construction:
+//! How an attempt resolves its forward's race:
 //!
-//! * attempt requests are serialized by the *same*
-//!   [`request_bytes`] the blocking [`hre_svc::Client`] uses and parsed
-//!   by the same [`ResponseParser`], so the upstream wire bytes and the
-//!   response framing are identical;
-//! * candidate planning is the *same* [`plan_candidates`] (hash span,
-//!   breaker-check span, fail-open rule, skip counters);
-//! * resolution bookkeeping mirrors `forward` case for case: 503 →
-//!   busy + `last_answer`, ≥ 500 → errors + `last_answer`, else first
-//!   definitive answer wins (hedge wins counted), transport error →
-//!   breaker failure + pool clear + failover;
-//! * the hedge rule is the same adaptive threshold
-//!   ([`BackendSlot::hedge_threshold`]) armed as a reactor timer
-//!   whenever exactly one attempt is live and a candidate remains — a
-//!   hedge is an extra in-flight socket plus a timer, never a thread;
-//! * `POST /elect/batch` runs the threaded front door on its own
-//!   thread (scatter/gather over scoped threads, exactly the threads
-//!   mode path), so sub-batch fan-out semantics cannot drift while the
-//!   reactor stays free.
+//! * 503 → busy, kept as the forward's `last_answer`; other ≥ 500 →
+//!   errors, also kept; anything else is definitive and the first one
+//!   wins (a hedge's win is counted). A transport error trips the
+//!   breaker's failure count, closes the slot's idle streams, and fails
+//!   over. With no candidate left and nothing in flight the forward
+//!   answers its `last_answer`, or 502 `no backend reachable`.
+//! * While exactly one attempt is live and a candidate remains, a timer
+//!   at the live backend's adaptive threshold
+//!   ([`crate::BackendSlot::hedge_threshold`]) is armed; when it fires
+//!   the next candidate launches as a second in-flight socket.
+//! * Streams come from the slot's idle pool or a nonblocking connect,
+//!   and a winner's clean stream goes back to the pool.
 //!
-//! One deliberate divergence: an attempt abandoned because another
-//! attempt already won records no `attempt` span (the blocking core
-//! lets the loser's thread finish and record). The winner's span tree
-//! is identical.
+//! Spans of abandoned attempts: an attempt torn down because its forward
+//! already concluded (another attempt won, or the deadline passed)
+//! records no `attempt` span. Every attempt that resolved records one,
+//! so the winner's tree is complete.
 
 use crate::metrics::ClusterMetrics;
 use crate::router::{
-    close_request_span, handle_elect_batch, open_request_span, pass_through, plan_candidates,
-    route_aux, RequestSpan, Shared, TraceCtx, POLL,
+    close_request_span, gather, open_request_span, pass_through, plan_candidates, route_aux,
+    split_batch, RequestSpan, Shared, Slot, TraceCtx, POLL,
 };
 use crate::topology::{BackendSlot, Topology};
-use crossbeam::channel::{unbounded, Sender};
 use hre_runtime::trace::{SpanAttrs, SpanId, Stage};
-use hre_runtime::{tcp_connect_nonblocking, ConnectStart, Interest, Reactor, TimerKey, Waker};
+use hre_runtime::{tcp_connect_nonblocking, ConnectStart, Interest, Reactor, TimerKey};
 use hre_svc::http::{
     request_bytes, ParseStep, Phase, Request, RequestParser, RespStep, Response, ResponseParser,
 };
 use hre_svc::{error_json, ClientResponse, ElectRequest};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -80,33 +80,46 @@ const LISTENER_TOKEN: u64 = 0;
 const DEADLINE_BIT: u64 = 1 << 62;
 /// Timer-token bit marking a request-head timeout.
 const HEAD_BIT: u64 = 1 << 61;
-/// Timer-token bit marking the adaptive hedge threshold for the forward
-/// owned by front connection `token & !HEDGE_BIT`.
+/// Timer-token bit marking the adaptive hedge threshold of forward
+/// `f` of front connection `front`: `HEDGE_BIT | f << FWD_SHIFT | front`.
 const HEDGE_BIT: u64 = 1 << 60;
 /// Timer-token bit marking the per-attempt transport timeout for
-/// attempt `token & !ATTEMPT_BIT` — the reactor's analogue of the
-/// blocking client's socket timeouts.
+/// attempt `token & !ATTEMPT_BIT`.
 const ATTEMPT_BIT: u64 = 1 << 59;
+/// Where a hedge timer keeps its forward's index. Tokens stay below
+/// `1 << FWD_SHIFT`, and a front owns at most `MAX_BATCH` forwards,
+/// which fit in the bits between it and `ATTEMPT_BIT`.
+const FWD_SHIFT: u32 = 48;
+const TOKEN_MASK: u64 = (1 << FWD_SHIFT) - 1;
 /// How long a partial request may dribble in before the connection is
-/// timed out — the same 5 s the threaded core passes to `read_request`.
+/// timed out.
 const HEAD_DEADLINE: Duration = Duration::from_secs(5);
 
-/// What a front connection is waiting for, if anything.
-enum Pending {
-    /// An `/elect` forward in flight: the failover/hedge race state.
-    Forward(Box<ForwardState>),
-    /// An `/elect/batch` is running on its own thread; the finished
-    /// `Response` arrives on the ready channel.
-    Batch { close: bool },
-}
-
-/// The reactor-resident analogue of `forward`'s stack frame: everything
-/// the blocking race kept in locals, held across wakeups.
-struct ForwardState {
+/// A front request in flight: its envelope and the forwards it owns.
+struct Front {
     span: RequestSpan,
     close: bool,
-    body: Arc<Vec<u8>>,
+    deadline_timer: TimerKey,
+    /// The one topology snapshot every forward of the request uses.
     topo: Arc<Topology>,
+    forwards: Vec<Forward>,
+    /// `None` for `/elect`, whose answer is its one forward's; a batch's
+    /// entry slots for [`gather`] otherwise.
+    batch: Option<Vec<Slot>>,
+}
+
+impl Front {
+    fn done(&self) -> bool {
+        self.forwards.iter().all(|f| f.answer.is_some())
+    }
+}
+
+/// One target's failover/hedge race.
+struct Forward {
+    /// Owning backend of a batch's sub-batch: the key [`gather`] joins on.
+    shard: usize,
+    path: &'static str,
+    body: Vec<u8>,
     candidates: Vec<usize>,
     /// Next candidate index (into `candidates`) to launch.
     next: usize,
@@ -117,10 +130,30 @@ struct ForwardState {
     in_flight: usize,
     /// Best non-definitive answer seen (503 / 5xx pass-through).
     last_answer: Option<Response>,
-    /// Tokens of the live attempts feeding this forward.
+    /// Tokens of the live attempts.
     attempt_tokens: Vec<u64>,
     hedge_timer: Option<TimerKey>,
-    deadline_timer: TimerKey,
+    /// The race's outcome, once it concluded.
+    answer: Option<Response>,
+}
+
+impl Forward {
+    fn new(shard: usize, path: &'static str, body: Vec<u8>, candidates: Vec<usize>) -> Forward {
+        Forward {
+            shard,
+            path,
+            body,
+            current: candidates[0],
+            candidates,
+            next: 0,
+            hedged: Vec::new(),
+            in_flight: 0,
+            last_answer: None,
+            attempt_tokens: Vec::new(),
+            hedge_timer: None,
+            answer: None,
+        }
+    }
 }
 
 /// One backend attempt's wire progress.
@@ -137,9 +170,10 @@ enum AttemptPhase {
 /// One in-flight backend attempt: a nonblocking socket plus the span it
 /// will record when it resolves.
 struct Attempt {
-    /// Owning front connection.
+    /// Owning front connection, and the forward within its request.
     front: u64,
-    /// Backend index within the forward's topology snapshot.
+    fwd: usize,
+    /// Backend index within the request's topology snapshot.
     idx: usize,
     slot: Arc<BackendSlot>,
     stream: TcpStream,
@@ -159,7 +193,7 @@ struct Conn {
     out_pos: usize,
     close_after_flush: bool,
     want_read: bool,
-    pending: Option<Pending>,
+    pending: Option<Box<Front>>,
     head_timer: Option<TimerKey>,
 }
 
@@ -183,13 +217,7 @@ struct EventLoop<'a> {
     reactor: Reactor,
     conns: HashMap<u64, Conn>,
     attempts: HashMap<u64, Attempt>,
-    /// Reactor-local idle keep-alive streams per backend address — the
-    /// epoll twin of [`crate::pool::BackendPool`], lock-free because
-    /// only the reactor thread touches it. Capped at `cfg.pool_cap`.
-    idle: HashMap<String, Vec<TcpStream>>,
     shared: &'a Arc<Shared>,
-    ready_tx: Sender<(u64, Response)>,
-    waker: Waker,
     next_token: u64,
     /// Freshly launched attempts to drive with synthetic readiness once
     /// their owning connection is back in the map.
@@ -198,24 +226,19 @@ struct EventLoop<'a> {
     kick_fronts: Vec<u64>,
 }
 
-/// Runs the epoll routing core until shutdown; returns the number of
-/// connections accepted (the same contract as `acceptor_loop`).
+/// Runs the routing core until shutdown; returns the number of
+/// connections accepted.
 pub(crate) fn reactor_loop(
     reactor: Reactor,
     listener: TcpListener,
     shared: &Arc<Shared>,
     shutdown: &Arc<AtomicBool>,
 ) -> u64 {
-    let waker = reactor.waker();
-    let (ready_tx, ready_rx) = unbounded::<(u64, Response)>();
     let mut el = EventLoop {
         reactor,
         conns: HashMap::new(),
         attempts: HashMap::new(),
-        idle: HashMap::new(),
         shared,
-        ready_tx,
-        waker,
         next_token: 1,
         kick_attempts: Vec::new(),
         kick_fronts: Vec::new(),
@@ -266,8 +289,7 @@ pub(crate) fn reactor_loop(
                     match l.accept() {
                         Ok((stream, _peer)) => {
                             accepted += 1;
-                            let token = el.next_token;
-                            el.next_token += 1;
+                            let token = el.token();
                             if el.admit(stream, token).is_ok() {
                                 to_service.push(token);
                             }
@@ -291,12 +313,6 @@ pub(crate) fn reactor_loop(
             }
         }
 
-        // Batch completions before timers, so a finished batch beats a
-        // racing deadline — same order the service core uses.
-        while let Ok((token, resp)) = ready_rx.try_recv() {
-            el.finish_batch(token, resp);
-            to_service.push(token);
-        }
         for timer_token in fired.drain(..) {
             if timer_token & DEADLINE_BIT != 0 {
                 let token = timer_token & !DEADLINE_BIT;
@@ -307,7 +323,8 @@ pub(crate) fn reactor_loop(
                 el.expire_head(token);
                 to_service.push(token);
             } else if timer_token & HEDGE_BIT != 0 {
-                el.fire_hedge(timer_token & !HEDGE_BIT);
+                let f = ((timer_token & !HEDGE_BIT) >> FWD_SHIFT) as usize;
+                el.fire_hedge(timer_token & TOKEN_MASK, f);
             } else if timer_token & ATTEMPT_BIT != 0 {
                 el.attempt_timed_out(timer_token & !ATTEMPT_BIT);
             }
@@ -338,6 +355,12 @@ pub(crate) fn reactor_loop(
 }
 
 impl EventLoop<'_> {
+    fn token(&mut self) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        token
+    }
+
     // ---------- front connections ----------
 
     /// Registers a fresh client connection with the reactor.
@@ -371,38 +394,42 @@ impl EventLoop<'_> {
     }
 
     /// Detaches a connection and everything it owns: its timers and any
-    /// live backend attempts feeding an abandoned forward.
+    /// live backend attempts feeding an abandoned request.
     fn teardown(&mut self, conn: &mut Conn) {
         let _ = self.reactor.deregister(conn.stream.as_raw_fd());
         if let Some(key) = conn.head_timer {
             self.reactor.cancel_timer(key);
         }
-        if let Some(Pending::Forward(fwd)) = conn.pending.take() {
-            self.abandon_forward(&fwd);
+        if let Some(mut front) = conn.pending.take() {
+            self.abandon(&mut front);
         }
         self.shared.metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Cancels a forward's timers and tears down its live attempts.
-    fn abandon_forward(&mut self, fwd: &ForwardState) {
-        self.reactor.cancel_timer(fwd.deadline_timer);
-        if let Some(key) = fwd.hedge_timer {
-            self.reactor.cancel_timer(key);
-        }
-        for token in &fwd.attempt_tokens {
-            if let Some(at) = self.attempts.remove(token) {
-                self.discard_attempt(&at);
-            }
+    /// Cancels a request's deadline and tears down every forward's
+    /// hedge timer and live attempts.
+    fn abandon(&mut self, front: &mut Front) {
+        self.reactor.cancel_timer(front.deadline_timer);
+        for fwd in &mut front.forwards {
+            self.stop_racing(fwd);
         }
     }
 
-    /// Drops one attempt without resolving it (its race is over).
-    fn discard_attempt(&mut self, at: &Attempt) {
-        let _ = self.reactor.deregister(at.stream.as_raw_fd());
-        self.reactor.cancel_timer(at.timer);
-        if at.hedge {
-            self.shared.metrics.hedges_inflight.fetch_sub(1, Ordering::Relaxed);
+    /// Cancels one forward's hedge timer and drops its live attempts.
+    fn stop_racing(&mut self, fwd: &mut Forward) {
+        if let Some(key) = fwd.hedge_timer.take() {
+            self.reactor.cancel_timer(key);
         }
+        for token in fwd.attempt_tokens.drain(..) {
+            if let Some(at) = self.attempts.remove(&token) {
+                let _ = self.reactor.deregister(at.stream.as_raw_fd());
+                self.reactor.cancel_timer(at.timer);
+                if at.hedge {
+                    self.shared.metrics.hedges_inflight.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        }
+        fwd.in_flight = 0;
     }
 
     /// Advances one front connection as far as readiness allows.
@@ -444,7 +471,6 @@ impl EventLoop<'_> {
                     continue;
                 }
                 ParseStep::Malformed(why) => {
-                    // The threaded core writes the 400 and closes.
                     let resp = Response::json(400, error_json(&why));
                     push_response(conn, &resp, true);
                     continue;
@@ -496,7 +522,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// EOF from the peer, mapped exactly as the blocking core maps it.
+    /// EOF from the peer: a clean close between requests, else a 400.
     fn peer_closed(&mut self, conn: &mut Conn) -> Drive {
         match conn.parser.phase() {
             Phase::Head if conn.parser.is_idle() => Drive::Close,
@@ -506,7 +532,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// A hard read error, mapped exactly as the blocking core maps it.
+    /// A hard read error: a 400 mid-body, else just close.
     fn read_failed(&mut self, conn: &mut Conn) -> Drive {
         match conn.parser.phase() {
             Phase::Head => Drive::Close,
@@ -554,8 +580,7 @@ impl EventLoop<'_> {
     // ---------- dispatch ----------
 
     /// Routes one parsed request. Returns the response to emit now, or
-    /// `None` when the answer is deferred (forward race or batch
-    /// thread).
+    /// `None` when the answer waits on backends.
     fn dispatch(
         &mut self,
         token: u64,
@@ -565,30 +590,14 @@ impl EventLoop<'_> {
     ) -> Option<Response> {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/elect") => self.dispatch_elect(token, req, close, conn),
-            ("POST", "/elect/batch") => {
-                conn.pending = Some(Pending::Batch { close });
-                let shared = Arc::clone(self.shared);
-                let ready = self.ready_tx.clone();
-                let waker = self.waker.clone();
-                let req = req.clone();
-                // The batch keeps its threads-mode scatter/gather (the
-                // sub-batches run `forward` with blocking attempts on
-                // scoped threads). Fan-out semantics cannot drift, and
-                // the reactor never blocks on a backend.
-                std::thread::spawn(move || {
-                    let resp = handle_elect_batch(&req, &shared);
-                    let _ = ready.send((token, resp));
-                    waker.wake();
-                });
-                None
-            }
+            ("POST", "/elect/batch") => self.dispatch_batch(token, req, close, conn),
             _ => Some(route_aux(req, self.shared)),
         }
     }
 
-    /// `POST /elect` on the reactor: validation failures and an empty
-    /// topology answer inline; otherwise the failover/hedge race starts
-    /// and the connection parks until it resolves.
+    /// `POST /elect`: validation failures and an empty topology answer
+    /// inline (the error body byte-identical to a backend's, garbage
+    /// never forwarded); otherwise one forward races the candidates.
     fn dispatch_elect(
         &mut self,
         token: u64,
@@ -607,102 +616,134 @@ impl EventLoop<'_> {
         };
         let topo = shared.topology();
         if topo.is_empty() {
-            ClusterMetrics::inc(&shared.metrics.request_errors);
-            let resp = Response::json(
-                502,
-                error_json("no backends configured (awaiting control-plane config)"),
-            );
-            return Some(close_request_span(span, shared, resp));
+            return Some(close_request_span(span, shared, no_backends(shared)));
         }
         let candidates = plan_candidates(shared, &topo, &request.labels, span.ctx());
-        let deadline = span.started + shared.cfg.deadline;
-        let deadline_timer = self.reactor.set_timer_at(deadline, token | DEADLINE_BIT);
-        let mut fwd = ForwardState {
+        let forward = Forward::new(candidates[0], "/elect", req.body.clone(), candidates);
+        let front = Front {
+            deadline_timer: self.arm_deadline(token, &span),
             span,
             close,
-            body: Arc::new(req.body.clone()),
             topo,
-            candidates,
-            next: 0,
-            current: 0,
-            hedged: Vec::new(),
-            in_flight: 0,
-            last_answer: None,
-            attempt_tokens: Vec::new(),
-            hedge_timer: None,
-            deadline_timer,
+            forwards: vec![forward],
+            batch: None,
         };
-        fwd.current = fwd.candidates[0];
-        if let Some(resp) = self.launch_next(token, &mut fwd, false) {
-            // Every candidate failed at connect time, synchronously.
-            self.reactor.cancel_timer(fwd.deadline_timer);
-            let spent = shared.cfg.clock.now().saturating_duration_since(fwd.span.started);
-            shared.metrics.request_latency.record(spent);
-            return Some(close_request_span(fwd.span, shared, resp));
-        }
-        self.settle_hedge_timer(token, &mut fwd);
-        conn.pending = Some(Pending::Forward(Box::new(fwd)));
-        None
+        self.start_front(token, conn, front)
     }
 
-    /// A batch thread finished: emit its (already enveloped) response.
-    fn finish_batch(&mut self, token: u64, resp: Response) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let Some(Pending::Batch { close }) = conn.pending.take() else { return };
-        push_response(conn, &resp, close);
+    /// `POST /elect/batch`: split by owning shard, one forward per
+    /// sub-batch, each with the full breaker/failover/hedging treatment.
+    fn dispatch_batch(
+        &mut self,
+        token: u64,
+        req: &Request,
+        close: bool,
+        conn: &mut Conn,
+    ) -> Option<Response> {
+        let shared = self.shared;
+        let span = open_request_span(req, shared);
+        ClusterMetrics::inc(&shared.metrics.batch_requests);
+        let entries = match hre_svc::batch_from_json(&req.body) {
+            Ok(entries) => entries,
+            Err(why) => {
+                let resp = Response::json(400, error_json(&why));
+                return Some(close_timed(span, shared, resp));
+            }
+        };
+        shared.metrics.batch_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        let topo = shared.topology();
+        if topo.is_empty() {
+            return Some(close_timed(span, shared, no_backends(shared)));
+        }
+        let (slots, subs) = split_batch(entries, &topo);
+        shared.metrics.batch_fanout.fetch_add(subs.len() as u64, Ordering::Relaxed);
+        let forwards = subs
+            .into_iter()
+            .map(|sub| {
+                let candidates = plan_candidates(shared, &topo, &sub.labels, span.ctx());
+                Forward::new(sub.shard, "/elect/batch", sub.body, candidates)
+            })
+            .collect();
+        let front = Front {
+            deadline_timer: self.arm_deadline(token, &span),
+            span,
+            close,
+            topo,
+            forwards,
+            batch: Some(slots),
+        };
+        self.start_front(token, conn, front)
+    }
+
+    fn arm_deadline(&mut self, token: u64, span: &RequestSpan) -> TimerKey {
+        let deadline = span.started + self.shared.cfg.deadline;
+        self.reactor.set_timer_at(deadline, token | DEADLINE_BIT)
+    }
+
+    /// Launches every forward of a fresh request. Returns the answer
+    /// when every forward concluded at once (each failed to connect
+    /// anywhere, or a batch had nothing to forward); otherwise parks the
+    /// request on the connection.
+    fn start_front(&mut self, token: u64, conn: &mut Conn, mut front: Front) -> Option<Response> {
+        for f in 0..front.forwards.len() {
+            self.launch_next(token, &mut front, f, false);
+            self.settle_hedge_timer(token, &mut front, f);
+        }
+        if front.done() {
+            return Some(self.conclude(front));
+        }
+        conn.pending = Some(Box::new(front));
+        None
     }
 
     // ---------- the forward race ----------
 
-    /// Launches candidates starting at `fwd.next` until one attempt is
-    /// actually in flight. A synchronous connect failure gets the same
-    /// bookkeeping as an asynchronous transport error and the walk
-    /// continues. Returns `Some(final response)` when the race just
-    /// concluded (no candidates left, nothing in flight).
-    fn launch_next(&mut self, front: u64, fwd: &mut ForwardState, hedge: bool) -> Option<Response> {
+    /// Launches candidates of forward `f`, starting at its `next`, until
+    /// one attempt is actually in flight. A synchronous connect failure
+    /// gets the same bookkeeping as an asynchronous transport error and
+    /// the walk continues. With no candidate left and nothing in flight
+    /// the forward concludes.
+    fn launch_next(&mut self, token: u64, front: &mut Front, f: usize, hedge: bool) {
         let shared = Arc::clone(self.shared);
+        let fwd = &mut front.forwards[f];
         while fwd.next < fwd.candidates.len() {
             let pos = fwd.next;
             let idx = fwd.candidates[pos];
             fwd.next += 1;
-            let slot = Arc::clone(&fwd.topo.slots[idx]);
+            let slot = Arc::clone(&front.topo.slots[idx]);
             if hedge {
                 fwd.hedged.push(idx);
             } else if pos > 0 {
+                let ctx = front.span.ctx();
                 shared.recorder.record_event(
-                    fwd.span.trace_id,
-                    fwd.span.root,
+                    ctx.trace_id,
+                    ctx.root,
                     Stage::Failover,
                     idx as u64,
                     0,
                 );
             }
-            match self.start_attempt(front, fwd, idx, &slot, hedge) {
+            match self.start_attempt(token, f, fwd, front.span.ctx(), idx, &slot, hedge) {
                 Ok(()) => {
                     fwd.in_flight += 1;
                     fwd.current = idx;
-                    return None;
+                    return;
                 }
                 Err(_) => {
                     // Same bookkeeping as a resolved transport error.
                     slot.breaker.record_failure_at(shared.cfg.clock.now());
-                    slot.pool.clear();
-                    self.idle.remove(slot.addr());
+                    slot.clear_idle();
                     ClusterMetrics::inc(&slot.metrics.errors);
                     ClusterMetrics::inc(&slot.metrics.failovers);
                 }
             }
         }
         if fwd.in_flight == 0 {
-            Some(match fwd.last_answer.take() {
-                Some(resp) => resp,
-                None => {
-                    ClusterMetrics::inc(&shared.metrics.request_errors);
-                    Response::json(502, error_json("no backend reachable"))
-                }
-            })
-        } else {
-            None
+            let answer = fwd.last_answer.take().unwrap_or_else(|| {
+                ClusterMetrics::inc(&shared.metrics.request_errors);
+                Response::json(502, error_json("no backend reachable"))
+            });
+            self.conclude_forward(fwd, answer);
         }
     }
 
@@ -710,10 +751,13 @@ impl EventLoop<'_> {
     /// fresh nonblocking connect, registered with the reactor, request
     /// bytes staged. An `Err` means the attempt never got airborne (its
     /// `attempt` span is recorded here, error-flagged).
+    #[allow(clippy::too_many_arguments)]
     fn start_attempt(
         &mut self,
         front: u64,
-        fwd: &mut ForwardState,
+        f: usize,
+        fwd: &mut Forward,
+        ctx: TraceCtx,
         idx: usize,
         slot: &Arc<BackendSlot>,
         hedge: bool,
@@ -722,20 +766,21 @@ impl EventLoop<'_> {
         ClusterMetrics::inc(&slot.metrics.requests);
         let span = shared.recorder.next_span_id();
         let t0 = shared.cfg.clock.now();
-        let staged = (|| {
-            if let Some(stream) = self.idle.get_mut(slot.addr()).and_then(|v| v.pop()) {
-                return Ok((stream, true));
-            }
-            let addr = slot
-                .addr()
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| std::io::Error::other("unresolvable"))?;
-            match tcp_connect_nonblocking(addr)? {
-                ConnectStart::Connected(s) => Ok((s, true)),
-                ConnectStart::Pending(s) => Ok((s, false)),
-            }
-        })()
+        let record_failed = |shared: &Shared| {
+            shared.recorder.record_span_with_id(
+                span,
+                ctx.trace_id,
+                ctx.root,
+                Stage::Attempt,
+                t0,
+                shared.cfg.clock.now(),
+                SpanAttrs { a: idx as u64, err: true, ..Default::default() },
+            );
+        };
+        let staged = match slot.take_idle() {
+            Some(stream) => Ok((stream, true)),
+            None => dial(slot.addr()),
+        }
         .and_then(|(stream, connected)| {
             stream.set_nodelay(true)?;
             Ok((stream, connected))
@@ -743,39 +788,20 @@ impl EventLoop<'_> {
         let (stream, connected) = match staged {
             Ok(pair) => pair,
             Err(e) => {
-                shared.recorder.record_span_with_id(
-                    span,
-                    fwd.span.trace_id,
-                    fwd.span.root,
-                    Stage::Attempt,
-                    t0,
-                    shared.cfg.clock.now(),
-                    SpanAttrs { a: idx as u64, err: true, ..Default::default() },
-                );
+                record_failed(shared);
                 return Err(e);
             }
         };
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.token();
         if let Err(e) = self.reactor.register(stream.as_raw_fd(), token, Interest::BOTH) {
-            shared.recorder.record_span_with_id(
-                span,
-                fwd.span.trace_id,
-                fwd.span.root,
-                Stage::Attempt,
-                t0,
-                shared.cfg.clock.now(),
-                SpanAttrs { a: idx as u64, err: true, ..Default::default() },
-            );
+            record_failed(shared);
             return Err(e);
         }
-        // The same wire serializer the blocking client uses — identical
-        // upstream bytes by construction.
         let out = request_bytes(
             "POST",
-            "/elect",
+            fwd.path,
             slot.addr(),
-            &[("x-trace-id", &fwd.span.trace_id.to_hex()), ("x-parent-span", &span.to_hex())],
+            &[("x-trace-id", &ctx.trace_id.to_hex()), ("x-parent-span", &span.to_hex())],
             Some(&fwd.body),
         );
         let timer = self.reactor.set_timer(shared.cfg.timeout, token | ATTEMPT_BIT);
@@ -791,13 +817,14 @@ impl EventLoop<'_> {
             token,
             Attempt {
                 front,
+                fwd: f,
                 idx,
                 slot: Arc::clone(slot),
                 stream,
                 phase,
                 span,
                 t0,
-                ctx: fwd.span.ctx(),
+                ctx,
                 hedge,
                 timer,
             },
@@ -807,16 +834,18 @@ impl EventLoop<'_> {
         Ok(())
     }
 
-    /// Arms or disarms the hedge timer to match the race state: armed
-    /// exactly while one attempt is live and a candidate remains, at
-    /// the launched backend's adaptive threshold.
-    fn settle_hedge_timer(&mut self, front: u64, fwd: &mut ForwardState) {
-        let want = fwd.in_flight == 1 && fwd.next < fwd.candidates.len();
+    /// Arms or disarms forward `f`'s hedge timer to match its race:
+    /// armed exactly while it is unconcluded, one attempt is live and a
+    /// candidate remains, at the launched backend's adaptive threshold.
+    fn settle_hedge_timer(&mut self, token: u64, front: &mut Front, f: usize) {
+        let fwd = &mut front.forwards[f];
+        let want = fwd.answer.is_none() && fwd.in_flight == 1 && fwd.next < fwd.candidates.len();
         match (want, fwd.hedge_timer) {
             (true, None) => {
                 let threshold =
-                    fwd.topo.slots[fwd.current].hedge_threshold(self.shared.cfg.hedge_min);
-                fwd.hedge_timer = Some(self.reactor.set_timer(threshold, front | HEDGE_BIT));
+                    front.topo.slots[fwd.current].hedge_threshold(self.shared.cfg.hedge_min);
+                let key = HEDGE_BIT | (f as u64) << FWD_SHIFT | token;
+                fwd.hedge_timer = Some(self.reactor.set_timer(threshold, key));
             }
             (false, Some(key)) => {
                 self.reactor.cancel_timer(key);
@@ -826,62 +855,82 @@ impl EventLoop<'_> {
         }
     }
 
-    /// The hedge threshold elapsed in silence: fire a duplicate at the
-    /// next candidate — an extra socket and a timer, never a thread.
-    fn fire_hedge(&mut self, front: u64) {
-        let Some(mut conn) = self.conns.remove(&front) else { return };
-        if let Some(Pending::Forward(fwd)) = &mut conn.pending {
+    /// Forward `f`'s hedge threshold elapsed in silence: fire a
+    /// duplicate at its next candidate — an extra socket and a timer,
+    /// never a thread.
+    fn fire_hedge(&mut self, token: u64, f: usize) {
+        let Some(mut conn) = self.conns.remove(&token) else { return };
+        let front = conn.pending.as_deref_mut().filter(|front| f < front.forwards.len());
+        if let Some(front) = front {
+            let fwd = &mut front.forwards[f];
             fwd.hedge_timer = None;
-            if fwd.in_flight == 1 && fwd.next < fwd.candidates.len() {
-                let shared = self.shared;
-                ClusterMetrics::inc(&fwd.topo.slots[fwd.current].metrics.hedges);
-                shared.recorder.record_event(
-                    fwd.span.trace_id,
-                    fwd.span.root,
-                    Stage::Hedge,
-                    fwd.candidates[fwd.next] as u64,
-                    0,
-                );
-                if let Some(resp) = self.launch_next(front, fwd, true) {
-                    // The hedge (and the rest of the ring) failed at
-                    // connect time and the primary is also gone.
-                    let resp = self.conclude(conn.pending.take(), resp);
-                    push_response(&mut conn, &resp.0, resp.1);
-                    self.kick_fronts.push(front);
-                } else {
-                    self.settle_hedge_timer(front, fwd);
-                }
+            if fwd.answer.is_none() && fwd.in_flight == 1 && fwd.next < fwd.candidates.len() {
+                ClusterMetrics::inc(&front.topo.slots[fwd.current].metrics.hedges);
+                let next = fwd.candidates[fwd.next] as u64;
+                let ctx = front.span.ctx();
+                self.shared.recorder.record_event(ctx.trace_id, ctx.root, Stage::Hedge, next, 0);
+                self.launch_next(token, front, f, true);
+                self.settle_hedge_timer(token, front, f);
             }
         }
-        self.conns.insert(front, conn);
+        self.finish_if_done(token, &mut conn);
+        self.conns.insert(token, conn);
     }
 
-    /// The request deadline expired mid-race: 504, abandon the race.
-    fn expire_deadline(&mut self, front: u64) {
-        let Some(conn) = self.conns.get_mut(&front) else { return };
-        if !matches!(conn.pending, Some(Pending::Forward(_))) {
+    /// The request deadline expired mid-race: every unconcluded forward
+    /// answers 504 and the request is answered.
+    fn expire_deadline(&mut self, token: u64) {
+        let Some(mut conn) = self.conns.remove(&token) else { return };
+        if let Some(front) = conn.pending.as_deref_mut() {
+            for fwd in front.forwards.iter_mut().filter(|fwd| fwd.answer.is_none()) {
+                ClusterMetrics::inc(&self.shared.metrics.request_errors);
+                let answer = Response::json(504, error_json("cluster deadline expired"));
+                self.conclude_forward(fwd, answer);
+            }
+        }
+        self.finish_if_done(token, &mut conn);
+        self.conns.insert(token, conn);
+    }
+
+    /// Ends a forward's race with `answer`: its hedge timer and any
+    /// attempts still in flight are torn down.
+    fn conclude_forward(&mut self, fwd: &mut Forward, answer: Response) {
+        self.stop_racing(fwd);
+        fwd.answer = Some(answer);
+    }
+
+    /// Answers the connection's request if its last forward concluded.
+    fn finish_if_done(&mut self, token: u64, conn: &mut Conn) {
+        if !conn.pending.as_ref().is_some_and(|front| front.done()) {
             return;
         }
-        let Some(mut conn) = self.conns.remove(&front) else { return };
-        ClusterMetrics::inc(&self.shared.metrics.request_errors);
-        let resp = Response::json(504, error_json("cluster deadline expired"));
-        let (resp, close) = self.conclude(conn.pending.take(), resp);
-        push_response(&mut conn, &resp, close);
-        self.conns.insert(front, conn);
+        let front = conn.pending.take().expect("checked above");
+        let close = front.close;
+        let resp = self.conclude(*front);
+        push_response(conn, &resp, close);
+        self.kick_fronts.push(token);
     }
 
-    /// Finishes a forward: timers cancelled, losing attempts torn down,
-    /// front-door latency recorded, envelope closed.
-    fn conclude(&mut self, pending: Option<Pending>, resp: Response) -> (Response, bool) {
-        let Some(Pending::Forward(fwd)) = pending else {
-            unreachable!("conclude is only called on a live forward");
-        };
-        self.abandon_forward(&fwd);
+    /// Finishes a request whose forwards all concluded: deadline
+    /// cancelled, the answer assembled (a batch's joined in request
+    /// order), front-door latency recorded, envelope closed.
+    fn conclude(&mut self, mut front: Front) -> Response {
+        self.abandon(&mut front);
+        let Front { span, forwards, batch, .. } = front;
         let shared = self.shared;
-        let spent = shared.cfg.clock.now().saturating_duration_since(fwd.span.started);
-        shared.metrics.request_latency.record(spent);
-        let close = fwd.close;
-        (close_request_span(fwd.span, shared, resp), close)
+        let resp = match batch {
+            None => forwards.into_iter().next().and_then(|f| f.answer).expect("one forward"),
+            Some(slots) => {
+                let answers: BTreeMap<usize, Response> = forwards
+                    .into_iter()
+                    .map(|f| (f.shard, f.answer.expect("every forward concluded")))
+                    .collect();
+                let (body, failed) = gather(&slots, &answers);
+                shared.metrics.batch_entry_errors.fetch_add(failed, Ordering::Relaxed);
+                Response::json(200, body).with_header("x-batch-errors", failed.to_string())
+            }
+        };
+        close_timed(span, shared, resp)
     }
 
     // ---------- attempts ----------
@@ -899,7 +948,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// The per-attempt transport timeout fired — the analogue of the
+    /// The per-attempt transport timeout fired — the analogue of a
     /// blocking client's read timeout elapsing.
     fn attempt_timed_out(&mut self, token: u64) {
         let Some(at) = self.attempts.remove(&token) else { return };
@@ -907,8 +956,8 @@ impl EventLoop<'_> {
     }
 
     /// Common resolution prologue: reactor detach, span, hedge gauge,
-    /// race bookkeeping. Returns the owning connection if it still has
-    /// this forward.
+    /// race bookkeeping. Returns the owning connection if its request
+    /// still races this attempt.
     fn resolve_prologue(&mut self, token: u64, at: &Attempt, err: bool) -> Option<Conn> {
         self.reactor.cancel_timer(at.timer);
         let _ = self.reactor.deregister(at.stream.as_raw_fd());
@@ -926,110 +975,108 @@ impl EventLoop<'_> {
             shared.metrics.hedges_inflight.fetch_sub(1, Ordering::Relaxed);
         }
         let mut conn = self.conns.remove(&at.front)?;
-        match &mut conn.pending {
-            Some(Pending::Forward(fwd)) => {
+        let fwd = conn.pending.as_deref_mut().and_then(|front| front.forwards.get_mut(at.fwd));
+        match fwd {
+            Some(fwd) if fwd.attempt_tokens.contains(&token) => {
                 fwd.attempt_tokens.retain(|t| *t != token);
                 fwd.in_flight -= 1;
                 Some(conn)
             }
             _ => {
-                // The forward already concluded (deadline); nobody is
-                // listening — mirror of a late thread reply landing in
-                // a dropped channel.
+                // Concluded attempts are torn down with their forward, so
+                // this is only a guard: nobody is listening.
                 self.conns.insert(at.front, conn);
                 None
             }
         }
     }
 
-    /// Shared epilogue for non-definitive resolutions: launch the next
-    /// candidate if the race stalled, or conclude; then re-settle the
-    /// hedge timer.
-    fn resolve_epilogue(&mut self, front: u64, mut conn: Conn) {
-        let Some(Pending::Forward(fwd)) = &mut conn.pending else {
-            self.conns.insert(front, conn);
-            return;
-        };
-        let finished = if fwd.in_flight == 0 { self.launch_next(front, fwd, false) } else { None };
-        match finished {
-            Some(resp) => {
-                let (resp, close) = self.conclude(conn.pending.take(), resp);
-                push_response(&mut conn, &resp, close);
-                self.kick_fronts.push(front);
-            }
-            None => {
-                if let Some(Pending::Forward(fwd)) = &mut conn.pending {
-                    self.settle_hedge_timer(front, fwd);
-                }
-            }
-        }
-        self.conns.insert(front, conn);
-    }
-
-    /// A complete backend response: the same case analysis as the
-    /// blocking race, plus pooling the winner's clean stream.
+    /// A complete backend response: a definitive answer concludes the
+    /// forward, a busy or failed one keeps the race going.
     fn attempt_done(&mut self, token: u64, at: Attempt, resp: ClientResponse, clean: bool) {
         let shared = self.shared;
-        let err = resp.status >= 500;
-        let Some(mut conn) = self.resolve_prologue(token, &at, err) else { return };
+        let Some(mut conn) = self.resolve_prologue(token, &at, resp.status >= 500) else { return };
         let elapsed = shared.cfg.clock.now().saturating_duration_since(at.t0);
         at.slot.metrics.latency.record(elapsed);
-        let Some(Pending::Forward(fwd)) = &mut conn.pending else {
-            unreachable!("resolve_prologue returned a forward-owning conn");
-        };
+        at.slot.breaker.record_success();
+        let front = conn.pending.as_deref_mut().expect("resolve_prologue found the request");
+        let fwd = &mut front.forwards[at.fwd];
         match resp.status {
             503 => {
                 // Alive but saturated: not a breaker event.
-                at.slot.breaker.record_success();
                 ClusterMetrics::inc(&at.slot.metrics.busy);
                 fwd.last_answer = Some(pass_through(&resp, at.slot.addr()));
             }
-            status => {
-                at.slot.breaker.record_success();
-                if status >= 500 {
-                    ClusterMetrics::inc(&at.slot.metrics.errors);
-                    fwd.last_answer = Some(pass_through(&resp, at.slot.addr()));
-                } else {
-                    // Definitive answer — first one wins.
-                    if fwd.hedged.contains(&at.idx) {
-                        ClusterMetrics::inc(&shared.metrics.hedge_wins);
-                    }
-                    let out = pass_through(&resp, at.slot.addr());
-                    if clean {
-                        self.pool_idle(at.slot.addr(), at.stream);
-                    }
-                    let front = at.front;
-                    let (out, close) = self.conclude(conn.pending.take(), out);
-                    push_response(&mut conn, &out, close);
-                    self.conns.insert(front, conn);
-                    self.kick_fronts.push(front);
-                    return;
+            status if status >= 500 => {
+                ClusterMetrics::inc(&at.slot.metrics.errors);
+                fwd.last_answer = Some(pass_through(&resp, at.slot.addr()));
+            }
+            _ => {
+                // Definitive answer — first one wins.
+                if fwd.hedged.contains(&at.idx) {
+                    ClusterMetrics::inc(&shared.metrics.hedge_wins);
                 }
+                let answer = pass_through(&resp, at.slot.addr());
+                if clean {
+                    at.slot.put_idle(at.stream);
+                }
+                self.conclude_forward(fwd, answer);
             }
         }
-        self.resolve_epilogue(at.front, conn);
+        self.keep_racing(at.front, front, at.fwd);
+        self.finish_if_done(at.front, &mut conn);
+        self.conns.insert(at.front, conn);
     }
 
-    /// A transport failure: breaker failure, pools cleared, failover.
+    /// A transport failure: breaker failure, the slot's idle streams
+    /// closed, failover.
     fn attempt_failed(&mut self, token: u64, at: Attempt) {
         let shared = self.shared;
-        let Some(conn) = self.resolve_prologue(token, &at, true) else { return };
+        let Some(mut conn) = self.resolve_prologue(token, &at, true) else { return };
         at.slot.breaker.record_failure_at(shared.cfg.clock.now());
-        at.slot.pool.clear();
-        self.idle.remove(at.slot.addr());
+        at.slot.clear_idle();
         ClusterMetrics::inc(&at.slot.metrics.errors);
         ClusterMetrics::inc(&at.slot.metrics.failovers);
-        self.resolve_epilogue(at.front, conn);
+        let front = conn.pending.as_deref_mut().expect("resolve_prologue found the request");
+        self.keep_racing(at.front, front, at.fwd);
+        self.finish_if_done(at.front, &mut conn);
+        self.conns.insert(at.front, conn);
     }
 
-    /// Returns a clean keep-alive stream to the reactor-local pool.
-    fn pool_idle(&mut self, addr: &str, stream: TcpStream) {
-        let _ = self.reactor.deregister(stream.as_raw_fd());
-        let bucket = self.idle.entry(addr.to_string()).or_default();
-        if bucket.len() < self.shared.cfg.pool_cap.max(1) {
-            bucket.push(stream);
+    /// After an attempt resolved without concluding forward `f`: launch
+    /// the next candidate if nothing is in flight (which may conclude
+    /// the forward), then re-settle its hedge timer.
+    fn keep_racing(&mut self, token: u64, front: &mut Front, f: usize) {
+        let fwd = &front.forwards[f];
+        if fwd.answer.is_none() && fwd.in_flight == 0 {
+            self.launch_next(token, front, f, false);
         }
+        self.settle_hedge_timer(token, front, f);
     }
+}
+
+/// The 502 for a router that has no backends yet.
+fn no_backends(shared: &Shared) -> Response {
+    ClusterMetrics::inc(&shared.metrics.request_errors);
+    Response::json(502, error_json("no backends configured (awaiting control-plane config)"))
+}
+
+/// Records the front-door latency and closes the envelope.
+fn close_timed(span: RequestSpan, shared: &Arc<Shared>, resp: Response) -> Response {
+    let spent = shared.cfg.clock.now().saturating_duration_since(span.started);
+    shared.metrics.request_latency.record(spent);
+    close_request_span(span, shared, resp)
+}
+
+/// Starts a nonblocking connect to `addr`; `true` when it completed at
+/// once.
+fn dial(addr: &str) -> std::io::Result<(TcpStream, bool)> {
+    let addr =
+        addr.to_socket_addrs()?.next().ok_or_else(|| std::io::Error::other("unresolvable"))?;
+    Ok(match tcp_connect_nonblocking(addr)? {
+        ConnectStart::Connected(s) => (s, true),
+        ConnectStart::Pending(s) => (s, false),
+    })
 }
 
 /// Advances one attempt's wire state machine.
@@ -1082,8 +1129,7 @@ fn step_attempt(at: &mut Attempt, mut readable: bool, mut writable: bool) -> Att
                     match at.stream.read(&mut chunk) {
                         // EOF before a complete response — including a
                         // pooled stream the backend closed while idle.
-                        // The blocking client reports the same exchange
-                        // as a transport error; failover handles it.
+                        // A transport error; failover handles it.
                         Ok(0) => return AttemptStep::Failed,
                         Ok(n) => {
                             parser.push(&chunk[..n]);
@@ -1120,7 +1166,7 @@ fn push_response(conn: &mut Conn, resp: &Response, close: bool) {
     conn.close_after_flush |= close;
 }
 
-/// The 413 the blocking core produces for an over-cap body.
+/// The 413 for an over-cap body.
 fn too_large_response(declared: usize, shared: &Shared) -> Response {
     let why =
         format!("request body of {declared} bytes exceeds the {} byte limit", shared.cfg.max_body);

@@ -36,12 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-#[cfg(unix)]
 pub(crate) mod eventloop;
 pub mod hash;
 pub mod health;
 pub mod metrics;
-pub mod pool;
 pub mod router;
 pub mod topology;
 
@@ -54,4 +52,4 @@ pub use topology::{BackendSlot, Topology};
 
 // The shared wire codec: one source of truth, re-exported so cluster
 // users never import a second copy that could drift from the backends.
-pub use hre_svc::{error_json, AlgoId, Client, ClientResponse, ElectRequest, IoMode, Json};
+pub use hre_svc::{error_json, AlgoId, Client, ClientResponse, ElectRequest, Json};

@@ -73,13 +73,12 @@ pub struct ClusterMetrics {
     pub batch_entry_errors: AtomicU64,
     /// Client-facing TCP connections currently open (gauge).
     pub open_connections: AtomicI64,
-    /// `epoll_wait` returns on the reactor thread (0 under
-    /// `--io threads`).
+    /// `epoll_wait` returns on the reactor thread.
     pub reactor_wakeups: AtomicU64,
     /// Hedged duplicates currently in flight (gauge): incremented when a
     /// hedge launches, decremented when that attempt resolves or is
-    /// abandoned. Reconciles to 0 at rest — under `--io epoll` a
-    /// nonzero value never corresponds to a parked thread.
+    /// abandoned. Reconciles to 0 at rest; a nonzero value is reactor
+    /// state, never a parked thread.
     pub hedges_inflight: AtomicI64,
     /// End-to-end front-door latency (accept to response).
     pub request_latency: Log2Histogram,
@@ -158,7 +157,7 @@ impl ClusterMetrics {
         // daemon exports, so one dashboard covers both scrape targets.
         counter(
             "hre_reactor_wakeups_total",
-            "epoll_wait returns on the reactor thread (0 under --io threads)",
+            "epoll_wait returns on the reactor thread",
             self.reactor_wakeups.load(Ordering::Relaxed),
         );
         let mut gauge = |name: &str, help: &str, value: i64| {

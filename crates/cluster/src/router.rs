@@ -1,5 +1,6 @@
 //! The front-door router: one listener, N backends, rotation-affinity
-//! routing, breaker-gated failover, and hedged retries.
+//! routing, breaker-gated failover, and hedged retries, served by one
+//! epoll reactor thread (`eventloop.rs`).
 //!
 //! Request path for `POST /elect`:
 //!
@@ -10,7 +11,7 @@
 //!                │ candidates = ring walk from the key, open breakers
 //!                │              skipped (fail-open if all are open)
 //!                ▼
-//!          attempt thread ──POST /elect──▶ backend (pooled keep-alive)
+//!          attempt ──POST /elect──▶ backend (pooled keep-alive stream)
 //!                │
 //!                ├─ response 200/422 ─▶ pass through (+ x-backend header)
 //!                ├─ response 503 ─▶ failover to next candidate; the 503
@@ -21,12 +22,17 @@
 //!                   at the next candidate, first answer wins
 //! ```
 //!
+//! `POST /elect/batch` splits the batch by owning shard
+//! ([`split_batch`]), runs the same race once per shard with that
+//! shard's sub-batch, and joins the answers in request order
+//! ([`gather`]).
+//!
 //! Hedging is safe here in a way it is not for general RPC: elections
 //! are deterministic (round-robin scheduler, canonical-rotation cache)
 //! and idempotent, so the two raced responses are byte-identical — the
 //! client cannot observe which one won. The hedge threshold adapts per
 //! backend: `max(hedge_min, 2 × observed p95)` via
-//! [`BackendSlot::hedge_threshold`].
+//! [`crate::BackendSlot::hedge_threshold`].
 //!
 //! Since PR 6 the backend set is **dynamic**: everything per-backend
 //! lives in an immutable [`Topology`] snapshot behind an
@@ -45,16 +51,15 @@
 
 use crate::hash::shard_key;
 use crate::metrics::ClusterMetrics;
-use crate::topology::{BackendSlot, Topology};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::topology::Topology;
 use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
-use hre_runtime::{ClockHandle, DEFAULT_TRACE_CAP};
-use hre_svc::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
+use hre_runtime::{ClockHandle, Reactor, DEFAULT_TRACE_CAP};
+use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, ArrayWriter, Json};
-use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest, IoMode};
+use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -85,7 +90,7 @@ pub struct ClusterConfig {
     pub probe_cap: Duration,
     /// How often the background prober sweeps the backends.
     pub health_interval: Duration,
-    /// Idle keep-alive connections retained per backend.
+    /// Idle keep-alive streams retained per backend.
     pub pool_cap: usize,
     /// Largest request body accepted (larger ⇒ `413`).
     pub max_body: usize,
@@ -102,12 +107,6 @@ pub struct ClusterConfig {
     /// breaker probe schedules, latency accounting). Defaults to the
     /// wall clock; the simulation harness injects a virtual clock.
     pub clock: ClockHandle,
-    /// Serving core: thread-per-connection (`Threads`, the default) or
-    /// the epoll reactor (`Epoll`), where every client connection and
-    /// every backend attempt is a state machine on one reactor thread
-    /// and hedges are timers instead of parked threads. Same knob as
-    /// [`hre_svc::SvcConfig::io`].
-    pub io: IoMode,
 }
 
 impl Default for ClusterConfig {
@@ -123,13 +122,12 @@ impl Default for ClusterConfig {
             probe_start: Duration::from_millis(50),
             probe_cap: Duration::from_secs(2),
             health_interval: Duration::from_millis(100),
-            pool_cap: crate::pool::DEFAULT_POOL_CAP,
+            pool_cap: crate::topology::DEFAULT_POOL_CAP,
             max_body: DEFAULT_MAX_BODY,
             trace_cap: DEFAULT_TRACE_CAP,
             slow_threshold: Some(Duration::from_secs(1)),
             dynamic: false,
             clock: ClockHandle::default(),
-            io: IoMode::default(),
         }
     }
 }
@@ -137,8 +135,7 @@ impl Default for ClusterConfig {
 /// How often blocked loops wake up to check the shutdown flag.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
-/// Everything the connection threads (or the reactor) and the prober
-/// share.
+/// Everything the reactor, the prober and the controllers share.
 pub(crate) struct Shared {
     pub(crate) cfg: ClusterConfig,
     /// The live topology generation. Swapped whole by config pushes;
@@ -162,7 +159,7 @@ pub struct RouterHandle {
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<u64>,
+    reactor: JoinHandle<u64>,
     prober: JoinHandle<()>,
 }
 
@@ -254,7 +251,7 @@ fn invalid(why: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, why)
 }
 
-/// Binds the listener and spins up the acceptor and the health prober.
+/// Binds the listener and spins up the reactor and the health prober.
 ///
 /// Startup validation: a static router (the default) needs at least one
 /// backend; duplicates are rejected before the bind, self-referential
@@ -270,8 +267,8 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     validate_backends(&cfg.backends, &[cfg.addr.clone(), addr.to_string()]).map_err(invalid)?;
+    let reactor = Reactor::new()?;
 
-    let io = cfg.io;
     let shared = Arc::new(Shared {
         topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
         metrics: ClusterMetrics::new(),
@@ -281,37 +278,19 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
     });
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let acceptor = match io {
-        IoMode::Threads => {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, &shared, &shutdown))
-        }
-        #[cfg(unix)]
-        IoMode::Epoll => {
-            // Create the reactor here so an unsupported platform fails
-            // `start` with a clean error instead of a dead thread.
-            let reactor = hre_runtime::Reactor::new()?;
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown)
-            })
-        }
-        #[cfg(not(unix))]
-        IoMode::Epoll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "--io epoll requires linux",
-            ))
-        }
+    let reactor = {
+        let shared = Arc::clone(&shared);
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown)
+        })
     };
     let prober = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || prober_loop(&shared))
     };
 
-    Ok(RouterHandle { addr, shared, shutdown, acceptor, prober })
+    Ok(RouterHandle { addr, shared, shutdown, reactor, prober })
 }
 
 impl RouterHandle {
@@ -378,12 +357,12 @@ impl RouterHandle {
         self.controller().trip_backend(addr)
     }
 
-    /// Requests a drain and joins the acceptor (which joins every
-    /// connection thread) and the prober.
+    /// Requests a drain and joins the reactor (which runs until every
+    /// connection has finished its in-flight request) and the prober.
     pub fn shutdown(self) -> RouterSummary {
         self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.acceptor.join().expect("acceptor panicked");
+        let _ = self.reactor.join().expect("reactor panicked");
         self.prober.join().expect("prober panicked");
         let m = &self.shared.metrics;
         let topo = self.shared.topology();
@@ -439,8 +418,8 @@ impl std::fmt::Debug for RouterController {
 impl RouterController {
     /// Applies a control-plane config push: swap the topology to
     /// `backends` at `epoch`. Slots shared with the previous generation
-    /// keep their breaker state, warm pools, and counters
-    /// ([`Topology::successor`]).
+    /// keep their breaker state, warm pools, and counters; removed
+    /// backends' idle streams close ([`Topology::successor`]).
     ///
     /// **Epoch fencing**: a push whose epoch is *below* the active one
     /// comes from a deposed coordinator and is refused. The active
@@ -485,14 +464,15 @@ impl RouterController {
     /// Force-open the breaker for `addr` — the control plane declared
     /// the member dead (missed heartbeats), so stop sending it live
     /// traffic *now* instead of burning `failure_threshold` real
-    /// requests discovering the hole. Returns whether the address is in
-    /// the active topology.
+    /// requests discovering the hole, and close its idle streams so a
+    /// later half-open attempt dials afresh. Returns whether the address
+    /// is in the active topology.
     pub fn trip_backend(&self, addr: &str) -> bool {
         let topo = self.shared.topology();
         match topo.slot_for(addr) {
             Some(slot) => {
                 slot.breaker.trip_at(self.shared.cfg.clock.now());
-                slot.pool.clear();
+                slot.clear_idle();
                 true
             }
             None => false,
@@ -500,101 +480,8 @@ impl RouterController {
     }
 }
 
-/// Accepts connections until shutdown; returns the count accepted.
-fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>, shutdown: &AtomicBool) -> u64 {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accepted += 1;
-                let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || connection_loop(stream, &shared)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        if conns.len() > 32 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    shared.shutdown.store(true, Ordering::SeqCst);
-    for h in conns {
-        let _ = h.join();
-    }
-    accepted
-}
-
-/// Serves one client connection: keep-alive request loop until the peer
-/// closes, an error, or shutdown.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    conn.set_max_body(shared.cfg.max_body);
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    // Decrement on every exit path (the loop below only returns).
-    let _open = OpenConnGuard(&shared.metrics);
-    loop {
-        match conn.read_request(Instant::now() + Duration::from_secs(5)) {
-            ReadOutcome::IdlePoll => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                let _ = Response::json(400, error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { declared, drained } => {
-                let why = format!(
-                    "request body of {declared} bytes exceeds the {} byte limit",
-                    shared.cfg.max_body
-                );
-                let close = !drained || shared.shutdown.load(Ordering::Relaxed);
-                let resp = Response::json(413, error_json(&why));
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, shared);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Drops the `hre_open_connections` gauge when a connection thread
-/// exits, whatever the path out.
-struct OpenConnGuard<'a>(&'a ClusterMetrics);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Dispatches one parsed request.
-fn route(req: &Request, shared: &Arc<Shared>) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/elect") => handle_elect(req, shared),
-        ("POST", "/elect/batch") => handle_elect_batch(req, shared),
-        _ => route_aux(req, shared),
-    }
-}
-
-/// Every endpoint that is *not* a proxied election: cheap, answered
-/// inline by whichever serving core parsed the request.
+/// Every endpoint that is *not* a proxied election, answered inline on
+/// the reactor.
 pub(crate) fn route_aux(req: &Request, shared: &Arc<Shared>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -685,10 +572,6 @@ fn cluster_doc(shared: &Shared) -> Json {
     ])
 }
 
-/// One proxied attempt's outcome: backend index (within the request's
-/// topology snapshot), transport result, and wall-clock latency.
-type Attempt = (usize, std::io::Result<ClientResponse>, Duration);
-
 /// The trace a proxied request reports under: the (propagated or
 /// minted) trace id and the front-door root span its attempts hang off.
 #[derive(Clone, Copy)]
@@ -697,70 +580,11 @@ pub(crate) struct TraceCtx {
     pub(crate) root: SpanId,
 }
 
-/// Fires one attempt on its own thread; the result lands in `tx` (the
-/// receiver may be gone if another attempt already won — that's fine).
-/// The attempt's span id is minted before the thread launches and sent
-/// to the backend as `x-parent-span`, so the backend's own root span
-/// hangs under this attempt in the merged tree; the span itself is
-/// recorded when the attempt resolves — even if it resolved too late to
-/// matter. The attempt holds its own `Arc` to the slot, so a topology
-/// swap mid-attempt cannot pull the pool out from under it.
-#[allow(clippy::too_many_arguments)]
-fn spawn_attempt(
-    shared: Arc<Shared>,
-    slot: Arc<BackendSlot>,
-    idx: usize,
-    path: &'static str,
-    body: Arc<Vec<u8>>,
-    tx: Sender<Attempt>,
-    ctx: TraceCtx,
-    hedge: bool,
-) {
-    let TraceCtx { trace_id, root } = ctx;
-    ClusterMetrics::inc(&slot.metrics.requests);
-    if hedge {
-        shared.metrics.hedges_inflight.fetch_add(1, Ordering::Relaxed);
-    }
-    let span = shared.recorder.next_span_id();
-    std::thread::spawn(move || {
-        let t0 = shared.cfg.clock.now();
-        let result = (|| {
-            let mut client = slot.pool.get()?;
-            let resp = client.request_with_headers(
-                "POST",
-                path,
-                &[("x-trace-id", &trace_id.to_hex()), ("x-parent-span", &span.to_hex())],
-                Some(&body),
-            )?;
-            slot.pool.put(client);
-            Ok(resp)
-        })();
-        let err = match &result {
-            Ok(resp) => resp.status >= 500,
-            Err(_) => true,
-        };
-        shared.recorder.record_span_with_id(
-            span,
-            trace_id,
-            root,
-            Stage::Attempt,
-            t0,
-            shared.cfg.clock.now(),
-            SpanAttrs { a: idx as u64, err, ..Default::default() },
-        );
-        let elapsed = shared.cfg.clock.now().saturating_duration_since(t0);
-        let _ = tx.send((idx, result, elapsed));
-        if hedge {
-            shared.metrics.hedges_inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-    });
-}
-
 /// The open half of the request envelope: the adopted (or minted) trace,
 /// the minted-but-not-yet-recorded root span, and the admission instant.
 /// Produced by [`open_request_span`], consumed by [`close_request_span`]
-/// — split so the epoll core can hold it across reactor wakeups while a
-/// forward is in flight.
+/// — split so the reactor can hold it across wakeups while the request's
+/// forwards are in flight.
 pub(crate) struct RequestSpan {
     pub(crate) trace_id: TraceId,
     pub(crate) root: SpanId,
@@ -769,7 +593,7 @@ pub(crate) struct RequestSpan {
 }
 
 impl RequestSpan {
-    /// The attempt-spawning context this envelope provides.
+    /// The trace context this envelope gives its attempts.
     pub(crate) fn ctx(&self) -> TraceCtx {
         TraceCtx { trace_id: self.trace_id, root: self.root }
     }
@@ -821,101 +645,34 @@ pub(crate) fn close_request_span(
     resp.with_header("x-trace-id", trace_id.to_hex())
 }
 
-/// Wraps a front-door handler in the shared request envelope: adopt the
-/// propagated trace (or mint one), record the root `request` span, log
-/// slow requests, and stamp `x-trace-id` on the response.
-fn with_request_span(
-    req: &Request,
-    shared: &Arc<Shared>,
-    interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
-) -> Response {
-    let span = open_request_span(req, shared);
-    let resp = interior(span.trace_id, span.root, span.started);
-    close_request_span(span, shared, resp)
-}
-
-/// The `POST /elect` front door: validate, pick candidates, forward
-/// with failover and hedging, inside the shared trace envelope.
-fn handle_elect(req: &Request, shared: &Arc<Shared>) -> Response {
-    with_request_span(req, shared, |trace_id, root, started| {
-        // Validate locally so garbage is never forwarded; the error body
-        // is byte-identical to what a backend would have answered.
-        match ElectRequest::from_json(&req.body) {
-            Ok(request) => {
-                let topo = shared.topology();
-                if topo.is_empty() {
-                    ClusterMetrics::inc(&shared.metrics.request_errors);
-                    Response::json(
-                        502,
-                        error_json("no backends configured (awaiting control-plane config)"),
-                    )
-                } else {
-                    let resp = forward(
-                        shared,
-                        &topo,
-                        &request.labels,
-                        "/elect",
-                        &req.body,
-                        started,
-                        TraceCtx { trace_id, root },
-                    );
-                    let spent = shared.cfg.clock.now().saturating_duration_since(started);
-                    shared.metrics.request_latency.record(spent);
-                    resp
-                }
-            }
-            Err(why) => Response::json(400, error_json(&why)),
-        }
-    })
-}
-
-/// The `POST /elect/batch` front door: split the batch by shard,
-/// forward one sub-batch per owning backend (each with the full
-/// breaker/failover/hedging treatment), and scatter the answers back
-/// into request order.
-pub(crate) fn handle_elect_batch(req: &Request, shared: &Arc<Shared>) -> Response {
-    with_request_span(req, shared, |trace_id, root, started| {
-        let resp = batch_response(&req.body, shared, started, TraceCtx { trace_id, root });
-        let spent = shared.cfg.clock.now().saturating_duration_since(started);
-        shared.metrics.request_latency.record(spent);
-        resp
-    })
-}
-
 /// Where one batch entry's answer comes from: its local validation
 /// error (never forwarded), or element `index` of the answer to the
 /// sub-batch sent to backend `shard`.
-enum Slot {
+pub(crate) enum Slot {
     Local(String),
     Shard { shard: usize, index: usize },
 }
 
-/// The traced interior of [`handle_elect_batch`]. Entries that fail
-/// validation are answered in place (never forwarded); valid entries
-/// are grouped by the backend that owns their shard key, each group is
-/// re-encoded as a sub-batch body and forwarded concurrently through
-/// [`forward`], and the answers are scattered back into request order
-/// by [`gather`].
-fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: TraceCtx) -> Response {
-    ClusterMetrics::inc(&shared.metrics.batch_requests);
-    let entries = match hre_svc::batch_from_json(body) {
-        Ok(entries) => entries,
-        Err(why) => return Response::json(400, error_json(&why)),
-    };
-    shared.metrics.batch_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-    let topo = shared.topology();
-    if topo.is_empty() {
-        ClusterMetrics::inc(&shared.metrics.request_errors);
-        return Response::json(
-            502,
-            error_json("no backends configured (awaiting control-plane config)"),
-        );
-    }
+/// One shard's part of a split batch: the owning backend (ring index),
+/// the labels of its first entry (every entry shards to the same
+/// backend, so they stand for the group in candidate planning), and the
+/// `/elect/batch` body it is forwarded with.
+pub(crate) struct SubBatch {
+    pub(crate) shard: usize,
+    pub(crate) labels: Vec<u64>,
+    pub(crate) body: Vec<u8>,
+}
 
-    // Group valid entries by owning backend. Re-encoding each entry
-    // from its parsed form is safe: `from_json ∘ to_json` is the
-    // identity, and the backend re-validates anyway. BTreeMap keeps
-    // dispatch order deterministic (ring order, not hash order).
+/// The scatter half of a routed batch. Entries that fail validation are
+/// answered in place (never forwarded); valid entries are grouped by the
+/// backend that owns their shard key and re-encoded as one sub-batch per
+/// shard, in ring order. Re-encoding from the parsed form is safe:
+/// `from_json ∘ to_json` is the identity, and the backend re-validates
+/// anyway. [`gather`] is the other half.
+pub(crate) fn split_batch(
+    entries: Vec<Result<ElectRequest, String>>,
+    topo: &Topology,
+) -> (Vec<Slot>, Vec<SubBatch>) {
     let mut slots: Vec<Slot> = Vec::with_capacity(entries.len());
     let mut groups: BTreeMap<usize, Vec<ElectRequest>> = BTreeMap::new();
     for entry in entries {
@@ -929,36 +686,20 @@ fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: Trac
             }
         }
     }
-    shared.metrics.batch_fanout.fetch_add(groups.len() as u64, Ordering::Relaxed);
-
-    // Forward every sub-batch concurrently; each gets the same failover
-    // and hedging treatment a single request would. Every entry in a
-    // group shards to the same backend, so the first one's labels stand
-    // for the group.
-    let topo = &topo;
-    let responses: BTreeMap<usize, Response> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .map(|(&shard, requests)| {
-                let sub_batch = scope.spawn(move || {
-                    let mut sub_body = String::new();
-                    let mut arr = ArrayWriter::new(&mut sub_body);
-                    for request in requests {
-                        request.write_json(arr.element());
-                    }
-                    arr.finish();
-                    let labels = &requests[0].labels;
-                    forward(shared, topo, labels, "/elect/batch", sub_body.as_bytes(), started, ctx)
-                });
-                (shard, sub_batch)
-            })
-            .collect();
-        handles.into_iter().map(|(shard, h)| (shard, h.join().expect("sub-batch thread"))).collect()
-    });
-
-    let (body, failed_entries) = gather(&slots, &responses);
-    shared.metrics.batch_entry_errors.fetch_add(failed_entries, Ordering::Relaxed);
-    Response::json(200, body).with_header("x-batch-errors", failed_entries.to_string())
+    let subs = groups
+        .into_iter()
+        .map(|(shard, requests)| {
+            let mut body = String::new();
+            let mut arr = ArrayWriter::new(&mut body);
+            for request in &requests {
+                request.write_json(arr.element());
+            }
+            arr.finish();
+            let labels = requests.into_iter().next().expect("groups are non-empty").labels;
+            SubBatch { shard, labels, body: body.into_bytes() }
+        })
+        .collect();
+    (slots, subs)
 }
 
 /// Joins the batch answer in request order from the local answers and
@@ -972,7 +713,7 @@ fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: Trac
 /// body is relayed to every entry it carried, and the batch itself still
 /// answers 200. Returns the body and the number of entries whose shard
 /// failed (the `x-batch-errors` count).
-fn gather(slots: &[Slot], responses: &BTreeMap<usize, Response>) -> (String, u64) {
+pub(crate) fn gather(slots: &[Slot], responses: &BTreeMap<usize, Response>) -> (String, u64) {
     let mut carried: BTreeMap<usize, usize> = BTreeMap::new();
     for slot in slots {
         if let Slot::Shard { shard, .. } = slot {
@@ -1015,7 +756,7 @@ fn gather(slots: &[Slot], responses: &BTreeMap<usize, Response>) -> (String, u64
 /// Candidate selection against one topology snapshot: ring walk from
 /// the shard key, open breakers skipped (fail-open to the full ring if
 /// that leaves nobody), with the `hash` and `breaker_check` spans and
-/// the skip-failover counters recorded. Shared by both serving cores.
+/// the skip-failover counters recorded.
 pub(crate) fn plan_candidates(
     shared: &Arc<Shared>,
     topo: &Arc<Topology>,
@@ -1060,152 +801,6 @@ pub(crate) fn plan_candidates(
     candidates
 }
 
-/// Candidate selection + the failover/hedge race, all against one
-/// topology snapshot.
-fn forward(
-    shared: &Arc<Shared>,
-    topo: &Arc<Topology>,
-    labels: &[u64],
-    path: &'static str,
-    body: &[u8],
-    started: Instant,
-    ctx: TraceCtx,
-) -> Response {
-    let TraceCtx { trace_id, root } = ctx;
-    let rec = &shared.recorder;
-    let candidates = plan_candidates(shared, topo, labels, ctx);
-
-    let deadline = started + shared.cfg.deadline;
-    let body = Arc::new(body.to_vec());
-    let (tx, rx): (Sender<Attempt>, Receiver<Attempt>) = bounded(candidates.len().max(1));
-
-    let mut next = 0usize; // next candidate to launch
-    let mut in_flight = 0usize;
-    let mut current = candidates[0]; // most recently launched (hedge target)
-    let mut hedged: Vec<usize> = Vec::new(); // launched as hedges
-    let mut last_answer: Option<Response> = None; // best non-2xx seen
-
-    spawn_attempt(
-        Arc::clone(shared),
-        Arc::clone(&topo.slots[candidates[next]]),
-        candidates[next],
-        path,
-        Arc::clone(&body),
-        tx.clone(),
-        ctx,
-        false,
-    );
-    next += 1;
-    in_flight += 1;
-
-    loop {
-        let now = shared.cfg.clock.now();
-        if now >= deadline {
-            ClusterMetrics::inc(&shared.metrics.request_errors);
-            return Response::json(504, error_json("cluster deadline expired"));
-        }
-        let remaining = deadline.saturating_duration_since(now);
-        // While exactly one attempt is live and another candidate is
-        // available, silence past the adaptive threshold triggers a
-        // hedge; otherwise just wait out the deadline.
-        let wait = if in_flight == 1 && next < candidates.len() {
-            topo.slots[current].hedge_threshold(shared.cfg.hedge_min).min(remaining)
-        } else {
-            remaining
-        };
-        match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok((idx, Ok(resp), elapsed)) => {
-                in_flight -= 1;
-                topo.slots[idx].metrics.latency.record(elapsed);
-                match resp.status {
-                    503 => {
-                        // Alive but saturated: not a breaker event.
-                        topo.slots[idx].breaker.record_success();
-                        ClusterMetrics::inc(&topo.slots[idx].metrics.busy);
-                        last_answer = Some(pass_through(&resp, topo.slots[idx].addr()));
-                    }
-                    status => {
-                        topo.slots[idx].breaker.record_success();
-                        if status >= 500 {
-                            // Unexpected backend failure: surface it only
-                            // if nobody else can answer.
-                            ClusterMetrics::inc(&topo.slots[idx].metrics.errors);
-                            last_answer = Some(pass_through(&resp, topo.slots[idx].addr()));
-                        } else {
-                            // 200 (elected) or 422 (spec violated): a
-                            // definitive answer — first one wins.
-                            if hedged.contains(&idx) {
-                                ClusterMetrics::inc(&shared.metrics.hedge_wins);
-                            }
-                            return pass_through(&resp, topo.slots[idx].addr());
-                        }
-                    }
-                }
-            }
-            Ok((idx, Err(_), _)) => {
-                in_flight -= 1;
-                topo.slots[idx].breaker.record_failure_at(shared.cfg.clock.now());
-                topo.slots[idx].pool.clear();
-                ClusterMetrics::inc(&topo.slots[idx].metrics.errors);
-                ClusterMetrics::inc(&topo.slots[idx].metrics.failovers);
-            }
-            Err(_) => {
-                // recv timeout: either the hedge threshold or just a
-                // deadline-bounded wait. Hedge if that's what tripped.
-                if in_flight == 1 && next < candidates.len() {
-                    ClusterMetrics::inc(&topo.slots[current].metrics.hedges);
-                    rec.record_event(trace_id, root, Stage::Hedge, candidates[next] as u64, 0);
-                    hedged.push(candidates[next]);
-                    current = candidates[next];
-                    spawn_attempt(
-                        Arc::clone(shared),
-                        Arc::clone(&topo.slots[candidates[next]]),
-                        candidates[next],
-                        path,
-                        Arc::clone(&body),
-                        tx.clone(),
-                        ctx,
-                        true,
-                    );
-                    next += 1;
-                    in_flight += 1;
-                }
-                continue;
-            }
-        }
-        // An attempt resolved without a definitive answer: launch the
-        // next candidate, or give up when none remain and none are live.
-        if in_flight == 0 {
-            if next < candidates.len() {
-                current = candidates[next];
-                rec.record_event(trace_id, root, Stage::Failover, candidates[next] as u64, 0);
-                spawn_attempt(
-                    Arc::clone(shared),
-                    Arc::clone(&topo.slots[candidates[next]]),
-                    candidates[next],
-                    path,
-                    Arc::clone(&body),
-                    tx.clone(),
-                    ctx,
-                    false,
-                );
-                next += 1;
-                in_flight += 1;
-            } else {
-                return match last_answer {
-                    // Every backend answered busy (or 5xx): relay the
-                    // last answer so the client sees the Retry-After.
-                    Some(resp) => resp,
-                    None => {
-                        ClusterMetrics::inc(&shared.metrics.request_errors);
-                        Response::json(502, error_json("no backend reachable"))
-                    }
-                };
-            }
-        }
-    }
-}
-
 /// Relays a backend response to the client, tagging which backend
 /// answered and preserving the headers clients act on.
 pub(crate) fn pass_through(resp: &ClientResponse, backend: &str) -> Response {
@@ -1240,7 +835,7 @@ fn prober_loop(shared: &Arc<Shared>) {
                 slot.breaker.record_success();
             } else {
                 slot.breaker.record_failure_at(shared.cfg.clock.now());
-                slot.pool.clear();
+                slot.clear_idle();
             }
         }
         let mut slept = Duration::ZERO;

@@ -17,9 +17,9 @@
 //!
 //! Slots are **reused by address** across swaps: a backend present in
 //! both the old and new topology keeps its [`Breaker`] state, its warm
-//! connection pool, and its cumulative counters — a reconfiguration
-//! must not amnesty a tripped breaker or cold-start every pool. A
-//! removed backend's pool is cleared so its keep-alive sockets close
+//! idle streams, and its cumulative counters — a reconfiguration must
+//! not amnesty a tripped breaker or cold-start every pool. A removed
+//! backend's idle streams are dropped so its keep-alive sockets close
 //! promptly.
 //!
 //! Each topology carries the control-plane **epoch** that produced it;
@@ -30,18 +30,26 @@
 use crate::hash::HashRing;
 use crate::health::Breaker;
 use crate::metrics::BackendMetrics;
-use crate::pool::BackendPool;
 use crate::router::ClusterConfig;
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Idle keep-alive streams retained per backend. More than the worker
+/// count of a default `hre-svc` backend buys nothing.
+pub const DEFAULT_POOL_CAP: usize = 8;
 
 /// Everything the router tracks for one backend: the dial target, its
-/// keep-alive pool, its circuit breaker, and its counters. Shared (via
-/// `Arc`) between consecutive topology generations that both contain
-/// the backend.
+/// idle keep-alive streams, its circuit breaker, and its counters.
+/// Shared (via `Arc`) between consecutive topology generations that
+/// both contain the backend.
 pub struct BackendSlot {
     addr: String,
-    /// Keep-alive connections to this backend.
-    pub pool: BackendPool,
+    /// Idle keep-alive streams to this backend, at most `pool_cap`. The
+    /// reactor takes a stream for an attempt and returns it after a
+    /// clean exchange; the control plane and the prober clear the pool,
+    /// which closes the sockets.
+    idle: Mutex<Vec<TcpStream>>,
+    pool_cap: usize,
     /// The backend's circuit breaker (state survives reconfiguration).
     pub breaker: Breaker,
     /// Cumulative per-backend counters and attempt latency.
@@ -53,7 +61,8 @@ impl BackendSlot {
     pub fn new(addr: &str, cfg: &ClusterConfig) -> BackendSlot {
         BackendSlot {
             addr: addr.to_string(),
-            pool: BackendPool::new(addr, cfg.timeout, cfg.pool_cap),
+            idle: Mutex::new(Vec::new()),
+            pool_cap: cfg.pool_cap.max(1),
             breaker: Breaker::new(cfg.failure_threshold, cfg.probe_start, cfg.probe_cap),
             metrics: BackendMetrics::default(),
         }
@@ -62,6 +71,39 @@ impl BackendSlot {
     /// The backend address this slot dials.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// The idle pool. Every update leaves the `Vec` valid, so a panic
+    /// elsewhere while it was held poisons nothing worth refusing.
+    fn idle(&self) -> MutexGuard<'_, Vec<TcpStream>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An idle keep-alive stream, if one is pooled.
+    pub fn take_idle(&self) -> Option<TcpStream> {
+        self.idle().pop()
+    }
+
+    /// Pools a stream after a clean request/response exchange (a stream
+    /// that saw any transport error must be dropped instead). Over the
+    /// cap the stream is dropped, which closes it.
+    pub fn put_idle(&self, stream: TcpStream) {
+        let mut idle = self.idle();
+        if idle.len() < self.pool_cap {
+            idle.push(stream);
+        }
+    }
+
+    /// Drops every idle stream, closing it: after a transport failure, a
+    /// breaker trip, or the backend's removal, so nothing reuses a
+    /// stream to a dead or departed member.
+    pub fn clear_idle(&self) {
+        self.idle().clear();
+    }
+
+    /// Number of idle streams currently pooled.
+    pub fn idle_len(&self) -> usize {
+        self.idle().len()
     }
 
     /// When to hedge a request sitting on this backend: twice its
@@ -100,7 +142,7 @@ impl Topology {
     /// The successor topology for a new backend list: slots for
     /// addresses already present are carried over (breaker state, warm
     /// pool, counters intact), new addresses get fresh slots, and the
-    /// pools of dropped addresses are cleared.
+    /// idle streams of dropped addresses are closed.
     pub fn successor(&self, epoch: u64, backends: &[String], cfg: &ClusterConfig) -> Topology {
         let slots: Vec<Arc<BackendSlot>> = backends
             .iter()
@@ -114,7 +156,7 @@ impl Topology {
             .collect();
         for old in &self.slots {
             if !backends.iter().any(|a| a == old.addr()) {
-                old.pool.clear();
+                old.clear_idle();
             }
         }
         Topology { epoch, ring: HashRing::new(backends, cfg.vnodes), slots }
@@ -171,13 +213,40 @@ mod tests {
         assert_eq!(t1.slot_for("127.0.0.1:1003").unwrap().breaker.opened_total(), 0);
     }
 
+    /// `n` connected client streams to a throwaway listener.
+    fn streams(n: usize) -> (std::net::TcpListener, Vec<TcpStream>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let streams = (0..n).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        (listener, streams)
+    }
+
+    #[test]
+    fn idle_pool_respects_the_cap() {
+        let slot = BackendSlot::new("127.0.0.1:1001", &ClusterConfig { pool_cap: 2, ..cfg(&[]) });
+        let (_listener, streams) = streams(3);
+        for s in streams {
+            slot.put_idle(s);
+        }
+        assert_eq!(slot.idle_len(), 2, "the stream over the cap is dropped");
+        assert!(slot.take_idle().is_some());
+        assert_eq!(slot.idle_len(), 1);
+        slot.clear_idle();
+        assert_eq!((slot.idle_len(), slot.take_idle().is_none()), (0, true));
+    }
+
     #[test]
     fn successor_clears_dropped_pools() {
         let c = cfg(&["127.0.0.1:1001", "127.0.0.1:1002"]);
         let t0 = Topology::initial(&c);
+        let (_listener, streams) = streams(2);
+        for (slot, s) in t0.slots.iter().zip(streams) {
+            slot.put_idle(s);
+        }
         let keep = vec!["127.0.0.1:1002".to_string()];
         let t1 = t0.successor(1, &keep, &c);
         assert!(t1.slot_for("127.0.0.1:1001").is_none());
-        assert_eq!(t0.slots[0].pool.idle_len(), 0, "dropped pool emptied");
+        assert_eq!(t0.slots[0].idle_len(), 0, "dropped pool emptied");
+        assert_eq!(t1.slots[0].idle_len(), 1, "kept pool stays warm");
     }
 }

@@ -7,11 +7,13 @@
 //! retries when a backend stalls, and the `/cluster` + `/metrics`
 //! observability surfaces.
 //!
-//! Every behavioral test runs under both serving cores (`--io threads`
-//! and, on unix, `--io epoll`), and one test pins the two modes to
-//! byte-identical answers over a single keep-alive connection.
+//! Also covered: scatter-gather batches (byte-identical to the joined
+//! singles, sub-batch failover, per-entry exhaustion documents), the
+//! idle-stream pool closing when a backend is removed or tripped, and
+//! one keep-alive connection routing exactly the bytes the backends
+//! answer directly.
 
-use hre_cluster::{start, ClusterConfig, IoMode};
+use hre_cluster::{start, ClusterConfig};
 use hre_svc::{start as start_svc, Client, ServerHandle, SvcConfig};
 use std::time::Duration;
 
@@ -45,16 +47,6 @@ fn body_for(labels: &[u64]) -> String {
 
 #[test]
 fn routes_with_rotation_affinity_and_backend_agreement() {
-    routes_with_rotation_affinity(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn routes_with_rotation_affinity_and_backend_agreement_epoll() {
-    routes_with_rotation_affinity(IoMode::Epoll);
-}
-
-fn routes_with_rotation_affinity(io: IoMode) {
     let (handles, addrs) = backends(3, SvcConfig::default());
     // Hedging off (huge floor): this test pins down *placement*, and a
     // hedge fired against a slow debug build would legitimately let a
@@ -62,7 +54,6 @@ fn routes_with_rotation_affinity(io: IoMode) {
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -115,16 +106,6 @@ fn routes_with_rotation_affinity(io: IoMode) {
 
 #[test]
 fn fails_over_when_a_backend_dies_and_reports_the_breaker() {
-    fails_over_when_a_backend_dies(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn fails_over_when_a_backend_dies_and_reports_the_breaker_epoll() {
-    fails_over_when_a_backend_dies(IoMode::Epoll);
-}
-
-fn fails_over_when_a_backend_dies(io: IoMode) {
     let (mut handles, addrs) = backends(3, SvcConfig::default());
     let router = start(ClusterConfig {
         backends: addrs.clone(),
@@ -134,7 +115,6 @@ fn fails_over_when_a_backend_dies(io: IoMode) {
         health_interval: Duration::from_millis(25),
         timeout: Duration::from_millis(800),
         hedge_min: Duration::from_secs(10), // placement must stay deterministic
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -195,16 +175,6 @@ fn fails_over_when_a_backend_dies(io: IoMode) {
 
 #[test]
 fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
-    hedges_a_stalled_backend(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn hedges_a_stalled_backend_and_takes_the_fast_answer_epoll() {
-    hedges_a_stalled_backend(IoMode::Epoll);
-}
-
-fn hedges_a_stalled_backend(io: IoMode) {
     // Backend 0: single worker, no cache — easy to stall with one big
     // election. Backend 1: healthy.
     let slow_cfg = SvcConfig {
@@ -223,7 +193,6 @@ fn hedges_a_stalled_backend(io: IoMode) {
         timeout: Duration::from_secs(20),
         // Keep the prober from stealing the single worker's attention.
         health_interval: Duration::from_millis(500),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -302,16 +271,6 @@ fn hedges_a_stalled_backend(io: IoMode) {
 
 #[test]
 fn trace_propagates_cluster_to_svc_to_core_across_a_failover() {
-    trace_propagates_across_a_failover(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn trace_propagates_cluster_to_svc_to_core_across_a_failover_epoll() {
-    trace_propagates_across_a_failover(IoMode::Epoll);
-}
-
-fn trace_propagates_across_a_failover(io: IoMode) {
     use hre_runtime::trace::{is_connected_tree, Stage, TraceId};
 
     let (mut handles, addrs) = backends(2, SvcConfig::default());
@@ -324,7 +283,6 @@ fn trace_propagates_across_a_failover(io: IoMode) {
         health_interval: Duration::from_secs(30),
         timeout: Duration::from_millis(800),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -403,22 +361,11 @@ fn trace_propagates_across_a_failover(io: IoMode) {
 
 #[test]
 fn batch_fans_out_by_shard_and_matches_singles_byte_for_byte() {
-    batch_fans_out_by_shard(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_fans_out_by_shard_and_matches_singles_byte_for_byte_epoll() {
-    batch_fans_out_by_shard(IoMode::Epoll);
-}
-
-fn batch_fans_out_by_shard(io: IoMode) {
     let (handles, addrs) = backends(3, SvcConfig::default());
     // Hedging off: placement must stay deterministic for byte-equality.
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -480,22 +427,11 @@ fn batch_fans_out_by_shard(io: IoMode) {
 /// the direct answers of the backends, joined.
 #[test]
 fn batch_with_rejected_entries_matches_the_joined_direct_answers() {
-    batch_with_rejected_entries(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_with_rejected_entries_matches_the_joined_direct_answers_epoll() {
-    batch_with_rejected_entries(IoMode::Epoll);
-}
-
-fn batch_with_rejected_entries(io: IoMode) {
     let (handles, addrs) = backends(3, SvcConfig::default());
     // Hedging off: placement must stay deterministic for byte-equality.
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -534,23 +470,12 @@ fn batch_with_rejected_entries(io: IoMode) {
 
 /// A 200 KB body of nested `[` once overflowed the router's recursive
 /// parser and aborted it. Both election endpoints must answer it with a
-/// 400 of their own (nothing is forwarded), in both serving cores, and
-/// the router must keep answering.
+/// 400 of their own (nothing is forwarded), and the router must keep
+/// answering.
 #[test]
 fn nested_json_is_rejected_and_the_router_keeps_serving() {
-    nested_json_is_rejected(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn nested_json_is_rejected_and_the_router_keeps_serving_epoll() {
-    nested_json_is_rejected(IoMode::Epoll);
-}
-
-fn nested_json_is_rejected(io: IoMode) {
     let (handles, addrs) = backends(1, SvcConfig::default());
-    let router =
-        start(ClusterConfig { backends: addrs, io, ..Default::default() }).expect("router");
+    let router = start(ClusterConfig { backends: addrs, ..Default::default() }).expect("router");
     let addr = router.addr.to_string();
     let nested = "[".repeat(200_000);
     for path in ["/elect", "/elect/batch"] {
@@ -597,19 +522,8 @@ fn batch_scatters_shard_errors_to_the_entries_it_carried() {
 
 #[test]
 fn garbage_is_rejected_locally_and_unknown_paths_404() {
-    garbage_is_rejected_locally(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn garbage_is_rejected_locally_and_unknown_paths_404_epoll() {
-    garbage_is_rejected_locally(IoMode::Epoll);
-}
-
-fn garbage_is_rejected_locally(io: IoMode) {
     let (handles, addrs) = backends(1, SvcConfig::default());
-    let router =
-        start(ClusterConfig { backends: addrs, io, ..Default::default() }).expect("router");
+    let router = start(ClusterConfig { backends: addrs, ..Default::default() }).expect("router");
     let mut c = client(&router.addr.to_string());
 
     let resp = c.post_json("/elect", "not json").expect("garbage");
@@ -631,65 +545,166 @@ fn garbage_is_rejected_locally(io: IoMode) {
     }
 }
 
-/// The io-mode equivalence pin for the router: the same request
-/// sequence — routed elections across several shards, validation
-/// failures, a batch with mixed outcomes, and the observability
-/// endpoints' statuses — served over one keep-alive connection through
-/// a `--io threads` router and a `--io epoll` router **in front of the
-/// same backends** must produce byte-identical bodies, identical
-/// statuses, and identical headers modulo the random `x-trace-id`.
+/// The routed-bytes pin: the same request sequence — routed elections
+/// across several shards, validation failures, a batch with mixed
+/// outcomes, a cache-hit replay, and the observability endpoints'
+/// statuses — served over one keep-alive connection must answer every
+/// exchange with the status and body its home backend answers when
+/// asked directly (any backend, for requests the router rejects).
 #[test]
-#[cfg(unix)]
-fn io_modes_route_identical_bytes_on_one_keepalive_connection() {
+fn one_keepalive_connection_routes_the_direct_backend_bytes() {
     let (handles, addrs) = backends(3, SvcConfig::default());
-
-    type Exchange = (u16, Vec<(String, String)>, Vec<u8>);
-    let route = |io: IoMode| -> Vec<Exchange> {
-        // Hedging off so placement (and thus `x-backend`) is
-        // deterministic and identical between the two routers.
-        let router = start(ClusterConfig {
-            backends: addrs.clone(),
-            hedge_min: Duration::from_secs(10),
-            io,
-            ..Default::default()
-        })
-        .expect("router");
-        let mut c = client(&router.addr.to_string());
-        let mut reqs: Vec<(&str, String)> =
-            rings().iter().map(|labels| ("/elect", body_for(labels))).collect();
-        reqs.push(("/elect", r#"{"ring":[1]}"#.into())); // 400, keep-alive
-        reqs.push(("/elect", "not json".into())); // 400, keep-alive
-        reqs.push((
-            "/elect/batch",
-            r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]},{"ring":[5,1,5,2],"algo":"cr"}]"#
-                .into(),
-        ));
-        reqs.push(("/elect", body_for(&rings()[0]))); // cache-hit replay
-        let mut got = Vec::new();
-        for (path, body) in &reqs {
-            let resp = c.post_json(path, body).expect("served on the same connection");
-            let mut headers = resp.headers.clone();
-            // `x-cache` is backend state, not router behavior: the first
-            // router run warms the shared backends, so the second run
-            // legitimately sees HITs where the first saw MISSes.
-            headers.retain(|(k, _)| k != "x-trace-id" && k != "x-cache");
-            got.push((resp.status, headers, resp.body.clone()));
+    // Hedging off so placement (and thus `x-backend`) is deterministic.
+    let router = start(ClusterConfig {
+        backends: addrs.clone(),
+        hedge_min: Duration::from_secs(10),
+        ..Default::default()
+    })
+    .expect("router");
+    let mut c = client(&router.addr.to_string());
+    let mut reqs: Vec<(&str, String)> =
+        rings().iter().map(|labels| ("/elect", body_for(labels))).collect();
+    reqs.push(("/elect", r#"{"ring":[1]}"#.into())); // 400, keep-alive
+    reqs.push(("/elect", "not json".into())); // 400, keep-alive
+    reqs.push((
+        "/elect/batch",
+        r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]},{"ring":[5,1,5,2],"algo":"cr"}]"#
+            .into(),
+    ));
+    reqs.push(("/elect", body_for(&rings()[0]))); // cache-hit replay
+    for (i, (path, body)) in reqs.iter().enumerate() {
+        let home = match hre_svc::ElectRequest::from_json(body.as_bytes()) {
+            Ok(request) if *path == "/elect" => router.primary_backend(&request.labels),
+            _ => addrs[0].clone(),
+        };
+        let direct = client(&home).post_json(path, body).expect("direct");
+        let routed = c.post_json(path, body).expect("served on the same connection");
+        assert_eq!((routed.status, routed.body_text()), (direct.status, direct.body_text()), "{i}");
+        if *path == "/elect" && routed.status == 200 {
+            assert_eq!(routed.header("x-backend"), Some(home.as_str()), "request {i}");
         }
-        for path in ["/healthz", "/cluster", "/metrics", "/nope"] {
-            // Status only: these bodies legitimately carry counters.
-            got.push((c.get(path).expect("aux").status, Vec::new(), Vec::new()));
-        }
-        router.shutdown();
-        got
-    };
-
-    let threads = route(IoMode::Threads);
-    let epoll = route(IoMode::Epoll);
-    assert_eq!(threads.len(), epoll.len());
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "request {i} diverged between io modes");
     }
+    for (path, status) in [("/healthz", 200), ("/cluster", 200), ("/metrics", 200), ("/nope", 404)]
+    {
+        assert_eq!(c.get(path).expect("aux").status, status, "{path}");
+    }
+    router.shutdown();
     for h in handles {
         h.shutdown();
     }
+}
+
+/// The salted Figure-1 ring: distinct canonical rings for finding one
+/// homed on a chosen backend.
+fn salted(salt: u64) -> Vec<u64> {
+    let mut l = vec![1, 3, 1, 3, 2, 2, 1, 2];
+    l[0] = salt + 1;
+    l
+}
+
+/// A backend's `hre_open_connections` gauge, read in process (a scrape
+/// over HTTP would count its own connection).
+fn open_connections(backend: &ServerHandle) -> i64 {
+    let text = backend.metrics_text();
+    text.lines()
+        .find_map(|l| l.strip_prefix("hre_open_connections "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("missing hre_open_connections:\n{text}"))
+}
+
+/// Polls `backend`'s open-connection gauge until it equals `want`;
+/// returns the last value seen.
+fn settle_open_connections(backend: &ServerHandle, want: i64) -> i64 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let open = open_connections(backend);
+        if open == want || std::time::Instant::now() > deadline {
+            return open;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The router keeps one idle keep-alive stream pool per backend. Taking
+/// a backend out of the topology, or tripping its breaker, must close
+/// the streams pooled to it: the backend sees its connection count fall
+/// to zero.
+#[test]
+fn removing_or_tripping_a_backend_closes_its_pooled_streams() {
+    for trip in [false, true] {
+        let (handles, addrs) = backends(2, SvcConfig::default());
+        let router = start(ClusterConfig {
+            backends: addrs.clone(),
+            hedge_min: Duration::from_secs(10),
+            // The prober's sweep at start-up is its only one here, so
+            // its probe connections cannot blur the count.
+            health_interval: Duration::from_secs(30),
+            ..Default::default()
+        })
+        .expect("router");
+        let b = addrs[1].clone();
+        let labels = (0..64).map(salted).find(|l| router.primary_backend(l) == b).expect("homed");
+        let resp = client(&router.addr.to_string()).post_json("/elect", &body_for(&labels));
+        assert_eq!(resp.expect("routed").header("x-backend"), Some(b.as_str()));
+        assert_eq!(settle_open_connections(&handles[1], 1), 1, "the router pools its stream");
+
+        if trip {
+            assert!(router.trip_backend(&b));
+        } else {
+            router.update_backends(1, &addrs[..1]).expect("config push");
+        }
+        let open = settle_open_connections(&handles[1], 0);
+        assert_eq!(open, 0, "trip = {trip}: the pooled stream to {b} stayed open");
+
+        router.shutdown();
+        for h in handles {
+            h.shutdown();
+        }
+    }
+}
+
+/// A routed batch that loses a backend: each shard's sub-batch fails
+/// over exactly as a single request does, so the batch still answers the
+/// joined singles. With every backend gone, each forwarded entry carries
+/// the exhaustion document and `x-batch-errors` counts them.
+#[test]
+fn batch_sub_requests_fail_over_and_report_exhaustion_per_entry() {
+    let (mut handles, addrs) = backends(3, SvcConfig::default());
+    let router = start(ClusterConfig {
+        backends: addrs.clone(),
+        hedge_min: Duration::from_secs(10),
+        timeout: Duration::from_millis(800),
+        health_interval: Duration::from_secs(30), // failover happens in-request
+        ..Default::default()
+    })
+    .expect("router");
+    let mut c = client(&router.addr.to_string());
+    // Two rings homed on each backend, so the batch touches every shard.
+    let mut entries: Vec<String> = Vec::new();
+    for addr in &addrs {
+        let homed = (0..256).map(salted).filter(|l| router.primary_backend(l) == *addr);
+        entries.extend(homed.take(2).map(|l| body_for(&l)));
+    }
+    assert_eq!(entries.len(), 6, "every backend homes two of the salted rings");
+    let singles: Vec<String> =
+        entries.iter().map(|e| c.post_json("/elect", e).expect("single").body_text()).collect();
+    let batch = format!("[{}]", entries.join(","));
+
+    handles.remove(0).shutdown();
+    let resp = c.post_json("/elect/batch", &batch).expect("batch after one kill");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert_eq!(resp.header("x-batch-errors"), Some("0"));
+    assert_eq!(resp.body_text(), format!("[{}]", singles.join(",")));
+
+    for h in handles.drain(..) {
+        h.shutdown();
+    }
+    let with_local = format!("[{},{{\"ring\":[1]}}]", entries.join(","));
+    let resp = c.post_json("/elect/batch", &with_local).expect("batch with every backend dead");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert_eq!(resp.header("x-batch-errors"), Some("6"));
+    let unreachable = r#"{"error":"no backend reachable"}"#;
+    let local = r#"{"error":"ring needs at least two labels"}"#;
+    assert_eq!(resp.body_text(), format!("[{},{local}]", [unreachable; 6].join(",")));
+    router.shutdown();
 }

@@ -1,5 +1,5 @@
 //! A small, dependency-free epoll reactor: the event loop under the
-//! `--io epoll` serving mode of `hre-svc` and `hre-cluster`.
+//! serving cores of `hre-svc` and `hre-cluster`.
 //!
 //! One reactor owns one `epoll` instance and three facilities:
 //!
@@ -385,8 +385,8 @@ mod sys {
 }
 
 /// Non-Linux stub: the types exist so the crate compiles everywhere,
-/// but [`super::Reactor::new`] reports `Unsupported` at runtime (the
-/// daemons fall back to `--io threads`).
+/// but [`super::Reactor::new`] reports `Unsupported` at runtime, so the
+/// daemons refuse to start.
 #[cfg(not(target_os = "linux"))]
 mod sys {
     use std::io;

@@ -1,6 +1,5 @@
-//! The `--io epoll` serving core: one reactor thread holds every
-//! connection as a state machine while the worker pool only runs
-//! elections.
+//! The serving core: one reactor thread holds every connection as a
+//! state machine while the worker pool only runs elections.
 //!
 //! Connection lifecycle (see DESIGN §7 for the diagram):
 //!
@@ -8,39 +7,39 @@
 //!            accept            ParseStep::Request
 //!   listener ──────▶ READING ───────────────────────▶ dispatch
 //!                      ▲  ▲                             │
-//!        flush done,   │  │ WorkerDone / BatchReady /   │ /elect miss,
-//!        keep-alive    │  │ deadline timer (504)        │ /elect/batch
+//!        flush done,   │  │ job done (a batch's last) / │ /elect miss,
+//!        keep-alive    │  │ deadline timer (504)        │ /elect/batch misses
 //!                      │  │                             ▼
 //!                    WRITING ◀───────────────────── AWAITING
 //! ```
 //!
-//! Equivalences with the thread-per-connection core, by construction:
+//! Parsing, canonicalisation, cache lookups and response assembly run on
+//! the reactor. Engine runs go to the workers as [`Job`]s on one queue:
 //!
-//! * the same [`RequestParser`] frames requests, so byte-split
-//!   invariance carries over;
-//! * responses are serialized by the same `Response::to_bytes`;
-//! * `/elect` misses go through the *same* bounded job queue (503 when
-//!   full), carry the same deadline (504 via a reactor timer instead of
-//!   a blocked `recv_timeout`), and record the same span tree;
-//! * `/elect/batch` runs on its own thread (it was never queued — in
-//!   threads mode it ran on the connection thread) so the reactor
-//!   thread never executes elections.
+//! * an `/elect` miss is one job, admitted while `queue_depth` is below
+//!   `queue_cap` (503 otherwise) and answered 504 by a reactor timer if
+//!   its deadline passes first;
+//! * an `/elect/batch` enqueues one job per distinct miss, with no
+//!   admission check and no deadline, and is answered when the last of
+//!   them is done. Aliased entries (same canonical ring, algo, k) share
+//!   one job.
 //!
 //! While a connection awaits a result the reactor does not read from
-//! it: pipelined follow-ups stay in the kernel buffer, exactly as they
-//! would while a connection *thread* was blocked on the reply channel.
+//! it: pipelined follow-ups stay in the kernel buffer and are answered
+//! in order once the awaited response is written.
 
 use crate::api::{self, ElectRequest};
 use crate::cache::{CacheKey, CachedResult};
 use crate::http::{ParseStep, Phase, Request, RequestParser, Response};
+use crate::json::ArrayWriter;
 use crate::metrics::SvcMetrics;
 use crate::server::{
-    close_request_span, handle_elect_batch, open_request_span, respond, route_aux, Job,
-    RequestSpan, Shared, POLL,
+    close_request_span, open_request_span, respond, route_aux, Done, Job, Reply, RequestSpan,
+    Shared, POLL,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use hre_runtime::trace::{SpanAttrs, Stage};
-use hre_runtime::{Interest, Reactor, TimerKey, Waker};
+use hre_runtime::{Interest, Reactor, TimerKey};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -56,24 +55,49 @@ const DEADLINE_BIT: u64 = 1 << 62;
 /// Timer-token bit marking a request-head timeout.
 const HEAD_BIT: u64 = 1 << 61;
 /// How long a partial request may dribble in before the connection is
-/// timed out — the same 5 s the threaded core passes to `read_request`.
+/// timed out.
 const HEAD_DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
 
 /// What a connection is waiting for, if anything.
 enum Pending {
-    /// An `/elect` job is queued; a worker will push our token into the
-    /// completion channel (and the reply into `reply_rx`) when done.
-    Worker {
-        reply_rx: Receiver<CachedResult>,
+    /// An `/elect` job is queued; its [`Done`] carries `ticket`.
+    Elect {
+        ticket: u64,
         request: ElectRequest,
         rot: usize,
         span: RequestSpan,
         timer: TimerKey,
         close: bool,
     },
-    /// An `/elect/batch` is running on its own thread; the finished
-    /// `Response` arrives on the ready channel.
-    Batch { close: bool },
+    /// An `/elect/batch` waits for the jobs of its distinct misses.
+    Batch(Box<Batch>),
+}
+
+/// An `/elect/batch` between its cache lookups and its last job.
+struct Batch {
+    ticket: u64,
+    span: RequestSpan,
+    close: bool,
+    hits: u64,
+    /// Request order: the entry, or its validation error.
+    entries: Vec<Result<Entry, String>>,
+    /// The distinct misses' results, by slot, as workers return them.
+    computed: Vec<Option<CachedResult>>,
+    outstanding: usize,
+}
+
+/// One valid batch entry and where its result comes from.
+struct Entry {
+    request: ElectRequest,
+    /// Rotation from the request's coordinates to the canonical ones.
+    rot: usize,
+    source: Source,
+}
+
+enum Source {
+    Cached(CachedResult),
+    /// Slot `i` of [`Batch::computed`].
+    Miss(usize),
 }
 
 /// One connection's state machine.
@@ -101,25 +125,30 @@ struct EventLoop<'a> {
     conns: HashMap<u64, Conn>,
     shared: &'a Arc<Shared>,
     job_tx: Sender<Job>,
-    done_tx: Sender<u64>,
-    ready_tx: Sender<(u64, Response)>,
-    waker: Waker,
+    /// Source of [`Reply::ticket`]s.
+    next_ticket: u64,
+    /// Reused by every batch's canonicalisation.
+    scratch: hre_words::RotationScratch<u64>,
 }
 
-/// Runs the epoll serving core until shutdown; returns the number of
-/// connections accepted (the same contract as `acceptor_loop`).
+/// Runs the serving core until shutdown; returns the number of
+/// connections accepted.
 pub(crate) fn reactor_loop(
     reactor: Reactor,
     listener: TcpListener,
     shared: &Arc<Shared>,
     shutdown: &Arc<AtomicBool>,
     job_tx: Sender<Job>,
+    done_rx: Receiver<Done>,
 ) -> u64 {
-    let waker = reactor.waker();
-    let (done_tx, done_rx) = unbounded::<u64>();
-    let (ready_tx, ready_rx) = unbounded::<(u64, Response)>();
-    let mut el =
-        EventLoop { reactor, conns: HashMap::new(), shared, job_tx, done_tx, ready_tx, waker };
+    let mut el = EventLoop {
+        reactor,
+        conns: HashMap::new(),
+        shared,
+        job_tx,
+        next_ticket: 0,
+        scratch: hre_words::RotationScratch::new(),
+    };
     let mut listener = Some(listener);
     if let Some(l) = &listener {
         if el.reactor.register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE).is_err() {
@@ -142,8 +171,7 @@ pub(crate) fn reactor_loop(
             }
             // Idle connections close now; busy ones finish their
             // in-flight request (which will carry `connection: close`)
-            // and partial reads run into the head timer — the same
-            // behavior as draining connection threads.
+            // and partial reads run into the head timer.
             let idle: Vec<u64> = el
                 .conns
                 .iter()
@@ -194,15 +222,10 @@ pub(crate) fn reactor_loop(
         }
 
         // Results before deadlines: when a reply and its 504 timer race
-        // into the same wakeup, the reply wins — exactly like the
-        // threaded core's `recv_timeout`, where a buffered reply beats
-        // the timeout.
-        while let Ok(token) = done_rx.try_recv() {
-            el.finish_worker(token);
-            to_service.push(token);
-        }
-        while let Ok((token, resp)) = ready_rx.try_recv() {
-            el.finish_batch(token, resp);
+        // into the same wakeup, the reply wins.
+        while let Ok(done) = done_rx.try_recv() {
+            let token = done.reply.conn;
+            el.finish_job(done);
             to_service.push(token);
         }
         for timer_token in fired.drain(..) {
@@ -261,7 +284,7 @@ impl EventLoop<'_> {
         if let Some(key) = conn.head_timer {
             self.reactor.cancel_timer(key);
         }
-        if let Some(Pending::Worker { timer, .. }) = &conn.pending {
+        if let Some(Pending::Elect { timer, .. }) = &conn.pending {
             self.reactor.cancel_timer(*timer);
         }
         self.shared.metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
@@ -294,8 +317,8 @@ impl EventLoop<'_> {
                     Err(_) => return Drive::Close,
                 }
             }
-            // 2. A response in flight from the workers or a batch
-            //    thread: nothing to do until its completion arrives.
+            // 2. A response in flight from the workers: nothing to do
+            //    until its completion arrives.
             if conn.pending.is_some() {
                 return Drive::Keep;
             }
@@ -366,7 +389,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// EOF from the peer, mapped exactly as the blocking core maps it.
+    /// EOF from the peer: a clean close between requests, else a 400.
     fn peer_closed(&mut self, conn: &mut Conn) -> Drive {
         match conn.parser.phase() {
             Phase::Head if conn.parser.is_idle() => Drive::Close,
@@ -376,7 +399,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// A hard read error, mapped exactly as the blocking core maps it.
+    /// A hard read error: a 400 mid-body, else just close.
     fn read_failed(&mut self, conn: &mut Conn) -> Drive {
         match conn.parser.phase() {
             Phase::Head => Drive::Close,
@@ -404,7 +427,7 @@ impl EventLoop<'_> {
     }
 
     /// Routes one parsed request. Returns the response to emit now, or
-    /// `None` when the answer is deferred (worker job or batch thread).
+    /// `None` when the answer waits on the workers.
     fn dispatch(
         &mut self,
         token: u64,
@@ -414,29 +437,13 @@ impl EventLoop<'_> {
     ) -> Option<Response> {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/elect") => self.dispatch_elect(token, req, close, conn),
-            ("POST", "/elect/batch") => {
-                conn.pending = Some(Pending::Batch { close });
-                let shared = Arc::clone(self.shared);
-                let ready = self.ready_tx.clone();
-                let waker = self.waker.clone();
-                let req = req.clone();
-                // The batch never touches the job queue (same as the
-                // threaded core, where it ran on the connection thread):
-                // its work is bounded by MAX_BATCH × MAX_RING, and the
-                // dedicated thread keeps the reactor free.
-                std::thread::spawn(move || {
-                    let resp = handle_elect_batch(&req, &shared);
-                    let _ = ready.send((token, resp));
-                    waker.wake();
-                });
-                None
-            }
+            ("POST", "/elect/batch") => self.dispatch_batch(token, req, close, conn),
             _ => Some(route_aux(req, self.shared)),
         }
     }
 
-    /// `/elect` on the reactor: cache hits and rejections answer
-    /// inline; misses enqueue a job and park the connection.
+    /// `/elect`: cache hits and rejections answer inline; misses enqueue
+    /// a job and park the connection.
     fn dispatch_elect(
         &mut self,
         token: u64,
@@ -474,78 +481,190 @@ impl EventLoop<'_> {
             return Some(close_request_span(span, shared, resp));
         }
 
-        let (reply_tx, reply_rx) = bounded::<CachedResult>(1);
+        if shared.metrics.queue_depth.load(Ordering::Relaxed) >= shared.cfg.queue_cap.max(1) as i64
+        {
+            SvcMetrics::inc(&shared.metrics.rejected_busy);
+            let resp = Response::json(503, api::error_json("job queue full, retry shortly"))
+                .with_header("retry-after", "1".into());
+            return Some(close_request_span(span, shared, resp));
+        }
         let deadline = span.admitted + shared.cfg.deadline;
+        let ticket = self.ticket();
         let job = Job {
             canon_req,
             key,
-            deadline,
-            reply: reply_tx,
+            deadline: Some(deadline),
             trace: span.trace,
             parent: span.root,
             enqueued: shared.cfg.clock.now(),
-            notify: Some((self.done_tx.clone(), token, self.waker.clone())),
+            reply: Reply { conn: token, ticket, slot: 0 },
         };
-        match self.job_tx.send_timeout(job, std::time::Duration::ZERO) {
-            Ok(()) => {
-                shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(SendTimeoutError::Timeout(_)) => {
-                SvcMetrics::inc(&shared.metrics.rejected_busy);
-                let resp = Response::json(503, api::error_json("job queue full, retry shortly"))
-                    .with_header("retry-after", "1".into());
-                return Some(close_request_span(span, shared, resp));
-            }
-            Err(SendTimeoutError::Disconnected(_)) => {
-                let resp = Response::json(503, api::error_json("service shutting down"))
-                    .with_header("retry-after", "1".into());
-                return Some(close_request_span(span, shared, resp));
-            }
+        if !self.enqueue(job) {
+            let resp = Response::json(503, api::error_json("service shutting down"))
+                .with_header("retry-after", "1".into());
+            return Some(close_request_span(span, shared, resp));
         }
         let timer = self.reactor.set_timer_at(deadline, token | DEADLINE_BIT);
-        conn.pending = Some(Pending::Worker { reply_rx, request, rot, span, timer, close });
+        conn.pending = Some(Pending::Elect { ticket, request, rot, span, timer, close });
         None
     }
 
-    /// A worker rang the completion bell for `token`: collect the reply
-    /// if this connection still owns that job.
-    fn finish_worker(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let Some(Pending::Worker { reply_rx, .. }) = &conn.pending else { return };
-        // A doorbell whose reply is missing is stale — it belongs to a
-        // job this connection already wrote off as a 504.
-        let Ok(result) = reply_rx.try_recv() else { return };
-        let Some(Pending::Worker { request, rot, span, timer, close, .. }) = conn.pending.take()
-        else {
-            unreachable!("matched Worker above");
+    /// `/elect/batch`: parse the whole body, canonicalise every entry
+    /// through one reused scratch, look every entry up before any job
+    /// runs, and enqueue the distinct misses. A batch without misses is
+    /// answered inline.
+    fn dispatch_batch(
+        &mut self,
+        token: u64,
+        req: &Request,
+        close: bool,
+        conn: &mut Conn,
+    ) -> Option<Response> {
+        let shared = self.shared;
+        let span = open_request_span(req, shared);
+        SvcMetrics::inc(&shared.metrics.batch_requests);
+        let parsed = match api::batch_from_json(&req.body) {
+            Ok(parsed) => parsed,
+            Err(why) => {
+                SvcMetrics::inc(&shared.metrics.bad_requests);
+                let resp = Response::json(400, api::error_json(&why));
+                return Some(close_request_span(span, shared, resp));
+            }
         };
-        self.reactor.cancel_timer(timer);
-        let admitted = span.admitted;
-        let resp = respond(&request, rot, result, self.shared, admitted)
-            .with_header("x-cache", "MISS".into());
-        let resp = close_request_span(span, self.shared, resp);
-        push_response(conn, &resp, close);
+        shared.metrics.batch_entries.fetch_add(parsed.len() as u64, Ordering::Relaxed);
+
+        let mut entries = Vec::with_capacity(parsed.len());
+        let mut misses: Vec<(ElectRequest, CacheKey)> = Vec::new();
+        let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
+        let mut hits = 0u64;
+        let lookup_start = shared.cfg.clock.now();
+        for entry in parsed {
+            let request = match entry {
+                Ok(request) => request,
+                Err(why) => {
+                    // Same counter a single malformed request advances.
+                    SvcMetrics::inc(&shared.metrics.bad_requests);
+                    entries.push(Err(why));
+                    continue;
+                }
+            };
+            let (canon_req, rot) = request.canonicalized_with(&mut self.scratch);
+            let key =
+                CacheKey { canon: canon_req.labels.clone(), algo: canon_req.algo, k: canon_req.k };
+            let source = match shared.cache.get(&key) {
+                Some(cached) => {
+                    hits += 1;
+                    Source::Cached(cached)
+                }
+                None => Source::Miss(*miss_index.entry(key.clone()).or_insert_with(|| {
+                    misses.push((canon_req, key));
+                    misses.len() - 1
+                })),
+            };
+            entries.push(Ok(Entry { request, rot, source }));
+        }
+        shared.metrics.batch_entry_hits.fetch_add(hits, Ordering::Relaxed);
+        shared.recorder.record_span(
+            span.trace,
+            span.root,
+            Stage::CacheLookup,
+            lookup_start,
+            shared.cfg.clock.now(),
+            SpanAttrs { a: hits, ..Default::default() },
+        );
+
+        let ticket = self.ticket();
+        let mut batch = Batch {
+            ticket,
+            span,
+            close,
+            hits,
+            entries,
+            computed: vec![None; misses.len()],
+            outstanding: 0,
+        };
+        for (slot, (canon_req, key)) in misses.into_iter().enumerate() {
+            let job = Job {
+                canon_req,
+                key,
+                deadline: None,
+                trace: batch.span.trace,
+                parent: batch.span.root,
+                enqueued: shared.cfg.clock.now(),
+                reply: Reply { conn: token, ticket, slot },
+            };
+            if self.enqueue(job) {
+                batch.outstanding += 1;
+            } else {
+                batch.computed[slot] = Some(Err("service shutting down".into()));
+            }
+        }
+        if batch.outstanding == 0 {
+            return Some(batch_response(batch, shared));
+        }
+        conn.pending = Some(Pending::Batch(Box::new(batch)));
+        None
     }
 
-    /// A batch thread finished: emit its (already enveloped) response.
-    fn finish_batch(&mut self, token: u64, resp: Response) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let Some(Pending::Batch { close }) = conn.pending.take() else { return };
-        push_response(conn, &resp, close);
+    fn ticket(&mut self) -> u64 {
+        self.next_ticket += 1;
+        self.next_ticket
     }
 
-    /// The per-job deadline fired before the worker replied: 504, same
-    /// as the threaded core's `recv_timeout` expiring.
+    /// Queues a job; `false` only if every worker is gone. The gauge
+    /// moves first so the admission check never under-reads it.
+    fn enqueue(&self, job: Job) -> bool {
+        let depth = &self.shared.metrics.queue_depth;
+        depth.fetch_add(1, Ordering::Relaxed);
+        let sent = self.job_tx.send(job).is_ok();
+        if !sent {
+            depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent
+    }
+
+    /// A worker finished a job: hand the result to the request waiting
+    /// on it, unless that request was already answered (504).
+    fn finish_job(&mut self, done: Done) {
+        let shared = self.shared;
+        let Some(conn) = self.conns.get_mut(&done.reply.conn) else { return };
+        match &mut conn.pending {
+            Some(Pending::Elect { ticket, .. }) if *ticket == done.reply.ticket => {
+                let Some(Pending::Elect { request, rot, span, timer, close, .. }) =
+                    conn.pending.take()
+                else {
+                    unreachable!("matched Elect above");
+                };
+                self.reactor.cancel_timer(timer);
+                let resp = respond(&request, rot, done.result, shared, span.admitted)
+                    .with_header("x-cache", "MISS".into());
+                push_response(conn, &close_request_span(span, shared, resp), close);
+            }
+            Some(Pending::Batch(batch)) if batch.ticket == done.reply.ticket => {
+                batch.computed[done.reply.slot] = Some(done.result);
+                batch.outstanding -= 1;
+                if batch.outstanding == 0 {
+                    let Some(Pending::Batch(batch)) = conn.pending.take() else {
+                        unreachable!("matched Batch above");
+                    };
+                    let close = batch.close;
+                    push_response(conn, &batch_response(*batch, shared), close);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The per-job deadline fired before the worker replied: 504. A late
+    /// reply is recognised as stale by its ticket.
     fn expire_deadline(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        if !matches!(conn.pending, Some(Pending::Worker { .. })) {
+        if !matches!(conn.pending, Some(Pending::Elect { .. })) {
             return;
         }
-        let Some(Pending::Worker { span, close, .. }) = conn.pending.take() else {
-            unreachable!("matched Worker above");
+        let Some(Pending::Elect { span, close, .. }) = conn.pending.take() else {
+            unreachable!("matched Elect above");
         };
-        // Dropping reply_rx here: a late worker reply lands nowhere,
-        // exactly like the threaded core abandoning its receiver.
         SvcMetrics::inc(&self.shared.metrics.deadline_expired);
         let resp = Response::json(504, api::error_json("deadline expired"));
         let resp = close_request_span(span, self.shared, resp);
@@ -587,7 +706,48 @@ fn push_response(conn: &mut Conn, resp: &Response, close: bool) {
     conn.close_after_flush |= close;
 }
 
-/// The 413 the blocking core produces for an over-cap body.
+/// Assembles a batch's answer in request order, each element the bytes
+/// a single `POST /elect` would send for that entry, and closes its
+/// envelope. Every valid entry counts as one election and observes the
+/// elect latency, as a single request would.
+fn batch_response(batch: Batch, shared: &Shared) -> Response {
+    let Batch { span, hits, entries, computed, .. } = batch;
+    // Answers run to a few hundred bytes; a longer one grows the buffer.
+    let mut body = String::with_capacity(2 + 512 * entries.len());
+    let mut arr = ArrayWriter::new(&mut body);
+    for entry in entries {
+        let Entry { request, rot, source } = match entry {
+            Ok(entry) => entry,
+            Err(why) => {
+                api::write_error(arr.element(), &why);
+                continue;
+            }
+        };
+        let result = match source {
+            Source::Cached(result) => result,
+            Source::Miss(slot) => computed[slot].clone().expect("every miss was answered"),
+        };
+        match result {
+            Ok(canon_out) => {
+                SvcMetrics::inc(&shared.metrics.elect_ok);
+                let out = canon_out.into_coords(rot, request.labels.len());
+                api::write_response(arr.element(), &request, &out);
+            }
+            Err(why) => {
+                SvcMetrics::inc(&shared.metrics.elect_failed);
+                api::write_error(arr.element(), &why);
+            }
+        }
+        shared
+            .metrics
+            .observe_elect(shared.cfg.clock.now().saturating_duration_since(span.admitted));
+    }
+    arr.finish();
+    let resp = Response::json(200, body).with_header("x-batch-hits", hits.to_string());
+    close_request_span(span, shared, resp)
+}
+
+/// The 413 for an over-cap body.
 fn too_large_response(declared: usize, shared: &Shared) -> Response {
     let why =
         format!("request body of {declared} bytes exceeds the {} byte limit", shared.cfg.max_body);

@@ -10,8 +10,8 @@
 //! included — and produce identical results regardless of how TCP
 //! segments the stream (property-tested in
 //! `tests/http_parser_props.rs`). The blocking [`HttpConn`] / [`Client`]
-//! paths and the `--io epoll` reactor connections drive the *same*
-//! parsers, so the two serving modes cannot disagree about framing.
+//! paths and the daemons' reactor connections drive the *same* parsers,
+//! so they cannot disagree about framing.
 //!
 //! Deliberately out of scope: chunked transfer encoding, TLS, and
 //! multi-line headers. Requests using unsupported features get a clean
@@ -101,8 +101,8 @@ enum ReqState {
 /// Push-based HTTP/1.1 **request** parser: feed arbitrary byte chunks
 /// with [`RequestParser::push`], harvest requests with
 /// [`RequestParser::step`]. Outcomes are independent of how the input
-/// is split — the property the `--io epoll` mode's edge-triggered reads
-/// (and any TCP segmentation) rely on.
+/// is split — the property the reactor's edge-triggered reads (and any
+/// TCP segmentation) rely on.
 pub struct RequestParser {
     buf: Vec<u8>,
     max_body: usize,
@@ -465,9 +465,8 @@ impl Response {
         }
     }
 
-    /// The full wire serialization — head and body. Both serving modes
-    /// emit responses through this one function, so `--io threads` and
-    /// `--io epoll` are byte-identical by construction.
+    /// The full wire serialization — head and body. Every response the
+    /// daemons send goes through this one function.
     pub fn to_bytes(&self, close: bool) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -541,9 +540,8 @@ enum RespState {
 }
 
 /// Push-based HTTP/1.1 **response** parser — the client-side twin of
-/// [`RequestParser`], driven by the multiplexed nonblocking backend
-/// connections of the cluster's `--io epoll` mode and by the blocking
-/// [`Client`].
+/// [`RequestParser`], driven by the router's multiplexed nonblocking
+/// backend connections and by the blocking [`Client`].
 pub struct ResponseParser {
     buf: Vec<u8>,
     max_body: usize,

@@ -9,9 +9,11 @@
 //! * **`GET /healthz`**, **`GET /metrics`** — liveness and Prometheus
 //!   text metrics (request counters, log₂ latency histogram, queue
 //!   depth, cache and worker stats).
-//! * A fixed **worker pool** fed by a **bounded job queue**: a full
-//!   queue answers `503 Retry-After` instead of accepting unbounded
-//!   work, and every request carries a deadline (`504` past it).
+//! * One **epoll reactor** thread holds every connection as a state
+//!   machine (Linux only); a fixed **worker pool** only runs elections.
+//!   A full job queue answers `503 Retry-After` instead of accepting
+//!   unbounded work, and every request carries a deadline (`504` past
+//!   it). `POST /elect/batch` answers N elections in one exchange.
 //! * A **sharded LRU result cache** keyed by the *canonical rotation*
 //!   (Booth least rotation, via `hre-words`) of the label sequence, so
 //!   rotationally-equivalent rings — the same labeled ring, re-indexed —
@@ -34,7 +36,6 @@
 pub mod api;
 pub mod bench;
 pub mod cache;
-#[cfg(unix)]
 pub(crate) mod eventloop;
 pub mod http;
 pub mod json;
@@ -54,4 +55,4 @@ pub use http::{
 };
 pub use json::Json;
 pub use metrics::{naming_violations, SvcMetrics};
-pub use server::{start, IoMode, ServerHandle, StatusProvider, SvcConfig, SvcSummary};
+pub use server::{start, ServerHandle, StatusProvider, SvcConfig, SvcSummary};

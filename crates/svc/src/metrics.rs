@@ -70,11 +70,9 @@ pub struct SvcMetrics {
     pub workers_busy: AtomicI64,
     /// Total microseconds workers spent running jobs (for utilization).
     pub worker_busy_us: AtomicU64,
-    /// TCP connections currently open (gauge) — maintained by both
-    /// serving cores.
+    /// TCP connections currently open (gauge).
     pub open_connections: AtomicI64,
-    /// `epoll_wait` returns on the reactor thread; stays 0 under
-    /// `--io threads`.
+    /// `epoll_wait` returns on the reactor thread.
     pub reactor_wakeups: AtomicU64,
     /// Hedged requests currently in flight (gauge). Always 0 in the
     /// single-node daemon — the series exists so svc and cluster
@@ -194,7 +192,7 @@ impl SvcMetrics {
         counter(
             &mut out,
             "hre_reactor_wakeups_total",
-            "epoll_wait returns on the reactor thread (0 under --io threads)",
+            "epoll_wait returns on the reactor thread",
             self.reactor_wakeups.load(Ordering::Relaxed),
         );
         // The algorithm-zoo family: one labeled series per engine, all

@@ -1,75 +1,42 @@
-//! The election daemon: acceptor, connection threads, worker pool with
-//! bounded-queue backpressure, per-request deadlines, and graceful
-//! drain.
+//! The election daemon: one epoll reactor thread serving every
+//! connection, a worker pool that only runs elections, per-request
+//! deadlines, and graceful drain.
 //!
-//! Thread topology:
+//! Thread topology, fixed at start-up:
 //!
 //! ```text
-//!   acceptor ──spawns──▶ connection threads (one per TCP connection)
-//!       │                      │  cache hit: respond immediately
-//!       │                      │  miss: try_send ─▶ bounded job queue
-//!       │                                               │
-//!       └── on shutdown: joins conn threads         workers (pool)
-//!                                                       │ run election in
-//!                                                       │ canonical coords,
-//!                                                       │ fill cache, reply
+//!   reactor (eventloop.rs) ── every connection is a state machine
+//!       │  parse, canonicalise, cache hit: respond inline
+//!       │  miss: Job ─▶ unbounded job queue ─▶ workers (pool)
+//!       │                                        │ run election in
+//!       ◀── Done + waker ────────────────────────┘ canonical coords,
+//!                                                  fill cache
 //! ```
 //!
-//! Backpressure: the job queue is a bounded crossbeam channel; when it
-//! is full the connection thread answers `503` with `Retry-After`
-//! instead of queueing unbounded work. Deadlines: each admitted job
-//! carries `admitted + deadline`; the connection thread waits at most
-//! that long (`504` after), and a worker that dequeues an
-//! already-expired job drops it unexecuted. Shutdown: flipping the
-//! shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI) stops the
-//! acceptor, lets in-flight requests finish, drains the queue, then
-//! joins every thread.
+//! Backpressure: an `/elect` miss is admitted only while the
+//! `queue_depth` gauge is below `queue_cap`, else it is answered `503`
+//! with `Retry-After`. The check is exact because the reactor is the only
+//! thread that enqueues. Batch entries skip it and never see a 503 or
+//! 504. Deadlines: a single job carries `admitted + deadline`; the
+//! reactor arms it as a timer (`504` when it fires), and a worker that
+//! dequeues an already-expired job drops it unexecuted. Shutdown:
+//! flipping the shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI)
+//! stops accepting, lets in-flight requests finish, drains the queue,
+//! then joins every thread.
 
 use crate::api::{self, ElectRequest};
 use crate::cache::{CacheKey, CacheSnapshot, CachedResult, ShardedLru};
-use crate::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
-use crate::json::ArrayWriter;
+use crate::http::{Request, Response, DEFAULT_MAX_BODY};
 use crate::metrics::SvcMetrics;
 use crate::tracewire;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
-use hre_runtime::{ClockHandle, HistSnapshot, DEFAULT_TRACE_CAP};
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use hre_runtime::{ClockHandle, HistSnapshot, Reactor, Waker, DEFAULT_TRACE_CAP};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving core drives connection I/O.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One OS thread per TCP connection (the original core; default).
-    #[default]
-    Threads,
-    /// One epoll reactor thread holds every connection as a state
-    /// machine; worker threads only run elections. Linux-only.
-    Epoll,
-}
-
-impl IoMode {
-    /// Parses the `--io` flag value.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "threads" => Some(IoMode::Threads),
-            "epoll" => Some(IoMode::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        }
-    }
-}
 
 /// Daemon configuration (defaults match `hre serve`'s flag defaults).
 #[derive(Clone, Debug)]
@@ -82,7 +49,8 @@ pub struct SvcConfig {
     pub cache_cap: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Bounded job-queue capacity (full queue ⇒ 503).
+    /// Admission bound for `/elect` misses: with this many jobs queued,
+    /// the next miss gets a 503. Batch entries are not bounded by it.
     pub queue_cap: usize,
     /// Per-request deadline, admission to response.
     pub deadline: Duration,
@@ -102,8 +70,6 @@ pub struct SvcConfig {
     /// I/O pacing stays on the wall clock regardless — it belongs to
     /// the kernel, not the serving logic.
     pub clock: ClockHandle,
-    /// Connection I/O core: thread-per-connection or the epoll reactor.
-    pub io: IoMode,
 }
 
 /// A pluggable source for the `GET /ctrl` status document. The daemon
@@ -145,7 +111,6 @@ impl Default for SvcConfig {
             slow_threshold: Some(Duration::from_secs(1)),
             ctrl_status: None,
             clock: ClockHandle::default(),
-            io: IoMode::default(),
         }
     }
 }
@@ -154,27 +119,40 @@ impl Default for SvcConfig {
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// A job admitted to the queue: the request in canonical coordinates,
-/// its cache key, and the single-use reply channel back to the
-/// connection thread. Dropping the job unreplied makes the connection
-/// thread's `recv` disconnect, which it reports as a deadline miss.
+/// its cache key, and where the answer goes. A worker that drops a
+/// stale job sends nothing; the reactor's deadline timer answers 504.
 pub(crate) struct Job {
     pub(crate) canon_req: ElectRequest,
     pub(crate) key: CacheKey,
-    pub(crate) deadline: Instant,
-    pub(crate) reply: Sender<CachedResult>,
+    /// `admitted + deadline` for an `/elect` miss; `None` for a batch
+    /// entry, which never expires.
+    pub(crate) deadline: Option<Instant>,
     /// Trace context: the request's trace, its root span (parent for
     /// the worker-side spans), and when the job entered the queue.
     pub(crate) trace: TraceId,
     pub(crate) parent: SpanId,
     pub(crate) enqueued: Instant,
-    /// Completion signal for the epoll core: after `reply` is sent, the
-    /// worker pushes the connection token here and wakes the reactor.
-    /// `None` on the thread-per-connection path, which blocks on
-    /// `reply` directly.
-    pub(crate) notify: Option<(Sender<u64>, u64, hre_runtime::Waker)>,
+    pub(crate) reply: Reply,
 }
 
-/// Everything the connection threads share.
+/// The address of one awaited result: the connection, the request it
+/// is waiting on (a ticket, so a late answer to a request already
+/// answered 504 is recognised as stale), and the slot within it (the
+/// distinct-miss index of a batch; 0 for a single `/elect`).
+#[derive(Clone, Copy)]
+pub(crate) struct Reply {
+    pub(crate) conn: u64,
+    pub(crate) ticket: u64,
+    pub(crate) slot: usize,
+}
+
+/// A finished job, sent back to the reactor.
+pub(crate) struct Done {
+    pub(crate) reply: Reply,
+    pub(crate) result: CachedResult,
+}
+
+/// Everything the reactor and the workers share.
 pub(crate) struct Shared {
     pub(crate) cfg: SvcConfig,
     pub(crate) metrics: SvcMetrics,
@@ -190,7 +168,7 @@ pub struct ServerHandle {
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<u64>,
+    reactor: JoinHandle<u64>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -245,11 +223,12 @@ impl std::fmt::Display for SvcSummary {
     }
 }
 
-/// Binds the listener and spins up the acceptor and worker threads.
+/// Binds the listener and spins up the reactor and worker threads.
 pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let reactor = Reactor::new()?;
 
     // The election hook reports into whatever span is current on the
     // running thread, so one process-global installation serves every
@@ -277,44 +256,26 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
     });
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (job_tx, job_rx) = bounded::<Job>(cfg.queue_cap.max(1));
+    let (job_tx, job_rx) = unbounded::<Job>();
+    let (done_tx, done_rx) = unbounded::<Done>();
 
     let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
-            let rx = job_rx.clone();
-            std::thread::spawn(move || worker_loop(&shared, &rx))
+            let (rx, done, waker) = (job_rx.clone(), done_tx.clone(), reactor.waker());
+            std::thread::spawn(move || worker_loop(&shared, &rx, &done, &waker))
         })
         .collect();
-    drop(job_rx);
 
-    let acceptor = match cfg.io {
-        IoMode::Threads => {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, &shared, &shutdown, job_tx))
-        }
-        #[cfg(unix)]
-        IoMode::Epoll => {
-            // Create the reactor here so an unsupported platform fails
-            // `start` with a clean error instead of a dead thread.
-            let reactor = hre_runtime::Reactor::new()?;
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown, job_tx)
-            })
-        }
-        #[cfg(not(unix))]
-        IoMode::Epoll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "--io epoll requires linux",
-            ))
-        }
+    let reactor = {
+        let shared = Arc::clone(&shared);
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown, job_tx, done_rx)
+        })
     };
 
-    Ok(ServerHandle { addr, shared, shutdown, acceptor, workers })
+    Ok(ServerHandle { addr, shared, shutdown, reactor, workers })
 }
 
 impl ServerHandle {
@@ -339,14 +300,14 @@ impl ServerHandle {
         Arc::clone(&self.shared.recorder)
     }
 
-    /// Requests a graceful drain and joins every thread: the acceptor
-    /// stops accepting and joins the connection threads (each finishes
-    /// its in-flight request), the workers drain the remaining queue,
-    /// then everything exits.
+    /// Requests a graceful drain and joins every thread: the reactor
+    /// stops accepting and runs until every connection has finished its
+    /// in-flight request, the workers drain the remaining queue, then
+    /// everything exits.
     pub fn shutdown(self) -> SvcSummary {
         self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let connections = self.acceptor.join().expect("acceptor panicked");
+        let connections = self.reactor.join().expect("reactor panicked");
         for w in self.workers {
             w.join().expect("worker panicked");
         }
@@ -372,119 +333,8 @@ impl ServerHandle {
     }
 }
 
-/// Accepts connections until shutdown; returns the count accepted.
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    shutdown: &AtomicBool,
-    job_tx: Sender<Job>,
-) -> u64 {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accepted += 1;
-                SvcMetrics::inc(&shared.metrics.connections);
-                let shared = Arc::clone(shared);
-                let tx = job_tx.clone();
-                conns.push(std::thread::spawn(move || connection_loop(stream, &shared, tx)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        // Reap finished connection threads so the vector stays small.
-        if conns.len() > 32 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    // The shared flag is what connection threads poll; make sure it is
-    // set even if only the handle's flag flipped (signal path).
-    shared.shutdown.store(true, Ordering::SeqCst);
-    for h in conns {
-        let _ = h.join();
-    }
-    // `job_tx` drops here: once every connection thread is done, the
-    // workers see the channel disconnect after draining what remains.
-    accepted
-}
-
-/// Serves one connection: keep-alive request loop until the peer closes,
-/// an error, or shutdown.
-fn connection_loop(stream: TcpStream, shared: &Shared, job_tx: Sender<Job>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    conn.set_max_body(shared.cfg.max_body);
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    // Decrement on every exit path (the loop below only returns).
-    let _open = OpenConnGuard(&shared.metrics);
-    loop {
-        let outcome = conn.read_request(Instant::now() + Duration::from_secs(5));
-        match outcome {
-            ReadOutcome::IdlePoll => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                SvcMetrics::inc(&shared.metrics.bad_requests);
-                let _ = Response::json(400, api::error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { declared, drained } => {
-                // The declared body exceeds the cap. When the oversized
-                // body was fully drained the connection framing is
-                // intact and keep-alive survives; otherwise close.
-                SvcMetrics::inc(&shared.metrics.bad_requests);
-                let why = format!(
-                    "request body of {declared} bytes exceeds the {} byte limit",
-                    shared.cfg.max_body
-                );
-                let close = !drained || shared.shutdown.load(Ordering::Relaxed);
-                let resp = Response::json(413, api::error_json(&why));
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, shared, &job_tx);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Drops the `hre_open_connections` gauge when a connection thread
-/// exits, whatever the path out.
-struct OpenConnGuard<'a>(&'a SvcMetrics);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Dispatches one parsed request.
-fn route(req: &Request, shared: &Shared, job_tx: &Sender<Job>) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/elect") => handle_elect(req, shared, job_tx),
-        ("POST", "/elect/batch") => handle_elect_batch(req, shared),
-        _ => route_aux(req, shared),
-    }
-}
-
-/// The non-election endpoints, shared verbatim by both serving cores
-/// (neither wraps these in the request-span envelope).
+/// The non-election endpoints, answered inline on the reactor (outside
+/// the request-span envelope).
 pub(crate) fn route_aux(req: &Request, shared: &Shared) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
@@ -543,9 +393,8 @@ pub fn handle_trace(tail: &str, recorder: &FlightRecorder) -> Response {
 }
 
 /// The open half of the request envelope: adopted (or minted) trace,
-/// pre-allocated root span id, and the admission stamp. The epoll core
-/// holds one of these across a deferred worker reply; the threaded core
-/// opens and closes it around a synchronous handler.
+/// pre-allocated root span id, and the admission stamp. The reactor
+/// holds one of these across a deferred worker reply.
 pub(crate) struct RequestSpan {
     pub(crate) trace: TraceId,
     pub(crate) root: SpanId,
@@ -592,264 +441,6 @@ pub(crate) fn close_request_span(span: RequestSpan, shared: &Shared, resp: Respo
     resp.with_header("x-trace-id", span.trace.to_hex())
 }
 
-/// Wraps an `/elect`-family handler in the shared request envelope:
-/// adopt the propagated trace (or mint one), record the root `request`
-/// span, log slow requests, and stamp `x-trace-id` on the response.
-fn with_request_span(
-    req: &Request,
-    shared: &Shared,
-    interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
-) -> Response {
-    let span = open_request_span(req, shared);
-    let resp = interior(span.trace, span.root, span.admitted);
-    close_request_span(span, shared, resp)
-}
-
-/// The `/elect` path: parse, consult the cache, or queue for a worker,
-/// inside the shared trace envelope.
-fn handle_elect(req: &Request, shared: &Shared, job_tx: &Sender<Job>) -> Response {
-    with_request_span(req, shared, |trace_id, root, admitted| {
-        elect_response(&req.body, shared, job_tx, trace_id, root, admitted)
-    })
-}
-
-/// The `/elect/batch` path: the whole batch shares one trace envelope.
-pub(crate) fn handle_elect_batch(req: &Request, shared: &Shared) -> Response {
-    with_request_span(req, shared, |trace_id, root, admitted| {
-        batch_response(&req.body, shared, trace_id, root, admitted)
-    })
-}
-
-/// The traced interior of [`handle_elect`].
-fn elect_response(
-    body: &[u8],
-    shared: &Shared,
-    job_tx: &Sender<Job>,
-    trace_id: TraceId,
-    root: SpanId,
-    admitted: Instant,
-) -> Response {
-    let rec = &shared.recorder;
-    let request = match ElectRequest::from_json(body) {
-        Ok(r) => r,
-        Err(why) => {
-            SvcMetrics::inc(&shared.metrics.bad_requests);
-            return Response::json(400, api::error_json(&why));
-        }
-    };
-    let (canon_req, rot) = request.canonicalized();
-    let key = CacheKey { canon: canon_req.labels.clone(), algo: canon_req.algo, k: canon_req.k };
-
-    let lookup_start = shared.cfg.clock.now();
-    let cached = shared.cache.get(&key);
-    rec.record_span(
-        trace_id,
-        root,
-        Stage::CacheLookup,
-        lookup_start,
-        shared.cfg.clock.now(),
-        SpanAttrs { a: cached.is_some() as u64, ..Default::default() },
-    );
-    if let Some(cached) = cached {
-        let resp = respond(&request, rot, cached, shared, admitted);
-        return resp.with_header("x-cache", "HIT".into());
-    }
-
-    // Miss: hand the canonical request to the worker pool, bounded.
-    let (reply_tx, reply_rx) = bounded::<CachedResult>(1);
-    let deadline = admitted + shared.cfg.deadline;
-    let job = Job {
-        canon_req,
-        key,
-        deadline,
-        reply: reply_tx,
-        trace: trace_id,
-        parent: root,
-        enqueued: shared.cfg.clock.now(),
-        notify: None,
-    };
-    match job_tx.send_timeout(job, Duration::ZERO) {
-        Ok(()) => shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed),
-        Err(SendTimeoutError::Timeout(_)) => {
-            SvcMetrics::inc(&shared.metrics.rejected_busy);
-            return Response::json(503, api::error_json("job queue full, retry shortly"))
-                .with_header("retry-after", "1".into());
-        }
-        Err(SendTimeoutError::Disconnected(_)) => {
-            return Response::json(503, api::error_json("service shutting down"))
-                .with_header("retry-after", "1".into());
-        }
-    };
-    let wait = deadline.saturating_duration_since(shared.cfg.clock.now());
-    match reply_rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-        Ok(result) => {
-            let resp = respond(&request, rot, result, shared, admitted);
-            resp.with_header("x-cache", "MISS".into())
-        }
-        // Timeout, or the worker dropped the job as already-expired.
-        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-            SvcMetrics::inc(&shared.metrics.deadline_expired);
-            Response::json(504, api::error_json("deadline expired"))
-        }
-    }
-}
-
-/// The traced interior of [`handle_elect_batch`]: parse the whole body,
-/// canonicalize every entry through one [`hre_words::RotationScratch`],
-/// answer cache hits in place, dedupe the misses by cache key, run the
-/// distinct misses through [`hre_sim::sweep_map`] in one pass, and
-/// assemble the response array in request order — each element
-/// byte-identical to what single-request `POST /elect` would return for
-/// that entry.
-///
-/// The batch bypasses the job queue: its work is bounded by
-/// `MAX_BATCH × MAX_RING` and runs on the connection thread plus the
-/// sweep's scoped workers, so entries never see a 503/504 — invalid
-/// entries and spec violations come back as in-place error documents
-/// and the batch itself answers 200.
-fn batch_response(
-    body: &[u8],
-    shared: &Shared,
-    trace_id: TraceId,
-    root: SpanId,
-    admitted: Instant,
-) -> Response {
-    let rec = &shared.recorder;
-    SvcMetrics::inc(&shared.metrics.batch_requests);
-    let entries = match api::batch_from_json(body) {
-        Ok(entries) => entries,
-        Err(why) => {
-            SvcMetrics::inc(&shared.metrics.bad_requests);
-            return Response::json(400, api::error_json(&why));
-        }
-    };
-    shared.metrics.batch_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-
-    // Where each entry's result will come from: the cache, or slot `i`
-    // of the deduplicated miss sweep.
-    enum Source {
-        Cached(CachedResult),
-        Miss(usize),
-    }
-    struct Pending {
-        request: ElectRequest,
-        rot: usize,
-        source: Source,
-    }
-
-    let mut scratch = hre_words::RotationScratch::new();
-    let mut slots: Vec<Result<Pending, String>> = Vec::with_capacity(entries.len());
-    let mut miss_runs: Vec<ElectRequest> = Vec::new();
-    let mut miss_keys: Vec<CacheKey> = Vec::new();
-    let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
-    let mut hits = 0u64;
-    let lookup_start = shared.cfg.clock.now();
-    for entry in entries {
-        match entry {
-            Err(why) => {
-                // Same counter a single malformed request advances.
-                SvcMetrics::inc(&shared.metrics.bad_requests);
-                slots.push(Err(why));
-            }
-            Ok(request) => {
-                let (canon_req, rot) = request.canonicalized_with(&mut scratch);
-                let key = CacheKey {
-                    canon: canon_req.labels.clone(),
-                    algo: canon_req.algo,
-                    k: canon_req.k,
-                };
-                let source = match shared.cache.get(&key) {
-                    Some(cached) => {
-                        hits += 1;
-                        Source::Cached(cached)
-                    }
-                    None => {
-                        // Aliased entries (same canonical ring, algo, k)
-                        // share one election run.
-                        let idx = *miss_index.entry(key.clone()).or_insert_with(|| {
-                            miss_keys.push(key);
-                            miss_runs.push(canon_req);
-                            miss_runs.len() - 1
-                        });
-                        Source::Miss(idx)
-                    }
-                };
-                slots.push(Ok(Pending { request, rot, source }));
-            }
-        }
-    }
-    shared.metrics.batch_entry_hits.fetch_add(hits, Ordering::Relaxed);
-    rec.record_span(
-        trace_id,
-        root,
-        Stage::CacheLookup,
-        lookup_start,
-        shared.cfg.clock.now(),
-        SpanAttrs { a: hits, ..Default::default() },
-    );
-
-    let computed: Vec<CachedResult> = if miss_runs.is_empty() {
-        Vec::new()
-    } else {
-        let exec_start = shared.cfg.clock.now();
-        let computed = hre_sim::sweep_map(&miss_runs, shared.cfg.workers.max(1), |_, canon_req| {
-            let t0 = shared.cfg.clock.now();
-            let result = api::run_election(canon_req);
-            shared.metrics.observe_election_run(
-                canon_req.algo,
-                shared.cfg.clock.now().saturating_duration_since(t0),
-            );
-            result
-        });
-        rec.record_span(
-            trace_id,
-            root,
-            Stage::Execute,
-            exec_start,
-            shared.cfg.clock.now(),
-            SpanAttrs { a: miss_runs.len() as u64, ..Default::default() },
-        );
-        for (key, result) in miss_keys.into_iter().zip(&computed) {
-            shared.cache.insert(key, result.clone());
-        }
-        computed
-    };
-
-    // The answers are written straight into the batch body, each
-    // element the bytes the single-request path would send. Answers run
-    // to a few hundred bytes; a longer one just grows the buffer.
-    let mut body = String::with_capacity(2 + 512 * slots.len());
-    let mut arr = ArrayWriter::new(&mut body);
-    for slot in slots {
-        match slot {
-            Err(why) => api::write_error(arr.element(), &why),
-            Ok(pending) => {
-                let result = match pending.source {
-                    Source::Cached(result) => result,
-                    Source::Miss(idx) => computed[idx].clone(),
-                };
-                match result {
-                    Ok(canon_out) => {
-                        SvcMetrics::inc(&shared.metrics.elect_ok);
-                        let n = pending.request.labels.len();
-                        let out = canon_out.into_coords(pending.rot, n);
-                        api::write_response(arr.element(), &pending.request, &out);
-                    }
-                    Err(why) => {
-                        SvcMetrics::inc(&shared.metrics.elect_failed);
-                        api::write_error(arr.element(), &why);
-                    }
-                }
-                shared
-                    .metrics
-                    .observe_elect(shared.cfg.clock.now().saturating_duration_since(admitted));
-            }
-        }
-    }
-    arr.finish();
-    Response::json(200, body).with_header("x-batch-hits", hits.to_string())
-}
-
 /// Turns a (canonical-coordinates) result into the HTTP response in the
 /// request's own coordinates, recording latency and outcome counters.
 pub(crate) fn respond(
@@ -875,15 +466,10 @@ pub(crate) fn respond(
 }
 
 /// One worker: dequeue, skip stale jobs, compute (deduping against the
-/// cache), publish, reply. Exits when the queue disconnects (every
-/// connection thread gone) — which is how shutdown drains.
-fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
-    loop {
-        let job = match rx.recv_timeout(POLL) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+/// cache), publish, reply. Exits when the queue disconnects (the
+/// reactor gone) and is empty — which is how shutdown drains.
+fn worker_loop(shared: &Shared, rx: &Receiver<Job>, done: &Sender<Done>, waker: &Waker) {
+    while let Ok(job) = rx.recv() {
         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let dequeued = shared.cfg.clock.now();
         shared.recorder.record_span(
@@ -894,9 +480,9 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
             dequeued,
             SpanAttrs::default(),
         );
-        if dequeued >= job.deadline {
-            // Admitted but nobody can use the answer anymore; the reply
-            // sender drops, which the connection thread reports as 504.
+        if job.deadline.is_some_and(|deadline| dequeued >= deadline) {
+            // Admitted but nobody can use the answer anymore: the
+            // reactor's deadline timer answers 504.
             SvcMetrics::inc(&shared.metrics.jobs_dropped_stale);
             continue;
         }
@@ -939,13 +525,10 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
             .worker_busy_us
             .fetch_add(busy.as_micros().min(u64::MAX as u128) as u64, Ordering::Relaxed);
         shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
-        let _ = job.reply.send(result); // peer may have timed out; fine
-        if let Some((done, token, waker)) = job.notify {
-            // Result first, then the doorbell: the reactor's try_recv on
-            // the reply channel must succeed when the token arrives.
-            let _ = done.send(token);
-            waker.wake();
-        }
+        // The reactor is gone only after every connection closed; then
+        // nobody is waiting for this answer.
+        let _ = done.send(Done { reply: job.reply, result });
+        waker.wake();
     }
 }
 

@@ -2,7 +2,7 @@
 //! stream is sliced — at every single boundary, in pathological 1-byte
 //! reads, or in arbitrary random chunks — the parse outcome must be
 //! byte-identical to parsing the whole stream at once. This is the
-//! invariant the `--io epoll` mode rides on: edge-triggered reads hand
+//! invariant the daemons' reactors ride on: edge-triggered reads hand
 //! the parser whatever fragments the kernel has, and the responses must
 //! not depend on that segmentation.
 

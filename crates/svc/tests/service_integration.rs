@@ -8,7 +8,7 @@
 use hre_core::{Ak, Bk};
 use hre_ring::RingLabeling;
 use hre_sim::{run, RoundRobinSched, RunOptions};
-use hre_svc::{start, AlgoId, Client, ElectRequest, IoMode, Json, SvcConfig};
+use hre_svc::{start, AlgoId, Client, ElectRequest, Json, SvcConfig};
 use std::time::Duration;
 
 /// One client's tally of what it saw.
@@ -65,21 +65,10 @@ fn metric(text: &str, name: &str) -> u64 {
 
 #[test]
 fn concurrent_mixed_workload_agrees_with_sim_and_metrics_reconcile() {
-    concurrent_mixed_workload(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn concurrent_mixed_workload_epoll_agrees_with_sim_and_metrics_reconcile() {
-    concurrent_mixed_workload(IoMode::Epoll);
-}
-
-fn concurrent_mixed_workload(io: IoMode) {
     let handle = start(SvcConfig {
         workers: 3,
         cache_cap: 64,
         deadline: Duration::from_secs(30),
-        io,
         ..SvcConfig::default()
     })
     .expect("start daemon");
@@ -163,16 +152,6 @@ fn concurrent_mixed_workload(io: IoMode) {
 /// clients observed.
 #[test]
 fn drain_under_load_completes_or_cleanly_rejects_every_job() {
-    drain_under_load(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn drain_under_load_epoll_completes_or_cleanly_rejects_every_job() {
-    drain_under_load(IoMode::Epoll);
-}
-
-fn drain_under_load(io: IoMode) {
     use std::sync::atomic::Ordering;
 
     // Tiny pool + queue and no cache: real elections pile up, so at the
@@ -182,7 +161,6 @@ fn drain_under_load(io: IoMode) {
         queue_cap: 4,
         cache_cap: 0,
         deadline: Duration::from_secs(10),
-        io,
         ..SvcConfig::default()
     })
     .expect("start daemon");
@@ -279,55 +257,63 @@ fn drain_under_load(io: IoMode) {
     assert_eq!(summary.elect_failed, 0, "{summary}");
 }
 
-/// The io-mode equivalence pin: the same request sequence — valid
-/// elections, a malformed body, an over-cap 413 that must keep the
-/// connection alive, and a batch — served over one keep-alive
-/// connection to a `--io threads` daemon and to a `--io epoll` daemon
-/// must produce byte-identical bodies, identical statuses, and
-/// identical headers modulo the (random) `x-trace-id`.
+/// The served-bytes pin: one keep-alive connection carries valid
+/// elections (a miss, a rotation hit, other algorithms), validation
+/// failures, an over-cap 413 that must keep the connection alive, and a
+/// batch. Every status and body must equal what the in-process API
+/// computes for the same request.
 #[test]
-#[cfg(unix)]
-fn io_modes_serve_identical_bytes_on_one_keepalive_connection() {
-    type Exchange = (u16, Vec<(String, String)>, Vec<u8>);
-    let serve = |io: IoMode| -> Vec<Exchange> {
-        let handle = start(SvcConfig {
-            workers: 2,
-            cache_cap: 64,
-            max_body: 4096,
-            io,
-            ..SvcConfig::default()
-        })
-        .expect("start daemon");
-        let mut client =
-            Client::connect(&handle.addr.to_string(), Duration::from_secs(30)).expect("connect");
-        let big = format!(r#"{{"ring":[{}],"algo":"ak"}}"#, vec!["1"; 4096].join(","));
-        let reqs: Vec<(&str, String)> = vec![
-            ("/elect", r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#.into()),
-            ("/elect", r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#.into()), // rotation hit
-            ("/elect", r#"{"ring":[1,2,2],"algo":"bk","k":2}"#.into()),
-            ("/elect", r#"{"ring":[1]}"#.into()), // 400, keep-alive
-            ("/elect", "not json at all".into()), // 400, keep-alive
-            ("/elect", big),                      // 413, keep-alive
-            ("/elect/batch", r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]}]"#.into()),
-            ("/elect", r#"{"ring":[4,1,3,2,7,5],"algo":"peterson"}"#.into()),
-        ];
-        let mut got = Vec::new();
-        for (path, body) in &reqs {
-            let resp = client.post_json(path, body).expect("served on the same connection");
-            let mut headers = resp.headers.clone();
-            headers.retain(|(k, _)| k != "x-trace-id");
-            got.push((resp.status, headers, resp.body.clone()));
-        }
-        let healthz = client.get("/healthz").expect("healthz");
-        got.push((healthz.status, Vec::new(), healthz.body.clone()));
-        handle.shutdown();
-        got
+fn one_keepalive_connection_serves_the_in_process_bytes() {
+    let handle =
+        start(SvcConfig { workers: 2, cache_cap: 64, max_body: 4096, ..SvcConfig::default() })
+            .expect("start daemon");
+    let mut client =
+        Client::connect(&handle.addr.to_string(), Duration::from_secs(30)).expect("connect");
+    let big = format!(r#"{{"ring":[{}],"algo":"ak"}}"#, vec!["1"; 4096].join(","));
+    let reqs: Vec<(&str, String)> = vec![
+        ("/elect", r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#.into()),
+        ("/elect", r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#.into()), // rotation hit
+        ("/elect", r#"{"ring":[1,2,2],"algo":"bk","k":2}"#.into()),
+        ("/elect", r#"{"ring":[1]}"#.into()), // 400, keep-alive
+        ("/elect", "not json at all".into()), // 400, keep-alive
+        ("/elect", big),                      // 413, keep-alive
+        ("/elect/batch", r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]}]"#.into()),
+        ("/elect", r#"{"ring":[4,1,3,2,7,5],"algo":"peterson"}"#.into()),
+    ];
+    for (i, (path, body)) in reqs.iter().enumerate() {
+        let resp = client.post_json(path, body).expect("served on the same connection");
+        assert_eq!((resp.status, resp.body_text()), in_process(path, body, 4096), "request {i}");
+    }
+    let healthz = client.get("/healthz").expect("healthz");
+    assert_eq!((healthz.status, healthz.body_text()), (200, "ok\n".to_string()));
+    handle.shutdown();
+}
+
+/// The status and body the in-process API gives one request to a
+/// daemon whose body cap is `max_body`.
+fn in_process(path: &str, body: &str, max_body: usize) -> (u16, String) {
+    if body.len() > max_body {
+        let why = format!("request body of {} bytes exceeds the {max_body} byte limit", body.len());
+        return (413, hre_svc::error_json(&why));
+    }
+    let elect = |req: &ElectRequest| match hre_svc::run_election(req) {
+        Ok(out) => (200, hre_svc::response_json(req, &out)),
+        Err(why) => (422, hre_svc::error_json(&why)),
     };
-    let threads = serve(IoMode::Threads);
-    let epoll = serve(IoMode::Epoll);
-    assert_eq!(threads.len(), epoll.len());
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "request {i} diverged between io modes");
+    if path == "/elect/batch" {
+        let docs: Vec<String> = hre_svc::batch_from_json(body.as_bytes())
+            .expect("a well-formed batch")
+            .iter()
+            .map(|entry| match entry {
+                Ok(req) => elect(req).1,
+                Err(why) => hre_svc::error_json(why),
+            })
+            .collect();
+        return (200, hre_svc::batch_response_body(&docs));
+    }
+    match ElectRequest::from_json(body.as_bytes()) {
+        Ok(req) => elect(&req),
+        Err(why) => (400, hre_svc::error_json(&why)),
     }
 }
 
@@ -357,16 +343,6 @@ fn responses_are_bytewise_stable_across_cache_hit_and_miss() {
 /// (N single requests vs 1 batch request carrying N entries).
 #[test]
 fn batch_equals_singles_bytewise_and_in_the_metrics() {
-    batch_equals_singles(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_equals_singles_epoll_bytewise_and_in_the_metrics() {
-    batch_equals_singles(IoMode::Epoll);
-}
-
-fn batch_equals_singles(io: IoMode) {
     let entries: Vec<String> = vec![
         r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#.into(),
         r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#.into(), // rotation alias of the above
@@ -377,7 +353,7 @@ fn batch_equals_singles(io: IoMode) {
         r#"{"ring":[1,2,2],"algo":"ak","k":2}"#.into(),
     ];
     let n = entries.len() as u64;
-    let cfg = SvcConfig { workers: 2, cache_cap: 64, io, ..SvcConfig::default() };
+    let cfg = SvcConfig { workers: 2, cache_cap: 64, ..SvcConfig::default() };
 
     // Daemon A: the workload as N single requests.
     let a = start(cfg.clone()).expect("start daemon A");
@@ -458,21 +434,10 @@ fn batch_equals_singles(io: IoMode) {
 
 /// A 200 KB body of nested `[` once overflowed the recursive parser's
 /// stack and aborted the daemon. It must get a `bad JSON` 400 on both
-/// election endpoints, in both serving cores, and the daemon must keep
-/// answering.
+/// election endpoints, and the daemon must keep answering.
 #[test]
 fn nested_json_is_rejected_and_the_daemon_keeps_serving() {
-    nested_json_is_rejected(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn nested_json_is_rejected_and_the_daemon_keeps_serving_epoll() {
-    nested_json_is_rejected(IoMode::Epoll);
-}
-
-fn nested_json_is_rejected(io: IoMode) {
-    let handle = start(SvcConfig { io, ..SvcConfig::default() }).expect("start daemon");
+    let handle = start(SvcConfig::default()).expect("start daemon");
     let addr = handle.addr.to_string();
     let nested = "[".repeat(200_000);
     let wrapped = format!(r#"{{"ring":[1,2],"x":{nested}}}"#);

@@ -43,9 +43,8 @@ USAGE:
         [--queue-cap Q] [--deadline-ms D]  (defaults: 127.0.0.1:8080, 4 workers,
                                             cache 1024, queue 256, deadline 2000 ms;
                                             drains gracefully on SIGTERM/ctrl-c)
-        [--io M]             serving core: threads (one thread per connection,
-                             default) or epoll (one reactor thread holding every
-                             connection as a state machine; linux only)
+        (Linux only: one epoll reactor thread holds every connection; the
+         workers only run elections)
         [--max-body B]       largest accepted request body in bytes (default 1 MiB)
         [--trace-cap T]      flight-recorder span capacity; 0 = off (default 4096)
         [--slow-ms S]        log span trees of requests slower than S ms;
@@ -66,18 +65,16 @@ USAGE:
                              schedule and latency is measured from the scheduled
                              send (no coordinated omission); reports each
                              connection's own p99 alongside the aggregate
-        [--io M]             io mode of the in-process daemon (threads | epoll)
   hre cluster-route --backends A1,A2,...   front a set of daemons with the router
         [--addr A] [--vnodes V] [--hedge-min-ms H] [--failure-threshold F]
         [--max-body B] [--trace-cap T] [--slow-ms S]   (as for hre serve)
-        [--io M]             serving core: threads (per-connection + per-attempt
-                             threads) or epoll (one reactor thread multiplexes
-                             clients and backend attempts; hedges are timers)
         [--ctrl] [--join S1,S2,...] [--ctrl-addr A]    join the control plane as an
                              observer: the elected coordinator pushes the backend
                              list, so --backends becomes optional (dynamic topology)
         (defaults: 127.0.0.1:8090, 128 vnodes, hedge floor 30 ms, threshold 3;
-         rotation-affinity placement, breaker failover, drains on SIGTERM/ctrl-c)
+         rotation-affinity placement, breaker failover, drains on SIGTERM/ctrl-c;
+         Linux only: one epoll reactor thread multiplexes clients and backend
+         attempts, and hedges are timers)
   hre ctrl-status --addr A                 control-plane status of a live node
         (any /ctrl endpoint: a daemon, a router, or a bare control address)
   hre ctrl-ring --addr A                   render the election ring a node sees
@@ -720,18 +717,7 @@ fn svc_config_from(opts: &Opts, default_addr: &str) -> Result<SvcConfig, String>
         slow_threshold: (slow_ms > 0).then(|| std::time::Duration::from_millis(slow_ms)),
         ctrl_status: None,
         clock: hre_runtime::ClockHandle::default(),
-        io: io_mode_from(opts)?,
     })
-}
-
-/// The shared `--io threads|epoll` option (serve, bench-svc's
-/// in-process daemon, cluster-route).
-fn io_mode_from(opts: &Opts) -> Result<crate::svc::IoMode, String> {
-    match opts.get("io") {
-        None => Ok(crate::svc::IoMode::default()),
-        Some(s) => crate::svc::IoMode::parse(s)
-            .ok_or_else(|| format!("bad --io '{s}' (expected threads or epoll)")),
-    }
 }
 
 /// Whether this invocation asked for a control-plane node: `--ctrl`
@@ -827,10 +813,9 @@ fn serve_cmd(opts: &Opts) -> Result<String, String> {
             .map_err(|e| format!("cannot install signal handler: {e}"))?;
     }
     println!(
-        "hre-svc listening on http://{} — io {}, {} workers, cache {} entries, queue {}, \
+        "hre-svc listening on http://{} — {} workers, cache {} entries, queue {}, \
          deadline {} ms",
         handle.addr,
-        cfg.io.name(),
         cfg.workers,
         cfg.cache_cap,
         cfg.queue_cap,
@@ -964,7 +949,6 @@ fn cluster_route_cmd(opts: &Opts) -> Result<String, String> {
         trace_cap: u64_opt(opts, "trace-cap", hre_runtime::trace::DEFAULT_TRACE_CAP as u64)?
             as usize,
         slow_threshold: (slow_ms > 0).then(|| std::time::Duration::from_millis(slow_ms)),
-        io: io_mode_from(opts)?,
         ..Default::default()
     };
     let router =
@@ -1015,7 +999,7 @@ fn cluster_route_cmd(opts: &Opts) -> Result<String, String> {
             .map_err(|e| format!("cannot install signal handler: {e}"))?;
     }
     println!(
-        "hre-cluster routing on http://{} over {} — {} vnodes, hedge floor {} ms, {} io",
+        "hre-cluster routing on http://{} over {} — {} vnodes, hedge floor {} ms",
         router.addr,
         if with_ctrl {
             "control-plane-managed backends".to_string()
@@ -1024,7 +1008,6 @@ fn cluster_route_cmd(opts: &Opts) -> Result<String, String> {
         },
         cfg.vnodes,
         cfg.hedge_min.as_millis(),
-        cfg.io.name()
     );
     println!(
         "POST /elect | GET /healthz | GET /metrics | GET /cluster | GET /trace/recent — \
