@@ -440,6 +440,13 @@ fn build_registry() -> Vec<Box<dyn Engine>> {
 /// this cap keeps a served request inside the run's action budget.
 pub const CONTENT_OBLIVIOUS_MAX_LABEL: u64 = 4096;
 
+/// `ak-ref` re-evaluates its naive `Leader` predicate from scratch on every
+/// reception, and each process's string grows to about `(2k+1)·n` labels,
+/// so a run costs roughly `n·((2k+1)·n)³` steps. A served request must
+/// have `(2k+1)·n` at most this; the worst accepted one (distinct labels,
+/// `k = 1`, `n = 170`) ran in 0.8 s in a release build on 2 vCPUs.
+pub const AK_REF_MAX_STRING: usize = 512;
+
 /// The engine registry, in presentation order. Names are the wire names
 /// (`hre elect --algo`, the `POST /elect` `algo` field, `AlgoId`).
 pub fn engines() -> &'static [Box<dyn Engine>] {

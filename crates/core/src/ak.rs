@@ -96,8 +96,9 @@ impl Algorithm for Ak {
     /// the window never materializes; a diverging token (duplication,
     /// reordering) falls back to the owned representation transparently.
     fn spawn_at(&self, ring: &hre_ring::RingLabeling, i: usize) -> AkProc {
+        let start = i as u32;
         AkProc {
-            string: PrefixString::Window { ring: ring.labels_shared(), start: i as u32, len: 0 },
+            string: PrefixString::Window { ring: ring.labels_shared(), start, len: 0, next: start },
             ..self.spawn(ring.label(i))
         }
     }
@@ -112,8 +113,9 @@ impl Algorithm for Ak {
 /// the ring labeling plus `(start, len)` and represents the string without
 /// owning a single label. `push` compares the appended label against the
 /// predicted next letter; equal means `len += 1` (the steady state — O(1),
-/// allocation-free), different means the run is faulty and the string
-/// materializes into the `Owned` form once, then grows conventionally.
+/// allocation- and division-free), different means the run is faulty and
+/// the string materializes into the `Owned` form once, then grows
+/// conventionally.
 #[derive(Clone)]
 enum PrefixString {
     /// Prefix of the periodic counter-clockwise walk from `start`:
@@ -125,6 +127,9 @@ enum PrefixString {
         start: u32,
         /// Prefix length.
         len: u32,
+        /// Ring index of element `len`, the next predicted label — the
+        /// formula above, kept one step at a time.
+        next: u32,
     },
     /// Explicit storage, used when the ring is unknown (bare `spawn`) or
     /// after a received token diverged from the window's prediction.
@@ -139,30 +144,16 @@ impl PrefixString {
         }
     }
 
-    /// Element `j` of the represented string.
-    fn get(&self, j: usize) -> Label {
-        match self {
-            PrefixString::Window { ring, start, .. } => {
-                let n = ring.len();
-                ring[(*start as usize + n - (j % n)) % n]
-            }
-            PrefixString::Owned(v) => v[j],
-        }
-    }
-
     /// Appends a label: O(1) window growth when it matches the periodic
     /// prediction, one-time materialization when it does not.
     fn push(&mut self, x: Label) {
         match self {
-            PrefixString::Window { ring, start, len } => {
-                let n = ring.len();
-                let predicted = ring[(*start as usize + n - (*len as usize % n)) % n];
-                if x == predicted {
+            PrefixString::Window { ring, start, len, next } => {
+                if x == ring[*next as usize] {
                     *len += 1;
+                    *next = next.checked_sub(1).unwrap_or(ring.len() as u32 - 1);
                 } else {
-                    let s = *start as usize;
-                    let mut v: Vec<Label> =
-                        (0..*len as usize).map(|j| ring[(s + n - (j % n)) % n]).collect();
+                    let mut v = ccw_walk(ring, *start, *len);
                     v.push(x);
                     *self = PrefixString::Owned(v);
                 }
@@ -176,10 +167,17 @@ impl PrefixString {
     /// the `2k+1` threshold pins the ring, once on `FINISH`.
     fn to_vec(&self) -> Vec<Label> {
         match self {
-            PrefixString::Window { len, .. } => (0..*len as usize).map(|j| self.get(j)).collect(),
+            PrefixString::Window { ring, start, len, .. } => ccw_walk(ring, *start, *len),
             PrefixString::Owned(v) => v.clone(),
         }
     }
+}
+
+/// The first `len` labels of the periodic counter-clockwise walk of `ring`
+/// from `start`: `ring[start], ring[start − 1], …, ring[0], ring[n − 1], …`.
+fn ccw_walk(ring: &[Label], start: u32, len: u32) -> Vec<Label> {
+    let (upto, after) = ring.split_at(start as usize + 1);
+    upto.iter().rev().chain(after.iter().rev()).cycle().take(len as usize).copied().collect()
 }
 
 /// One `Ak` process.
@@ -197,7 +195,10 @@ pub struct AkProc {
     init: bool,
     /// `p.string` — the received prefix of `LLabels(p)`.
     string: PrefixString,
-    /// Incremental occurrence counts over `string` (cache).
+    /// Incremental occurrence counts over `string` (cache), kept until
+    /// `determined_leader` is set — nothing reads them after that. The map
+    /// keeps std's keyed hasher: labels come from clients, and an unkeyed
+    /// hash would let a crafted ring collide every count into one bucket.
     counts: HashMap<Label, usize>,
     /// Largest count in `counts` (cache).
     max_count: usize,
@@ -222,9 +223,11 @@ impl AkProc {
 
     fn push(&mut self, x: Label) {
         self.string.push(x);
-        let c = self.counts.entry(x).or_insert(0);
-        *c += 1;
-        self.max_count = self.max_count.max(*c);
+        if self.determined_leader.is_none() {
+            let c = self.counts.entry(x).or_insert(0);
+            *c += 1;
+            self.max_count = self.max_count.max(*c);
+        }
     }
 
     /// Evaluates `Leader(string)` after the candidate label has been

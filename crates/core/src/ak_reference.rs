@@ -17,7 +17,9 @@
 
 use crate::ak::AkMsg;
 use hre_sim::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
-use hre_words::{is_lyndon, least_rotation_naive, occurrences, rotate_left, srp_len_naive, Label};
+use hre_words::{
+    is_lyndon_naive, least_rotation_naive, occurrences, rotate_left, srp_len_naive, Label,
+};
 
 /// The paper's `Leader(σ)` predicate, computed entirely with naive
 /// reference algorithms.
@@ -28,7 +30,7 @@ pub fn leader_predicate_naive(sigma: &[Label], k: usize) -> bool {
         return false;
     }
     let srp = &sigma[..srp_len_naive(sigma)];
-    is_lyndon(srp)
+    is_lyndon_naive(srp)
 }
 
 /// Factory for the unoptimized reference processes.

@@ -138,9 +138,12 @@ impl Algorithm for Bk {
     }
 
     fn spawn(&self, label: Label) -> BkProc {
+        // ⌈log₂ k⌉, with the convention ⌈log₂ 1⌉ = 1 bit per counter.
+        let log_k = ((self.k as u64 - 1).max(1).ilog2() + 1) as u64;
         BkProc {
             id: label,
             k: self.k,
+            label_free_bits: 2 * log_k + 5,
             state: BkState::Init,
             guest: label,
             inner: 1,
@@ -157,6 +160,10 @@ impl Algorithm for Bk {
 pub struct BkProc {
     id: Label,
     k: usize,
+    /// The label-size-independent part of [`ProcessBehavior::space_bits`],
+    /// `2⌈log k⌉ + 5`, fixed at spawn (the engine reads the space after
+    /// every action).
+    label_free_bits: u64,
     state: BkState,
     /// `p.guest = LLabels(p)[i]` during phase `i`.
     guest: Label,
@@ -348,9 +355,7 @@ impl ProcessBehavior for BkProc {
     /// labels (`id`, `guest`, `leader`), 3 bits of control state and the
     /// two specification booleans.
     fn space_bits(&self, label_bits: u32) -> u64 {
-        // ⌈log₂ k⌉, with the convention ⌈log₂ 1⌉ = 1 bit per counter.
-        let log_k = ((self.k as u64 - 1).max(1).ilog2() + 1) as u64;
-        2 * log_k + 3 * label_bits as u64 + 5
+        self.label_free_bits + 3 * label_bits as u64
     }
 
     /// Every `Bk` message carries one label plus a two-bit tag (three

@@ -1,21 +1,28 @@
 //! Property tests pinning the optimized simulation stack to the
 //! paper-literal oracle.
 //!
-//! The perf work changed three things that must not be observable:
-//! `Ak` grew a zero-copy prefix-string window over the shared ring
-//! labeling, the engine moved to pooled links with move-based dispatch,
-//! and traces are accumulated in place. Both engines keep their enabled
-//! lists sorted ascending, so any deterministic scheduler makes the same
-//! decisions on both — which makes *trace-level* comparison meaningful:
-//! the same leader is not enough, we require byte-identical per-process
-//! message streams and identical metrics (messages, time, steps, wire
-//! bits, peak space) on random asymmetric rings (n ≤ 7, alphabet ≤ 3)
-//! under seeded random and adversarial schedulers.
+//! The perf work changed things that must not be observable: `Ak` grew a
+//! zero-copy, division-free prefix-string window over the shared ring
+//! labeling and stops counting labels once its verdict is frozen, the
+//! engine moved to pooled links with move-based dispatch and a bitset
+//! enabled set, and traces are accumulated in place. Both engines answer
+//! every scheduler query in ascending index order, so any deterministic
+//! scheduler makes the same decisions on both — which makes
+//! *trace-level* comparison meaningful: the same leader is not enough, we
+//! require byte-identical per-process message streams and identical
+//! metrics (messages, time, steps, wire bits, peak space) on random
+//! asymmetric rings (n ≤ 7, alphabet ≤ 3) under seeded random,
+//! adversarial, round-robin (the served scheduler) and synchronous
+//! schedulers.
 
+use hre_baselines::OracleN;
 use hre_core::{Ak, AkReference, Bk};
 use hre_ring::{generate, RingLabeling};
 use hre_sim::baseline::run_baseline;
-use hre_sim::{run, AdversarialSched, Adversary, RandomSched, RunOptions, RunReport};
+use hre_sim::{
+    run, AdversarialSched, Adversary, Algorithm, ProcessBehavior, RandomSched, RoundRobinSched,
+    RunOptions, RunReport, Scheduler, SyncSched,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,6 +74,28 @@ where
     Ok(())
 }
 
+/// Runs `oracle` on the frozen baseline engine and `fast` on the
+/// optimized one, each under a fresh scheduler from `sched`, and requires
+/// identical reports.
+fn frozen_vs_optimized<A, B, S>(
+    oracle: &A,
+    fast: &B,
+    ring: &RingLabeling,
+    sched: impl Fn() -> S,
+) -> Result<(), TestCaseError>
+where
+    A: Algorithm,
+    B: Algorithm,
+    S: Scheduler,
+    <A::Proc as ProcessBehavior>::Msg: std::fmt::Debug + Clone,
+    <B::Proc as ProcessBehavior>::Msg: std::fmt::Debug + Clone,
+{
+    assert_identical(
+        &run_baseline(oracle, ring, &mut sched(), rec()),
+        &run(fast, ring, &mut sched(), rec()),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,5 +141,28 @@ proptest! {
         let old = run_baseline(&Bk::new(k), &ring, &mut RandomSched::new(s), rec());
         let new = run(&Bk::new(k), &ring, &mut RandomSched::new(s), rec());
         assert_identical(&old, &new)?;
+    }
+
+    /// Round-robin, the scheduler of every served election: `Ak` against
+    /// the oracle, `Bk` and `OracleN` against themselves on the frozen
+    /// engine.
+    #[test]
+    fn round_robin_matches_the_frozen_engine(ring in arb_ring()) {
+        let k = ring.max_multiplicity();
+        let rr = RoundRobinSched::default;
+        frozen_vs_optimized(&AkReference::new(k), &Ak::new(k), &ring, rr)?;
+        frozen_vs_optimized(&Bk::new(k.max(2)), &Bk::new(k.max(2)), &ring, rr)?;
+        frozen_vs_optimized(&OracleN::new(ring.n()), &OracleN::new(ring.n()), &ring, rr)?;
+    }
+
+    /// The same under synchronous steps, where every enabled process
+    /// fires in ascending order.
+    #[test]
+    fn sync_matches_the_frozen_engine(ring in arb_ring()) {
+        let k = ring.max_multiplicity();
+        let sync = || SyncSched;
+        frozen_vs_optimized(&AkReference::new(k), &Ak::new(k), &ring, sync)?;
+        frozen_vs_optimized(&Bk::new(k.max(2)), &Bk::new(k.max(2)), &ring, sync)?;
+        frozen_vs_optimized(&OracleN::new(ring.n()), &OracleN::new(ring.n()), &ring, sync)?;
     }
 }

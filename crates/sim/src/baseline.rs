@@ -6,10 +6,12 @@
 //! a double `m.clone()` on the fault-capable send path, a freshly
 //! allocated `Vec<usize>` enabled set on every scheduler step, and a
 //! freshly collected `Vec<ElectionState>` fed to the specification
-//! monitor after every action. Keeping it lets the perf experiment
-//! measure the optimized engine against the real former hot path —
-//! in-process, same compiler, same flags — rather than against committed
-//! numbers that rot.
+//! monitor after every action. The one change since it was frozen: the
+//! scheduler interface takes an [`EnabledSet`], so each step also builds
+//! one from the re-scanned list before asking the scheduler. Keeping it
+//! lets the perf experiment measure the optimized engine against the real
+//! former hot path — in-process, same compiler, same flags — rather than
+//! against committed numbers that rot.
 //!
 //! Semantics are identical to the optimized engine (E22 and the proptests
 //! in `hre-core` assert it); only the constant factors differ. Do not
@@ -18,7 +20,7 @@
 use crate::faults::FaultPlan;
 use crate::process::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
 use crate::run::{RunOptions, RunReport, Verdict};
-use crate::sched::{Scheduler, Selection};
+use crate::sched::{EnabledSet, Scheduler, Selection};
 use crate::spec::SpecMonitor;
 use crate::trace::{ActionEvent, EventKind, Trace};
 use hre_ring::RingLabeling;
@@ -305,7 +307,7 @@ where
             budget_exhausted = true;
             break;
         }
-        let selection = sched.select(&enabled);
+        let selection = sched.select(&EnabledSet::with_members(net.n(), &enabled));
         steps += 1;
         match selection {
             Selection::All => {

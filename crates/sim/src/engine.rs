@@ -27,16 +27,20 @@
 //!   pool on receive. The engine clones a message only when the fault plan
 //!   duplicates it, when a caller asks for a recorded copy
 //!   ([`Network::fire_with_record`]), or on the rare wedge path;
-//! * the enabled set is maintained **incrementally** as a sorted index list
-//!   ([`Network::enabled_slice`]): each fired action can only change the
-//!   enabledness of the firing process and its right neighbor, so the list
-//!   is patched in place instead of being rebuilt (and reallocated) every
-//!   scheduler step. Keeping it sorted ascending preserves the exact
-//!   scheduling decisions of the pre-optimization engine (see
-//!   [`crate::baseline`]), which rebuilt the set in ascending order.
+//! * the enabled set is maintained **incrementally** as a bitset
+//!   ([`Network::enabled_procs`], an [`EnabledSet`]): each fired action can
+//!   only change the enabledness of the firing process and its right
+//!   neighbor, so each fire sets or clears at most two bits instead of
+//!   rebuilding (and reallocating) the set every scheduler step. The set
+//!   answers every scheduler query in ascending index order, the order in
+//!   which the pre-optimization engine (see [`crate::baseline`]) rebuilt
+//!   its list, so every scheduling decision is unchanged;
+//! * a benign [`FaultPlan`] (no rules) is never consulted: sends go
+//!   straight onto the link.
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultDecision, FaultPlan};
 use crate::process::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
+use crate::sched::EnabledSet;
 use hre_ring::RingLabeling;
 
 /// Sentinel for "no node" in the intrusive link lists.
@@ -219,9 +223,9 @@ pub struct Network<P: ProcessBehavior> {
     slots: Vec<Slot<P>>,
     links: Vec<Link>,
     pool: Pool<P::Msg>,
-    /// Sorted indices of the currently-enabled processes, patched
-    /// incrementally after every fire.
-    enabled_list: Vec<usize>,
+    /// The currently-enabled processes, patched incrementally after
+    /// every fire.
+    enabled_procs: EnabledSet,
     counters: NetCounters,
     label_bits: u32,
     faults: FaultPlan,
@@ -259,7 +263,7 @@ impl<P: ProcessBehavior> Network<P> {
             slots,
             links,
             pool: Pool::new(),
-            enabled_list: Vec::with_capacity(n),
+            enabled_procs: EnabledSet::new(n),
             counters: NetCounters::default(),
             label_bits: ring.label_bits(),
             faults: FaultPlan::none(),
@@ -268,9 +272,7 @@ impl<P: ProcessBehavior> Network<P> {
         };
         for i in 0..n {
             net.note_space(i);
-            if net.enabled(i) {
-                net.enabled_list.push(i);
-            }
+            net.refresh_enabled(i);
         }
         net
     }
@@ -403,38 +405,36 @@ impl<P: ProcessBehavior> Network<P> {
         !s.wedged && self.links[i].len > 0
     }
 
-    /// Sorted indices of all enabled processes — a borrowed view of the
-    /// incrementally-maintained list (no allocation).
-    pub fn enabled_slice(&self) -> &[usize] {
-        &self.enabled_list
+    /// All enabled processes — a borrowed view of the
+    /// incrementally-maintained set (no allocation).
+    pub fn enabled_procs(&self) -> &EnabledSet {
+        &self.enabled_procs
     }
 
-    /// Indices of all enabled processes (allocating compatibility wrapper
-    /// around [`Self::enabled_slice`]).
+    /// Indices of all enabled processes, ascending (allocating wrapper
+    /// around [`Self::enabled_procs`]).
     pub fn enabled_set(&self) -> Vec<usize> {
-        self.enabled_list.clone()
+        self.enabled_procs.iter().collect()
     }
 
-    /// Re-derives `enabled(i)` and patches the sorted enabled list.
+    /// Re-derives `enabled(i)` into the enabled set.
     fn refresh_enabled(&mut self, i: usize) {
         let now = self.enabled(i);
-        match self.enabled_list.binary_search(&i) {
-            Ok(pos) => {
-                if !now {
-                    self.enabled_list.remove(pos);
-                }
-            }
-            Err(pos) => {
-                if now {
-                    self.enabled_list.insert(pos, i);
-                }
-            }
+        self.enabled_procs.set(i, now);
+    }
+
+    /// Index of `i`'s right neighbor (the receiver of its sends).
+    fn right(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
         }
     }
 
     /// If no process is enabled, classify the terminal configuration.
     pub fn terminal_kind(&self) -> Option<TerminalKind> {
-        if !self.enabled_list.is_empty() {
+        if !self.enabled_procs.is_empty() {
             return None;
         }
         let any_pending_at_live =
@@ -470,10 +470,10 @@ impl<P: ProcessBehavior> Network<P> {
         i: usize,
         record: Option<&mut Vec<P::Msg>>,
     ) -> Option<Fired<P::Msg>> {
-        if !self.enabled(i) {
+        if !self.enabled_procs.contains(i) {
             return None;
         }
-        let n = self.n();
+        let right = self.right(i);
         if !self.slots[i].started {
             let mut out = std::mem::take(&mut self.scratch);
             self.slots[i].proc.on_start(&mut out);
@@ -483,7 +483,7 @@ impl<P: ProcessBehavior> Network<P> {
             self.scratch = out;
             self.note_space(i);
             self.refresh_enabled(i);
-            self.refresh_enabled((i + 1) % n);
+            self.refresh_enabled(right);
             return Some(Fired::Started { sent });
         }
         // Offer the head message in place (no clone).
@@ -508,7 +508,7 @@ impl<P: ProcessBehavior> Network<P> {
                 self.scratch = out;
                 self.note_space(i);
                 self.refresh_enabled(i);
-                self.refresh_enabled((i + 1) % n);
+                self.refresh_enabled(right);
                 Some(Fired::Received { msg, sent })
             }
             Reaction::Ignored => {
@@ -531,19 +531,22 @@ impl<P: ProcessBehavior> Network<P> {
         out: &mut Outbox<P::Msg>,
         mut record: Option<&mut Vec<P::Msg>>,
     ) -> u32 {
-        let n = self.slots.len();
+        let right = self.right(i);
         let now = self.slots[i].clock;
         let count = out.len() as u32;
         let Network { slots, links, pool, counters, faults, label_bits, .. } = self;
         {
             let proc = &slots[i].proc;
-            let link = &mut links[(i + 1) % n];
+            let link = &mut links[right];
+            // The plan's counter only feeds its rules, so a plan without
+            // rules need not count.
+            let benign = faults.is_benign();
             for m in out.drain_msgs() {
                 counters.total_wire_bits += proc.msg_wire_bits(&m, *label_bits);
                 if let Some(rec) = record.as_deref_mut() {
                     rec.push(m.clone());
                 }
-                let fate = faults.decide();
+                let fate = if benign { FaultDecision::default() } else { faults.decide() };
                 if fate.drop {
                     continue;
                 }
@@ -577,7 +580,7 @@ impl<P: ProcessBehavior + Clone> Clone for Network<P> {
             slots: self.slots.clone(),
             links: self.links.clone(),
             pool: self.pool.clone(),
-            enabled_list: self.enabled_list.clone(),
+            enabled_procs: self.enabled_procs.clone(),
             counters: self.counters,
             label_bits: self.label_bits,
             faults: self.faults.clone(),
@@ -674,7 +677,7 @@ mod tests {
 
     fn drive<P: ProcessBehavior>(net: &mut Network<P>) {
         let mut guard = 0;
-        while let Some(&i) = net.enabled_slice().first() {
+        while let Some(i) = net.enabled_procs().first() {
             net.fire(i);
             guard += 1;
             assert!(guard < 100_000, "runaway");
@@ -797,20 +800,21 @@ mod tests {
     }
 
     #[test]
-    fn enabled_slice_matches_recomputation_throughout() {
+    fn enabled_procs_match_recomputation_throughout() {
         // Fire in an arbitrary (but deterministic) pattern and check the
-        // incrementally-patched list against brute-force recomputation
+        // incrementally-patched set against brute-force recomputation
         // after every action.
         let ring = RingLabeling::from_raw(&[3, 1, 4, 1, 5, 9, 2, 6]);
         let mut net = Network::new(&Toy { n: 8 }, &ring);
         let mut turn = 0usize;
         loop {
-            let en = net.enabled_slice().to_vec();
+            let en = net.enabled_set();
+            assert_eq!(net.enabled_procs().len(), en.len());
             if en.is_empty() {
                 break;
             }
             let brute: Vec<usize> = (0..net.n()).filter(|&i| net.enabled(i)).collect();
-            assert_eq!(en, brute, "incremental enabled list diverged");
+            assert_eq!(en, brute, "incremental enabled set diverged");
             net.fire(en[turn % en.len()]);
             turn += 1;
         }
@@ -919,7 +923,7 @@ mod tests {
             let mut net = Network::new(&ProbeToy { n: 5 }, &ring);
             net.set_fault_plan(FaultPlan::single(LinkFault::DuplicateEveryNth(3)));
             let mut guard = 0;
-            while let Some(&i) = net.enabled_slice().first() {
+            while let Some(i) = net.enabled_procs().first() {
                 net.fire(i);
                 guard += 1;
                 assert!(guard < 100_000, "runaway");
@@ -938,7 +942,7 @@ mod tests {
             let mut buf = Vec::new();
             let mut recorded = 0u64;
             let mut guard = 0;
-            while let Some(&i) = net.enabled_slice().first() {
+            while let Some(i) = net.enabled_procs().first() {
                 buf.clear();
                 net.fire_with_record(i, Some(&mut buf));
                 recorded += buf.len() as u64;

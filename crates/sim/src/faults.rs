@@ -39,8 +39,8 @@ pub struct FaultPlan {
     counter: u64,
 }
 
-/// What the plan decided for one message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What the plan decided for one message (the default: deliver it once).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct FaultDecision {
     pub drop: bool,
     pub duplicate: bool,
@@ -59,6 +59,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan can never fire.
+    #[inline]
     pub fn is_benign(&self) -> bool {
         self.rules.is_empty()
     }

@@ -48,7 +48,8 @@ pub use run::{
     satisfies_stabilizing_election, Observer, RunOptions, RunReport, Verdict,
 };
 pub use sched::{
-    AdversarialSched, Adversary, RandomSched, RoundRobinSched, Scheduler, Selection, SyncSched,
+    AdversarialSched, Adversary, EnabledSet, RandomSched, RoundRobinSched, Scheduler, Selection,
+    SyncSched,
 };
 pub use spec::{SpecMonitor, SpecViolation};
 pub use sweep::{item_seed, sweep_map, sweep_runs, sweep_runs_seeded};

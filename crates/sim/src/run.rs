@@ -252,19 +252,19 @@ where
             stopped_on_violation = true;
             break;
         }
-        if net.enabled_slice().is_empty() {
+        if net.enabled_procs().is_empty() {
             break;
         }
         if net.actions_fired() >= opts.max_actions {
             budget_exhausted = true;
             break;
         }
-        let selection = sched.select(net.enabled_slice());
+        let selection = sched.select(net.enabled_procs());
         steps += 1;
         match selection {
             Selection::All => {
                 all_buf.clear();
-                all_buf.extend_from_slice(net.enabled_slice());
+                all_buf.extend(net.enabled_procs().iter());
                 for &i in &all_buf {
                     fire_one(
                         &mut net,
@@ -279,8 +279,17 @@ where
                 }
             }
             Selection::One(i) => {
-                assert!(net.enabled(i), "scheduler picked a disabled process");
-                fire_one(&mut net, i, steps, &mut seq, &mut monitor, &mut trace, obs, needs_events);
+                let fired = fire_one(
+                    &mut net,
+                    i,
+                    steps,
+                    &mut seq,
+                    &mut monitor,
+                    &mut trace,
+                    obs,
+                    needs_events,
+                );
+                assert!(fired, "scheduler picked a disabled process");
             }
         }
     }
@@ -329,6 +338,8 @@ where
     }
 }
 
+/// Fires `i` if it is enabled, feeding the monitor, observer and trace;
+/// returns whether it fired.
 #[allow(clippy::too_many_arguments)]
 fn fire_one<P, O>(
     net: &mut Network<P>,
@@ -339,20 +350,22 @@ fn fire_one<P, O>(
     trace: &mut Option<Trace<P::Msg>>,
     obs: &mut O,
     needs_events: bool,
-) where
+) -> bool
+where
     P: ProcessBehavior,
     O: Observer<P>,
 {
     if !needs_events {
         // Hot path: no event construction, no sent-message clones, O(1)
         // incremental spec check of the one process that acted.
-        if net.fire(i).is_some() {
+        let fired = net.fire(i).is_some();
+        if fired {
             monitor.observe_one(i, net.election(i));
         }
-        return;
+        return fired;
     }
     let mut sent: Vec<P::Msg> = Vec::new();
-    let Some(fired) = net.fire_with_record(i, Some(&mut sent)) else { return };
+    let Some(fired) = net.fire_with_record(i, Some(&mut sent)) else { return false };
     let kind = match fired {
         Fired::Started { .. } => EventKind::Start,
         Fired::Received { msg, .. } => EventKind::Receive(msg),
@@ -365,6 +378,7 @@ fn fire_one<P, O>(
     if let Some(t) = trace.as_mut() {
         t.push(event);
     }
+    true
 }
 
 #[cfg(test)]

@@ -130,6 +130,7 @@ impl SpecMonitor {
     /// Observes that an atomic action of process `pid` produced election
     /// state `new`; every other process is unchanged. O(1) except when a
     /// violation is found.
+    #[inline]
     pub fn observe_one(&mut self, pid: usize, new: ElectionState) {
         let old = self.prev[pid];
         if old == new {

@@ -349,7 +349,18 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
     let t0 = std::time::Instant::now();
     let (clean, leader, metrics) = match req.algo {
         AlgoId::Ak => digest(run(&Ak::new(req.k), &ring, &mut sched, opts)),
-        AlgoId::AkRef => digest(run(&AkReference::new(req.k), &ring, &mut sched, opts)),
+        AlgoId::AkRef => {
+            // The literal predicate makes a run cost about the fourth
+            // power of `(2k+1)·n`; reject what would blow the deadline.
+            let cap = hre_algos::AK_REF_MAX_STRING;
+            let string = req.k.saturating_mul(2).saturating_add(1).saturating_mul(ring.n());
+            if string > cap {
+                return Err(format!(
+                    "ak-ref requires (2k+1)*n <= {cap} (got {string}): cost grows as its fourth power"
+                ));
+            }
+            digest(run(&AkReference::new(req.k), &ring, &mut sched, opts))
+        }
         AlgoId::Bk => digest(run(&Bk::new(req.k), &ring, &mut sched, opts)),
         AlgoId::Cr => digest(run(&ChangRoberts, &ring, &mut sched, opts)),
         AlgoId::Peterson => digest(run(&Peterson, &ring, &mut sched, opts)),
@@ -599,6 +610,27 @@ mod tests {
         let req = ElectRequest::new(vec![1, big], AlgoId::ContentOblivious, None).expect("req");
         let err = run_election(&req).expect_err("cap");
         assert!(err.contains("requires labels <="), "{err}");
+    }
+
+    #[test]
+    fn ak_ref_is_bounded_by_its_string_length() {
+        let cap = hre_algos::AK_REF_MAX_STRING;
+        // (2k+1)·n = 510, the largest value at most 512 that n = 2 reaches.
+        let req = ElectRequest::new(vec![1, 2], AlgoId::AkRef, Some(127)).expect("req");
+        assert!((2 * req.k + 1) * 2 <= cap && (2 * req.k + 3) * 2 > cap);
+        assert_eq!(run_election(&req).expect("at the bound").leader, 0);
+        // One step past it, by k and by n: rejected before running.
+        let req = ElectRequest::new(vec![1, 2], AlgoId::AkRef, Some(128)).expect("req");
+        let err = run_election(&req).expect_err("past the bound");
+        assert!(err.contains(&format!("(2k+1)*n <= {cap} (got 514)")), "{err}");
+        let distinct: Vec<u64> = (1..=171).collect();
+        let req = ElectRequest::new(distinct, AlgoId::AkRef, None).expect("req");
+        assert_eq!(req.k, 1);
+        let err = run_election(&req).expect_err("past the bound");
+        assert!(err.contains("(got 513)"), "{err}");
+        // A k that overflows the product is rejected, not wrapped.
+        let req = ElectRequest::new(vec![1, 2], AlgoId::AkRef, Some(usize::MAX)).expect("req");
+        assert!(run_election(&req).is_err());
     }
 
     #[test]

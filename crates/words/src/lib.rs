@@ -39,8 +39,8 @@ pub use count::{
 };
 pub use label::{labels, Label, LabelVec};
 pub use lyndon::{
-    duval_factorization, is_lyndon, least_rotation, least_rotation_naive, lyndon_rotation,
-    lyndon_words_of_length,
+    duval_factorization, is_lyndon, is_lyndon_naive, least_rotation, least_rotation_naive,
+    lyndon_rotation, lyndon_words_of_length,
 };
 pub use period::{border_array, is_period, is_repeating_prefix, srp, srp_len, srp_len_naive};
 pub use rotation::{

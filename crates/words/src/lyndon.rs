@@ -7,6 +7,7 @@
 //! rotation is a Lyndon word; the paper writes it `LW(σ)`.
 
 use crate::rotation::{is_primitive, rotate_left};
+use std::cmp::Ordering;
 
 /// Returns `true` iff `sigma` is a Lyndon word: non-empty and strictly
 /// smaller than each of its non-trivial rotations.
@@ -18,9 +19,35 @@ use crate::rotation::{is_primitive, rotate_left};
 /// assert!(!is_lyndon(b"abab")); // equal to a rotation
 /// ```
 ///
-/// Naive `O(n²)`; used directly by `Ak`'s `Leader(σ)` predicate on small
-/// strings and as the reference implementation in tests.
+/// `O(n)` with at most `n − 1` comparisons and no division: a word is
+/// Lyndon iff its first Duval factor (see [`duval_factorization`]) is the
+/// whole word. `Ak`'s `Leader(σ)` predicate and the known-`n` baselines
+/// run it on each process's full-turn word; [`is_lyndon_naive`] is the
+/// reference it is tested against.
 pub fn is_lyndon<T: Ord>(sigma: &[T]) -> bool {
+    if sigma.is_empty() {
+        return false;
+    }
+    // Duval's scan of the first factor: `j − k` is the length of the
+    // longest Lyndon prefix read so far, and `sigma[k]` is the letter its
+    // periodic continuation predicts at `j`.
+    let mut k = 0;
+    for j in 1..sigma.len() {
+        match sigma[k].cmp(&sigma[j]) {
+            Ordering::Less => k = 0,
+            Ordering::Equal => k += 1,
+            // The first factor ends before `j`, so there are several.
+            Ordering::Greater => return false,
+        }
+    }
+    // A single factor iff the scan did not end inside a repetition.
+    k == 0
+}
+
+/// Naive `O(n²)` reference for [`is_lyndon`]: compares `sigma` with each
+/// of its rotations. The paper-literal `AkReference` uses it, so that
+/// oracle shares no code with the optimized predicate.
+pub fn is_lyndon_naive<T: Ord>(sigma: &[T]) -> bool {
     let n = sigma.len();
     if n == 0 {
         return false;
@@ -194,14 +221,60 @@ mod tests {
 
     #[test]
     fn lyndon_examples() {
-        assert!(is_lyndon(b"a"));
-        assert!(is_lyndon(b"ab"));
-        assert!(is_lyndon(b"aab"));
-        assert!(is_lyndon(b"aabab"));
-        assert!(!is_lyndon(b"ba"));
-        assert!(!is_lyndon(b"aa")); // equal to its rotation
-        assert!(!is_lyndon(b"aba")); // rotation "aab" is smaller
-        assert!(!is_lyndon::<u8>(&[]));
+        for lyndon in [is_lyndon::<u8>, is_lyndon_naive::<u8>] {
+            assert!(lyndon(b"a"));
+            assert!(lyndon(b"ab"));
+            assert!(lyndon(b"aab"));
+            assert!(lyndon(b"aabab"));
+            assert!(!lyndon(b"ba"));
+            assert!(!lyndon(b"aa")); // equal to its rotation
+            assert!(!lyndon(b"aba")); // rotation "aab" is smaller
+            assert!(!lyndon(b"abab"));
+            assert!(!lyndon(&[]));
+        }
+    }
+
+    thread_local! {
+        static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A letter whose every comparison is counted.
+    #[derive(Debug)]
+    struct Counted(u8);
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+    impl Eq for Counted {}
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> Ordering {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// `1^(m−1) 2` is the shape of a ring with one distinct label: every
+    /// rotation agrees with the word until the `2`, so comparing against
+    /// each rotation costs about `m²/2` comparisons. The linear test must
+    /// stay within `3m`.
+    #[test]
+    fn lyndon_test_is_linear_on_one_distinct_letter() {
+        for m in [2usize, 10, 1000, 4096] {
+            let word: Vec<Counted> =
+                (0..m).map(|i| Counted(if i + 1 == m { 2 } else { 1 })).collect();
+            COMPARISONS.with(|c| c.set(0));
+            assert!(is_lyndon(&word));
+            let comparisons = COMPARISONS.with(|c| c.get());
+            assert!(comparisons <= 3 * m as u64, "m={m}: {comparisons} comparisons");
+        }
     }
 
     #[test]
@@ -311,7 +384,7 @@ mod tests {
                             digit
                         })
                         .collect();
-                    if is_lyndon(&w) {
+                    if is_lyndon_naive(&w) {
                         brute.push(w);
                     }
                 }

@@ -71,6 +71,28 @@ proptest! {
     }
 
     #[test]
+    fn lyndon_fast_matches_naive(s in small_seq()) {
+        prop_assert_eq!(is_lyndon(&s), is_lyndon_naive(&s));
+    }
+
+    /// Lyndon words and their powers, plus one-letter perturbations: the
+    /// shapes where the first-factor scan runs longest before deciding.
+    #[test]
+    fn lyndon_fast_matches_naive_on_near_periodic_words(
+        s in proptest::collection::vec(0u8..3, 1..12),
+        e in 1usize..4,
+        at in any::<usize>(),
+        bump in 0u8..3,
+    ) {
+        let base = rotate_left(&s, least_rotation(&s));
+        let mut w: Vec<u8> = (0..e).flat_map(|_| base.iter().copied()).collect();
+        prop_assert_eq!(is_lyndon(&w), is_lyndon_naive(&w));
+        let i = at % w.len();
+        w[i] = (w[i] + bump) % 3;
+        prop_assert_eq!(is_lyndon(&w), is_lyndon_naive(&w));
+    }
+
+    #[test]
     fn lyndon_iff_single_duval_factor(s in small_seq()) {
         let f = duval_factorization(&s);
         prop_assert_eq!(is_lyndon(&s), f.len() == 1);

@@ -2,9 +2,10 @@
 //! reliable/FIFO/exactly-once link properties are necessary, and the
 //! fault-injection engine itself is sound.
 
+use homonym_rings::core::AkProc;
 use homonym_rings::prelude::*;
 use homonym_rings::ring::catalog;
-use homonym_rings::sim::{run_faulty, FaultPlan, LinkFault};
+use homonym_rings::sim::{run_faulty, Algorithm, FaultPlan, LinkFault};
 
 fn opts() -> RunOptions {
     RunOptions { max_actions: 300_000, ..Default::default() }
@@ -107,4 +108,55 @@ fn sparse_faults_are_sometimes_tolerated() {
     );
     assert!(rep.clean());
     assert_eq!(rep.leader, Some(0));
+}
+
+/// `Ak` as spawned by a runtime that does not know ring positions: every
+/// process's string is owned from the start, so no run of it ever takes
+/// the shared-window representation or its fallback.
+struct OwnedStringAk(Ak);
+
+impl Algorithm for OwnedStringAk {
+    type Proc = AkProc;
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn spawn(&self, label: Label) -> AkProc {
+        self.0.spawn(label)
+    }
+}
+
+#[test]
+fn window_fallback_matches_owned_strings_under_faults() {
+    // Dropped, duplicated and reordered tokens make a received label
+    // differ from the window's prediction, which materializes the string
+    // mid-run: the run must be indistinguishable from one that owned its
+    // strings all along.
+    let opts = RunOptions { record_trace: true, max_actions: 20_000, ..Default::default() };
+    let rings = [catalog::figure1_ring(), catalog::ring_122(), catalog::section4_aab_ring()];
+    let mut broken = 0;
+    for ring in &rings {
+        let k = ring.max_multiplicity();
+        for every in 2..=7 {
+            for rule in [
+                LinkFault::DropEveryNth(every),
+                LinkFault::DuplicateEveryNth(every),
+                LinkFault::SwapEveryNth(every),
+            ] {
+                let plan = FaultPlan::single(rule);
+                let rr = RoundRobinSched::default;
+                let window = run_faulty(&Ak::new(k), ring, &mut rr(), opts, plan.clone());
+                let owned =
+                    run_faulty(&OwnedStringAk(Ak::new(k)), ring, &mut rr(), opts, plan.clone());
+                let at = format!("{ring:?} k={k} {rule:?}");
+                broken += usize::from(!window.clean());
+                assert_eq!(window.verdict, owned.verdict, "{at}");
+                assert_eq!(window.violations, owned.violations, "{at}");
+                assert_eq!(window.leader, owned.leader, "{at}");
+                assert_eq!(window.metrics, owned.metrics, "{at}");
+                let (tw, to) = (window.trace.expect("recorded"), owned.trace.expect("recorded"));
+                assert_eq!(tw.events(), to.events(), "{at}");
+            }
+        }
+    }
+    assert!(broken > 0, "some plan must disturb the token streams");
 }
