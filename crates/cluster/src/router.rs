@@ -1,6 +1,7 @@
 //! The front-door router: one listener, N backends, rotation-affinity
 //! routing, breaker-gated failover, and hedged retries, served by one
-//! epoll reactor thread (`eventloop.rs`).
+//! epoll reactor thread (the front-connection machine
+//! [`hre_svc::front`] driving `eventloop.rs`).
 //!
 //! Request path for `POST /elect`:
 //!
@@ -52,18 +53,18 @@
 use crate::hash::shard_key;
 use crate::metrics::ClusterMetrics;
 use crate::topology::Topology;
-use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
+use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, Reactor, DEFAULT_TRACE_CAP};
 use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, ArrayWriter, Json};
-use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest};
+use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest, RequestSpan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Router configuration (defaults match `hre cluster-route`'s flags).
 #[derive(Clone, Debug)]
@@ -143,7 +144,8 @@ pub(crate) struct Shared {
     pub(crate) topology: RwLock<Arc<Topology>>,
     pub(crate) metrics: ClusterMetrics,
     pub(crate) recorder: Arc<FlightRecorder>,
-    pub(crate) shutdown: AtomicBool,
+    /// Drain flag: the handle's [`RouterHandle::shutdown_flag`].
+    pub(crate) shutdown: Arc<AtomicBool>,
 }
 
 impl Shared {
@@ -158,7 +160,6 @@ pub struct RouterHandle {
     /// The address actually bound (resolves port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
     reactor: JoinHandle<u64>,
     prober: JoinHandle<()>,
 }
@@ -274,30 +275,26 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
         metrics: ClusterMetrics::new(),
         recorder: FlightRecorder::new(cfg.trace_cap),
         cfg,
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
     });
-    let shutdown = Arc::new(AtomicBool::new(false));
 
     let reactor = {
         let shared = Arc::clone(&shared);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown)
-        })
+        std::thread::spawn(move || crate::eventloop::reactor_loop(reactor, listener, &shared))
     };
     let prober = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || prober_loop(&shared))
     };
 
-    Ok(RouterHandle { addr, shared, shutdown, reactor, prober })
+    Ok(RouterHandle { addr, shared, reactor, prober })
 }
 
 impl RouterHandle {
     /// The flag that triggers a graceful drain — hand it to
     /// `signal_hook::flag::register` so SIGTERM/SIGINT stop the router.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     /// Current metrics, rendered as the `/metrics` endpoint would.
@@ -360,7 +357,6 @@ impl RouterHandle {
     /// Requests a drain and joins the reactor (which runs until every
     /// connection has finished its in-flight request) and the prober.
     pub fn shutdown(self) -> RouterSummary {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let _ = self.reactor.join().expect("reactor panicked");
         self.prober.join().expect("prober panicked");
@@ -580,69 +576,23 @@ pub(crate) struct TraceCtx {
     pub(crate) root: SpanId,
 }
 
-/// The open half of the request envelope: the adopted (or minted) trace,
-/// the minted-but-not-yet-recorded root span, and the admission instant.
-/// Produced by [`open_request_span`], consumed by [`close_request_span`]
-/// — split so the reactor can hold it across wakeups while the request's
-/// forwards are in flight.
-pub(crate) struct RequestSpan {
-    pub(crate) trace_id: TraceId,
-    pub(crate) root: SpanId,
-    remote_parent: SpanId,
-    pub(crate) started: Instant,
-}
-
-impl RequestSpan {
-    /// The trace context this envelope gives its attempts.
-    pub(crate) fn ctx(&self) -> TraceCtx {
-        TraceCtx { trace_id: self.trace_id, root: self.root }
+impl TraceCtx {
+    /// The trace context a request envelope gives its attempts.
+    pub(crate) fn of(span: &RequestSpan) -> TraceCtx {
+        TraceCtx { trace_id: span.trace, root: span.root }
     }
 }
 
-/// Opens the shared request envelope: count the request, adopt the
-/// propagated trace (or mint one), and mint the root span id.
-pub(crate) fn open_request_span(req: &Request, shared: &Arc<Shared>) -> RequestSpan {
-    let started = shared.cfg.clock.now();
+/// Counts a front request and opens its envelope.
+pub(crate) fn open_span(req: &Request, shared: &Shared) -> RequestSpan {
+    let admitted = shared.cfg.clock.now();
     ClusterMetrics::inc(&shared.metrics.requests);
-    let rec = &shared.recorder;
-    let trace_id =
-        req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_else(|| rec.mint_trace());
-    let remote_parent =
-        req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
-    let root = rec.next_span_id();
-    RequestSpan { trace_id, root, remote_parent, started }
+    RequestSpan::open(req, &shared.recorder, admitted)
 }
 
-/// Closes the request envelope: record the root `request` span, log the
-/// request if slow, and stamp `x-trace-id` on the response.
-pub(crate) fn close_request_span(
-    span: RequestSpan,
-    shared: &Arc<Shared>,
-    resp: Response,
-) -> Response {
-    let RequestSpan { trace_id, root, remote_parent, started } = span;
-    let rec = &shared.recorder;
-    let end = shared.cfg.clock.now();
-    rec.record_span_with_id(
-        root,
-        trace_id,
-        remote_parent,
-        Stage::Request,
-        started,
-        end,
-        SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
-    );
-    if let Some(threshold) = shared.cfg.slow_threshold {
-        if end.duration_since(started) >= threshold {
-            eprintln!(
-                "slow request trace={} {} over {threshold:?}:\n{}",
-                trace_id.to_hex(),
-                trace::fmt_dur_us(end.duration_since(started).as_micros() as u64),
-                trace::render_tree(&rec.trace_spans(trace_id)),
-            );
-        }
-    }
-    resp.with_header("x-trace-id", trace_id.to_hex())
+/// Closes a front request's envelope around its response.
+pub(crate) fn close_span(span: RequestSpan, shared: &Shared, resp: Response) -> Response {
+    span.close(&shared.recorder, shared.cfg.clock.now(), shared.cfg.slow_threshold, resp)
 }
 
 /// Where one batch entry's answer comes from: its local validation

@@ -1,7 +1,8 @@
 //! Input fuzz against live daemons: byte-mutated, truncated, split,
 //! oversized and deeply nested request streams — HTTP heads, `/elect`
 //! bodies and `/elect/batch` bodies — sent to a running `hre-svc`
-//! daemon and to a running router in front of it.
+//! daemon, to a running router in front of it, and to a control-plane
+//! node. All three serve from the same front-connection machine.
 //!
 //! Every exchange must end in zero or more complete responses, each a
 //! 200 or a 4xx carrying an error document, followed by the daemon
@@ -11,6 +12,7 @@
 //! `http_parser_props.rs`: generated streams fed in arbitrary splits.
 
 use hre_cluster::{start, ClusterConfig};
+use hre_ctrl::CtrlConfig;
 use hre_svc::{start as start_svc, Client, Json, RespStep, ResponseParser, SvcConfig};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
@@ -26,10 +28,10 @@ const MAX_BODY: usize = 64 * 1024;
 /// a hang. Deadlines are longer still, so no case can see a 504.
 const PATIENCE: Duration = Duration::from_secs(30);
 
-/// A daemon and a router in front of it, shared by every case and left
-/// running until the test process exits.
-fn daemons() -> &'static [String; 2] {
-    static ADDRS: OnceLock<[String; 2]> = OnceLock::new();
+/// A daemon, a router in front of it and a lone control-plane node,
+/// shared by every case and left running until the test process exits.
+fn daemons() -> &'static [String; 3] {
+    static ADDRS: OnceLock<[String; 3]> = OnceLock::new();
     ADDRS.get_or_init(|| {
         let svc = start_svc(SvcConfig {
             workers: 2,
@@ -46,8 +48,11 @@ fn daemons() -> &'static [String; 2] {
             ..Default::default()
         })
         .expect("router");
-        let addrs = [svc.addr.to_string(), router.addr.to_string()];
-        std::mem::forget((svc, router));
+        let ctrl =
+            hre_ctrl::start(CtrlConfig { serve_addr: svc.addr.to_string(), ..Default::default() })
+                .expect("ctrl");
+        let addrs = [svc.addr.to_string(), router.addr.to_string(), ctrl.addr.to_string()];
+        std::mem::forget((svc, router, ctrl));
         addrs
     })
 }
@@ -175,5 +180,35 @@ proptest! {
             }
             prop_assert!(healthy(addr), "{addr} stopped answering /healthz");
         }
+    }
+}
+
+/// A request that stalls mid-head is answered 400 `timed out
+/// mid-request` once the head deadline passes, and closed. All three
+/// listeners are stalled at once, so the test waits one deadline.
+#[test]
+fn a_request_stalled_past_the_head_deadline_is_answered_400_and_closed() {
+    let stalled: Vec<TcpStream> = daemons()
+        .iter()
+        .map(|addr| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(b"POST /elect HTTP/1.1\r\nhost: stall\r\ncontent-le").expect("write");
+            s
+        })
+        .collect();
+    for (addr, mut s) in daemons().iter().zip(stalled) {
+        s.set_read_timeout(Some(PATIENCE)).expect("timeout");
+        let mut bytes = Vec::new();
+        s.read_to_end(&mut bytes)
+            .unwrap_or_else(|e| panic!("{addr} neither answered nor closed: {e}"));
+        let mut parser = ResponseParser::new(MAX_BODY);
+        parser.push(&bytes);
+        let RespStep::Response(resp) = parser.step() else {
+            panic!("{addr} closed without an answer: {:?}", String::from_utf8_lossy(&bytes));
+        };
+        assert_eq!(resp.status, 400, "{addr}");
+        assert_eq!(resp.header("connection"), Some("close"), "{addr}");
+        assert_eq!(resp.body_text(), r#"{"error":"timed out mid-request"}"#, "{addr}");
+        assert!(parser.is_idle(), "{addr} sent more than one answer");
     }
 }

@@ -9,7 +9,10 @@
 //! entire ring. The process whose `srp` is a Lyndon word is the **true
 //! leader**: it elects itself (A3) and sends `FINISH` around the ring; every
 //! other process learns the leader's label as the first letter of the
-//! Lyndon rotation of its own `srp` (A4). The leader swallows the still
+//! Lyndon rotation of its own `srp` (A4) — that is, the least label in
+//! its `string`, since a word's least rotation starts with its least
+//! letter and `srp(string)` holds exactly the letters of `string`. The
+//! leader swallows the still
 //! circulating tokens (A5) and halts when `FINISH` returns (A6).
 //!
 //! | Action | Guard                                            | Effect |
@@ -22,7 +25,7 @@
 //! | A6     | `rcv ⟨FINISH⟩ ∧ isLeader`                        | halt |
 
 use hre_sim::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
-use hre_words::{is_lyndon, least_rotation, srp, Label};
+use hre_words::{is_lyndon, srp, Label};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -163,12 +166,24 @@ impl PrefixString {
     }
 
     /// Materializes the string (for `srp`/Lyndon analysis, which needs a
-    /// contiguous slice). Called O(1) times per process per run — once when
-    /// the `2k+1` threshold pins the ring, once on `FINISH`.
+    /// contiguous slice). Release builds call it once per process per
+    /// run, when the `2k+1` threshold pins the ring.
     fn to_vec(&self) -> Vec<Label> {
         match self {
             PrefixString::Window { ring, start, len, .. } => ccw_walk(ring, *start, *len),
             PrefixString::Owned(v) => v.clone(),
+        }
+    }
+
+    /// The least label in the string, without materializing it.
+    fn min(&self) -> Option<Label> {
+        match self {
+            PrefixString::Window { ring, start, len, .. } => {
+                // One lap of the walk holds every label the prefix does.
+                let (upto, after) = ring.split_at(*start as usize + 1);
+                upto.iter().rev().chain(after.iter().rev()).take(*len as usize).min().copied()
+            }
+            PrefixString::Owned(v) => v.iter().min().copied(),
         }
     }
 }
@@ -293,15 +308,13 @@ impl ProcessBehavior for AkProc {
                 Reaction::Consumed
             }
             // A4 — learn the leader's label, forward FINISH, halt.
+            // `LW(srp(σ))[1]` is σ's least label: see the module docs.
             (AkMsg::Finish, false) => {
-                let sigma = self.string.to_vec();
-                let period = srp(&sigma);
                 debug_assert!(
-                    hre_words::is_primitive(period),
+                    hre_words::is_primitive(srp(&self.string.to_vec())),
                     "on A4 the string determines the (asymmetric) ring"
                 );
-                let start = least_rotation(period);
-                self.st.leader = Some(period[start]);
+                self.st.leader = self.string.min();
                 self.st.done = true;
                 out.send(AkMsg::Finish);
                 self.st.halted = true;

@@ -1,8 +1,9 @@
 //! The control-plane node: one per process, next to the data-plane
 //! daemon it represents.
 //!
-//! Each node owns a small HTTP endpoint (the same hand-rolled HTTP/1.1
-//! the data plane uses) and a manager thread that ticks every
+//! Each node owns a small HTTP endpoint — served by the data plane's
+//! front-connection machine ([`hre_svc::front`]) on one reactor thread,
+//! every route answered at once — and a manager thread that ticks every
 //! heartbeat interval. The protocol, end to end:
 //!
 //! 1. **Join**: a starting node POSTs its own record to a seed's
@@ -39,12 +40,14 @@
 use crate::election::run_round;
 use crate::member::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage};
-use hre_runtime::{ClockHandle, EpochClock, DEFAULT_TRACE_CAP};
-use hre_svc::http::{HttpConn, ReadOutcome, Request, Response};
+use hre_runtime::{ClockHandle, EpochClock, Reactor, DEFAULT_TRACE_CAP};
+use hre_svc::front::{self, Dispatch, Front, Service};
+use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, Json};
 use hre_svc::{error_json, Client, StatusProvider};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::convert::Infallible;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -171,7 +174,7 @@ impl std::fmt::Debug for CtrlConfig {
 /// declaring a peer slow over stalling its own tick.
 const CTRL_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// How often blocked loops wake up to check the shutdown flag.
+/// How often the manager wakes up to check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// A prepared-but-not-committed election round on this member.
@@ -196,7 +199,7 @@ struct Inner {
     /// the manager against a gossip handler.
     last_seen: Mutex<BTreeMap<MemberId, Instant>>,
     recorder: Arc<FlightRecorder>,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     rounds: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -206,7 +209,7 @@ pub struct CtrlHandle {
     /// The control-plane address actually bound (resolves port 0).
     pub addr: SocketAddr,
     inner: Arc<Inner>,
-    acceptor: JoinHandle<()>,
+    endpoint: JoinHandle<()>,
     manager: JoinHandle<()>,
 }
 
@@ -228,6 +231,7 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
     let listener = TcpListener::bind(&cfg.ctrl_addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let reactor = Reactor::new()?;
     let me = cfg.node_id.unwrap_or_else(|| derive_node_id(&cfg.serve_addr));
     // Wall-clock incarnation: strictly greater than any incarnation a
     // previous run of this node can have gossiped (assuming the clock
@@ -260,7 +264,7 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
         round_active: AtomicBool::new(false),
         last_seen: Mutex::new(BTreeMap::new()),
         recorder,
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
         rounds: Mutex::new(Vec::new()),
         cfg,
     });
@@ -273,15 +277,18 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
         let _ = join_via_seed(&inner, &seed);
     }
 
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || acceptor_loop(listener, &inner))
+    let endpoint = {
+        let mut endpoint = Endpoint(Arc::clone(&inner));
+        let shutdown = Arc::clone(&inner.shutdown);
+        std::thread::spawn(move || {
+            front::serve(&mut endpoint, reactor, listener, DEFAULT_MAX_BODY, shutdown);
+        })
     };
     let manager = {
         let inner = Arc::clone(&inner);
         std::thread::spawn(move || manager_loop(&inner))
     };
-    Ok(CtrlHandle { addr, inner, acceptor, manager })
+    Ok(CtrlHandle { addr, inner, endpoint, manager })
 }
 
 impl CtrlHandle {
@@ -328,12 +335,12 @@ impl CtrlHandle {
         StatusProvider::new(move || status_doc(&inner).to_string())
     }
 
-    /// Stops gossiping, joins the manager, the acceptor, and any
-    /// election round still in flight.
+    /// Stops gossiping, drains the endpoint, and joins the manager, the
+    /// endpoint, and any election round still in flight.
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         let _ = self.manager.join();
-        let _ = self.acceptor.join();
+        let _ = self.endpoint.join();
         for h in self.inner.rounds.lock().unwrap().drain(..) {
             let _ = h.join();
         }
@@ -495,60 +502,21 @@ fn accept_config(inner: &Inner, topo: ClusterTopology) -> Result<(), String> {
 // HTTP surface
 // ---------------------------------------------------------------------
 
-fn acceptor_loop(listener: TcpListener, inner: &Arc<Inner>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let inner = Arc::clone(inner);
-                conns.push(std::thread::spawn(move || connection_loop(stream, &inner)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        if conns.len() > 16 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
+/// The control endpoint as a listener of the front-connection machine.
+/// Every route answers at once — handlers take locks, bind a listener,
+/// or spawn the round thread, and do no network I/O — so nothing parks.
+struct Endpoint(Arc<Inner>);
 
-fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    loop {
-        match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-            ReadOutcome::IdlePoll => {
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                let _ = Response::json(400, error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { .. } => {
-                let _ = Response::json(413, error_json("control message too large"))
-                    .write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || inner.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, inner);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
+impl Service for Endpoint {
+    type Parked = Infallible;
+
+    fn dispatch(
+        &mut self,
+        _: &mut Front<Infallible>,
+        _: u64,
+        req: &Request,
+    ) -> Dispatch<Infallible> {
+        Dispatch::Answer(route(req, &self.0))
     }
 }
 

@@ -1,5 +1,6 @@
 //! A small, dependency-free epoll reactor: the event loop under the
-//! serving cores of `hre-svc` and `hre-cluster`.
+//! serving cores of `hre-svc` and `hre-cluster` and under each
+//! `hre-ctrl` endpoint (all driven by `hre_svc::front`).
 //!
 //! One reactor owns one `epoll` instance and three facilities:
 //!

@@ -347,6 +347,17 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
     let mut sched = RoundRobinSched::default();
     let opts = RunOptions::default();
     let t0 = std::time::Instant::now();
+    if let Some(bound) = min_clean_actions(req.algo, &ring, req.k) {
+        if bound > u128::from(opts.max_actions) {
+            return Err(format!(
+                "{} with k={} on this ring needs at least {bound} actions to elect, \
+                 over the {} action budget",
+                req.algo.name(),
+                req.k,
+                opts.max_actions
+            ));
+        }
+    }
     let (clean, leader, metrics) = match req.algo {
         AlgoId::Ak => digest(run(&Ak::new(req.k), &ring, &mut sched, opts)),
         AlgoId::AkRef => {
@@ -410,6 +421,56 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
         time_units: metrics.time_units,
         wire_bits: metrics.wire_bits,
     })
+}
+
+/// A lower bound on the atomic actions of any run of `ak` or `bk` with
+/// bound `k` on `ring` that ends with a clean verdict; `None` for the
+/// other algorithms. A request whose bound exceeds the action budget
+/// can only exhaust it, so [`run_election`] rejects it without running.
+///
+/// Let `n` be the ring size and `M` its largest label multiplicity. Links
+/// are FIFO, and a clean run elects exactly one leader `ℓ`.
+///
+/// **`Ak` (Table 1).** Each process starts one token (A1) and every
+/// non-leader forwards every token it receives (A2), so tokens keep
+/// ring order: the `j`-th token `ℓ` receives carries `LLabels(ℓ)[j]`
+/// and has made `j` hops. A3 fires on the receipt that first gives
+/// `ℓ.string` `2k+1` copies of some label, so `|ℓ.string| = L` with
+/// `L ≥ n·(⌈(2k+1)/M⌉ − 1) + 1`: any `n` consecutive letters hold a
+/// label at most `M` times. That token (`L−1` hops) dies at A3; each of
+/// the other `n−1` tokens dies at its next arrival at `ℓ` (A5, after
+/// `L … L+n−2` hops), and `FINISH` makes `n` hops (A4, A6). With the `n`
+/// A1s the run takes `n·(L+1) + n(n−1)/2` actions — exactly that, so on
+/// `[1,2,3]` the bound is the run's own count, `18k + 9`.
+///
+/// **`Bk` (Table 2).** The run must pass through its phases: in phase
+/// `i` each process's guest is `LLabels(p)[i]`, and `ℓ` fires B9 on the
+/// phase shift that would make its own label its guest for the
+/// `(k+1)`-th time, so it completes `P ≥ n·(⌈(k+1)/M⌉ − 1)` phases.
+/// Every process receives one `PHASE SHIFT` per phase (B6, B8, B9): `n`
+/// actions. In each phase `ℓ` receives its guest value `k` times (B3,
+/// B5), only on tokens of that phase (a phase's shift follows all its
+/// tokens on every link), and at most `M` processes hold that guest, so
+/// at most `min(M, k)` tokens carry those receipts; a token's arrivals
+/// at `ℓ` are one lap (`n` hops) apart, so they take at least
+/// `n·k − (n−1)·min(M, k)` hops. With B1 and `FINISH` (`n` each) the
+/// run takes at least `2n + P·(n + n·k − (n−1)·min(M, k))` actions;
+/// `9k² + 3k + 6` on `[1,2,3]`, whose runs take `9k² + 9k + 9`.
+fn min_clean_actions(algo: AlgoId, ring: &RingLabeling, k: usize) -> Option<u128> {
+    let (n, m, k) = (ring.n() as u128, ring.max_multiplicity() as u128, k as u128);
+    let laps = |need: u128| need.div_ceil(m) - 1;
+    match algo {
+        AlgoId::Ak => {
+            let len = n.saturating_mul(laps(2 * k + 1)).saturating_add(1);
+            Some(n.saturating_mul(len + 1).saturating_add(n * (n - 1) / 2))
+        }
+        AlgoId::Bk => {
+            let phases = n.saturating_mul(laps(k + 1));
+            let hops = n.saturating_mul(k) - (n - 1) * m.min(k);
+            Some(phases.saturating_mul(n + hops).saturating_add(2 * n))
+        }
+        _ => None,
+    }
 }
 
 fn digest<M>(rep: RunReport<M>) -> (bool, Option<usize>, hre_sim::RunMetrics) {
@@ -571,6 +632,84 @@ mod tests {
         // The response parses back and the label word starts at the leader.
         let doc = Json::parse(&body).expect("valid json");
         assert_eq!(doc.get("leader_label").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn ak_and_bk_past_the_action_budget_are_rejected_before_running() {
+        // On [1,2,3] the bounds are 18k + 9 (ak, the exact count) and
+        // 9k² + 3k + 6 (bk): the largest admitted k runs, clean, inside
+        // the budget; the next one is refused without an engine run.
+        let budget = RunOptions::default().max_actions;
+        for (algo, k_max) in [(AlgoId::Ak, 1_111_110), (AlgoId::Bk, 1_490)] {
+            let req = |k| ElectRequest::new(vec![1, 2, 3], algo, Some(k)).expect("req");
+            let ring = req(k_max).ring();
+            let admitted = min_clean_actions(algo, &ring, k_max).unwrap();
+            assert!(admitted <= u128::from(budget), "{algo:?}: {admitted}");
+            // Each such run is ~20 M actions: ~20 s unoptimised, so only
+            // optimised builds run it.
+            if !cfg!(debug_assertions) {
+                let out = run_election(&req(k_max)).expect("the largest admitted k elects");
+                assert!(out.actions <= budget, "{algo:?}: {} actions", out.actions);
+                assert!(admitted <= u128::from(out.actions), "{algo:?}: {}", out.actions);
+            }
+
+            let bound = min_clean_actions(algo, &ring, k_max + 1).unwrap();
+            assert!(bound > u128::from(budget), "{algo:?}: {bound}");
+            let t0 = std::time::Instant::now();
+            let err = run_election(&req(k_max + 1)).expect_err("past the budget");
+            assert!(t0.elapsed() < std::time::Duration::from_millis(100), "{:?}", t0.elapsed());
+            assert!(err.contains(&format!("needs at least {bound} actions")), "{err}");
+            assert!(err.contains(&format!("the {budget} action budget")), "{err}");
+        }
+        // The 44-byte request from the CI smoke.
+        let req = ElectRequest::from_json(br#"{"ring":[1,2,3],"algo":"ak","k":1000000000}"#)
+            .expect("req");
+        let err = run_election(&req).expect_err("refused");
+        assert!(err.contains("needs at least 18000000009 actions"), "{err}");
+    }
+
+    mod action_bound {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Runs `algo` with bound `k` under `max_actions`; `(clean, actions)`.
+        fn elect(algo: AlgoId, raw: &[u64], k: usize, max_actions: u64) -> (bool, u64) {
+            let ring = RingLabeling::from_raw(raw);
+            let opts = RunOptions { max_actions, ..RunOptions::default() };
+            let mut sched = RoundRobinSched::default();
+            let (clean, _, metrics) = match algo {
+                AlgoId::Ak => digest(run(&hre_core::Ak::new(k), &ring, &mut sched, opts)),
+                _ => digest(run(&hre_core::Bk::new(k), &ring, &mut sched, opts)),
+            };
+            (clean, metrics.actions)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The bound is sound: no clean run takes fewer actions, so a
+            /// run whose bound exceeds its budget ends without a clean
+            /// verdict. Checked at a budget one below the bound, where the
+            /// runs are cheap, on small rings with `k` near the ring's
+            /// multiplicity.
+            #[test]
+            fn a_run_past_the_bound_never_ends_clean(
+                raw in proptest::collection::vec(1u64..4, 2..7),
+                bk in any::<bool>(),
+                extra in 0usize..4,
+            ) {
+                let ring = RingLabeling::from_raw(&raw);
+                let algo = if bk { AlgoId::Bk } else { AlgoId::Ak };
+                let k = algo.effective_k(ring.max_multiplicity()) + extra;
+                let bound = min_clean_actions(algo, &ring, k).unwrap();
+                let (clean, actions) = elect(algo, &raw, k, RunOptions::default().max_actions);
+                if clean {
+                    prop_assert!(u128::from(actions) >= bound, "{raw:?} k={k}: {actions} < {bound}");
+                }
+                let (clean, _) = elect(algo, &raw, k, (bound - 1) as u64);
+                prop_assert!(!clean, "{raw:?} {algo:?} k={k} ended clean in under {bound} actions");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! that accept input split at *any* byte boundary — one byte at a time
 //! included — and produce identical results regardless of how TCP
 //! segments the stream (property-tested in
-//! `tests/http_parser_props.rs`). The blocking [`HttpConn`] / [`Client`]
-//! paths and the daemons' reactor connections drive the *same* parsers,
-//! so they cannot disagree about framing.
+//! `tests/http_parser_props.rs`). The blocking [`Client`], the front
+//! connections of every listener ([`crate::front`]) and the router's
+//! backend attempts drive the *same* parsers, so they cannot disagree
+//! about framing.
 //!
 //! Deliberately out of scope: chunked transfer encoding, TLS, and
 //! multi-line headers. Requests using unsupported features get a clean
@@ -19,13 +20,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on head (request line + headers) size.
 const MAX_HEAD: usize = 16 * 1024;
 /// Default upper bound on body size (server requests *and* client
 /// responses) — a 4096-label ring spec is ~50 KiB, so 1 MiB is ample.
-/// Configurable per connection via [`HttpConn::set_max_body`] /
+/// Configurable via [`RequestParser::set_max_body`] /
 /// [`Client::set_max_body`]; a declared `Content-Length` over the cap
 /// is rejected *before* any body byte is buffered, so a hostile header
 /// can never force a large allocation.
@@ -255,127 +256,6 @@ impl RequestParser {
     }
 }
 
-/// Why reading a request stopped.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// Peer closed the connection between requests — normal keep-alive
-    /// teardown.
-    Closed,
-    /// No bytes arrived within the poll window and no request is in
-    /// flight; the caller decides whether to keep waiting.
-    IdlePoll,
-    /// The peer sent something unparseable; the caller should answer
-    /// 400 and close.
-    Malformed(String),
-    /// The declared `Content-Length` exceeds the connection's body cap;
-    /// the caller should answer `413 Payload Too Large`. When `drained`
-    /// the oversized body was read and discarded in bounded memory, so
-    /// the connection is still framed correctly and keep-alive may
-    /// continue; otherwise (peer too slow, or gone) it must close.
-    TooLarge {
-        /// The `Content-Length` the peer declared.
-        declared: usize,
-        /// The body was fully discarded; keep-alive can continue.
-        drained: bool,
-    },
-}
-
-/// A buffered connection that can read successive keep-alive requests.
-pub struct HttpConn {
-    stream: TcpStream,
-    parser: RequestParser,
-}
-
-impl HttpConn {
-    /// Wraps a stream, arming the short read timeout the poll loop
-    /// relies on. The body cap starts at [`DEFAULT_MAX_BODY`].
-    pub fn new(stream: TcpStream, poll: Duration) -> std::io::Result<HttpConn> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(poll.max(Duration::from_millis(1))))?;
-        Ok(HttpConn { stream, parser: RequestParser::new(DEFAULT_MAX_BODY) })
-    }
-
-    /// Sets the largest request body this connection will buffer;
-    /// larger declared lengths yield [`ReadOutcome::TooLarge`].
-    pub fn set_max_body(&mut self, max_body: usize) {
-        self.parser.set_max_body(max_body);
-    }
-
-    /// The underlying stream (for writing responses).
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
-    /// Reads the next request by driving the resumable parser off the
-    /// blocking socket. Returns [`ReadOutcome::IdlePoll`] when the read
-    /// timeout fires with no request bytes buffered, so the server loop
-    /// can check its shutdown flag between requests; a *partial*
-    /// request keeps polling until `head_deadline`.
-    pub fn read_request(&mut self, head_deadline: Instant) -> ReadOutcome {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.parser.step() {
-                ParseStep::Request(req) => return ReadOutcome::Request(req),
-                ParseStep::Malformed(why) => return ReadOutcome::Malformed(why),
-                ParseStep::TooLarge { declared } => {
-                    return ReadOutcome::TooLarge { declared, drained: true }
-                }
-                ParseStep::NeedMore => {}
-            }
-            // Mid-body (and mid-discard) the deadline is checked every
-            // iteration, matching the pre-resumable loop exactly.
-            if Instant::now() >= head_deadline {
-                match self.parser.phase() {
-                    Phase::Head if self.parser.is_idle() => {}
-                    Phase::Head => return ReadOutcome::Malformed("timed out mid-request".into()),
-                    Phase::Body => return ReadOutcome::Malformed("timed out reading body".into()),
-                    Phase::Discard => {
-                        let declared = self.parser.discarding().unwrap_or_default();
-                        return ReadOutcome::TooLarge { declared, drained: false };
-                    }
-                }
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return match self.parser.phase() {
-                        Phase::Head if self.parser.is_idle() => ReadOutcome::Closed,
-                        Phase::Head => {
-                            ReadOutcome::Malformed("connection closed mid-request".into())
-                        }
-                        Phase::Body => ReadOutcome::Malformed("connection closed mid-body".into()),
-                        Phase::Discard => {
-                            let declared = self.parser.discarding().unwrap_or_default();
-                            ReadOutcome::TooLarge { declared, drained: false }
-                        }
-                    };
-                }
-                Ok(n) => self.parser.push(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.parser.is_idle() {
-                        return ReadOutcome::IdlePoll;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    return match self.parser.phase() {
-                        Phase::Head => ReadOutcome::Closed,
-                        Phase::Body => ReadOutcome::Malformed("read error mid-body".into()),
-                        Phase::Discard => {
-                            let declared = self.parser.discarding().unwrap_or_default();
-                            ReadOutcome::TooLarge { declared, drained: false }
-                        }
-                    };
-                }
-            }
-        }
-    }
-}
-
 /// Index of the `\r\n\r\n` head terminator, if buffered.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
@@ -465,8 +345,9 @@ impl Response {
         }
     }
 
-    /// The full wire serialization — head and body. Every response the
-    /// daemons send goes through this one function.
+    /// The full wire serialization — head and body; `close` sets the
+    /// `connection:` header. Every response the daemons send goes
+    /// through this one function.
     pub fn to_bytes(&self, close: bool) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -483,13 +364,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes and writes the response; `close` controls the
-    /// `Connection` header.
-    pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes(close))?;
-        stream.flush()
     }
 }
 
@@ -779,443 +653,6 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// One server turn: read a request, echo its body back.
-    fn echo_once(listener: &TcpListener) -> std::thread::JoinHandle<Request> {
-        let listener = listener.try_clone().expect("clone listener");
-        std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-            loop {
-                match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                    ReadOutcome::Request(req) => {
-                        let resp = Response::json(200, String::from_utf8_lossy(&req.body).into())
-                            .with_header("x-test", "1".into());
-                        resp.write_to(conn.stream(), true).expect("write");
-                        return req;
-                    }
-                    ReadOutcome::IdlePoll => continue,
-                    other => panic!("unexpected outcome {other:?}"),
-                }
-            }
-        })
-    }
-
-    #[test]
-    fn request_response_roundtrip() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = echo_once(&listener);
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        let resp = client.post_json("/elect?verbose=1", r#"{"x":1}"#).expect("request");
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("x-test"), Some("1"));
-        assert_eq!(resp.body_text(), r#"{"x":1}"#);
-        let req = server.join().expect("server thread");
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/elect"); // query string stripped
-        assert_eq!(req.header("content-length"), Some("7"));
-        assert!(!req.wants_close());
-    }
-
-    #[test]
-    fn keep_alive_carries_multiple_requests() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                let mut served = 0;
-                while served < 3 {
-                    match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                        ReadOutcome::Request(req) => {
-                            served += 1;
-                            Response::text(200, req.path.clone().into_bytes())
-                                .write_to(conn.stream(), false)
-                                .expect("write");
-                        }
-                        ReadOutcome::IdlePoll => continue,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-                served
-            }
-        });
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        for path in ["/a", "/b", "/c"] {
-            let resp = client.get(path).expect("get");
-            assert_eq!(resp.status, 200);
-            assert_eq!(resp.body_text(), path);
-        }
-        assert_eq!(server.join().expect("join"), 3);
-    }
-
-    #[test]
-    fn oversized_body_yields_too_large_and_keep_alive_survives() {
-        // Regression: an over-cap Content-Length used to come back as
-        // Malformed ("body too large") — a 400 that also killed the
-        // connection. Now it is TooLarge{drained: true}, the body is
-        // discarded without buffering, and the *same* connection serves
-        // the next request.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                conn.set_max_body(64);
-                let mut outcomes = Vec::new();
-                for _ in 0..2 {
-                    loop {
-                        match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                            ReadOutcome::IdlePoll => continue,
-                            ReadOutcome::TooLarge { declared, drained } => {
-                                outcomes.push(format!("too-large {declared} {drained}"));
-                                Response::text(413, "").write_to(conn.stream(), false).unwrap();
-                                break;
-                            }
-                            ReadOutcome::Request(req) => {
-                                outcomes.push(format!("request {}", req.body.len()));
-                                Response::text(200, "").write_to(conn.stream(), false).unwrap();
-                                break;
-                            }
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                }
-                outcomes
-            }
-        });
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        let resp = client.request("POST", "/elect", Some(&[b'x'; 200])).expect("oversized");
-        assert_eq!(resp.status, 413);
-        // The connection is still usable: an in-cap request succeeds.
-        let resp = client.request("POST", "/elect", Some(&[b'y'; 10])).expect("follow-up");
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            server.join().expect("join"),
-            vec!["too-large 200 true".to_string(), "request 10".to_string()]
-        );
-    }
-
-    #[test]
-    fn oversized_body_from_a_stalling_peer_reports_undrained() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(5)).expect("conn");
-                conn.set_max_body(64);
-                loop {
-                    match conn.read_request(Instant::now() + Duration::from_millis(100)) {
-                        ReadOutcome::IdlePoll => continue,
-                        outcome => return format!("{outcome:?}"),
-                    }
-                }
-            }
-        });
-        // Declare a huge body, send only the head: the server must give
-        // up at the deadline and report the drain as incomplete.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"POST /elect HTTP/1.1\r\ncontent-length: 1000000\r\n\r\n")
-            .expect("write");
-        let outcome = server.join().expect("join");
-        assert!(outcome.contains("TooLarge"), "{outcome}");
-        assert!(outcome.contains("drained: false"), "{outcome}");
-    }
-
-    #[test]
-    fn client_refuses_oversized_response_bodies() {
-        // Regression: the client trusted the server's Content-Length
-        // and would buffer any declared size; now it errors out before
-        // allocating.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            let mut sink = [0u8; 1024];
-            let _ = stream.read(&mut sink);
-            stream
-                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 999999999\r\n\r\n")
-                .expect("write head");
-        });
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        client.set_max_body(1024);
-        let err = client.get("/x").expect_err("must refuse");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("999999999"), "{err}");
-    }
-
-    #[test]
-    fn request_with_headers_carries_extras() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = echo_once(&listener);
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        let resp = client
-            .request_with_headers(
-                "POST",
-                "/elect",
-                &[("x-trace-id", "00000000000000ff"), ("x-parent-span", "0000000000000007")],
-                Some(b"{}"),
-            )
-            .expect("request");
-        assert_eq!(resp.status, 200);
-        let req = server.join().expect("server");
-        assert_eq!(req.header("x-trace-id"), Some("00000000000000ff"));
-        assert_eq!(req.header("x-parent-span"), Some("0000000000000007"));
-    }
-
-    /// Accepts one connection and reads up to `turns` requests off it,
-    /// answering each with an empty 200 and returning a compact trace of
-    /// what the framing layer reported. Raw-socket tests use this to
-    /// pipeline several requests in a single write.
-    fn serve_turns(listener: &TcpListener, turns: usize) -> std::thread::JoinHandle<Vec<String>> {
-        let listener = listener.try_clone().expect("clone listener");
-        std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-            conn.set_max_body(64);
-            let mut outcomes = Vec::new();
-            while outcomes.len() < turns {
-                match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                    ReadOutcome::IdlePoll => continue,
-                    ReadOutcome::Request(req) => {
-                        outcomes.push(format!(
-                            "request {} {}",
-                            req.path,
-                            String::from_utf8_lossy(&req.body)
-                        ));
-                        Response::text(200, "").write_to(conn.stream(), false).unwrap();
-                    }
-                    ReadOutcome::TooLarge { declared, drained } => {
-                        outcomes.push(format!("too-large {declared} {drained}"));
-                        Response::text(413, "").write_to(conn.stream(), false).unwrap();
-                    }
-                    ReadOutcome::Malformed(why) => {
-                        outcomes.push(format!("malformed {why}"));
-                        break;
-                    }
-                    ReadOutcome::Closed => {
-                        outcomes.push("closed".into());
-                        break;
-                    }
-                }
-            }
-            outcomes
-        })
-    }
-
-    #[test]
-    fn pipelined_sends_collect_in_order_responses() {
-        // Several requests in flight on one keep-alive connection: the
-        // server answers them in order off its buffer, and each response
-        // is byte-identical to what the lock-step client path gets.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                let mut served = 0;
-                while served < 6 {
-                    match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                        ReadOutcome::Request(req) => {
-                            served += 1;
-                            let mut body = req.body.clone();
-                            body.extend_from_slice(req.path.as_bytes());
-                            Response::text(200, body)
-                                .write_to(conn.stream(), false)
-                                .expect("write");
-                        }
-                        ReadOutcome::IdlePoll => continue,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-            }
-        });
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        // Lock-step reference answers.
-        let sequential: Vec<Vec<u8>> = ["/a", "/b", "/c"]
-            .iter()
-            .map(|p| client.request("POST", p, Some(b"body:")).expect("request").body)
-            .collect();
-        // Same three requests pipelined: all sends first, then all recvs.
-        for p in ["/a", "/b", "/c"] {
-            client.send("POST", p, &[], Some(b"body:")).expect("send");
-        }
-        for (i, want) in sequential.iter().enumerate() {
-            let resp = client.recv().expect("recv");
-            assert_eq!(resp.status, 200);
-            assert_eq!(&resp.body, want, "response {i} out of order or mutated");
-        }
-        server.join().expect("join");
-    }
-
-    #[test]
-    fn conflicting_content_length_headers_are_malformed() {
-        // Regression: the parser used to take the *first* content-length
-        // header and silently ignore the rest — with two conflicting
-        // lengths, whichever one the peer's other hop believed becomes a
-        // framing desync (classic request smuggling). Now it refuses.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 2);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(
-                b"POST /elect HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 10\r\n\r\nabGET /next HTTP/1.1\r\n\r\n",
-            )
-            .expect("write");
-        let outcomes = server.join().expect("join");
-        assert_eq!(outcomes.len(), 1, "{outcomes:?}");
-        assert!(outcomes[0].contains("malformed"), "{outcomes:?}");
-        assert!(outcomes[0].contains("conflicting content-length"), "{outcomes:?}");
-    }
-
-    #[test]
-    fn duplicate_identical_content_lengths_are_tolerated() {
-        // Identical duplicates are unambiguous (and RFC-permitted to
-        // fold), so the request still parses with a single body.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 1);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"POST /elect HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nab")
-            .expect("write");
-        assert_eq!(server.join().expect("join"), vec!["request /elect ab".to_string()]);
-    }
-
-    #[test]
-    fn content_length_must_be_strict_digits() {
-        // Regression: `usize::from_str` accepts a leading `+`, so
-        // "content-length: +5" parsed fine here while another hop that
-        // rejects (or reads 0 for) the malformed value would frame the
-        // stream differently. Strict ASCII digits only.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 1);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"POST /elect HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello")
-            .expect("write");
-        let outcomes = server.join().expect("join");
-        assert!(outcomes[0].contains("malformed bad content-length"), "{outcomes:?}");
-    }
-
-    #[test]
-    fn zero_length_body_keeps_pipelined_bytes_for_the_next_request() {
-        // Content-Length: 0 with the next request's bytes already
-        // buffered behind the head: the empty body must consume nothing,
-        // leaving the follow-up intact.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 2);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(
-                b"POST /first HTTP/1.1\r\ncontent-length: 0\r\n\r\nPOST /second HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz",
-            )
-            .expect("write");
-        assert_eq!(
-            server.join().expect("join"),
-            vec!["request /first ".to_string(), "request /second xyz".to_string()]
-        );
-    }
-
-    #[test]
-    fn body_shorter_than_buffered_bytes_leaves_the_tail_framed() {
-        // Two pipelined requests arrive in one TCP segment, so when the
-        // first head is parsed the buffer already holds *more* than its
-        // declared body. Only `content_length` bytes may be taken as the
-        // body; the tail is the second request.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 2);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(
-                b"POST /a HTTP/1.1\r\ncontent-length: 5\r\n\r\nabcdePOST /b HTTP/1.1\r\ncontent-length: 2\r\n\r\nok",
-            )
-            .expect("write");
-        assert_eq!(
-            server.join().expect("join"),
-            vec!["request /a abcde".to_string(), "request /b ok".to_string()]
-        );
-    }
-
-    #[test]
-    fn oversized_discard_preserves_a_pipelined_follow_up() {
-        // The over-cap body *and* the next request arrive in one write:
-        // the discard path must drop exactly `declared` body bytes and
-        // splice the over-read back, so the follow-up parses cleanly on
-        // the same connection.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = serve_turns(&listener, 2);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut wire = b"POST /big HTTP/1.1\r\ncontent-length: 100\r\n\r\n".to_vec();
-        wire.extend_from_slice(&[b'x'; 100]); // over the 64-byte test cap
-        wire.extend_from_slice(b"POST /after HTTP/1.1\r\ncontent-length: 2\r\n\r\nok");
-        stream.write_all(&wire).expect("write");
-        assert_eq!(
-            server.join().expect("join"),
-            vec!["too-large 100 true".to_string(), "request /after ok".to_string()]
-        );
-    }
-
-    #[test]
-    fn client_rejects_conflicting_response_content_lengths() {
-        // The client direction gets the same strictness: a server that
-        // declares two different lengths has desynced the stream, which
-        // is a transport error, not a guess.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            let mut sink = [0u8; 1024];
-            let _ = stream.read(&mut sink);
-            stream
-                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 4\r\n\r\nabcd")
-                .expect("write");
-        });
-        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
-        let err = client.get("/x").expect_err("must refuse");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("conflicting"), "{err}");
-    }
-
-    #[test]
-    fn malformed_head_is_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                loop {
-                    match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                        ReadOutcome::Malformed(why) => return why,
-                        ReadOutcome::IdlePoll => continue,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-            }
-        });
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(b"GARBAGE\r\n\r\n").expect("write");
-        let why = server.join().expect("join");
-        assert!(why.contains("bad request line"), "{why}");
-    }
-
     /// Drives the resumable parser over `wire` split into `step`-sized
     /// pushes, collecting every outcome.
     fn parse_in_chunks(wire: &[u8], step: usize, max_body: usize) -> Vec<String> {
@@ -1242,6 +679,141 @@ mod tests {
             }
         }
         outcomes
+    }
+
+    /// The outcomes of `wire` under a 64-byte body cap, checked to be the
+    /// same whether it arrives whole, in small pieces or byte by byte.
+    fn parse_pipelined(wire: &[u8]) -> Vec<String> {
+        let whole = parse_in_chunks(wire, wire.len(), 64);
+        for step in [1, 3, 7] {
+            assert_eq!(parse_in_chunks(wire, step, 64), whole, "split at {step} diverged");
+        }
+        whole
+    }
+
+    #[test]
+    fn client_refuses_oversized_response_bodies() {
+        // Regression: the client trusted the server's Content-Length
+        // and would buffer any declared size; now it errors out before
+        // allocating.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut sink = [0u8; 1024];
+            let _ = stream.read(&mut sink);
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 999999999\r\n\r\n")
+                .expect("write head");
+        });
+        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
+        client.set_max_body(1024);
+        let err = client.get("/x").expect_err("must refuse");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("999999999"), "{err}");
+    }
+
+    #[test]
+    fn conflicting_content_length_headers_are_malformed() {
+        // Regression: the parser used to take the *first* content-length
+        // header and silently ignore the rest — with two conflicting
+        // lengths, whichever one the peer's other hop believed becomes a
+        // framing desync (classic request smuggling). Now it refuses.
+        let outcomes = parse_pipelined(
+            b"POST /elect HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 10\r\n\r\nabGET /next HTTP/1.1\r\n\r\n",
+        );
+        assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+        assert!(outcomes[0].contains("malformed"), "{outcomes:?}");
+        assert!(outcomes[0].contains("conflicting content-length"), "{outcomes:?}");
+    }
+
+    #[test]
+    fn duplicate_identical_content_lengths_are_tolerated() {
+        // Identical duplicates are unambiguous (and RFC-permitted to
+        // fold), so the request still parses with a single body.
+        let outcomes = parse_pipelined(
+            b"POST /elect HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nab",
+        );
+        assert_eq!(outcomes, vec!["request /elect ab".to_string()]);
+    }
+
+    #[test]
+    fn content_length_must_be_strict_digits() {
+        // Regression: `usize::from_str` accepts a leading `+`, so
+        // "content-length: +5" parsed fine here while another hop that
+        // rejects (or reads 0 for) the malformed value would frame the
+        // stream differently. Strict ASCII digits only.
+        let outcomes = parse_pipelined(b"POST /elect HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello");
+        assert!(outcomes[0].contains("malformed bad content-length"), "{outcomes:?}");
+    }
+
+    #[test]
+    fn zero_length_body_keeps_pipelined_bytes_for_the_next_request() {
+        // Content-Length: 0 with the next request's bytes already
+        // buffered behind the head: the empty body must consume nothing,
+        // leaving the follow-up intact.
+        let outcomes = parse_pipelined(
+            b"POST /first HTTP/1.1\r\ncontent-length: 0\r\n\r\nPOST /second HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz",
+        );
+        assert_eq!(
+            outcomes,
+            vec!["request /first ".to_string(), "request /second xyz".to_string()]
+        );
+    }
+
+    #[test]
+    fn body_shorter_than_buffered_bytes_leaves_the_tail_framed() {
+        // Two pipelined requests arrive in one TCP segment, so when the
+        // first head is parsed the buffer already holds *more* than its
+        // declared body. Only `content_length` bytes may be taken as the
+        // body; the tail is the second request.
+        let outcomes = parse_pipelined(
+            b"POST /a HTTP/1.1\r\ncontent-length: 5\r\n\r\nabcdePOST /b HTTP/1.1\r\ncontent-length: 2\r\n\r\nok",
+        );
+        assert_eq!(outcomes, vec!["request /a abcde".to_string(), "request /b ok".to_string()]);
+    }
+
+    #[test]
+    fn oversized_discard_preserves_a_pipelined_follow_up() {
+        // The over-cap body *and* the next request arrive in one write:
+        // the discard path must drop exactly `declared` body bytes and
+        // splice the over-read back, so the follow-up parses cleanly on
+        // the same connection.
+        let mut wire = b"POST /big HTTP/1.1\r\ncontent-length: 100\r\n\r\n".to_vec();
+        wire.extend_from_slice(&[b'x'; 100]); // over the 64-byte test cap
+        wire.extend_from_slice(b"POST /after HTTP/1.1\r\ncontent-length: 2\r\n\r\nok");
+        assert_eq!(
+            parse_pipelined(&wire),
+            vec!["too-large 100".to_string(), "request /after ok".to_string()]
+        );
+    }
+
+    #[test]
+    fn client_rejects_conflicting_response_content_lengths() {
+        // The client direction gets the same strictness: a server that
+        // declares two different lengths has desynced the stream, which
+        // is a transport error, not a guess.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut sink = [0u8; 1024];
+            let _ = stream.read(&mut sink);
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 4\r\n\r\nabcd")
+                .expect("write");
+        });
+        let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
+        let err = client.get("/x").expect_err("must refuse");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("conflicting"), "{err}");
+    }
+
+    #[test]
+    fn malformed_head_is_reported() {
+        let outcomes = parse_pipelined(b"GARBAGE\r\n\r\n");
+        assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+        assert!(outcomes[0].contains("bad request line"), "{outcomes:?}");
     }
 
     #[test]

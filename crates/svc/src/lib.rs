@@ -10,7 +10,9 @@
 //!   text metrics (request counters, log₂ latency histogram, queue
 //!   depth, cache and worker stats).
 //! * One **epoll reactor** thread holds every connection as a state
-//!   machine (Linux only); a fixed **worker pool** only runs elections.
+//!   machine (Linux only) — the [`front`] connection machine the router
+//!   and the control plane serve from too; a fixed **worker pool** only
+//!   runs elections.
 //!   A full job queue answers `503 Retry-After` instead of accepting
 //!   unbounded work, and every request carries a deadline (`504` past
 //!   it). `POST /elect/batch` answers N elections in one exchange.
@@ -37,6 +39,7 @@ pub mod api;
 pub mod bench;
 pub mod cache;
 pub(crate) mod eventloop;
+pub mod front;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -55,4 +58,4 @@ pub use http::{
 };
 pub use json::Json;
 pub use metrics::{naming_violations, SvcMetrics};
-pub use server::{start, ServerHandle, StatusProvider, SvcConfig, SvcSummary};
+pub use server::{start, RequestSpan, ServerHandle, StatusProvider, SvcConfig, SvcSummary};

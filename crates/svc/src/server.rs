@@ -5,7 +5,7 @@
 //! Thread topology, fixed at start-up:
 //!
 //! ```text
-//!   reactor (eventloop.rs) ── every connection is a state machine
+//!   reactor (front.rs, eventloop.rs) ── every connection is a state machine
 //!       │  parse, canonicalise, cache hit: respond inline
 //!       │  miss: Job ─▶ unbounded job queue ─▶ workers (pool)
 //!       │                                        │ run election in
@@ -115,8 +115,8 @@ impl Default for SvcConfig {
     }
 }
 
-/// How often blocked loops wake up to check the shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
+/// How often [`ServerHandle::run_until`] checks its flag.
+const POLL: Duration = Duration::from_millis(25);
 
 /// A job admitted to the queue: the request in canonical coordinates,
 /// its cache key, and where the answer goes. A worker that drops a
@@ -158,7 +158,8 @@ pub(crate) struct Shared {
     pub(crate) metrics: SvcMetrics,
     pub(crate) cache: ShardedLru,
     pub(crate) recorder: Arc<FlightRecorder>,
-    pub(crate) shutdown: AtomicBool,
+    /// Drain flag: the handle's [`ServerHandle::shutdown_flag`].
+    pub(crate) shutdown: Arc<AtomicBool>,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -167,7 +168,6 @@ pub struct ServerHandle {
     /// The address actually bound (resolves port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
     reactor: JoinHandle<u64>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -253,9 +253,8 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         recorder: FlightRecorder::new(cfg.trace_cap),
         cfg: cfg.clone(),
         metrics: SvcMetrics::default(),
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
     });
-    let shutdown = Arc::new(AtomicBool::new(false));
     let (job_tx, job_rx) = unbounded::<Job>();
     let (done_tx, done_rx) = unbounded::<Done>();
 
@@ -269,20 +268,19 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
 
     let reactor = {
         let shared = Arc::clone(&shared);
-        let shutdown = Arc::clone(&shutdown);
         std::thread::spawn(move || {
-            crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown, job_tx, done_rx)
+            crate::eventloop::reactor_loop(reactor, listener, &shared, job_tx, done_rx)
         })
     };
 
-    Ok(ServerHandle { addr, shared, shutdown, reactor, workers })
+    Ok(ServerHandle { addr, shared, reactor, workers })
 }
 
 impl ServerHandle {
     /// The flag that triggers a graceful drain — hand it to
     /// `signal_hook::flag::register` so SIGTERM/SIGINT stop the daemon.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     /// Current metrics, rendered as the `/metrics` endpoint would.
@@ -305,7 +303,6 @@ impl ServerHandle {
     /// in-flight request, the workers drain the remaining queue, then
     /// everything exits.
     pub fn shutdown(self) -> SvcSummary {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let connections = self.reactor.join().expect("reactor panicked");
         for w in self.workers {
@@ -392,53 +389,74 @@ pub fn handle_trace(tail: &str, recorder: &FlightRecorder) -> Response {
     Response::json(200, tracewire::trace_doc(trace_id, &spans))
 }
 
-/// The open half of the request envelope: adopted (or minted) trace,
-/// pre-allocated root span id, and the admission stamp. The reactor
-/// holds one of these across a deferred worker reply.
-pub(crate) struct RequestSpan {
-    pub(crate) trace: TraceId,
-    pub(crate) root: SpanId,
+/// The open half of a request envelope: the adopted (or minted) trace,
+/// the root span id reserved for it, and the admission stamp. The svc
+/// reactor holds one across a parked worker reply, the router across
+/// its forwards.
+pub struct RequestSpan {
+    /// The request's trace: propagated through `x-trace-id`, or minted.
+    pub trace: TraceId,
+    /// The id the `request` root span is recorded under.
+    pub root: SpanId,
     remote_parent: SpanId,
-    pub(crate) admitted: Instant,
+    /// When the request was admitted.
+    pub admitted: Instant,
 }
 
-/// Opens the shared `/elect`-family request envelope: adopt the
-/// propagated trace (or mint one) and reserve the root span id.
-pub(crate) fn open_request_span(req: &Request, shared: &Shared) -> RequestSpan {
-    let admitted = shared.cfg.clock.now();
-    let rec = &shared.recorder;
-    let trace =
-        req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_else(|| rec.mint_trace());
-    let remote_parent =
-        req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
-    RequestSpan { trace, root: rec.next_span_id(), remote_parent, admitted }
-}
-
-/// Closes the envelope around a finished response: record the root
-/// `request` span, log slow requests, and stamp `x-trace-id`.
-pub(crate) fn close_request_span(span: RequestSpan, shared: &Shared, resp: Response) -> Response {
-    let rec = &shared.recorder;
-    let end = shared.cfg.clock.now();
-    rec.record_span_with_id(
-        span.root,
-        span.trace,
-        span.remote_parent,
-        Stage::Request,
-        span.admitted,
-        end,
-        SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
-    );
-    if let Some(threshold) = shared.cfg.slow_threshold {
-        if end.duration_since(span.admitted) >= threshold {
-            eprintln!(
-                "slow request trace={} {} over {threshold:?}:\n{}",
-                span.trace.to_hex(),
-                trace::fmt_dur_us(end.duration_since(span.admitted).as_micros() as u64),
-                trace::render_tree(&rec.trace_spans(span.trace)),
-            );
-        }
+impl RequestSpan {
+    /// Opens the envelope: adopt the propagated `x-trace-id` and
+    /// `x-parent-span` (or mint a trace) and reserve the root span id.
+    pub fn open(req: &Request, recorder: &FlightRecorder, admitted: Instant) -> RequestSpan {
+        let trace = req
+            .header("x-trace-id")
+            .and_then(TraceId::from_hex)
+            .unwrap_or_else(|| recorder.mint_trace());
+        let remote_parent =
+            req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
+        RequestSpan { trace, root: recorder.next_span_id(), remote_parent, admitted }
     }
-    resp.with_header("x-trace-id", span.trace.to_hex())
+
+    /// Closes the envelope around a finished response: record the root
+    /// `request` span, log the span tree of a request slower than
+    /// `slow_threshold`, and stamp `x-trace-id`.
+    pub fn close(
+        self,
+        recorder: &FlightRecorder,
+        end: Instant,
+        slow_threshold: Option<Duration>,
+        resp: Response,
+    ) -> Response {
+        recorder.record_span_with_id(
+            self.root,
+            self.trace,
+            self.remote_parent,
+            Stage::Request,
+            self.admitted,
+            end,
+            SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
+        );
+        if let Some(threshold) = slow_threshold {
+            if end.duration_since(self.admitted) >= threshold {
+                eprintln!(
+                    "slow request trace={} {} over {threshold:?}:\n{}",
+                    self.trace.to_hex(),
+                    trace::fmt_dur_us(end.duration_since(self.admitted).as_micros() as u64),
+                    trace::render_tree(&recorder.trace_spans(self.trace)),
+                );
+            }
+        }
+        resp.with_header("x-trace-id", self.trace.to_hex())
+    }
+}
+
+/// Opens the `/elect`-family request envelope on the daemon's recorder.
+pub(crate) fn open_request_span(req: &Request, shared: &Shared) -> RequestSpan {
+    RequestSpan::open(req, &shared.recorder, shared.cfg.clock.now())
+}
+
+/// Closes the envelope around a finished response.
+pub(crate) fn close_request_span(span: RequestSpan, shared: &Shared, resp: Response) -> Response {
+    span.close(&shared.recorder, shared.cfg.clock.now(), shared.cfg.slow_threshold, resp)
 }
 
 /// Turns a (canonical-coordinates) result into the HTTP response in the
