@@ -5,7 +5,10 @@
 //! catalogs for CI).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E25 — algorithm zoo: every engine on exhaustive catalogs, agreement-gated.",
+        true,
+    );
     let outcome = hre_bench::experiments::e25_algos::run_e25(quick);
     print!("{}", outcome.report);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e25.json");

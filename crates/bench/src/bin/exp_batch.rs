@@ -6,7 +6,10 @@
 //! workload).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E26 — batched elections: per-entry byte equality and amortized throughput.",
+        true,
+    );
     let outcome = hre_bench::experiments::e26_batch::run_e26(quick);
     print!("{}", outcome.report);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e26.json");

@@ -1,7 +1,10 @@
 //! Experiment binary; see `hre_bench::experiments::e23_ctrl`.
 //! `--quick` runs the CI-sized variant (smaller load, same gates).
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E23 — self-hosting control plane: coordinator kill, re-election, fencing.",
+        true,
+    );
     let report = if quick {
         hre_bench::experiments::e23_ctrl::report_quick()
     } else {

@@ -5,7 +5,10 @@
 //! sweeps from 100 000 instances to 2 000 for CI).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E24 — whole-stack deterministic simulation: seeded fault sweeps in virtual time.",
+        true,
+    );
     let outcome = hre_bench::experiments::e24_dst::run_e24(quick);
     print!("{}", outcome.report);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e24.json");

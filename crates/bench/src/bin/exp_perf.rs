@@ -5,7 +5,10 @@
 //! speedup gate to the CI threshold of 1.5× and shrinks the workload).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E22 — engine performance: zero-copy messages, pooled links, parallel sweep.",
+        true,
+    );
     let outcome = hre_bench::experiments::e22_perf::run_e22(quick);
     print!("{}", outcome.report);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e22.json");

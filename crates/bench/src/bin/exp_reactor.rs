@@ -5,7 +5,10 @@
 //! connection counts and request volumes for CI).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = hre_bench::args::from_env(
+        "E27 — async serving core: epoll reactor vs thread-per-connection, hedges as timers.",
+        true,
+    );
     let outcome = hre_bench::experiments::e27_reactor::run_e27(quick);
     print!("{}", outcome.report);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e27.json");

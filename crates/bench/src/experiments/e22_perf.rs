@@ -21,6 +21,13 @@
 //!    assertion), and on multi-core hosts 4 threads must beat 1 by ≥ 2×
 //!    wall-clock (skipped, and said so, on single-core hosts).
 //!
+//! A fourth section reports, without a gate, the engine's cost per atomic
+//! action as the daemon pays it: `ak` and `bk` through
+//! [`hre_svc::run_election`] on rings shaped like perfbench's
+//! `cold-distinct` workload (n 24–48, k 2–3; 200 rings, 40 in quick
+//! mode), as the median, min and max of five repeats — the number that
+//! tracks the engine across changes.
+//!
 //! The machine-readable result is written to `BENCH_e22.json` at the repo
 //! root by the `exp_perf` binary.
 
@@ -30,14 +37,19 @@ use hre_ring::generate::random_exact_multiplicity;
 use hre_ring::{enumerate, RingLabeling};
 use hre_sim::baseline::run_baseline;
 use hre_sim::{run, sweep_map, RoundRobinSched, RunOptions};
+use hre_svc::{run_election, AlgoId, ElectRequest};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// E17's seed: the speedup is measured on the same ring family E17 sweeps.
 const E17_SEED: u64 = 1717;
 /// Seed for the parallel-scaling catalog.
 const SWEEP_SEED: u64 = 2222;
+/// Seed for the served per-action rings.
+const SERVED_SEED: u64 = 2223;
+/// Repeats of the served per-action measurement.
+const SERVED_REPEATS: usize = 5;
 
 /// Everything the run produced: the human report, the machine-readable
 /// JSON (the contents of `BENCH_e22.json`), and the gate verdict.
@@ -78,6 +90,27 @@ fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
         out = Some(r);
     }
     (best, out.expect("reps >= 1"))
+}
+
+/// A ring shaped like perfbench's `cold-distinct` requests: `n` labels
+/// drawn without replacement from `k` copies of `1..=n`, asymmetric.
+fn cold_shaped_ring(rng: &mut StdRng, n: usize, k: usize) -> Vec<u64> {
+    loop {
+        let mut pool: Vec<u64> = (1..=n as u64).flat_map(|l| std::iter::repeat_n(l, k)).collect();
+        for i in (1..pool.len()).rev() {
+            pool.swap(i, rng.gen_range(0..=i));
+        }
+        pool.truncate(n);
+        if RingLabeling::from_raw(&pool).is_asymmetric() {
+            return pool;
+        }
+    }
+}
+
+/// Median, min and max of `xs`.
+fn spread(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
 }
 
 /// Runs the experiment. `quick` shrinks the workload (and relaxes the
@@ -214,9 +247,80 @@ pub fn run_e22(quick: bool) -> E22Outcome {
         "### Parallel sweep ({count} rings, n = {n_sweep}, Ak)\n\n\
          threads=1: {ms1:.1} ms; threads=4: {ms4:.1} ms; scaling {scaling:.2}x \
          (gate: ≥ 2x at ≥ 4 cores — {scaling_gate})\n\
-         thread-count invariance (identical reports at 1 and 4 threads): {}\n\n\
-         overall: {}\n",
+         thread-count invariance (identical reports at 1 and 4 threads): {}\n\n",
         if invariant { "HOLDS" } else { "VIOLATED" },
+    ));
+
+    // ── 4. Served cost per action (report only) ──────────────────────────
+    let mut rng = StdRng::seed_from_u64(SERVED_SEED);
+    let served_rings = if quick { 40 } else { 200 };
+    let shapes: Vec<(Vec<u64>, usize)> = (0..served_rings)
+        .map(|_| {
+            let (n, k) = (rng.gen_range(24..=48), rng.gen_range(2..=3));
+            (cold_shaped_ring(&mut rng, n, k), k)
+        })
+        .collect();
+    let algos = [AlgoId::Ak, AlgoId::Bk];
+    let reqs: Vec<Vec<ElectRequest>> = algos
+        .iter()
+        .map(|&algo| {
+            shapes
+                .iter()
+                .map(|(labels, k)| {
+                    ElectRequest::new(labels.clone(), algo, Some(*k)).expect("a valid request")
+                })
+                .collect()
+        })
+        .collect();
+    // One pass over the rings: (actions fired, wall ns).
+    let pass = |reqs: &[ElectRequest]| {
+        let t0 = Instant::now();
+        let actions: u64 = reqs
+            .iter()
+            .map(|req| run_election(req).expect("an asymmetric ring elects").actions)
+            .sum();
+        (actions, t0.elapsed().as_nanos() as f64)
+    };
+    // An untimed warm-up pass each, then the repeats alternate between the
+    // algorithms, so a drift in the host's speed reaches both alike.
+    for r in &reqs {
+        pass(r);
+    }
+    let mut per_action = vec![Vec::new(); algos.len()];
+    let mut actions = vec![0; algos.len()];
+    for _ in 0..SERVED_REPEATS {
+        for (a, r) in reqs.iter().enumerate() {
+            let (fired, ns) = pass(r);
+            actions[a] = fired;
+            per_action[a].push(ns / fired as f64);
+        }
+    }
+    let mut t = Table::new(["algo", "actions / pass", "median ns/action", "min", "max"]);
+    let mut served_json = Vec::new();
+    for ((algo, xs), actions) in algos.iter().zip(per_action).zip(actions) {
+        let (median, min, max) = spread(xs);
+        t.row([
+            algo.name().to_string(),
+            actions.to_string(),
+            format!("{median:.1}"),
+            format!("{min:.1}"),
+            format!("{max:.1}"),
+        ]);
+        served_json.push(format!(
+            "{{\"algo\":\"{}\",\"rings\":{served_rings},\"actions\":{actions},\
+             \"repeats\":{SERVED_REPEATS},\"ns_per_action\":{{\"median\":{median:.1},\
+             \"min\":{min:.1},\"max\":{max:.1}}}}}",
+            algo.name()
+        ));
+    }
+    out.push_str(&format!(
+        "### Served cost per action ({served_rings} cold-distinct-shaped rings, n 24–48, k 2–3, \
+         seed {SERVED_SEED}; report only)\n\n{}\n\
+         (each repeat runs every ring once through `hre_svc::run_election`, round-robin, and \
+         divides the wall time by the actions fired; after one untimed pass each, the \
+         {SERVED_REPEATS} repeats alternate between the algorithms; median, min and max)\n\n\
+         overall: {}\n",
+        t.render(),
         if ok { "PASS" } else { "FAIL" }
     ));
 
@@ -228,9 +332,11 @@ pub fn run_e22(quick: bool) -> E22Outcome {
          \"speedup_gate\": {gate},\n  \"parallel\": {{\"rings\": {count}, \"n\": {n_sweep}, \
          \"wall_ms_1t\": {ms1:.3}, \"wall_ms_4t\": {ms4:.3}, \"scaling\": {scaling:.2}, \
          \"invariant\": {invariant}, \"scaling_gate\": \"{scaling_gate}\"}},\n  \
+         \"served_per_action\": [\n    {}\n  ],\n  \
          \"ok\": {ok}\n}}\n",
         catalog.len(),
         rows_json.join(",\n    "),
+        served_json.join(",\n    "),
     );
     E22Outcome { report: out, json, ok }
 }

@@ -430,11 +430,7 @@ impl EventLoop<'_> {
         let staged = match slot.take_idle() {
             Some(stream) => Ok((stream, true)),
             None => dial(slot.addr()),
-        }
-        .and_then(|(stream, connected)| {
-            stream.set_nodelay(true)?;
-            Ok((stream, connected))
-        });
+        };
         let (stream, connected) = match staged {
             Ok(pair) => pair,
             Err(e) => {
@@ -746,15 +742,19 @@ fn close_timed(span: RequestSpan, shared: &Arc<Shared>, resp: Response) -> Respo
     close_span(span, shared, resp)
 }
 
-/// Starts a nonblocking connect to `addr`; `true` when it completed at
-/// once.
+/// Starts a nonblocking connect to `addr` with `TCP_NODELAY` set; `true`
+/// when it completed at once.
 fn dial(addr: &str) -> std::io::Result<(TcpStream, bool)> {
     let addr =
         addr.to_socket_addrs()?.next().ok_or_else(|| std::io::Error::other("unresolvable"))?;
-    Ok(match tcp_connect_nonblocking(addr)? {
+    let (stream, connected) = match tcp_connect_nonblocking(addr)? {
         ConnectStart::Connected(s) => (s, true),
         ConnectStart::Pending(s) => (s, false),
-    })
+    };
+    // Only streams dialed here enter the idle pool, and they keep the
+    // option, so one `setsockopt` per stream covers every forward on it.
+    stream.set_nodelay(true)?;
+    Ok((stream, connected))
 }
 
 /// Advances one attempt's wire state machine.
@@ -830,5 +830,18 @@ fn step_attempt(at: &mut Attempt, mut readable: bool, mut writable: bool) -> Att
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn dialed_streams_carry_nodelay() {
+        // Pooled streams are reused without touching the option, so the
+        // dial must leave it set.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (stream, _) = super::dial(&addr).expect("dial");
+        assert!(stream.nodelay().expect("read TCP_NODELAY"));
     }
 }

@@ -70,6 +70,19 @@ impl Ak {
         assert!(k >= 1, "Ak requires k >= 1");
         Ak { k }
     }
+
+    /// A process labeled `id` whose `string` starts as `string`.
+    fn proc(&self, id: Label, string: PrefixString) -> AkProc {
+        AkProc {
+            id,
+            k: self.k,
+            init: true,
+            string,
+            max_count: 0,
+            determined_leader: None,
+            st: ElectionState::INITIAL,
+        }
+    }
 }
 
 impl Algorithm for Ak {
@@ -80,34 +93,45 @@ impl Algorithm for Ak {
     }
 
     fn spawn(&self, label: Label) -> AkProc {
-        AkProc {
-            id: label,
-            k: self.k,
-            init: true,
-            string: PrefixString::Owned(Vec::new()),
-            counts: HashMap::new(),
-            max_count: 0,
-            determined_leader: None,
-            st: ElectionState::INITIAL,
-        }
+        self.proc(label, PrefixString::Owned { labels: Vec::new(), counts: HashMap::new() })
     }
 
-    /// Simulator spawn point: the process knows its ring position, so its
+    /// Simulator spawn point: each process knows its ring position, so its
     /// `string` can be a zero-copy `(start, len)` window into the shared
-    /// labeling instead of an owned, growing vector. On fault-free runs
-    /// every received token matches the window's periodic continuation and
-    /// the window never materializes; a diverging token (duplication,
-    /// reordering) falls back to the owned representation transparently.
-    fn spawn_at(&self, ring: &hre_ring::RingLabeling, i: usize) -> AkProc {
-        let start = i as u32;
-        AkProc {
-            string: PrefixString::Window { ring: ring.labels_shared(), start, len: 0, next: start },
-            ..self.spawn(ring.label(i))
-        }
+    /// labeling instead of an owned, growing vector, and its label counts
+    /// a dense vector indexed by label rank, from one rank table the whole
+    /// ring shares. On fault-free runs every received token matches the
+    /// window's periodic continuation and the window never materializes; a
+    /// diverging token (duplication, reordering) falls back to the owned
+    /// representation transparently.
+    fn spawn_ring(&self, ring: &hre_ring::RingLabeling) -> Vec<AkProc> {
+        let labels = ring.labels_shared();
+        let mut alphabet = labels.to_vec();
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        let ranks: Arc<[u32]> = labels
+            .iter()
+            .map(|l| alphabet.binary_search(l).expect("a ring's labels are in its alphabet") as u32)
+            .collect();
+        (0..labels.len())
+            .map(|i| {
+                let start = i as u32;
+                let string = PrefixString::Window {
+                    ring: Arc::clone(&labels),
+                    ranks: Arc::clone(&ranks),
+                    counts: vec![0; alphabet.len()],
+                    start,
+                    len: 0,
+                    next: start,
+                };
+                self.proc(labels[i], string)
+            })
+            .collect()
     }
 }
 
-/// `p.string` — a prefix of `LLabels(p)`, in one of two representations.
+/// `p.string` — a prefix of `LLabels(p)`, in one of two representations,
+/// each with the occurrence count of every label it holds.
 ///
 /// The algorithm only ever *appends* received labels, and on a fault-free
 /// ring the sequence of received labels is exactly the counter-clockwise
@@ -116,9 +140,9 @@ impl Algorithm for Ak {
 /// the ring labeling plus `(start, len)` and represents the string without
 /// owning a single label. `push` compares the appended label against the
 /// predicted next letter; equal means `len += 1` (the steady state — O(1),
-/// allocation- and division-free), different means the run is faulty and
-/// the string materializes into the `Owned` form once, then grows
-/// conventionally.
+/// allocation-, division- and hash-free), different means the run is
+/// faulty and the string materializes into the `Owned` form once, then
+/// grows conventionally.
 #[derive(Clone)]
 enum PrefixString {
     /// Prefix of the periodic counter-clockwise walk from `start`:
@@ -126,6 +150,11 @@ enum PrefixString {
     Window {
         /// Shared ring storage (refcount bump to clone).
         ring: Arc<[Label]>,
+        /// `ranks[j]`: the rank of `ring[j]` among the ring's distinct
+        /// labels — one table per ring, shared by its processes.
+        ranks: Arc<[u32]>,
+        /// Occurrences of each label in the prefix, indexed by rank.
+        counts: Vec<u32>,
         /// The owning process's position.
         start: u32,
         /// Prefix length.
@@ -136,32 +165,63 @@ enum PrefixString {
     },
     /// Explicit storage, used when the ring is unknown (bare `spawn`) or
     /// after a received token diverged from the window's prediction.
-    Owned(Vec<Label>),
+    Owned {
+        /// The string itself.
+        labels: Vec<Label>,
+        /// Occurrences of each label in it. The map keeps std's keyed
+        /// hasher: labels come from clients, and an unkeyed hash would let
+        /// a crafted ring collide every count into one bucket.
+        counts: HashMap<Label, u32>,
+    },
 }
 
 impl PrefixString {
     fn len(&self) -> usize {
         match self {
             PrefixString::Window { len, .. } => *len as usize,
-            PrefixString::Owned(v) => v.len(),
+            PrefixString::Owned { labels, .. } => labels.len(),
         }
     }
 
     /// Appends a label: O(1) window growth when it matches the periodic
-    /// prediction, one-time materialization when it does not.
-    fn push(&mut self, x: Label) {
+    /// prediction, one-time materialization when it does not. With
+    /// `count`, also counts it and returns how many times the string now
+    /// holds it; without, returns 0 and leaves the counts as they were.
+    fn push(&mut self, x: Label, count: bool) -> u32 {
         match self {
-            PrefixString::Window { ring, start, len, next } => {
-                if x == ring[*next as usize] {
+            PrefixString::Window { ring, ranks, counts, start, len, next } => {
+                let j = *next as usize;
+                if x == ring[j] {
                     *len += 1;
                     *next = next.checked_sub(1).unwrap_or(ring.len() as u32 - 1);
+                    if !count {
+                        return 0;
+                    }
+                    let c = &mut counts[ranks[j] as usize];
+                    *c += 1;
+                    *c
                 } else {
-                    let mut v = ccw_walk(ring, *start, *len);
-                    v.push(x);
-                    *self = PrefixString::Owned(v);
+                    let labels = ccw_walk(ring, *start, *len);
+                    let mut keyed = HashMap::with_capacity(counts.len());
+                    for (label, &rank) in ring.iter().zip(ranks.iter()) {
+                        let c = counts[rank as usize];
+                        if c > 0 {
+                            keyed.insert(*label, c);
+                        }
+                    }
+                    *self = PrefixString::Owned { labels, counts: keyed };
+                    self.push(x, count)
                 }
             }
-            PrefixString::Owned(v) => v.push(x),
+            PrefixString::Owned { labels, counts } => {
+                labels.push(x);
+                if !count {
+                    return 0;
+                }
+                let c = counts.entry(x).or_insert(0);
+                *c += 1;
+                *c
+            }
         }
     }
 
@@ -171,7 +231,7 @@ impl PrefixString {
     fn to_vec(&self) -> Vec<Label> {
         match self {
             PrefixString::Window { ring, start, len, .. } => ccw_walk(ring, *start, *len),
-            PrefixString::Owned(v) => v.clone(),
+            PrefixString::Owned { labels, .. } => labels.clone(),
         }
     }
 
@@ -183,7 +243,7 @@ impl PrefixString {
                 let (upto, after) = ring.split_at(*start as usize + 1);
                 upto.iter().rev().chain(after.iter().rev()).take(*len as usize).min().copied()
             }
-            PrefixString::Owned(v) => v.iter().min().copied(),
+            PrefixString::Owned { labels, .. } => labels.iter().min().copied(),
         }
     }
 }
@@ -198,24 +258,22 @@ fn ccw_walk(ring: &[Label], start: u32, len: u32) -> Vec<Label> {
 /// One `Ak` process.
 ///
 /// Beyond the paper's variables (`INIT`, `string`, `isLeader`, `leader`,
-/// `done`), the struct keeps incremental occurrence counts and a cached
-/// decision — pure evaluation caches for the `Leader` predicate that do not
-/// change the algorithm's behavior (and are excluded from the paper-formula
-/// space accounting, which charges for `string` itself).
+/// `done`), the struct keeps incremental occurrence counts (inside
+/// `string`), their maximum and a cached decision — pure evaluation caches
+/// for the `Leader` predicate that do not change the algorithm's behavior
+/// (and are excluded from the paper-formula space accounting, which
+/// charges for `string` itself).
 #[derive(Clone)]
 pub struct AkProc {
     id: Label,
     k: usize,
     /// `p.INIT`.
     init: bool,
-    /// `p.string` — the received prefix of `LLabels(p)`.
+    /// `p.string` — the received prefix of `LLabels(p)` — with its label
+    /// counts, kept until `determined_leader` is set: nothing reads them
+    /// after that.
     string: PrefixString,
-    /// Incremental occurrence counts over `string` (cache), kept until
-    /// `determined_leader` is set — nothing reads them after that. The map
-    /// keeps std's keyed hasher: labels come from clients, and an unkeyed
-    /// hash would let a crafted ring collide every count into one bucket.
-    counts: HashMap<Label, usize>,
-    /// Largest count in `counts` (cache).
+    /// Largest label count in `string` (cache).
     max_count: usize,
     /// Once the `2k+1` threshold has been reached, the ring is determined
     /// and the answer to `Leader` is frozen (cache): `Some(am_leader)`.
@@ -237,12 +295,8 @@ impl AkProc {
     }
 
     fn push(&mut self, x: Label) {
-        self.string.push(x);
-        if self.determined_leader.is_none() {
-            let c = self.counts.entry(x).or_insert(0);
-            *c += 1;
-            self.max_count = self.max_count.max(*c);
-        }
+        let count = self.string.push(x, self.determined_leader.is_none());
+        self.max_count = self.max_count.max(count as usize);
     }
 
     /// Evaluates `Leader(string)` after the candidate label has been

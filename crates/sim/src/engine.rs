@@ -20,92 +20,43 @@
 //! The engine is the inner loop of every experiment, so steady-state
 //! stepping is **allocation- and clone-free**:
 //!
-//! * link queues are intrusive lists threaded through a single slab
-//!   [`Pool`] with a free list — consuming a message recycles its node, so
-//!   after warm-up no send or receive touches the allocator;
-//! * messages **move**: from the outbox into the pool on send, out of the
-//!   pool on receive. The engine clones a message only when the fault plan
+//! * each link is a ring buffer of `(message, send time)` pairs; a buffer
+//!   grows only to a new high-water mark of its own queue, so after
+//!   warm-up no send or receive touches the allocator;
+//! * messages **move**: from the outbox onto the link on send, off the
+//!   link on receive. The engine clones a message only when the fault plan
 //!   duplicates it, when a caller asks for a recorded copy
 //!   ([`Network::fire_with_record`]), or on the rare wedge path;
 //! * the enabled set is maintained **incrementally** as a bitset
 //!   ([`Network::enabled_procs`], an [`EnabledSet`]): each fired action can
-//!   only change the enabledness of the firing process and its right
-//!   neighbor, so each fire sets or clears at most two bits instead of
-//!   rebuilding (and reallocating) the set every scheduler step. The set
+//!   only change the enabledness of the firing process and, if it sent
+//!   something, its right neighbor, so each fire sets or clears at most
+//!   two bits instead of rebuilding the set every scheduler step. The set
 //!   answers every scheduler query in ascending index order, the order in
 //!   which the pre-optimization engine (see [`crate::baseline`]) rebuilt
 //!   its list, so every scheduling decision is unchanged;
 //! * a benign [`FaultPlan`] (no rules) is never consulted: sends go
-//!   straight onto the link.
+//!   straight onto the link;
+//! * one action body (`Parts::act`) serves [`Network::fire_with_record`]
+//!   and the run loop for unrecorded runs (`Network::run_unrecorded`),
+//!   which holds the network's fields borrowed apart for the whole run; the
+//!   body is monomorphised over where sent messages are copied (`Sink`),
+//!   so the unrecorded loop carries no recording branch.
 
-use crate::faults::{FaultDecision, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::process::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
-use crate::sched::EnabledSet;
+use crate::run::RunOptions;
+use crate::sched::{EnabledSet, Scheduler, Selection};
+use crate::spec::SpecMonitor;
 use hre_ring::RingLabeling;
+use std::collections::VecDeque;
 
-/// Sentinel for "no node" in the intrusive link lists.
-const NIL: u32 = u32::MAX;
-
-/// One slab cell: a message in flight (or a free-list hole), stamped with
-/// its virtual send time and threaded onto its link's queue via `next`.
+/// The incoming FIFO link of one process.
 #[derive(Clone, Debug)]
-struct Node<M> {
-    msg: Option<M>,
-    send_time: u64,
-    next: u32,
-}
-
-/// Slab-backed message pool with free-list recycling. Nodes are allocated
-/// once and reused for the rest of the run.
-#[derive(Clone, Debug)]
-struct Pool<M> {
-    nodes: Vec<Node<M>>,
-    free: u32,
-}
-
-impl<M> Pool<M> {
-    fn new() -> Self {
-        Pool { nodes: Vec::new(), free: NIL }
-    }
-
-    fn alloc(&mut self, msg: M, send_time: u64) -> u32 {
-        if self.free != NIL {
-            let idx = self.free;
-            let node = &mut self.nodes[idx as usize];
-            self.free = node.next;
-            node.msg = Some(msg);
-            node.send_time = send_time;
-            node.next = NIL;
-            idx
-        } else {
-            let idx = u32::try_from(self.nodes.len()).expect("pool of < 2^32 in-flight messages");
-            self.nodes.push(Node { msg: Some(msg), send_time, next: NIL });
-            idx
-        }
-    }
-
-    /// Unlinks nothing (the caller owns the list); takes the message out and
-    /// returns the node to the free list.
-    fn release(&mut self, idx: u32) -> (M, u64) {
-        let node = &mut self.nodes[idx as usize];
-        let msg = node.msg.take().expect("released node holds a message");
-        let send_time = node.send_time;
-        node.next = self.free;
-        self.free = idx;
-        (msg, send_time)
-    }
-
-    fn msg(&self, idx: u32) -> &M {
-        self.nodes[idx as usize].msg.as_ref().expect("live node holds a message")
-    }
-}
-
-/// The incoming FIFO link of one process: an intrusive list of pool nodes.
-#[derive(Clone, Copy, Debug)]
-struct Link {
-    head: u32,
-    tail: u32,
-    len: u32,
+struct Link<M> {
+    /// The messages in flight, oldest first, each with its virtual send
+    /// time.
+    queue: VecDeque<(M, u64)>,
     /// Delivery time of the last message received on this link (FIFO links
     /// deliver in non-decreasing virtual time).
     last_delivery: u64,
@@ -115,45 +66,9 @@ struct Link {
     delay: u64,
 }
 
-impl Link {
+impl<M> Link<M> {
     fn new() -> Self {
-        Link { head: NIL, tail: NIL, len: 0, last_delivery: 0, delay: 1 }
-    }
-
-    fn push_back<M>(&mut self, pool: &mut Pool<M>, idx: u32) {
-        if self.tail == NIL {
-            self.head = idx;
-        } else {
-            pool.nodes[self.tail as usize].next = idx;
-        }
-        self.tail = idx;
-        self.len += 1;
-    }
-
-    /// Pops the head node index (the caller releases it to the pool).
-    fn pop_front<M>(&mut self, pool: &Pool<M>) -> u32 {
-        let idx = self.head;
-        debug_assert!(idx != NIL, "pop on empty link");
-        self.head = pool.nodes[idx as usize].next;
-        if self.head == NIL {
-            self.tail = NIL;
-        }
-        self.len -= 1;
-        idx
-    }
-
-    /// Swaps the payloads of the last two queued messages (FIFO-violation
-    /// fault). O(len) walk to find the tail's predecessor — fault runs only.
-    fn swap_last_two<M>(&self, pool: &mut Pool<M>) {
-        debug_assert!(self.len >= 2);
-        let mut prev = self.head;
-        while pool.nodes[prev as usize].next != self.tail {
-            prev = pool.nodes[prev as usize].next;
-        }
-        let (lo, hi) = (prev.min(self.tail) as usize, prev.max(self.tail) as usize);
-        let (a, b) = pool.nodes.split_at_mut(hi);
-        std::mem::swap(&mut a[lo].msg, &mut b[0].msg);
-        std::mem::swap(&mut a[lo].send_time, &mut b[0].send_time);
+        Link { queue: VecDeque::new(), last_delivery: 0, delay: 1 }
     }
 }
 
@@ -215,14 +130,31 @@ pub struct NetCounters {
     pub peak_space_bits: u64,
 }
 
+/// Where an action's sent messages are copied: nowhere (`()`), or a
+/// caller's record buffer.
+trait Sink<M> {
+    fn record(&mut self, msg: &M);
+}
+
+impl<M> Sink<M> for () {
+    #[inline(always)]
+    fn record(&mut self, _msg: &M) {}
+}
+
+impl<M: Clone> Sink<M> for Vec<M> {
+    #[inline]
+    fn record(&mut self, msg: &M) {
+        self.push(msg.clone());
+    }
+}
+
 /// The ring network: `n` processes and `n` FIFO links.
 ///
 /// Link `i` is the incoming link of process `i` (i.e. the link from
 /// `p(i−1)` to `p(i)`).
 pub struct Network<P: ProcessBehavior> {
     slots: Vec<Slot<P>>,
-    links: Vec<Link>,
-    pool: Pool<P::Msg>,
+    links: Vec<Link<P::Msg>>,
     /// The currently-enabled processes, patched incrementally after
     /// every fire.
     enabled_procs: EnabledSet,
@@ -232,25 +164,40 @@ pub struct Network<P: ProcessBehavior> {
     /// How many clock ticks make one of the paper's time units (the
     /// longest link delay). 1 unless heterogeneous delays are configured.
     delay_scale: u64,
-    /// Reusable outbox: its buffer is lent to each firing action and taken
-    /// back after dispatch, so sends stop allocating once warm.
+    /// Reusable outbox, lent to each firing action and drained by
+    /// dispatch, so sends stop allocating once warm.
     scratch: Outbox<P::Msg>,
+}
+
+/// The fields an atomic action reads and writes, borrowed apart from the
+/// enabled set so that a run loop can hold both for a whole run.
+struct Parts<'a, P: ProcessBehavior> {
+    slots: &'a mut [Slot<P>],
+    links: &'a mut [Link<P::Msg>],
+    counters: &'a mut NetCounters,
+    faults: &'a mut FaultPlan,
+    out: &'a mut Outbox<P::Msg>,
+    label_bits: u32,
 }
 
 impl<P: ProcessBehavior> Network<P> {
     /// Builds the initial configuration: every process in its initial state
     /// (`on_start` not yet fired), all links empty.
     ///
-    /// Processes are spawned via [`Algorithm::spawn_at`], so algorithms that
-    /// can share the ring labeling (zero-copy state) do.
+    /// Processes are spawned via [`Algorithm::spawn_ring`], so algorithms
+    /// that can share per-ring tables or the ring labeling (zero-copy
+    /// state) do.
     pub fn new<A>(algo: &A, ring: &RingLabeling) -> Self
     where
         A: Algorithm<Proc = P>,
     {
         let n = ring.n();
-        let slots: Vec<Slot<P>> = (0..n)
-            .map(|i| Slot {
-                proc: algo.spawn_at(ring, i),
+        let procs = algo.spawn_ring(ring);
+        assert_eq!(procs.len(), n, "spawn_ring builds one process per ring position");
+        let slots: Vec<Slot<P>> = procs
+            .into_iter()
+            .map(|proc| Slot {
+                proc,
                 started: false,
                 clock: 0,
                 wedged: false,
@@ -262,7 +209,6 @@ impl<P: ProcessBehavior> Network<P> {
         let mut net = Network {
             slots,
             links,
-            pool: Pool::new(),
             enabled_procs: EnabledSet::new(n),
             counters: NetCounters::default(),
             label_bits: ring.label_bits(),
@@ -270,9 +216,10 @@ impl<P: ProcessBehavior> Network<P> {
             delay_scale: 1,
             scratch: Outbox::new(),
         };
+        let (mut parts, enabled) = net.split();
         for i in 0..n {
-            net.note_space(i);
-            net.refresh_enabled(i);
+            parts.note_space(i);
+            enabled.set(i, enabled_at(&parts.slots[i], &parts.links[i]));
         }
         net
     }
@@ -281,6 +228,12 @@ impl<P: ProcessBehavior> Network<P> {
     /// applied to every subsequent send. The default plan is benign.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
+    }
+
+    /// Whether the fault plan in force has no rules (the model's
+    /// assumptions hold).
+    pub(crate) fn faults_benign(&self) -> bool {
+        self.faults.is_benign()
     }
 
     /// Configures **heterogeneous link delays**: `delays[i]` ticks on the
@@ -314,8 +267,8 @@ impl<P: ProcessBehavior> Network<P> {
         self.slots[i].proc.election()
     }
 
-    /// All election states, in process order (allocates; the run loop uses
-    /// [`Self::election`] per fired process instead).
+    /// All election states, in process order (allocates; the run loops
+    /// use [`Self::election`] per fired process instead).
     pub fn elections(&self) -> Vec<ElectionState> {
         self.slots.iter().map(|s| s.proc.election()).collect()
     }
@@ -366,7 +319,7 @@ impl<P: ProcessBehavior> Network<P> {
 
     /// Messages currently in flight (sum of link queue lengths).
     pub fn in_flight(&self) -> usize {
-        self.links.iter().map(|l| l.len as usize).sum()
+        self.links.iter().map(|l| l.queue.len()).sum()
     }
 
     /// Largest single-link queue length observed so far.
@@ -383,26 +336,13 @@ impl<P: ProcessBehavior> Network<P> {
     /// Contents of the incoming link of process `i`, oldest first (for
     /// tests and observers).
     pub fn link_contents(&self, i: usize) -> Vec<P::Msg> {
-        let mut out = Vec::with_capacity(self.links[i].len as usize);
-        let mut idx = self.links[i].head;
-        while idx != NIL {
-            out.push(self.pool.msg(idx).clone());
-            idx = self.pool.nodes[idx as usize].next;
-        }
-        out
+        self.links[i].queue.iter().map(|(msg, _)| msg.clone()).collect()
     }
 
     /// Is process `i` enabled? Either its initial action has not fired, or
     /// a head message is present and the process is not halted/wedged.
     pub fn enabled(&self, i: usize) -> bool {
-        let s = &self.slots[i];
-        if s.proc.election().halted {
-            return false;
-        }
-        if !s.started {
-            return true;
-        }
-        !s.wedged && self.links[i].len > 0
+        enabled_at(&self.slots[i], &self.links[i])
     }
 
     /// All enabled processes — a borrowed view of the
@@ -417,28 +357,13 @@ impl<P: ProcessBehavior> Network<P> {
         self.enabled_procs.iter().collect()
     }
 
-    /// Re-derives `enabled(i)` into the enabled set.
-    fn refresh_enabled(&mut self, i: usize) {
-        let now = self.enabled(i);
-        self.enabled_procs.set(i, now);
-    }
-
-    /// Index of `i`'s right neighbor (the receiver of its sends).
-    fn right(&self, i: usize) -> usize {
-        if i + 1 == self.slots.len() {
-            0
-        } else {
-            i + 1
-        }
-    }
-
     /// If no process is enabled, classify the terminal configuration.
     pub fn terminal_kind(&self) -> Option<TerminalKind> {
         if !self.enabled_procs.is_empty() {
             return None;
         }
-        let any_pending_at_live =
-            (0..self.n()).any(|i| self.links[i].len > 0 && !self.slots[i].proc.election().halted);
+        let any_pending_at_live = (0..self.n())
+            .any(|i| !self.links[i].queue.is_empty() && !self.slots[i].proc.election().halted);
         if any_pending_at_live {
             return Some(TerminalKind::Deadlock);
         }
@@ -470,54 +395,136 @@ impl<P: ProcessBehavior> Network<P> {
         i: usize,
         record: Option<&mut Vec<P::Msg>>,
     ) -> Option<Fired<P::Msg>> {
-        if !self.enabled_procs.contains(i) {
+        let (mut parts, enabled) = self.split();
+        match record {
+            Some(rec) => parts.fire(enabled, i, rec),
+            None => parts.fire(enabled, i, &mut ()),
+        }
+    }
+
+    /// The run loop for runs nobody records (no trace, no observer reading
+    /// events, a benign fault plan): asks `sched` for a pick, fires it
+    /// through the shared action body, patches the enabled bits and feeds
+    /// `monitor`, for as long as [`RunOptions::continues`] allows. Returns
+    /// the scheduler steps taken.
+    ///
+    /// It makes exactly the decisions and counts of stepping through
+    /// [`Self::fire`] one pick at a time; it only holds the network's
+    /// fields borrowed apart for the whole run.
+    pub(crate) fn run_unrecorded<S: Scheduler>(
+        &mut self,
+        sched: &mut S,
+        monitor: &mut SpecMonitor,
+        opts: &RunOptions,
+    ) -> u64 {
+        debug_assert!(self.faults.is_benign(), "faulty runs step through fire_with_record");
+        let (mut parts, enabled) = self.split();
+        let mut steps = 0;
+        // Snapshot of the enabled set for synchronous steps (the live set
+        // changes as processes fire).
+        let mut all_buf: Vec<usize> = Vec::new();
+        while opts.continues(monitor, enabled, parts.counters.actions_fired) {
+            steps += 1;
+            match sched.select(enabled) {
+                Selection::One(i) => {
+                    let fired = parts.fire(enabled, i, &mut ());
+                    assert!(fired.is_some(), "scheduler picked a disabled process");
+                    monitor.observe_one(i, parts.slots[i].proc.election());
+                }
+                Selection::All => {
+                    all_buf.clear();
+                    all_buf.extend(enabled.iter());
+                    for &i in &all_buf {
+                        if parts.fire(enabled, i, &mut ()).is_some() {
+                            monitor.observe_one(i, parts.slots[i].proc.election());
+                        }
+                    }
+                }
+            }
+        }
+        steps
+    }
+
+    /// Borrows the fields an action touches apart from the enabled set.
+    fn split(&mut self) -> (Parts<'_, P>, &mut EnabledSet) {
+        let Network { slots, links, enabled_procs, counters, label_bits, faults, scratch, .. } =
+            self;
+        let parts = Parts { slots, links, counters, faults, out: scratch, label_bits: *label_bits };
+        (parts, enabled_procs)
+    }
+}
+
+/// Whether a process is enabled: its initial action has not fired, or a
+/// head message waits and it has neither halted nor wedged.
+#[inline(always)]
+fn enabled_at<P: ProcessBehavior>(slot: &Slot<P>, link: &Link<P::Msg>) -> bool {
+    !slot.proc.election().halted && (!slot.started || (!slot.wedged && !link.queue.is_empty()))
+}
+
+impl<P: ProcessBehavior> Parts<'_, P> {
+    /// Fires `i` if it is enabled, then patches the enabled bits the action
+    /// can have changed: the firer's, and its right neighbor's when
+    /// something was sent onto that neighbor's link.
+    #[inline(always)]
+    fn fire<R: Sink<P::Msg>>(
+        &mut self,
+        enabled: &mut EnabledSet,
+        i: usize,
+        record: &mut R,
+    ) -> Option<Fired<P::Msg>> {
+        if !enabled.contains(i) {
             return None;
         }
-        let right = self.right(i);
-        if !self.slots[i].started {
-            let mut out = std::mem::take(&mut self.scratch);
-            self.slots[i].proc.on_start(&mut out);
-            self.slots[i].started = true;
-            self.counters.actions_fired += 1;
-            let sent = self.dispatch(i, &mut out, record);
-            self.scratch = out;
-            self.note_space(i);
-            self.refresh_enabled(i);
-            self.refresh_enabled(right);
-            return Some(Fired::Started { sent });
+        let fired = self.act(i, record);
+        enabled.set(i, enabled_at(&self.slots[i], &self.links[i]));
+        if let Fired::Started { sent } | Fired::Received { sent, .. } = fired {
+            if sent > 0 {
+                let right = self.right(i);
+                enabled.set(right, enabled_at(&self.slots[right], &self.links[right]));
+            }
         }
-        // Offer the head message in place (no clone).
-        let head_idx = self.links[i].head;
-        let mut out = std::mem::take(&mut self.scratch);
-        let reaction = {
-            let Network { slots, pool, .. } = self;
-            slots[i].proc.on_msg(pool.msg(head_idx), &mut out)
+        Some(fired)
+    }
+
+    /// The atomic action of enabled process `i`: its initial action, or the
+    /// receipt of its head message (consume, advance the clock), then
+    /// dispatch of what it sent and the counters. An ignored head wedges
+    /// the process instead.
+    #[inline(always)]
+    fn act<R: Sink<P::Msg>>(&mut self, i: usize, record: &mut R) -> Fired<P::Msg> {
+        let slot = &mut self.slots[i];
+        let msg = if !slot.started {
+            slot.proc.on_start(self.out);
+            slot.started = true;
+            None
+        } else {
+            let link = &mut self.links[i];
+            let (head, _) = link.queue.front().expect("a started, enabled process has a head");
+            match slot.proc.on_msg(head, self.out) {
+                Reaction::Consumed => {
+                    let (msg, send_time) = link.queue.pop_front().expect("the head was present");
+                    let delivery = (send_time + link.delay).max(link.last_delivery);
+                    link.last_delivery = delivery;
+                    slot.clock = slot.clock.max(delivery);
+                    slot.received += 1;
+                    Some(msg)
+                }
+                Reaction::Ignored => {
+                    assert!(
+                        self.out.is_empty(),
+                        "an action that does not fire must not send messages"
+                    );
+                    slot.wedged = true;
+                    return Fired::Wedged { head: head.clone() };
+                }
+            }
         };
-        match reaction {
-            Reaction::Consumed => {
-                let idx = self.links[i].pop_front(&self.pool);
-                debug_assert_eq!(idx, head_idx);
-                let (msg, send_time) = self.pool.release(idx);
-                let delivery = (send_time + self.links[i].delay).max(self.links[i].last_delivery);
-                self.links[i].last_delivery = delivery;
-                let s = &mut self.slots[i];
-                s.clock = s.clock.max(delivery);
-                s.received += 1;
-                self.counters.actions_fired += 1;
-                let sent = self.dispatch(i, &mut out, record);
-                self.scratch = out;
-                self.note_space(i);
-                self.refresh_enabled(i);
-                self.refresh_enabled(right);
-                Some(Fired::Received { msg, sent })
-            }
-            Reaction::Ignored => {
-                assert!(out.is_empty(), "an action that does not fire must not send messages");
-                self.scratch = out;
-                self.slots[i].wedged = true;
-                self.refresh_enabled(i);
-                Some(Fired::Wedged { head: self.pool.msg(head_idx).clone() })
-            }
+        self.counters.actions_fired += 1;
+        let sent = self.dispatch(i, record);
+        self.note_space(i);
+        match msg {
+            None => Fired::Started { sent },
+            Some(msg) => Fired::Received { msg, sent },
         }
     }
 
@@ -525,52 +532,59 @@ impl<P: ProcessBehavior> Network<P> {
     /// link of `i+1`), stamped with `i`'s clock, applying the fault plan
     /// (benign by default: reliable FIFO exactly-once). Returns how many
     /// messages the action sent.
-    fn dispatch(
-        &mut self,
-        i: usize,
-        out: &mut Outbox<P::Msg>,
-        mut record: Option<&mut Vec<P::Msg>>,
-    ) -> u32 {
+    #[inline(always)]
+    fn dispatch<R: Sink<P::Msg>>(&mut self, i: usize, record: &mut R) -> u32 {
         let right = self.right(i);
-        let now = self.slots[i].clock;
+        let Parts { slots, links, counters, faults, out, label_bits } = self;
+        let slot = &mut slots[i];
+        let now = slot.clock;
         let count = out.len() as u32;
-        let Network { slots, links, pool, counters, faults, label_bits, .. } = self;
-        {
-            let proc = &slots[i].proc;
-            let link = &mut links[right];
-            // The plan's counter only feeds its rules, so a plan without
-            // rules need not count.
-            let benign = faults.is_benign();
-            for m in out.drain_msgs() {
-                counters.total_wire_bits += proc.msg_wire_bits(&m, *label_bits);
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.push(m.clone());
-                }
-                let fate = if benign { FaultDecision::default() } else { faults.decide() };
-                if fate.drop {
-                    continue;
-                }
-                let dup = fate.duplicate.then(|| m.clone());
-                let idx = pool.alloc(m, now);
-                link.push_back(pool, idx);
-                if let Some(d) = dup {
-                    let idx2 = pool.alloc(d, now);
-                    link.push_back(pool, idx2);
-                }
-                if fate.swap_with_previous && link.len >= 2 {
-                    link.swap_last_two(pool);
-                }
+        let link = &mut links[right];
+        // The plan's counter only feeds its rules, so a plan without rules
+        // need not count.
+        let benign = faults.is_benign();
+        for m in out.drain_msgs() {
+            counters.total_wire_bits += slot.proc.msg_wire_bits(&m, *label_bits);
+            record.record(&m);
+            if benign {
+                link.queue.push_back((m, now));
+                continue;
             }
-            counters.peak_link_occupancy = counters.peak_link_occupancy.max(link.len as usize);
+            let fate = faults.decide();
+            if fate.drop {
+                continue;
+            }
+            let dup = fate.duplicate.then(|| m.clone());
+            link.queue.push_back((m, now));
+            if let Some(d) = dup {
+                link.queue.push_back((d, now));
+            }
+            if fate.swap_with_previous && link.queue.len() >= 2 {
+                let last = link.queue.len() - 1;
+                link.queue.swap(last - 1, last);
+            }
         }
-        slots[i].sent += count as u64;
+        counters.peak_link_occupancy = counters.peak_link_occupancy.max(link.queue.len());
+        slot.sent += count as u64;
         counters.total_sent += count as u64;
         count
     }
 
+    /// Folds process `i`'s current space into the peak.
+    #[inline(always)]
     fn note_space(&mut self, i: usize) {
         let bits = self.slots[i].proc.space_bits(self.label_bits);
         self.counters.peak_space_bits = self.counters.peak_space_bits.max(bits);
+    }
+
+    /// Index of `i`'s right neighbor (the receiver of its sends).
+    #[inline(always)]
+    fn right(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
     }
 }
 
@@ -579,7 +593,6 @@ impl<P: ProcessBehavior + Clone> Clone for Network<P> {
         Network {
             slots: self.slots.clone(),
             links: self.links.clone(),
-            pool: self.pool.clone(),
             enabled_procs: self.enabled_procs.clone(),
             counters: self.counters,
             label_bits: self.label_bits,
@@ -823,20 +836,34 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_nodes_in_steady_state() {
-        // Toy keeps at most `n` messages in flight; the slab must stay at
-        // the high-water mark of concurrent in-flight messages instead of
-        // growing with total sends.
+    fn link_buffers_stop_growing_at_peak_occupancy() {
+        // A link's buffer grows only when its queue reaches a length that
+        // link never held before, so once the run's peak occupancy is
+        // reached no buffer grows again, and the buffers stay bounded by
+        // that peak instead of growing with total sends.
         let ring = RingLabeling::from_raw(&[3, 1, 4, 1, 5, 9, 2, 6]);
         let mut net = Network::new(&Toy { n: 8 }, &ring);
-        drive(&mut net);
-        assert!(net.total_sent() > net.pool.nodes.len() as u64, "nodes were recycled");
-        assert!(
-            net.pool.nodes.len() <= net.counters.peak_link_occupancy * net.n(),
-            "slab bounded by peak in-flight: {} nodes vs peak {} per link",
-            net.pool.nodes.len(),
-            net.counters.peak_link_occupancy
-        );
+        let mut caps = vec![0usize; net.n()];
+        let mut highs = vec![0usize; net.n()];
+        while let Some(i) = net.enabled_procs().first() {
+            net.fire(i);
+            for (l, link) in net.links.iter().enumerate() {
+                let len = link.queue.len();
+                if link.queue.capacity() != caps[l] {
+                    assert!(len > highs[l], "link {l} grew at length {len}, its high {}", highs[l]);
+                    caps[l] = link.queue.capacity();
+                }
+                highs[l] = highs[l].max(len);
+            }
+        }
+        let peak = net.counters.peak_link_occupancy;
+        assert_eq!(highs.iter().max(), Some(&peak));
+        let total_cap: usize = caps.iter().sum();
+        assert!(net.total_sent() > total_cap as u64, "buffers were reused");
+        for (l, &cap) in caps.iter().enumerate() {
+            // Amortized doubling from a minimum of 4 slots.
+            assert!(cap < 2 * peak.max(4), "link {l}: capacity {cap} vs peak {peak}");
+        }
     }
 
     // --- clone accounting (the former send path cloned every message once,

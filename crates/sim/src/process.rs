@@ -141,15 +141,18 @@ pub trait Algorithm {
     /// Builds the local algorithm of a process labeled `label`.
     fn spawn(&self, label: Label) -> Self::Proc;
 
-    /// Builds the local algorithm of process `i` of `ring`.
+    /// Builds the local algorithms of every process of `ring`, in ring
+    /// order.
     ///
-    /// Semantically identical to `spawn(ring.label(i))` — a process still
-    /// knows nothing beyond its own label — but the richer signature lets
-    /// an implementation share the ring's label storage for zero-copy local
-    /// state (`Ak` represents its growing `string` as a window into the
-    /// shared labeling). The default forwards to [`Self::spawn`].
-    fn spawn_at(&self, ring: &hre_ring::RingLabeling, i: usize) -> Self::Proc {
-        self.spawn(ring.label(i))
+    /// Semantically identical to `spawn(ring.label(i))` for each `i` — a
+    /// process still knows nothing beyond its own label — but building
+    /// the whole ring at once lets an implementation share per-ring
+    /// tables and the ring's label storage between its processes (`Ak`
+    /// represents each growing `string` as a window into the shared
+    /// labeling, with label counts indexed by a rank table computed once
+    /// per ring). The default spawns each process from its label.
+    fn spawn_ring(&self, ring: &hre_ring::RingLabeling) -> Vec<Self::Proc> {
+        ring.labels().iter().map(|&label| self.spawn(label)).collect()
     }
 }
 

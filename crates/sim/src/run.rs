@@ -5,7 +5,7 @@ use crate::engine::{Fired, Network, TerminalKind};
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::process::{Algorithm, ProcessBehavior};
-use crate::sched::{Scheduler, Selection};
+use crate::sched::{EnabledSet, Scheduler, Selection};
 use crate::spec::{SpecMonitor, SpecViolation};
 use crate::trace::{ActionEvent, EventKind, Trace};
 use hre_ring::RingLabeling;
@@ -26,6 +26,23 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions { max_actions: 20_000_000, record_trace: false, stop_on_violation: false }
+    }
+}
+
+impl RunOptions {
+    /// Whether a run takes another scheduler step: some process is
+    /// enabled, fewer than `max_actions` actions have fired, and no
+    /// recorded violation stops it. Both run loops stop on this one test.
+    #[inline]
+    pub(crate) fn continues(
+        &self,
+        monitor: &SpecMonitor,
+        enabled: &EnabledSet,
+        actions_fired: u64,
+    ) -> bool {
+        !enabled.is_empty()
+            && actions_fired < self.max_actions
+            && (!self.stop_on_violation || monitor.violations().is_empty())
     }
 }
 
@@ -236,69 +253,22 @@ where
 {
     let mut monitor = SpecMonitor::new(net.elections());
     let mut trace = opts.record_trace.then(Trace::new);
-    // The fast path skips event materialization entirely; it is taken when
-    // nobody will read the events.
-    let needs_events = opts.record_trace || obs.wants_events();
-    let mut steps: u64 = 0;
-    let mut seq: u64 = 0;
-    let mut budget_exhausted = false;
-    let mut stopped_on_violation = false;
-    // Reusable snapshot of the enabled set for synchronous steps (the live
-    // list mutates as processes fire).
-    let mut all_buf: Vec<usize> = Vec::new();
+    // Runs nobody records take the network's own loop, which materializes
+    // no events and clones no message.
+    let steps = if opts.record_trace || obs.wants_events() || !net.faults_benign() {
+        run_events(&mut net, sched, &opts, &mut monitor, &mut trace, obs)
+    } else {
+        net.run_unrecorded(sched, &mut monitor, &opts)
+    };
 
-    loop {
-        if opts.stop_on_violation && !monitor.violations().is_empty() {
-            stopped_on_violation = true;
-            break;
-        }
-        if net.enabled_procs().is_empty() {
-            break;
-        }
-        if net.actions_fired() >= opts.max_actions {
-            budget_exhausted = true;
-            break;
-        }
-        let selection = sched.select(net.enabled_procs());
-        steps += 1;
-        match selection {
-            Selection::All => {
-                all_buf.clear();
-                all_buf.extend(net.enabled_procs().iter());
-                for &i in &all_buf {
-                    fire_one(
-                        &mut net,
-                        i,
-                        steps,
-                        &mut seq,
-                        &mut monitor,
-                        &mut trace,
-                        obs,
-                        needs_events,
-                    );
-                }
-            }
-            Selection::One(i) => {
-                let fired = fire_one(
-                    &mut net,
-                    i,
-                    steps,
-                    &mut seq,
-                    &mut monitor,
-                    &mut trace,
-                    obs,
-                    needs_events,
-                );
-                assert!(fired, "scheduler picked a disabled process");
-            }
-        }
-    }
-
+    // Both loops stop at the first of: a violation under
+    // `stop_on_violation`, an empty enabled set (a terminal
+    // configuration), the action budget (enabled set non-empty, so no
+    // terminal kind).
+    let stopped_on_violation = opts.stop_on_violation && !monitor.violations().is_empty();
     let terminal = net.terminal_kind();
     let verdict = if stopped_on_violation {
         Verdict::StoppedOnViolation
-    } else if budget_exhausted {
-        Verdict::ActionLimit
     } else {
         match terminal {
             Some(TerminalKind::AllHalted) => Verdict::Completed,
@@ -338,9 +308,49 @@ where
     }
 }
 
+/// The run loop for recorded runs (a trace, or an observer that reads
+/// events) and for runs under a fault plan with rules: steps through
+/// [`Network::fire_with_record`], materializing one [`ActionEvent`] per
+/// action. Returns the scheduler steps taken.
+fn run_events<P, S, O>(
+    net: &mut Network<P>,
+    sched: &mut S,
+    opts: &RunOptions,
+    monitor: &mut SpecMonitor,
+    trace: &mut Option<Trace<P::Msg>>,
+    obs: &mut O,
+) -> u64
+where
+    P: ProcessBehavior,
+    S: Scheduler,
+    O: Observer<P>,
+{
+    let mut steps: u64 = 0;
+    let mut seq: u64 = 0;
+    // Reusable snapshot of the enabled set for synchronous steps (the live
+    // set changes as processes fire).
+    let mut all_buf: Vec<usize> = Vec::new();
+    while opts.continues(monitor, net.enabled_procs(), net.actions_fired()) {
+        steps += 1;
+        match sched.select(net.enabled_procs()) {
+            Selection::All => {
+                all_buf.clear();
+                all_buf.extend(net.enabled_procs().iter());
+                for &i in &all_buf {
+                    fire_one(net, i, steps, &mut seq, monitor, trace, obs);
+                }
+            }
+            Selection::One(i) => {
+                let fired = fire_one(net, i, steps, &mut seq, monitor, trace, obs);
+                assert!(fired, "scheduler picked a disabled process");
+            }
+        }
+    }
+    steps
+}
+
 /// Fires `i` if it is enabled, feeding the monitor, observer and trace;
 /// returns whether it fired.
-#[allow(clippy::too_many_arguments)]
 fn fire_one<P, O>(
     net: &mut Network<P>,
     i: usize,
@@ -349,21 +359,11 @@ fn fire_one<P, O>(
     monitor: &mut SpecMonitor,
     trace: &mut Option<Trace<P::Msg>>,
     obs: &mut O,
-    needs_events: bool,
 ) -> bool
 where
     P: ProcessBehavior,
     O: Observer<P>,
 {
-    if !needs_events {
-        // Hot path: no event construction, no sent-message clones, O(1)
-        // incremental spec check of the one process that acted.
-        let fired = net.fire(i).is_some();
-        if fired {
-            monitor.observe_one(i, net.election(i));
-        }
-        return fired;
-    }
     let mut sent: Vec<P::Msg> = Vec::new();
     let Some(fired) = net.fire_with_record(i, Some(&mut sent)) else { return false };
     let kind = match fired {
