@@ -26,7 +26,11 @@
 //! [`hre_svc::run_election`] on rings shaped like perfbench's
 //! `cold-distinct` workload (n 24–48, k 2–3; 200 rings, 40 in quick
 //! mode), as the median, min and max of five repeats — the number that
-//! tracks the engine across changes.
+//! tracks the engine across changes. A shared virtual machine's speed
+//! swings with its host's load (seven runs of one tree read `ak` at 48–77
+//! ns per action), so a fixed probe that runs no repository code — digit
+//! parsing and small sorts — is timed before and after every repeat, and
+//! each repeat is also reported scaled to the probe's reference speed.
 //!
 //! The machine-readable result is written to `BENCH_e22.json` at the repo
 //! root by the `exp_perf` binary.
@@ -50,6 +54,14 @@ const SWEEP_SEED: u64 = 2222;
 const SERVED_SEED: u64 = 2223;
 /// Repeats of the served per-action measurement.
 const SERVED_REPEATS: usize = 5;
+/// Wall time of one [`probe_unit`] on the host E22 was written on (2-vCPU
+/// x86-64 VM, release build; its fastest readings). Only ratios to it are
+/// used, so its exact value scales every scaled figure alike.
+const PROBE_REFERENCE_NS: f64 = 550_000.0;
+/// Timed probe units per reading; their median counts.
+const PROBE_REPS: usize = 5;
+/// Bytes of the probe's text.
+const PROBE_TEXT: usize = 1 << 14;
 
 /// Everything the run produced: the human report, the machine-readable
 /// JSON (the contents of `BENCH_e22.json`), and the gate verdict.
@@ -111,6 +123,69 @@ fn cold_shaped_ring(rng: &mut StdRng, n: usize, k: usize) -> Vec<u64> {
 fn spread(mut xs: Vec<f64>) -> (f64, f64, f64) {
     xs.sort_by(f64::total_cmp);
     (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
+}
+
+/// The host-speed probe's text: a JSON-like array of small numbers, as in
+/// an election request.
+fn probe_text() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(SERVED_SEED);
+    let mut text = b"[".to_vec();
+    while text.len() < PROBE_TEXT - 8 {
+        text.extend_from_slice(rng.gen_range(0..300u32).to_string().as_bytes());
+        text.push(b',');
+    }
+    text.push(b']');
+    text
+}
+
+/// One fixed unit of work that runs no repository code: parsing the
+/// digits of `text` (byte-wise branches) and building, sorting and
+/// dropping small vectors (the allocator and data-dependent branches) —
+/// the socket-free part of perfbench's speed probe. Returns a checksum,
+/// the same on every call.
+fn probe_unit(text: &[u8]) -> u64 {
+    let mut acc = 0u64;
+    for _ in 0..12 {
+        let mut number = 0u64;
+        for &b in text {
+            if b.is_ascii_digit() {
+                number = number * 10 + u64::from(b - b'0');
+            } else if b == b',' {
+                acc = (acc ^ number).wrapping_mul(0x0100_0000_01B3);
+                number = 0;
+            }
+        }
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut kept: Vec<Vec<u64>> = Vec::with_capacity(64);
+    for round in 0..1_500u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let mut v: Vec<u64> = (0..8 + (x % 33)).map(|j| (x >> (j % 48)) ^ (j * round)).collect();
+        v.sort_unstable();
+        acc = acc.wrapping_add(v[v.len() / 2]);
+        kept.push(v);
+        if kept.len() == 64 {
+            kept.clear();
+        }
+    }
+    acc
+}
+
+/// One probe reading: the median nanoseconds of [`PROBE_REPS`] units,
+/// after one untimed unit.
+fn probe_ns(text: &[u8]) -> f64 {
+    std::hint::black_box(probe_unit(text));
+    let mut ns: Vec<f64> = (0..PROBE_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(probe_unit(std::hint::black_box(text)));
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[PROBE_REPS / 2]
 }
 
 /// Runs the experiment. `quick` shrinks the workload (and relaxes the
@@ -282,45 +357,73 @@ pub fn run_e22(quick: bool) -> E22Outcome {
         (actions, t0.elapsed().as_nanos() as f64)
     };
     // An untimed warm-up pass each, then the repeats alternate between the
-    // algorithms, so a drift in the host's speed reaches both alike.
+    // algorithms, so a drift in the host's speed reaches both alike. The
+    // probe is read before the first repeat and after each, and a repeat
+    // is scaled by the mean of the readings around it.
     for r in &reqs {
         pass(r);
     }
+    let text = probe_text();
+    let mut readings = vec![probe_ns(&text)];
     let mut per_action = vec![Vec::new(); algos.len()];
+    let mut scaled = vec![Vec::new(); algos.len()];
     let mut actions = vec![0; algos.len()];
     for _ in 0..SERVED_REPEATS {
         for (a, r) in reqs.iter().enumerate() {
             let (fired, ns) = pass(r);
+            readings.push(probe_ns(&text));
+            let around = (readings[readings.len() - 2] + readings[readings.len() - 1]) / 2.0;
+            let raw = ns / fired as f64;
             actions[a] = fired;
-            per_action[a].push(ns / fired as f64);
+            per_action[a].push(raw);
+            scaled[a].push(raw * PROBE_REFERENCE_NS / around);
         }
     }
-    let mut t = Table::new(["algo", "actions / pass", "median ns/action", "min", "max"]);
+    let mut t = Table::new([
+        "algo",
+        "actions / pass",
+        "ns/action median",
+        "min",
+        "max",
+        "scaled median",
+        "min",
+        "max",
+    ]);
     let mut served_json = Vec::new();
-    for ((algo, xs), actions) in algos.iter().zip(per_action).zip(actions) {
-        let (median, min, max) = spread(xs);
+    for (((algo, raw), scaled), actions) in algos.iter().zip(per_action).zip(scaled).zip(actions) {
+        let (median, min, max) = spread(raw);
+        let (s_median, s_min, s_max) = spread(scaled);
         t.row([
             algo.name().to_string(),
             actions.to_string(),
             format!("{median:.1}"),
             format!("{min:.1}"),
             format!("{max:.1}"),
+            format!("{s_median:.1}"),
+            format!("{s_min:.1}"),
+            format!("{s_max:.1}"),
         ]);
         served_json.push(format!(
             "{{\"algo\":\"{}\",\"rings\":{served_rings},\"actions\":{actions},\
              \"repeats\":{SERVED_REPEATS},\"ns_per_action\":{{\"median\":{median:.1},\
-             \"min\":{min:.1},\"max\":{max:.1}}}}}",
+             \"min\":{min:.1},\"max\":{max:.1}}},\"scaled_ns_per_action\":{{\
+             \"median\":{s_median:.1},\"min\":{s_min:.1},\"max\":{s_max:.1}}}}}",
             algo.name()
         ));
     }
+    let (p_median, p_min, p_max) = spread(readings.iter().map(|ns| ns / 1e3).collect());
     out.push_str(&format!(
         "### Served cost per action ({served_rings} cold-distinct-shaped rings, n 24–48, k 2–3, \
          seed {SERVED_SEED}; report only)\n\n{}\n\
          (each repeat runs every ring once through `hre_svc::run_election`, round-robin, and \
          divides the wall time by the actions fired; after one untimed pass each, the \
-         {SERVED_REPEATS} repeats alternate between the algorithms; median, min and max)\n\n\
+         {SERVED_REPEATS} repeats alternate between the algorithms; median, min and max. \
+         Scaled: each repeat times {PROBE_REFERENCE_NS:.0} ns over the mean of the host-speed \
+         probe's readings before and after it; the {} readings took {p_median:.1} µs \
+         (min {p_min:.1}, max {p_max:.1}))\n\n\
          overall: {}\n",
         t.render(),
+        readings.len(),
         if ok { "PASS" } else { "FAIL" }
     ));
 
@@ -333,10 +436,13 @@ pub fn run_e22(quick: bool) -> E22Outcome {
          \"wall_ms_1t\": {ms1:.3}, \"wall_ms_4t\": {ms4:.3}, \"scaling\": {scaling:.2}, \
          \"invariant\": {invariant}, \"scaling_gate\": \"{scaling_gate}\"}},\n  \
          \"served_per_action\": [\n    {}\n  ],\n  \
+         \"probe\": {{\"reference_ns\": {PROBE_REFERENCE_NS:.0}, \"readings\": {}, \
+         \"us\": {{\"median\": {p_median:.1}, \"min\": {p_min:.1}, \"max\": {p_max:.1}}}}},\n  \
          \"ok\": {ok}\n}}\n",
         catalog.len(),
         rows_json.join(",\n    "),
         served_json.join(",\n    "),
+        readings.len(),
     );
     E22Outcome { report: out, json, ok }
 }

@@ -25,7 +25,7 @@
 //! | A6     | `rcv ⟨FINISH⟩ ∧ isLeader`                        | halt |
 
 use hre_sim::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
-use hre_words::{is_lyndon, srp, Label};
+use hre_words::{is_lyndon, least_rotation, srp, srp_len, Label};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -99,27 +99,21 @@ impl Algorithm for Ak {
     /// Simulator spawn point: each process knows its ring position, so its
     /// `string` can be a zero-copy `(start, len)` window into the shared
     /// labeling instead of an owned, growing vector, and its label counts
-    /// a dense vector indexed by label rank, from one rank table the whole
-    /// ring shares. On fault-free runs every received token matches the
-    /// window's periodic continuation and the window never materializes; a
-    /// diverging token (duplication, reordering) falls back to the owned
-    /// representation transparently.
+    /// a dense vector indexed by label rank, from one [`RingTable`] the
+    /// whole ring shares. On fault-free runs every received token matches
+    /// the window's periodic continuation and the window never
+    /// materializes; a diverging token (duplication, reordering) falls back
+    /// to the owned representation transparently.
     fn spawn_ring(&self, ring: &hre_ring::RingLabeling) -> Vec<AkProc> {
         let labels = ring.labels_shared();
-        let mut alphabet = labels.to_vec();
-        alphabet.sort_unstable();
-        alphabet.dedup();
-        let ranks: Arc<[u32]> = labels
-            .iter()
-            .map(|l| alphabet.binary_search(l).expect("a ring's labels are in its alphabet") as u32)
-            .collect();
+        let (table, alphabet) = RingTable::new(&labels);
         (0..labels.len())
             .map(|i| {
                 let start = i as u32;
                 let string = PrefixString::Window {
                     ring: Arc::clone(&labels),
-                    ranks: Arc::clone(&ranks),
-                    counts: vec![0; alphabet.len()],
+                    table: table.clone(),
+                    counts: vec![0; alphabet],
                     start,
                     len: 0,
                     next: start,
@@ -127,6 +121,65 @@ impl Algorithm for Ak {
                 self.proc(labels[i], string)
             })
             .collect()
+    }
+}
+
+/// What `Ak::spawn_ring` computes once per ring for its processes'
+/// windows, in one shared allocation: the rotational period and Lyndon
+/// phase that decide `Leader` on a long enough window, then the label
+/// ranks their counts are indexed by.
+///
+/// Let `W` be the counter-clockwise word of the ring, the walk from
+/// position 0 (`W[m] = ring[(n − m) mod n]`); the walk from position `s`
+/// is `W` rotated by the walk offset `t = (n − s) mod n`. Let `P` be the
+/// smallest divisor `d` of `n` with `W` equal to its rotation by `d` (`n`
+/// on every asymmetric ring), so that `u = W[..P]` is primitive and the
+/// walk from `s` is periodic with the primitive period
+/// `rot_{t mod P}(u)`. On a prefix `σ` of that walk with `|σ| ≥ 2P − 1`,
+/// a period `q < P` would make `gcd(P, q)` a period too (Fine–Wilf), and
+/// `σ[..P]` a proper power, so `srp(σ)` is exactly `rot_{t mod P}(u)`. A
+/// primitive word is Lyndon iff it is its own least rotation, so
+/// `Leader(σ)`'s Lyndon half holds iff `t mod P` is the least rotation of
+/// `W` modulo `P`.
+#[derive(Clone)]
+struct RingTable(Arc<[u32]>);
+
+impl RingTable {
+    /// Slots before the ranks: `P`, then the Lyndon phase.
+    const HEADER: usize = 2;
+
+    /// The table of `ring`, and the number of its distinct labels.
+    fn new(ring: &[Label]) -> (RingTable, usize) {
+        let mut alphabet = ring.to_vec();
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        let n = ring.len();
+        let word = ccw_walk(ring, 0, n as u32);
+        // A word is a proper power iff its smallest period divides its
+        // length, and then that period is its primitive root's length.
+        let smallest = srp_len(&word);
+        let period = if n.is_multiple_of(smallest) { smallest } else { n };
+        let header = [period as u32, (least_rotation(&word) % period) as u32];
+        let ranks = ring.iter().map(|l| {
+            alphabet.binary_search(l).expect("a ring's labels are in its alphabet") as u32
+        });
+        (RingTable(header.into_iter().chain(ranks).collect()), alphabet.len())
+    }
+
+    /// `P`, the rotational period of the counter-clockwise word.
+    fn period(&self) -> u32 {
+        self.0[0]
+    }
+
+    /// `least_rotation(W) mod P`: the walk offset, modulo `P`, of the
+    /// processes whose `srp` is a Lyndon word.
+    fn lyndon_phase(&self) -> u32 {
+        self.0[1]
+    }
+
+    /// The rank of `ring[j]` among the ring's distinct labels.
+    fn rank(&self, j: usize) -> usize {
+        self.0[Self::HEADER + j] as usize
     }
 }
 
@@ -150,9 +203,9 @@ enum PrefixString {
     Window {
         /// Shared ring storage (refcount bump to clone).
         ring: Arc<[Label]>,
-        /// `ranks[j]`: the rank of `ring[j]` among the ring's distinct
-        /// labels — one table per ring, shared by its processes.
-        ranks: Arc<[u32]>,
+        /// The ring's period, Lyndon phase and label ranks — one table per
+        /// ring, shared by its processes.
+        table: RingTable,
         /// Occurrences of each label in the prefix, indexed by rank.
         counts: Vec<u32>,
         /// The owning process's position.
@@ -189,7 +242,7 @@ impl PrefixString {
     /// holds it; without, returns 0 and leaves the counts as they were.
     fn push(&mut self, x: Label, count: bool) -> u32 {
         match self {
-            PrefixString::Window { ring, ranks, counts, start, len, next } => {
+            PrefixString::Window { ring, table, counts, start, len, next } => {
                 let j = *next as usize;
                 if x == ring[j] {
                     *len += 1;
@@ -197,14 +250,14 @@ impl PrefixString {
                     if !count {
                         return 0;
                     }
-                    let c = &mut counts[ranks[j] as usize];
+                    let c = &mut counts[table.rank(j)];
                     *c += 1;
                     *c
                 } else {
                     let labels = ccw_walk(ring, *start, *len);
                     let mut keyed = HashMap::with_capacity(counts.len());
-                    for (label, &rank) in ring.iter().zip(ranks.iter()) {
-                        let c = counts[rank as usize];
+                    for (j, label) in ring.iter().enumerate() {
+                        let c = counts[table.rank(j)];
                         if c > 0 {
                             keyed.insert(*label, c);
                         }
@@ -225,9 +278,26 @@ impl PrefixString {
         }
     }
 
+    /// Whether `srp` of the string is a Lyndon word, read from the ring's
+    /// table when the string is a window of at least `2P − 1` labels (see
+    /// [`RingTable`]); `None` for a shorter window or an owned string.
+    fn table_lyndon(&self) -> Option<bool> {
+        match self {
+            PrefixString::Window { ring, table, start, len, .. }
+                if *len as usize + 1 >= 2 * table.period() as usize =>
+            {
+                let n = ring.len() as u32;
+                let offset = (n - start) % n;
+                Some(offset % table.period() == table.lyndon_phase())
+            }
+            _ => None,
+        }
+    }
+
     /// Materializes the string (for `srp`/Lyndon analysis, which needs a
-    /// contiguous slice). Release builds call it once per process per
-    /// run, when the `2k+1` threshold pins the ring.
+    /// contiguous slice). Release builds call it at most once per process
+    /// per run, when the `2k+1` threshold is reached before the table
+    /// can answer (see [`Self::table_lyndon`]).
     fn to_vec(&self) -> Vec<Label> {
         match self {
             PrefixString::Window { ring, start, len, .. } => ccw_walk(ring, *start, *len),
@@ -313,9 +383,14 @@ impl AkProc {
         if self.max_count < 2 * self.k + 1 {
             return false;
         }
-        // Reached at most once per process: materialize for `srp`.
-        let sigma = self.string.to_vec();
-        let v = is_lyndon(srp(&sigma));
+        // Reached at most once per process. A window at least 2P − 1 labels
+        // long has its verdict in the ring's table; a shorter window (a k
+        // below the ring's multiplicity can reach 2k+1 copies sooner) or an
+        // owned string materializes for `srp`.
+        let v = match self.string.table_lyndon() {
+            Some(v) => v,
+            None => is_lyndon(srp(&self.string.to_vec())),
+        };
         self.determined_leader = Some(v);
         v
     }
@@ -437,6 +512,41 @@ mod tests {
         assert!(!leader_predicate(&sigma0, k));
         // Too short: threshold not reached, predicate false even for p1.
         assert!(!leader_predicate(&ring.llabels(1, 6), k));
+    }
+
+    #[test]
+    fn table_verdict_is_the_srp_lyndon_test_on_every_long_window() {
+        // Every labeling with n ≤ 6 over three labels, symmetric ones
+        // included, every position, every window length from 2P − 1 to
+        // three laps: the table answers, and answers what `srp` +
+        // `is_lyndon` of the materialized window would.
+        for n in 2..=6usize {
+            for ring in enumerate::all_labelings(n, 3) {
+                let labels = ring.labels_shared();
+                let (table, alphabet) = RingTable::new(&labels);
+                let period = table.period() as usize;
+                assert_eq!(period == n, ring.is_asymmetric(), "{ring:?}");
+                for s in 0..n {
+                    for len in 1..=3 * n {
+                        let window = PrefixString::Window {
+                            ring: Arc::clone(&labels),
+                            table: table.clone(),
+                            counts: vec![0; alphabet],
+                            start: s as u32,
+                            len: len as u32,
+                            next: 0,
+                        };
+                        let sigma = window.to_vec();
+                        assert_eq!(sigma, ring.llabels(s, len));
+                        let want = is_lyndon(srp(&sigma));
+                        match window.table_lyndon() {
+                            Some(v) => assert_eq!(v, want, "{ring:?} s={s} len={len}"),
+                            None => assert!(len < 2 * period - 1, "{ring:?} s={s} len={len}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,18 +35,24 @@
 //!   answers every scheduler query in ascending index order, the order in
 //!   which the pre-optimization engine (see [`crate::baseline`]) rebuilt
 //!   its list, so every scheduling decision is unchanged;
+//! * an unrecorded run under [`RoundRobinSched`] does not keep the set
+//!   exact at all (`Network::run_round_robin`): it walks the ring from the
+//!   cursor, fires the cursor's process when it is enabled and otherwise
+//!   skips ahead through a superset of the enabled processes, exact again
+//!   when the run stops;
 //! * a benign [`FaultPlan`] (no rules) is never consulted: sends go
 //!   straight onto the link;
 //! * one action body (`Parts::act`) serves [`Network::fire_with_record`]
-//!   and the run loop for unrecorded runs (`Network::run_unrecorded`),
-//!   which holds the network's fields borrowed apart for the whole run; the
+//!   and the run loops for unrecorded runs (`Network::run_unrecorded`,
+//!   `Network::run_round_robin`), which hold the network's fields borrowed
+//!   apart for the whole run; the
 //!   body is monomorphised over where sent messages are copied (`Sink`),
 //!   so the unrecorded loop carries no recording branch.
 
 use crate::faults::FaultPlan;
 use crate::process::{Algorithm, ElectionState, Outbox, ProcessBehavior, Reaction};
 use crate::run::RunOptions;
-use crate::sched::{EnabledSet, Scheduler, Selection};
+use crate::sched::{EnabledSet, RoundRobinSched, Scheduler, Selection};
 use crate::spec::SpecMonitor;
 use hre_ring::RingLabeling;
 use std::collections::VecDeque;
@@ -402,11 +408,12 @@ impl<P: ProcessBehavior> Network<P> {
         }
     }
 
-    /// The run loop for runs nobody records (no trace, no observer reading
-    /// events, a benign fault plan): asks `sched` for a pick, fires it
-    /// through the shared action body, patches the enabled bits and feeds
-    /// `monitor`, for as long as [`RunOptions::continues`] allows. Returns
-    /// the scheduler steps taken.
+    /// The exact-set loop for runs nobody records (no trace, no observer
+    /// reading events, a benign fault plan) under any scheduler but
+    /// round-robin, which takes [`Self::run_round_robin`]: asks `sched`
+    /// for a pick, fires it through the shared action body, patches the
+    /// enabled bits and feeds `monitor`, for as long as
+    /// [`RunOptions::continues`] allows. Returns the scheduler steps taken.
     ///
     /// It makes exactly the decisions and counts of stepping through
     /// [`Self::fire`] one pick at a time; it only holds the network's
@@ -445,6 +452,52 @@ impl<P: ProcessBehavior> Network<P> {
         steps
     }
 
+    /// The round-robin sweep: the run loop for runs nobody records under
+    /// `rr`. It makes `rr`'s picks — the first enabled process at or after
+    /// the cursor, else the first enabled process — and leaves its cursor
+    /// one past the last pick, but keeps no exact enabled set while it
+    /// runs. The set's words hold *candidates* instead, a superset of the
+    /// enabled processes: a send marks its receiver, and a process found
+    /// disabled when the sweep reaches it is unmarked. The cursor's
+    /// process is tested first; past a disabled one the sweep skips ahead
+    /// through the candidates a 64-bit word at a time, so a phase in which
+    /// few processes are enabled scans no idle stretch of the ring per
+    /// action. It stops where [`RunOptions::continues`] would, and leaves
+    /// [`Self::enabled_procs`] exact. Returns the scheduler steps taken.
+    pub(crate) fn run_round_robin(
+        &mut self,
+        rr: &mut RoundRobinSched,
+        monitor: &mut SpecMonitor,
+        opts: &RunOptions,
+    ) -> u64 {
+        debug_assert!(self.faults.is_benign(), "faulty runs step through fire_with_record");
+        let (mut parts, candidates) = self.split();
+        let mut steps = 0;
+        let mut at = if rr.cursor < parts.slots.len() { rr.cursor } else { 0 };
+        while opts.allows(monitor, parts.counters.actions_fired) {
+            let i = if enabled_at(&parts.slots[at], &parts.links[at]) {
+                at
+            } else {
+                candidates.unmark(at);
+                match parts.next_enabled(candidates, at) {
+                    Some(i) => i,
+                    None => break,
+                }
+            };
+            steps += 1;
+            if let Fired::Started { sent } | Fired::Received { sent, .. } = parts.act(i, &mut ()) {
+                if sent > 0 {
+                    candidates.mark(parts.right(i));
+                }
+            }
+            monitor.observe_one(i, parts.slots[i].proc.election());
+            rr.cursor = i + 1;
+            at = parts.right(i);
+        }
+        candidates.retain(|i| enabled_at(&parts.slots[i], &parts.links[i]));
+        steps
+    }
+
     /// Borrows the fields an action touches apart from the enabled set.
     fn split(&mut self) -> (Parts<'_, P>, &mut EnabledSet) {
         let Network { slots, links, enabled_procs, counters, label_bits, faults, scratch, .. } =
@@ -462,6 +515,32 @@ fn enabled_at<P: ProcessBehavior>(slot: &Slot<P>, link: &Link<P::Msg>) -> bool {
 }
 
 impl<P: ProcessBehavior> Parts<'_, P> {
+    /// The first enabled process after `at` in ring order, `at` excluded
+    /// (the caller tested it), found among `candidates`: each candidate
+    /// found disabled on the way is unmarked. `None` when no candidate is
+    /// enabled.
+    #[inline]
+    fn next_enabled(&self, candidates: &mut EnabledSet, at: usize) -> Option<usize> {
+        let mut from = at + 1;
+        let mut wrapped = false;
+        loop {
+            match candidates.first_from(from) {
+                Some(j) if enabled_at(&self.slots[j], &self.links[j]) => return Some(j),
+                Some(j) => {
+                    candidates.unmark(j);
+                    from = j + 1;
+                }
+                // Every candidate past `at` is unmarked by now, so one wrap
+                // visits all that are left.
+                None if !wrapped => {
+                    wrapped = true;
+                    from = 0;
+                }
+                None => return None,
+            }
+        }
+    }
+
     /// Fires `i` if it is enabled, then patches the enabled bits the action
     /// can have changed: the firer's, and its right neighbor's when
     /// something was sent onto that neighbor's link.

@@ -149,8 +149,9 @@ pub trait Algorithm {
     /// the whole ring at once lets an implementation share per-ring
     /// tables and the ring's label storage between its processes (`Ak`
     /// represents each growing `string` as a window into the shared
-    /// labeling, with label counts indexed by a rank table computed once
-    /// per ring). The default spawns each process from its label.
+    /// labeling, and indexes its label counts and reads its `Leader`
+    /// verdict from a table computed once per ring). The default spawns
+    /// each process from its label.
     fn spawn_ring(&self, ring: &hre_ring::RingLabeling) -> Vec<Self::Proc> {
         ring.labels().iter().map(|&label| self.spawn(label)).collect()
     }

@@ -31,8 +31,8 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Whether a run takes another scheduler step: some process is
-    /// enabled, fewer than `max_actions` actions have fired, and no
-    /// recorded violation stops it. Both run loops stop on this one test.
+    /// enabled and [`Self::allows`] it. Every run loop stops on this test
+    /// (the round-robin sweep finds "nothing enabled" as it searches).
     #[inline]
     pub(crate) fn continues(
         &self,
@@ -40,8 +40,15 @@ impl RunOptions {
         enabled: &EnabledSet,
         actions_fired: u64,
     ) -> bool {
-        !enabled.is_empty()
-            && actions_fired < self.max_actions
+        !enabled.is_empty() && self.allows(monitor, actions_fired)
+    }
+
+    /// Whether the budget and the violation stop allow another step: fewer
+    /// than `max_actions` actions have fired, and no recorded violation
+    /// stops the run.
+    #[inline]
+    pub(crate) fn allows(&self, monitor: &SpecMonitor, actions_fired: u64) -> bool {
+        actions_fired < self.max_actions
             && (!self.stop_on_violation || monitor.violations().is_empty())
     }
 }
@@ -253,15 +260,18 @@ where
 {
     let mut monitor = SpecMonitor::new(net.elections());
     let mut trace = opts.record_trace.then(Trace::new);
-    // Runs nobody records take the network's own loop, which materializes
-    // no events and clones no message.
+    // Runs nobody records take one of the network's own loops, which
+    // materialize no events and clone no message: the round-robin sweep
+    // under round-robin, the exact-set loop under every other scheduler.
     let steps = if opts.record_trace || obs.wants_events() || !net.faults_benign() {
         run_events(&mut net, sched, &opts, &mut monitor, &mut trace, obs)
+    } else if let Some(rr) = sched.as_round_robin() {
+        net.run_round_robin(rr, &mut monitor, &opts)
     } else {
         net.run_unrecorded(sched, &mut monitor, &opts)
     };
 
-    // Both loops stop at the first of: a violation under
+    // Every loop stops at the first of: a violation under
     // `stop_on_violation`, an empty enabled set (a terminal
     // configuration), the action budget (enabled set non-empty, so no
     // terminal kind).
@@ -519,6 +529,214 @@ mod tests {
         let ring = RingLabeling::from_raw(&[1, 2, 3, 4, 5, 6]);
         let rep = run(&algo, &ring, &mut SyncSched, RunOptions::default());
         assert!(!rep.clean());
+    }
+
+    /// An observer that reads events, which sends a run down the recorded
+    /// loop.
+    struct EveryEvent;
+
+    impl<P: ProcessBehavior> Observer<P> for EveryEvent {
+        fn after_event(&mut self, _net: &Network<P>, _event: &ActionEvent<P::Msg>) {}
+    }
+
+    /// A sparse phase: the process labeled `kick` sends one message on its
+    /// initial action; the one labeled `source`, its right neighbor,
+    /// answers it with `burst` messages to the one labeled `sink`, which
+    /// consumes them without forwarding anything; every other process, and
+    /// the kick and the source once done, halt. The burst leaves a lap
+    /// after the initial actions, and from then on the sink is the only
+    /// enabled process, one place behind the cursor after each of its
+    /// actions.
+    struct Backlog {
+        kick: Label,
+        source: Label,
+        sink: Label,
+        burst: u32,
+    }
+
+    struct BacklogProc {
+        kicks: bool,
+        sends: u32,
+        drains: u32,
+        st: ElectionState,
+    }
+
+    impl Algorithm for Backlog {
+        type Proc = BacklogProc;
+        fn name(&self) -> String {
+            "Backlog".into()
+        }
+        fn spawn(&self, label: Label) -> BacklogProc {
+            BacklogProc {
+                kicks: label == self.kick,
+                sends: if label == self.source { self.burst } else { 0 },
+                drains: if label == self.sink { self.burst } else { 0 },
+                st: ElectionState::INITIAL,
+            }
+        }
+    }
+
+    impl ProcessBehavior for BacklogProc {
+        type Msg = u32;
+        fn on_start(&mut self, out: &mut Outbox<u32>) {
+            if self.kicks {
+                out.send(0);
+            }
+            self.st.halted = self.sends == 0 && self.drains == 0;
+        }
+        fn on_msg(&mut self, _msg: &u32, out: &mut Outbox<u32>) -> Reaction {
+            if self.sends > 0 {
+                for m in 0..self.sends {
+                    out.send(m);
+                }
+                self.sends = 0;
+                self.st.halted = true;
+            } else {
+                self.drains -= 1;
+                self.st.halted = self.drains == 0;
+            }
+            Reaction::Consumed
+        }
+        fn election(&self) -> ElectionState {
+            self.st
+        }
+        fn space_bits(&self, _b: u32) -> u64 {
+            self.drains as u64
+        }
+    }
+
+    /// [`Backlog`] with its three roles at consecutive labels from `kick`
+    /// (wrapping past 150 to 1).
+    fn backlog(kick: u64, burst: u32) -> Backlog {
+        let at = |l: u64| Label::new((l - 1) % 150 + 1);
+        Backlog { kick: at(kick), source: at(kick + 1), sink: at(kick + 2), burst }
+    }
+
+    /// A process that sends its label and then ignores every message, so
+    /// every process wedges on its head.
+    struct Stubborn;
+
+    struct StubbornProc(Label);
+
+    impl Algorithm for Stubborn {
+        type Proc = StubbornProc;
+        fn name(&self) -> String {
+            "Stubborn".into()
+        }
+        fn spawn(&self, label: Label) -> StubbornProc {
+            StubbornProc(label)
+        }
+    }
+
+    impl ProcessBehavior for StubbornProc {
+        type Msg = Label;
+        fn on_start(&mut self, out: &mut Outbox<Label>) {
+            out.send(self.0);
+        }
+        fn on_msg(&mut self, _msg: &Label, _out: &mut Outbox<Label>) -> Reaction {
+            Reaction::Ignored
+        }
+        fn election(&self) -> ElectionState {
+            ElectionState::INITIAL
+        }
+        fn space_bits(&self, b: u32) -> u64 {
+            b as u64
+        }
+    }
+
+    /// `algo` on `ring` under round-robin, through the sweep and through
+    /// the recorded loop: the same steps, cursor, counters, process
+    /// states and violations, an exact enabled set after the sweep, and
+    /// equal reports from the public entry points.
+    fn sweep_matches_recorded<A: Algorithm>(algo: &A, ring: &RingLabeling, opts: RunOptions) {
+        let mut swept = Network::new(algo, ring);
+        let mut swept_monitor = SpecMonitor::new(swept.elections());
+        let mut swept_rr = RoundRobinSched::default();
+        let steps = swept.run_round_robin(&mut swept_rr, &mut swept_monitor, &opts);
+
+        let mut recorded = Network::new(algo, ring);
+        let mut recorded_monitor = SpecMonitor::new(recorded.elections());
+        let mut recorded_rr = RoundRobinSched::default();
+        let recorded_steps = run_events(
+            &mut recorded,
+            &mut recorded_rr,
+            &opts,
+            &mut recorded_monitor,
+            &mut None,
+            &mut EveryEvent,
+        );
+
+        let case = format!("{} on n = {}, budget {}", algo.name(), ring.n(), opts.max_actions);
+        assert_eq!(steps, recorded_steps, "{case}");
+        assert_eq!(swept_rr.cursor, recorded_rr.cursor, "{case}");
+        assert_eq!(
+            format!("{:?}", swept.counters()),
+            format!("{:?}", recorded.counters()),
+            "{case}"
+        );
+        assert_eq!(swept.virtual_time(), recorded.virtual_time(), "{case}");
+        assert_eq!(swept.elections(), recorded.elections(), "{case}");
+        assert_eq!(swept_monitor.violations(), recorded_monitor.violations(), "{case}");
+        let exact: Vec<usize> = (0..ring.n()).filter(|&i| swept.enabled(i)).collect();
+        assert_eq!(swept.enabled_set(), exact, "{case}");
+        assert_eq!(swept.enabled_procs(), recorded.enabled_procs(), "{case}");
+        assert_eq!(swept.terminal_kind(), recorded.terminal_kind(), "{case}");
+
+        let fast = run(algo, ring, &mut RoundRobinSched::default(), opts);
+        let slow =
+            run_with_observer(algo, ring, &mut RoundRobinSched::default(), opts, &mut EveryEvent);
+        assert_eq!(fast.verdict, slow.verdict, "{case}");
+        assert_eq!(fast.leader, slow.leader, "{case}");
+        assert_eq!(fast.violations, slow.violations, "{case}");
+        assert_eq!(fast.metrics, slow.metrics, "{case}");
+        assert_eq!(fast.metrics.steps, steps, "{case}");
+    }
+
+    /// Labels `1..=n`, over three bitset words at `n = 150`.
+    fn distinct(n: u64) -> RingLabeling {
+        RingLabeling::from_raw(&(1..=n).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn sweep_drains_a_backlog_behind_the_cursor() {
+        // The sink at position 70 (the second word) drains 500 messages
+        // while the other 149 processes have halted: the sweep must skip
+        // from the cursor past the idle words and wrap to it every time.
+        let ring = distinct(150);
+        sweep_matches_recorded(&backlog(69, 500), &ring, RunOptions::default());
+        let rep =
+            run(&backlog(69, 500), &ring, &mut RoundRobinSched::default(), Default::default());
+        assert_eq!((rep.metrics.actions, rep.metrics.steps), (651, 651));
+        // The sink at the last position, and at the first: there the sweep
+        // finds it disabled a lap before the burst reaches it, so only the
+        // send's candidate mark leads the search back to it.
+        for kick in [148, 149] {
+            sweep_matches_recorded(&backlog(kick, 300), &ring, RunOptions::default());
+        }
+    }
+
+    #[test]
+    fn sweep_stops_on_the_budget_mid_sweep() {
+        let known = KnownN { n: 150 };
+        let ring = distinct(150);
+        for max_actions in [0, 1, 69, 70, 149, 150, 151, 152, 400, 1_000, 5_000] {
+            let opts = RunOptions { max_actions, ..Default::default() };
+            sweep_matches_recorded(&backlog(69, 500), &ring, opts);
+            sweep_matches_recorded(&backlog(149, 500), &ring, opts);
+            sweep_matches_recorded(&known, &ring, opts);
+            let rep = run(&known, &ring, &mut RoundRobinSched::default(), opts);
+            assert_eq!(rep.verdict, Verdict::ActionLimit, "budget {max_actions}");
+        }
+    }
+
+    #[test]
+    fn sweep_wedges_and_stops_on_violations_like_the_recorded_loop() {
+        for n in [2, 63, 64, 65, 130] {
+            sweep_matches_recorded(&Stubborn, &distinct(n), RunOptions::default());
+        }
+        // Halting before `done` is a violation: the first one stops the run.
+        let opts = RunOptions { stop_on_violation: true, ..Default::default() };
+        sweep_matches_recorded(&backlog(69, 500), &distinct(150), opts);
     }
 
     #[test]

@@ -140,6 +140,40 @@ impl EnabledSet {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         Members { words: &self.words, next_word: 0, bits: 0 }
     }
+
+    // The round-robin sweep (`Network::run_round_robin`) uses the set's
+    // words as its candidate set, a superset of the enabled processes: it
+    // marks and unmarks bits without counting them and makes the set exact
+    // again with `retain` before it returns.
+
+    /// Adds `i` without counting it.
+    #[inline]
+    pub(crate) fn mark(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Removes `i` without counting it.
+    #[inline]
+    pub(crate) fn unmark(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Keeps the members for which `keep` holds, and recounts them.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut len = 0;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if !keep(w * 64 + bit) {
+                    *word &= !(1 << bit);
+                }
+            }
+            len += word.count_ones() as usize;
+        }
+        self.len = len;
+    }
 }
 
 /// Ascending iterator over an [`EnabledSet`]'s members.
@@ -173,6 +207,17 @@ pub trait Scheduler {
 
     /// Name for reports.
     fn name(&self) -> String;
+
+    /// The round-robin scheduler this is, if it is one. A run nobody
+    /// records under it takes the round-robin sweep, which makes the same
+    /// picks without keeping the enabled set exact after every action.
+    /// Only [`RoundRobinSched`] answers `Some` (the `Box` and `&mut`
+    /// wrappers forward the question), so for a concrete scheduler the
+    /// answer is known where the run is compiled.
+    #[inline]
+    fn as_round_robin(&mut self) -> Option<&mut RoundRobinSched> {
+        None
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -182,6 +227,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     fn name(&self) -> String {
         (**self).name()
     }
+    #[inline]
+    fn as_round_robin(&mut self) -> Option<&mut RoundRobinSched> {
+        (**self).as_round_robin()
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -190,6 +239,10 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     }
     fn name(&self) -> String {
         (**self).name()
+    }
+    #[inline]
+    fn as_round_robin(&mut self) -> Option<&mut RoundRobinSched> {
+        (**self).as_round_robin()
     }
 }
 
@@ -209,7 +262,9 @@ impl Scheduler for SyncSched {
 /// Round-robin over process indices.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundRobinSched {
-    cursor: usize,
+    /// One past the last pick: the next pick is the first enabled process
+    /// at or after it, else the first enabled process.
+    pub(crate) cursor: usize,
 }
 
 impl Scheduler for RoundRobinSched {
@@ -222,6 +277,10 @@ impl Scheduler for RoundRobinSched {
     }
     fn name(&self) -> String {
         "round-robin".into()
+    }
+    #[inline]
+    fn as_round_robin(&mut self) -> Option<&mut RoundRobinSched> {
+        Some(self)
     }
 }
 
@@ -366,6 +425,19 @@ mod tests {
             s.set(i, false);
         }
         assert!(s.is_empty() && s.first().is_none() && s.last().is_none());
+    }
+
+    #[test]
+    fn candidate_marks_wait_for_retain_to_recount() {
+        let mut s = EnabledSet::with_members(130, &[1, 64]);
+        s.mark(129);
+        s.mark(70);
+        s.unmark(1);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![64, 70, 129]);
+        assert_eq!(s.len(), 2, "marks are not counted");
+        s.retain(|i| i != 70);
+        assert_eq!((s.len(), s.iter().collect::<Vec<_>>()), (2, vec![64, 129]));
+        assert_eq!(s, EnabledSet::with_members(130, &[64, 129]));
     }
 
     /// The slice rules every scheduler applied to the engine's former
