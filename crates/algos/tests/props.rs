@@ -2,10 +2,10 @@
 //! registered engine, and trace-level agreement between `ak` served
 //! through the trait and the frozen pre-refactor driver loop.
 
-use hre_algos::{engines, SchedChoice};
+use hre_algos::{engines, AlgoId};
 use hre_core::Ak;
 use hre_ring::{enumerate, generate, RingLabeling};
-use hre_sim::{baseline::run_baseline, RoundRobinSched, RunOptions};
+use hre_sim::{baseline::run_baseline, RoundRobinSched, RunOptions, SyncSched};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,9 +44,9 @@ fn assert_rotation_equivariant(labels: &[u64], d: usize) -> Result<(), TestCaseE
             "{}: support must be rotation-invariant on {labels:?} d={d}",
             engine.name()
         );
-        let a = engine.run(&base, k, SchedChoice::Sync, false);
-        let b = engine.run(&rotated, k, SchedChoice::Sync, false);
-        prop_assert!(a.accepted && b.accepted, "{} on {labels:?}: {}", engine.name(), a.verdict);
+        let a = engine.run(&base, k, &mut SyncSched, false);
+        let b = engine.run(&rotated, k, &mut SyncSched, false);
+        prop_assert!(a.accepted && b.accepted, "{} on {labels:?}: {:?}", engine.name(), a.verdict);
         let (la, lb) = (a.leader, b.leader);
         prop_assert_eq!(
             lb.map(|l| (l + d) % n),
@@ -89,16 +89,17 @@ proptest! {
 /// The trait adapter must be a *transparent* wrapper around `Ak`: on
 /// the full 342-ring asymmetric catalog, `ak` run through the registry
 /// produces the same leader, the same metrics, and byte-identical
-/// per-process received streams as the frozen pre-refactor driver loop
-/// (`hre_sim::baseline`) driving `Ak` directly.
+/// per-process received streams (its recorded trace, `Debug`-rendered)
+/// as the frozen pre-refactor run loop (`hre_sim::baseline`) driving
+/// `Ak` directly.
 #[test]
 fn ak_via_trait_matches_frozen_baseline_traces() {
-    let ak = hre_algos::by_name("ak").expect("ak is registered");
+    let ak = AlgoId::Ak.engine();
     let mut rings = 0usize;
     for n in 2..=5 {
         for ring in enumerate::asymmetric_labelings(n, 3) {
             let k = ring.max_multiplicity();
-            let via_trait = ak.run(&ring, k, SchedChoice::RoundRobin, true);
+            let via_trait = ak.run(&ring, k, &mut RoundRobinSched::default(), true);
             let frozen = run_baseline(
                 &Ak::new(ak.effective_k(k)),
                 &ring,
@@ -113,12 +114,17 @@ fn ak_via_trait_matches_frozen_baseline_traces() {
                 "ring {:?}",
                 ring.labels()
             );
-            let trace = frozen.trace.expect("trace recorded");
-            let streams = via_trait.streams.expect("streams recorded");
-            for (pid, stream) in streams.iter().enumerate() {
+            let frozen_trace = frozen.trace.expect("trace recorded");
+            let trace = via_trait.trace.expect("trace recorded");
+            for pid in 0..ring.n() {
                 let frozen_stream: Vec<String> =
-                    trace.received_stream(pid).iter().map(|m| format!("{m:?}")).collect();
-                assert_eq!(stream, &frozen_stream, "ring {:?} pid {pid}", ring.labels());
+                    frozen_trace.received_stream(pid).iter().map(|m| format!("{m:?}")).collect();
+                assert_eq!(
+                    trace.received_stream(pid),
+                    frozen_stream,
+                    "ring {:?} pid {pid}",
+                    ring.labels()
+                );
             }
             rings += 1;
         }

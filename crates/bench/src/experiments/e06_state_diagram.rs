@@ -6,6 +6,7 @@
 //! subset of Figure 2's edges, and print the transition census (the
 //! figure, with measured edge frequencies).
 
+use hre_algos::AlgoId;
 use hre_analysis::state_diagram::{check_figure2_conformance, DiagramReport, ALLOWED_TRANSITIONS};
 use hre_analysis::Table;
 use hre_ring::{catalog, generate};
@@ -33,7 +34,7 @@ pub fn report() -> String {
     // Random rings.
     for _ in 0..15 {
         let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
-        let k = ring.max_multiplicity().max(2);
+        let k = AlgoId::Bk.effective_k(ring.max_multiplicity());
         merged.merge(check_figure2_conformance(&ring, k, &mut RoundRobinSched::default()));
         runs += 1;
     }

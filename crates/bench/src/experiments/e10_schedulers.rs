@@ -6,6 +6,7 @@
 //! deadlocks, and full confluence (identical leader / messages / time on
 //! every schedule).
 
+use hre_algos::AlgoId;
 use hre_analysis::Table;
 use hre_core::{Ak, Bk};
 use hre_ring::generate;
@@ -22,7 +23,8 @@ const SEED: u64 = 60_601;
 pub fn report() -> String {
     let mut rng = StdRng::seed_from_u64(SEED);
     let ring = generate::random_a_inter_kk(12, 3, 4, &mut rng);
-    let k = ring.max_multiplicity().max(2);
+    // Bk's bound, which Ak takes as well.
+    let k = AlgoId::Bk.effective_k(ring.max_multiplicity());
     let victim = ring.true_leader().unwrap();
 
     let mut out = String::new();

@@ -13,6 +13,7 @@
 //! needed for any decision); the table makes that visible too — the claim
 //! is "no guarantee without the assumptions", not "every fault is fatal".
 
+use hre_algos::AlgoId;
 use hre_analysis::Table;
 use hre_core::{Ak, Bk};
 use hre_net::{run_tcp, FaultPolicy, NetOptions};
@@ -61,7 +62,7 @@ pub fn report() -> String {
     let mut each_fault_broke_something = vec![false; plans.len()];
 
     for (ring_name, ring) in &rings {
-        let k = ring.max_multiplicity().max(2);
+        let k = AlgoId::Bk.effective_k(ring.max_multiplicity());
         for (pi, (fault_name, plan)) in plans.iter().enumerate() {
             let ak =
                 run_faulty(&Ak::new(k), ring, &mut RoundRobinSched::default(), opts, plan.clone());
@@ -97,7 +98,7 @@ pub fn report() -> String {
     // duplicate suppression turn every class back into a clean election.
     out.push_str("\n### Transport-level recovery (hre-net over TCP)\n\n");
     let ring = catalog::figure1_ring();
-    let k = ring.max_multiplicity().max(2);
+    let k = AlgoId::Ak.effective_k(ring.max_multiplicity());
     let sim = run(&Ak::new(k), &ring, &mut RoundRobinSched::default(), RunOptions::default());
     let wire_faults: Vec<(&str, FaultPolicy)> = vec![
         ("drop 20 % of frames", FaultPolicy { drop: 0.20, ..FaultPolicy::NONE }),

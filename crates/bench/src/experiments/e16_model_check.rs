@@ -12,6 +12,7 @@
 //!   diamond property behind every scheduler-agreement test, proved by
 //!   enumeration on these instances.
 
+use hre_algos::AlgoId;
 use hre_analysis::Table;
 use hre_core::{Ak, Bk};
 use hre_ring::enumerate::canonical_asymmetric_labelings_fast;
@@ -41,14 +42,14 @@ pub fn report_up_to(max_n: usize) -> String {
 
     for n in 2..=max_n {
         let rings = canonical_asymmetric_labelings_fast(n, 3);
-        for algo_name in ["Ak", "Bk"] {
+        for (algo_name, id) in [("Ak", AlgoId::Ak), ("Bk", AlgoId::Bk)] {
             let mut total = 0u64;
             let mut max_configs = 0u64;
             let mut ok = true;
             let mut one_terminal = true;
             for ring in &rings {
-                let k = ring.max_multiplicity().max(if algo_name == "Bk" { 2 } else { 1 });
-                let rep = if algo_name == "Ak" {
+                let k = id.effective_k(ring.max_multiplicity());
+                let rep = if id == AlgoId::Ak {
                     explore(&Ak::new(k), ring, BUDGET)
                 } else {
                     explore(&Bk::new(k), ring, BUDGET)

@@ -30,10 +30,11 @@
 //! The machine-readable result is written to `BENCH_e25.json` at the
 //! repo root by the `exp_algos` binary.
 
-use hre_algos::{engines, SchedChoice, WinnerRule};
+use hre_algos::{engines, WinnerRule};
 use hre_analysis::{render_cost_curves, summarize_cost_curves, CostCurve, Table};
 use hre_ring::{enumerate, RingLabeling};
 use hre_runtime::Log2Histogram;
+use hre_sim::RoundRobinSched;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -103,7 +104,7 @@ pub fn run_e25(quick: bool) -> E25Outcome {
                     continue;
                 }
                 let t0 = Instant::now();
-                let o = engine.run(ring, k, SchedChoice::RoundRobin, false);
+                let o = engine.run(ring, k, &mut RoundRobinSched::default(), false);
                 run_seconds.entry(engine.name()).or_default().record(t0.elapsed());
                 runs += 1;
                 let leader = match (o.accepted, o.leader) {
@@ -112,7 +113,7 @@ pub fn run_e25(quick: bool) -> E25Outcome {
                         universality_failures += 1;
                         if first_failures.len() < 3 {
                             first_failures.push(format!(
-                                "{} on {:?}: accepted={} leader={:?} verdict={}",
+                                "{} on {:?}: accepted={} leader={:?} verdict={:?}",
                                 engine.name(),
                                 ring.labels(),
                                 o.accepted,

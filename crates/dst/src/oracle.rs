@@ -115,8 +115,7 @@ mod tests {
                 ok_answers += 1;
                 let out = out.into_coords(d, req.labels.len());
                 let ring = RingLabeling::from_raw(&req.labels);
-                let engine = hre_algos::by_name(req.algo.name()).expect("registry covers AlgoId");
-                if let Some(expected) = engine.oracle_leader(&ring) {
+                if let Some(expected) = req.algo.engine().oracle_leader(&ring) {
                     assert_eq!(out.leader, expected, "{:?} on {:?}", req.algo, req.labels);
                 }
             }

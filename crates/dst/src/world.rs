@@ -1026,8 +1026,7 @@ impl World {
                         // the request algorithm's declarative winner
                         // rule, whichever engine served it.
                         let ring = hre_ring::RingLabeling::from_raw(&elect.labels);
-                        let want = hre_algos::by_name(elect.algo.name())
-                            .and_then(|e| e.oracle_leader(&ring));
+                        let want = elect.algo.engine().oracle_leader(&ring);
                         if let Some(want) = want {
                             if out.leader != want {
                                 self.violations.push(format!(

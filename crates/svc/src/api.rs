@@ -3,7 +3,9 @@
 //!
 //! Everything that decides response **bytes** lives here, and only here,
 //! so the daemon's `POST /elect` and the CLI's `hre elect --json` emit
-//! byte-identical documents for the same ring and algorithm. The daemon
+//! byte-identical documents for the same ring and algorithm; the one
+//! exception, the cost-cap refusals, comes from the engine registry
+//! ([`hre_algos::Engine::admit`]), which `hre elect` also applies. The daemon
 //! additionally runs elections in *canonical coordinates* (the least
 //! rotation of the label sequence) so rotationally-equivalent requests
 //! share cache entries; [`ElectOutcome::into_coords`] maps a canonical
@@ -11,7 +13,7 @@
 
 use crate::json::{ArrayWriter, Json, Kind, ObjWriter, Parser};
 use hre_ring::RingLabeling;
-use hre_sim::{run, RoundRobinSched, RunOptions, RunReport};
+use hre_sim::RoundRobinSched;
 use hre_words::Label;
 
 /// Largest ring the service accepts. A 4096-process Ak election is
@@ -19,90 +21,8 @@ use hre_words::Label;
 /// would blow the per-request deadline anyway.
 pub const MAX_RING: usize = 4096;
 
-/// The algorithms the service can run, mirroring `hre elect --algo`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AlgoId {
-    /// Paper's Table 1 algorithm (asymmetric rings, known bound `k`).
-    Ak,
-    /// Naive reference implementation of Ak's leader predicate.
-    AkRef,
-    /// Paper's Table 2 phase-based algorithm.
-    Bk,
-    /// Chang–Roberts (requires distinct labels to be correct).
-    Cr,
-    /// Peterson's unidirectional algorithm.
-    Peterson,
-    /// Oracle baseline that knows `n` exactly.
-    OracleN,
-    /// Simul-IO max-seen automaton (requires distinct labels).
-    MaxUid,
-    /// Content-oblivious pulse attrition (stabilizing; unique max label).
-    ContentOblivious,
-}
-
-impl AlgoId {
-    /// Parses the wire name (same names as the CLI `--algo` flag).
-    pub fn parse(s: &str) -> Option<AlgoId> {
-        match s {
-            "ak" => Some(AlgoId::Ak),
-            "ak-ref" => Some(AlgoId::AkRef),
-            "bk" => Some(AlgoId::Bk),
-            "cr" => Some(AlgoId::Cr),
-            "peterson" => Some(AlgoId::Peterson),
-            "oracle-n" => Some(AlgoId::OracleN),
-            "max-uid" => Some(AlgoId::MaxUid),
-            "content-oblivious" => Some(AlgoId::ContentOblivious),
-            _ => None,
-        }
-    }
-
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgoId::Ak => "ak",
-            AlgoId::AkRef => "ak-ref",
-            AlgoId::Bk => "bk",
-            AlgoId::Cr => "cr",
-            AlgoId::Peterson => "peterson",
-            AlgoId::OracleN => "oracle-n",
-            AlgoId::MaxUid => "max-uid",
-            AlgoId::ContentOblivious => "content-oblivious",
-        }
-    }
-
-    /// Every algorithm id, in wire-name order. The canonical list for
-    /// error messages and smoke tests.
-    pub const ALL: [AlgoId; 8] = [
-        AlgoId::Ak,
-        AlgoId::AkRef,
-        AlgoId::Bk,
-        AlgoId::Cr,
-        AlgoId::Peterson,
-        AlgoId::OracleN,
-        AlgoId::MaxUid,
-        AlgoId::ContentOblivious,
-    ];
-
-    /// Position in [`AlgoId::ALL`] — indexes per-algorithm metric slots.
-    pub fn index(self) -> usize {
-        AlgoId::ALL.iter().position(|a| *a == self).expect("AlgoId::ALL is exhaustive")
-    }
-
-    /// The multiplicity bound actually used by this algorithm for a
-    /// requested `k` — the same clamping the CLI applies (`ak` needs
-    /// `k >= 1`, `bk` needs `k >= 2`, the rest ignore `k`).
-    pub fn effective_k(self, k: usize) -> usize {
-        match self {
-            AlgoId::Ak | AlgoId::AkRef => k.max(1),
-            AlgoId::Bk => k.max(2),
-            AlgoId::Cr
-            | AlgoId::Peterson
-            | AlgoId::OracleN
-            | AlgoId::MaxUid
-            | AlgoId::ContentOblivious => k,
-        }
-    }
-}
+/// The engines the service can run, by wire name: the registry's key.
+pub use hre_algos::AlgoId;
 
 /// A validated election request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -338,71 +258,25 @@ impl ElectOutcome {
 /// default everywhere else in the workspace) and reports the outcome in
 /// the request's own coordinates. Errors are returned as strings —
 /// they are legitimate, cacheable results (e.g. Chang–Roberts violating
-/// the spec on a homonym ring does so on every rotation).
+/// the spec on a homonym ring does so on every rotation). A request the
+/// engine's cost caps refuse ([`hre_algos::Engine::admit`]) is answered
+/// without running.
 pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
-    use hre_baselines::{ChangRoberts, OracleN, Peterson};
-    use hre_core::{Ak, AkReference, Bk};
-
+    let engine = req.algo.engine();
     let ring = req.ring();
-    let mut sched = RoundRobinSched::default();
-    let opts = RunOptions::default();
     let t0 = std::time::Instant::now();
-    if let Some(bound) = min_clean_actions(req.algo, &ring, req.k) {
-        if bound > u128::from(opts.max_actions) {
-            return Err(format!(
-                "{} with k={} on this ring needs at least {bound} actions to elect, \
-                 over the {} action budget",
-                req.algo.name(),
-                req.k,
-                opts.max_actions
-            ));
-        }
-    }
-    let (clean, leader, metrics) = match req.algo {
-        AlgoId::Ak => digest(run(&Ak::new(req.k), &ring, &mut sched, opts)),
-        AlgoId::AkRef => {
-            // The literal predicate makes a run cost about the fourth
-            // power of `(2k+1)·n`; reject what would blow the deadline.
-            let cap = hre_algos::AK_REF_MAX_STRING;
-            let string = req.k.saturating_mul(2).saturating_add(1).saturating_mul(ring.n());
-            if string > cap {
-                return Err(format!(
-                    "ak-ref requires (2k+1)*n <= {cap} (got {string}): cost grows as its fourth power"
-                ));
-            }
-            digest(run(&AkReference::new(req.k), &ring, &mut sched, opts))
-        }
-        AlgoId::Bk => digest(run(&Bk::new(req.k), &ring, &mut sched, opts)),
-        AlgoId::Cr => digest(run(&ChangRoberts, &ring, &mut sched, opts)),
-        AlgoId::Peterson => digest(run(&Peterson, &ring, &mut sched, opts)),
-        AlgoId::OracleN => digest(run(&OracleN::new(ring.n()), &ring, &mut sched, opts)),
-        AlgoId::MaxUid => digest(run(&hre_algos::max_uid::MaxUid, &ring, &mut sched, opts)),
-        AlgoId::ContentOblivious => {
-            // Attrition costs n*M messages, so huge labels would blow the
-            // per-request deadline; reject them deterministically (the
-            // same cap the CLI and registry apply).
-            let cap = hre_algos::CONTENT_OBLIVIOUS_MAX_LABEL;
-            if let Some(l) = req.labels.iter().find(|&&l| l > cap) {
-                return Err(format!(
-                    "content-oblivious requires labels <= {cap} (got {l}): cost is n*max_label"
-                ));
-            }
-            let rep = run(&hre_algos::content_oblivious::ContentOblivious, &ring, &mut sched, opts);
-            // Stabilizing termination: judged by the relaxed spec, leader
-            // read off the quiescent terminal configuration.
-            (hre_sim::satisfies_stabilizing_election(&rep), rep.leader, rep.metrics)
-        }
-    };
+    engine.admit(&ring, req.k)?;
+    let out = engine.run(&ring, req.k, &mut RoundRobinSched::default(), false);
     if hre_core::hook::installed() {
         hre_core::hook::notify(&hre_core::hook::ElectionRun {
             algo: req.algo.name(),
             n: ring.n(),
-            messages: metrics.messages,
-            time_units: metrics.time_units,
+            messages: out.metrics.messages,
+            time_units: out.metrics.time_units,
             wall: t0.elapsed(),
         });
     }
-    let leader = match (clean, leader) {
+    let leader = match (out.accepted, out.leader) {
         (true, Some(l)) => l,
         _ => {
             return Err(format!(
@@ -412,6 +286,7 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
             ))
         }
     };
+    let metrics = out.metrics;
     Ok(ElectOutcome {
         leader,
         leader_label: ring.label(leader).raw(),
@@ -421,60 +296,6 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
         time_units: metrics.time_units,
         wire_bits: metrics.wire_bits,
     })
-}
-
-/// A lower bound on the atomic actions of any run of `ak` or `bk` with
-/// bound `k` on `ring` that ends with a clean verdict; `None` for the
-/// other algorithms. A request whose bound exceeds the action budget
-/// can only exhaust it, so [`run_election`] rejects it without running.
-///
-/// Let `n` be the ring size and `M` its largest label multiplicity. Links
-/// are FIFO, and a clean run elects exactly one leader `ℓ`.
-///
-/// **`Ak` (Table 1).** Each process starts one token (A1) and every
-/// non-leader forwards every token it receives (A2), so tokens keep
-/// ring order: the `j`-th token `ℓ` receives carries `LLabels(ℓ)[j]`
-/// and has made `j` hops. A3 fires on the receipt that first gives
-/// `ℓ.string` `2k+1` copies of some label, so `|ℓ.string| = L` with
-/// `L ≥ n·(⌈(2k+1)/M⌉ − 1) + 1`: any `n` consecutive letters hold a
-/// label at most `M` times. That token (`L−1` hops) dies at A3; each of
-/// the other `n−1` tokens dies at its next arrival at `ℓ` (A5, after
-/// `L … L+n−2` hops), and `FINISH` makes `n` hops (A4, A6). With the `n`
-/// A1s the run takes `n·(L+1) + n(n−1)/2` actions — exactly that, so on
-/// `[1,2,3]` the bound is the run's own count, `18k + 9`.
-///
-/// **`Bk` (Table 2).** The run must pass through its phases: in phase
-/// `i` each process's guest is `LLabels(p)[i]`, and `ℓ` fires B9 on the
-/// phase shift that would make its own label its guest for the
-/// `(k+1)`-th time, so it completes `P ≥ n·(⌈(k+1)/M⌉ − 1)` phases.
-/// Every process receives one `PHASE SHIFT` per phase (B6, B8, B9): `n`
-/// actions. In each phase `ℓ` receives its guest value `k` times (B3,
-/// B5), only on tokens of that phase (a phase's shift follows all its
-/// tokens on every link), and at most `M` processes hold that guest, so
-/// at most `min(M, k)` tokens carry those receipts; a token's arrivals
-/// at `ℓ` are one lap (`n` hops) apart, so they take at least
-/// `n·k − (n−1)·min(M, k)` hops. With B1 and `FINISH` (`n` each) the
-/// run takes at least `2n + P·(n + n·k − (n−1)·min(M, k))` actions;
-/// `9k² + 3k + 6` on `[1,2,3]`, whose runs take `9k² + 9k + 9`.
-fn min_clean_actions(algo: AlgoId, ring: &RingLabeling, k: usize) -> Option<u128> {
-    let (n, m, k) = (ring.n() as u128, ring.max_multiplicity() as u128, k as u128);
-    let laps = |need: u128| need.div_ceil(m) - 1;
-    match algo {
-        AlgoId::Ak => {
-            let len = n.saturating_mul(laps(2 * k + 1)).saturating_add(1);
-            Some(n.saturating_mul(len + 1).saturating_add(n * (n - 1) / 2))
-        }
-        AlgoId::Bk => {
-            let phases = n.saturating_mul(laps(k + 1));
-            let hops = n.saturating_mul(k) - (n - 1) * m.min(k);
-            Some(phases.saturating_mul(n + hops).saturating_add(2 * n))
-        }
-        _ => None,
-    }
-}
-
-fn digest<M>(rep: RunReport<M>) -> (bool, Option<usize>, hre_sim::RunMetrics) {
-    (rep.clean(), rep.leader, rep.metrics)
 }
 
 /// Builds the canonical success-response document. Field order is part
@@ -639,7 +460,8 @@ mod tests {
         // On [1,2,3] the bounds are 18k + 9 (ak, the exact count) and
         // 9k² + 3k + 6 (bk): the largest admitted k runs, clean, inside
         // the budget; the next one is refused without an engine run.
-        let budget = RunOptions::default().max_actions;
+        use hre_algos::min_clean_actions;
+        let budget = hre_sim::RunOptions::default().max_actions;
         for (algo, k_max) in [(AlgoId::Ak, 1_111_110), (AlgoId::Bk, 1_490)] {
             let req = |k| ElectRequest::new(vec![1, 2, 3], algo, Some(k)).expect("req");
             let ring = req(k_max).ring();
@@ -666,50 +488,6 @@ mod tests {
             .expect("req");
         let err = run_election(&req).expect_err("refused");
         assert!(err.contains("needs at least 18000000009 actions"), "{err}");
-    }
-
-    mod action_bound {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Runs `algo` with bound `k` under `max_actions`; `(clean, actions)`.
-        fn elect(algo: AlgoId, raw: &[u64], k: usize, max_actions: u64) -> (bool, u64) {
-            let ring = RingLabeling::from_raw(raw);
-            let opts = RunOptions { max_actions, ..RunOptions::default() };
-            let mut sched = RoundRobinSched::default();
-            let (clean, _, metrics) = match algo {
-                AlgoId::Ak => digest(run(&hre_core::Ak::new(k), &ring, &mut sched, opts)),
-                _ => digest(run(&hre_core::Bk::new(k), &ring, &mut sched, opts)),
-            };
-            (clean, metrics.actions)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The bound is sound: no clean run takes fewer actions, so a
-            /// run whose bound exceeds its budget ends without a clean
-            /// verdict. Checked at a budget one below the bound, where the
-            /// runs are cheap, on small rings with `k` near the ring's
-            /// multiplicity.
-            #[test]
-            fn a_run_past_the_bound_never_ends_clean(
-                raw in proptest::collection::vec(1u64..4, 2..7),
-                bk in any::<bool>(),
-                extra in 0usize..4,
-            ) {
-                let ring = RingLabeling::from_raw(&raw);
-                let algo = if bk { AlgoId::Bk } else { AlgoId::Ak };
-                let k = algo.effective_k(ring.max_multiplicity()) + extra;
-                let bound = min_clean_actions(algo, &ring, k).unwrap();
-                let (clean, actions) = elect(algo, &raw, k, RunOptions::default().max_actions);
-                if clean {
-                    prop_assert!(u128::from(actions) >= bound, "{raw:?} k={k}: {actions} < {bound}");
-                }
-                let (clean, _) = elect(algo, &raw, k, (bound - 1) as u64);
-                prop_assert!(!clean, "{raw:?} {algo:?} k={k} ended clean in under {bound} actions");
-            }
-        }
     }
 
     #[test]

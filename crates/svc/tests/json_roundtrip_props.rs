@@ -13,9 +13,6 @@
 use hre_svc::{AlgoId, ElectRequest, Json};
 use proptest::prelude::*;
 
-const ALGOS: [AlgoId; 6] =
-    [AlgoId::Ak, AlgoId::AkRef, AlgoId::Bk, AlgoId::Cr, AlgoId::Peterson, AlgoId::OracleN];
-
 /// Arbitrary valid label sequences: full `u64` range, lengths 2..=40.
 fn arb_labels() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(any::<u64>(), 2..41)
@@ -76,15 +73,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `ElectRequest` → JSON body → `ElectRequest` is the identity for
-    /// every valid request, over arbitrary labels, algorithms, and
-    /// explicit or defaulted k.
+    /// every valid request, over arbitrary labels, every wire name in
+    /// `AlgoId::ALL`, and explicit or defaulted k.
     #[test]
     fn elect_request_round_trips(
         labels in arb_labels(),
-        algo_ix in 0usize..ALGOS.len(),
+        algo_ix in 0usize..AlgoId::ALL.len(),
         k in (any::<bool>(), 1usize..64).prop_map(|(some, k)| if some { Some(k) } else { None }),
     ) {
-        let original = ElectRequest::new(labels, ALGOS[algo_ix], k)
+        let original = ElectRequest::new(labels, AlgoId::ALL[algo_ix], k)
             .expect("valid by construction");
         let body = original.to_json();
         let parsed = ElectRequest::from_json(body.as_bytes()).expect("own output must parse");

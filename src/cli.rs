@@ -290,7 +290,7 @@ fn elect_cmd(opts: &Opts) -> Result<String, String> {
         return elect_batch_cmd(opts, path);
     }
     let ring = ring_from(opts)?;
-    let algo = opts.get("algo").map(String::as_str).unwrap_or("ak");
+    let algo = opts.get("algo").map(String::as_str).unwrap_or(AlgoId::Ak.name());
     let k = u64_opt(opts, "k", ring.max_multiplicity() as u64)? as usize;
     if opts.contains_key("json") {
         return elect_json_cmd(opts, &ring, algo, k);
@@ -305,72 +305,52 @@ fn elect_cmd(opts: &Opts) -> Result<String, String> {
         other => return Err(format!("unknown transport '{other}'")),
     }
     let mut sched = sched_from(opts)?;
-    let want_diagram = opts.contains_key("diagram");
-    let run_opts = RunOptions { record_trace: want_diagram, ..Default::default() };
+    let id = algo_id(algo)?;
+    let engine = id.engine();
+    engine.admit(&ring, k)?;
+    let run = engine.run(&ring, k, &mut *sched, opts.contains_key("diagram"));
 
-    let (clean, leader, metrics, violations, diagram) = match algo {
-        "ak" => summarize(run(&Ak::new(k.max(1)), &ring, &mut sched, run_opts)),
-        "ak-ref" => summarize(run(&AkReference::new(k.max(1)), &ring, &mut sched, run_opts)),
-        "bk" => summarize(run(&Bk::new(k.max(2)), &ring, &mut sched, run_opts)),
-        "cr" => summarize(run(&ChangRoberts, &ring, &mut sched, run_opts)),
-        "peterson" => summarize(run(&Peterson, &ring, &mut sched, run_opts)),
-        "oracle-n" => summarize(run(&OracleN::new(ring.n()), &ring, &mut sched, run_opts)),
-        "max-uid" => summarize(run(&crate::algos::max_uid::MaxUid, &ring, &mut sched, run_opts)),
-        "content-oblivious" => {
-            co_label_cap(&ring)?;
-            summarize_stabilizing(run(
-                &crate::algos::content_oblivious::ContentOblivious,
-                &ring,
-                &mut sched,
-                run_opts,
-            ))
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", render_ring(&ring, leader));
-    match leader {
-        Some(l) => {
-            let _ = writeln!(
-                out,
-                "elected p{l} (label {}) — spec {}",
-                ring.label(l),
-                if clean { "satisfied" } else { "VIOLATED" }
-            );
-        }
-        None => {
-            let _ = writeln!(out, "no unique leader — spec VIOLATED");
+    let mut out = render_outcome(&ring, run.accepted, run.leader);
+    let _ = writeln!(out, "{}", run.metrics);
+    // An accepted stabilizing run carries the violation kinds its
+    // discipline tolerates (nobody halts, transient claims): not defects.
+    if !run.accepted {
+        for v in &run.violations {
+            let _ = writeln!(out, "violation: {v}");
         }
     }
-    let _ = writeln!(out, "{metrics}");
-    for v in &violations {
-        let _ = writeln!(out, "violation: {v}");
-    }
-    if let Some(d) = diagram {
+    if let Some(trace) = &run.trace {
         let _ = writeln!(out, "\nactivity grid (● receive, ◐ initial action, · idle):");
-        out.push_str(&d);
+        out.push_str(&render_activity_grid(trace, run.metrics.n));
     }
     if opts.contains_key("phases") {
-        if algo != "bk" {
+        if id != AlgoId::Bk {
             return Err("--phases applies to --algo bk".into());
         }
-        let table = reconstruct_phases(&ring, k.max(2));
-        let _ = writeln!(out, "\nphases (● active at start, ○ passive):");
-        for phase in 1..=table.phases() {
-            let guests: Vec<_> = (0..ring.n()).map(|p| table.guest(phase, p)).collect();
-            let _ = writeln!(
-                out,
-                "  {:>3}: {}",
-                phase,
-                crate::analysis::render::render_phase(&guests, &table.active_set(phase))
-            );
+        // The table replays a clean run; an unclean one has none.
+        if run.accepted {
+            let table = reconstruct_phases(&ring, engine.effective_k(k));
+            let _ = writeln!(out, "\nphases (● active at start, ○ passive):");
+            for phase in 1..=table.phases() {
+                let guests: Vec<_> = (0..ring.n()).map(|p| table.guest(phase, p)).collect();
+                let _ = writeln!(
+                    out,
+                    "  {:>3}: {}",
+                    phase,
+                    crate::analysis::render::render_phase(&guests, &table.active_set(phase))
+                );
+            }
         }
     }
-    if !clean {
+    if !run.accepted {
         return Err(format!("{out}election did not satisfy the specification"));
     }
     Ok(out)
+}
+
+/// The registry id of a wire name, or the CLI's unknown-algorithm error.
+fn algo_id(name: &str) -> Result<AlgoId, String> {
+    AlgoId::parse(name).ok_or_else(|| format!("unknown algorithm '{name}'"))
 }
 
 /// `hre elect --json`: the run as the service's response document.
@@ -398,9 +378,8 @@ fn elect_json_cmd(
     if opts.get("sched").is_some_and(|s| s != "rr") {
         return Err("--json requires the default rr scheduler (matches the daemon)".into());
     }
-    let algo_id = AlgoId::parse(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
     let labels: Vec<u64> = ring.labels().iter().map(|l| l.raw()).collect();
-    let req = ElectRequest::new(labels, algo_id, Some(k))?;
+    let req = ElectRequest::new(labels, algo_id(algo)?, Some(k))?;
     let out = crate::svc::run_election(&req)?;
     Ok(crate::svc::response_json(&req, &out))
 }
@@ -437,19 +416,6 @@ fn elect_batch_cmd(opts: &Opts, path: &str) -> Result<String, String> {
         })
         .collect();
     Ok(crate::svc::batch_response_body(&parts))
-}
-
-/// The pulse-attrition engine costs `n·M` messages; reject labels past
-/// the registry cap before committing to the run (the same check the
-/// daemon applies, so CLI and service agree on what is runnable).
-fn co_label_cap(ring: &RingLabeling) -> Result<(), String> {
-    let cap = crate::algos::CONTENT_OBLIVIOUS_MAX_LABEL;
-    match ring.labels().iter().map(|l| l.raw()).max() {
-        Some(m) if m > cap => Err(format!(
-            "content-oblivious requires labels <= {cap} (got {m}): cost is n*max_label"
-        )),
-        _ => Ok(()),
-    }
 }
 
 fn reject_sim_only_flags(opts: &Opts) -> Result<(), String> {
@@ -496,22 +462,7 @@ fn elect_threads_cmd(
     k: usize,
 ) -> Result<String, String> {
     reject_sim_only_flags(opts)?;
-    let t = ThreadedOptions::default();
-    let rep = match algo {
-        "ak" => run_threaded(&Ak::new(k.max(1)), ring, t),
-        "ak-ref" => run_threaded(&AkReference::new(k.max(1)), ring, t),
-        "bk" => run_threaded(&Bk::new(k.max(2)), ring, t),
-        "cr" => run_threaded(&ChangRoberts, ring, t),
-        "peterson" => run_threaded(&Peterson, ring, t),
-        "oracle-n" => run_threaded(&OracleN::new(ring.n()), ring, t),
-        "max-uid" => run_threaded(&crate::algos::max_uid::MaxUid, ring, t),
-        "content-oblivious" => {
-            return Err("content-oblivious never halts (stabilizing termination); \
-                        only --transport sim can judge its quiescent configuration"
-                .into())
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
+    let rep = algo_id(algo)?.engine().run_threaded(ring, k, ThreadedOptions::default())?;
     let mut out = render_outcome(ring, rep.clean(), rep.leader());
     let _ = writeln!(
         out,
@@ -534,21 +485,7 @@ fn elect_tcp_cmd(opts: &Opts, ring: &RingLabeling, algo: &str, k: usize) -> Resu
     };
     let nopts =
         NetOptions { faults, fault_seed: u64_opt(opts, "fault-seed", 0)?, ..Default::default() };
-    let rep = match algo {
-        "ak" => run_tcp(&Ak::new(k.max(1)), ring, nopts),
-        "ak-ref" => run_tcp(&AkReference::new(k.max(1)), ring, nopts),
-        "bk" => run_tcp(&Bk::new(k.max(2)), ring, nopts),
-        "cr" => run_tcp(&ChangRoberts, ring, nopts),
-        "peterson" => run_tcp(&Peterson, ring, nopts),
-        "oracle-n" => run_tcp(&OracleN::new(ring.n()), ring, nopts),
-        "max-uid" | "content-oblivious" => {
-            return Err(format!(
-                "'{algo}' has no wire codec yet; it runs on --transport sim{}",
-                if algo == "max-uid" { " or threads" } else { "" }
-            ))
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
+    let rep = algo_id(algo)?.engine().run_tcp(ring, k, nopts)?;
     let mut out = render_outcome(ring, rep.clean(), rep.leader());
     let t = &rep.net.total;
     let _ = writeln!(
@@ -585,26 +522,6 @@ fn elect_tcp_cmd(opts: &Opts, ring: &RingLabeling, algo: &str, k: usize) -> Resu
         return Err(format!("{out}election did not satisfy the specification"));
     }
     Ok(out)
-}
-
-type Summary =
-    (bool, Option<usize>, crate::sim::RunMetrics, Vec<crate::sim::SpecViolation>, Option<String>);
-
-fn summarize<M: Clone + std::fmt::Debug>(rep: RunReport<M>) -> Summary {
-    let diagram = rep.trace.as_ref().map(|t| render_activity_grid(t, rep.metrics.n));
-    (rep.clean(), rep.leader, rep.metrics, rep.violations, diagram)
-}
-
-/// [`summarize`] for stabilizing engines: the run is judged by
-/// [`satisfies_stabilizing_election`] instead of the process-terminating
-/// spec, and the tolerated violation kinds (nobody halts, transient
-/// claims) are suppressed when the run is accepted — they are the
-/// discipline, not defects.
-fn summarize_stabilizing<M: Clone + std::fmt::Debug>(rep: RunReport<M>) -> Summary {
-    let diagram = rep.trace.as_ref().map(|t| render_activity_grid(t, rep.metrics.n));
-    let ok = satisfies_stabilizing_election(&rep);
-    let violations = if ok { Vec::new() } else { rep.violations };
-    (ok, rep.leader, rep.metrics, violations, diagram)
 }
 
 fn generate_cmd(opts: &Opts) -> Result<String, String> {
@@ -646,7 +563,7 @@ fn impossibility_cmd(opts: &Opts) -> Result<String, String> {
     let base = generate::random_k1(n, &mut rng);
     let mut out = String::new();
     let _ = writeln!(out, "base K1 ring : {}", render_ring(&base, None));
-    let cert = demonstrate_impossibility(&Ak::new(k0.max(1)), &base);
+    let cert = demonstrate_impossibility(&Ak::new(AlgoId::Ak.effective_k(k0)), &base);
     let _ = writeln!(
         out,
         "candidate    : Ak(k0={k0}) — terminates on the base in T = {} sync steps",
@@ -679,20 +596,19 @@ fn impossibility_cmd(opts: &Opts) -> Result<String, String> {
 fn verify_cmd(opts: &Opts) -> Result<String, String> {
     let ring = ring_from(opts)?;
     let k = u64_opt(opts, "k", ring.max_multiplicity() as u64)? as usize;
+    let (ak_k, bk_k) = (AlgoId::Ak.effective_k(k), AlgoId::Bk.effective_k(k));
     let mut out = String::new();
-    let ak = explore(&Ak::new(k.max(1)), &ring, 5_000_000);
+    let ak = explore(&Ak::new(ak_k), &ring, 5_000_000);
     let _ = writeln!(
         out,
-        "Ak(k={}): {} configurations, verified={}",
-        k.max(1),
+        "Ak(k={ak_k}): {} configurations, verified={}",
         ak.configurations,
         ak.verified()
     );
-    let bk = explore(&Bk::new(k.max(2)), &ring, 5_000_000);
+    let bk = explore(&Bk::new(bk_k), &ring, 5_000_000);
     let _ = writeln!(
         out,
-        "Bk(k={}): {} configurations, verified={}",
-        k.max(2),
+        "Bk(k={bk_k}): {} configurations, verified={}",
         bk.configurations,
         bk.verified()
     );
@@ -840,9 +756,7 @@ fn bench_svc_cmd(opts: &Opts) -> Result<String, String> {
         Some(_) => ring_from(opts)?.labels().iter().map(|l| l.raw()).collect(),
         None => vec![1, 3, 1, 3, 2, 2, 1, 2], // the paper's Figure 1 ring
     };
-    let algo_name = opts.get("algo").map(String::as_str).unwrap_or("ak");
-    let algo =
-        AlgoId::parse(algo_name).ok_or_else(|| format!("unknown algorithm '{algo_name}'"))?;
+    let algo = algo_id(opts.get("algo").map(String::as_str).unwrap_or(AlgoId::Ak.name()))?;
     let k = match opts.get("k") {
         Some(s) => Some(s.parse::<usize>().map_err(|e| format!("bad --k: {e}"))?),
         None => None,
@@ -1518,21 +1432,19 @@ fn bench_core_cmd(opts: &Opts) -> Result<String, String> {
     // pair. Rings are drawn to fit the engine's assumptions: engines in
     // the fully identified class get distinct-label rings, the rest the
     // exact-multiplicity-k homonym rings ak/bk are built for.
-    let engines: Vec<&'static dyn crate::algos::Engine> = match opts.get("algo") {
-        Some(name) => vec![crate::algos::by_name(name).ok_or_else(|| {
+    let ids: Vec<AlgoId> = match opts.get("algo") {
+        Some(name) => vec![AlgoId::parse(name).ok_or_else(|| {
             format!("unknown algorithm '{name}' (hre elect --algo list shows the registry)")
         })?],
-        None => ["ak", "bk"]
-            .iter()
-            .map(|n| crate::algos::by_name(n).expect("ak/bk are registered"))
-            .collect(),
+        None => vec![AlgoId::Ak, AlgoId::Bk],
     };
     let rings: Vec<(usize, RingLabeling)> = sizes
         .iter()
         .map(|&n| {
-            let needs_distinct = engines
-                .iter()
-                .any(|e| e.assumptions().distinct_labels || e.assumptions().unique_max);
+            let needs_distinct = ids.iter().any(|id| {
+                let a = id.engine().assumptions();
+                a.distinct_labels || a.unique_max
+            });
             let ring = if needs_distinct {
                 generate::random_k1(n, &mut rng)
             } else {
@@ -1546,19 +1458,20 @@ fn bench_core_cmd(opts: &Opts) -> Result<String, String> {
         Table::new(["n", "algo", "runs", "wall ms", "runs/s", "msgs/s", "peak mem (proxy)"]);
     let mut json_rows = Vec::new();
     for (n, ring) in &rings {
-        for engine in &engines {
-            let algo = engine.name();
-            engine.supports(ring).map_err(|e| format!("bench-core --algo {algo}: {e}"))?;
+        for &id in &ids {
+            let (engine, algo) = (id.engine(), id.name());
+            engine
+                .supports(ring)
+                .and_then(|()| engine.admit(ring, k))
+                .map_err(|e| format!("bench-core --algo {algo}: {e}"))?;
             // Bk's message count grows as k²n², so its batches shrink faster.
-            let runs = match algo {
-                "bk" => (1 << 18) / (k * k * n * n),
-                _ => (1 << 20) / (n * n),
-            };
+            let runs =
+                if id == AlgoId::Bk { (1 << 18) / (k * k * n * n) } else { (1 << 20) / (n * n) };
             let runs = runs.clamp(1, 64);
             let batch: Vec<usize> = (0..runs).collect();
             let t0 = std::time::Instant::now();
             let reps = crate::sim::sweep_map(&batch, threads, |_, _| {
-                let o = engine.run(ring, k, crate::algos::SchedChoice::RoundRobin, false);
+                let o = engine.run(ring, k, &mut RoundRobinSched::default(), false);
                 (o.accepted, o.leader, o.metrics)
             });
             let wall = t0.elapsed().as_secs_f64();
@@ -1926,8 +1839,8 @@ mod tests {
     #[test]
     fn algo_list_prints_the_registry() {
         let out = run_cli(&["elect", "--algo", "list"]).unwrap();
-        for name in crate::algos::names() {
-            assert!(out.contains(name), "missing {name}: {out}");
+        for id in AlgoId::ALL {
+            assert!(out.contains(id.name()), "missing {id:?}: {out}");
         }
         assert!(out.contains("stabilizing"), "{out}");
         assert!(out.contains("unique max"), "{out}");
@@ -2087,6 +2000,46 @@ mod tests {
     fn phases_rejected_for_non_bk() {
         let err = run_cli(&["elect", "--ring", "1,2,2", "--algo", "ak", "--phases"]).unwrap_err();
         assert!(err.contains("--phases applies"), "{err}");
+    }
+
+    #[test]
+    fn phases_of_an_unclean_bk_run_are_a_spec_error() {
+        // A symmetric ring, and k below the ring's multiplicity (3): no
+        // clean run, so no phase table to rebuild.
+        for flags in [&["--ring", "1,2,1,2"][..], &["--ring", "1,1,1,2,2,3", "--k", "2"]] {
+            let mut cmd = vec!["elect", "--algo", "bk", "--phases"];
+            cmd.extend_from_slice(flags);
+            let err = run_cli(&cmd).unwrap_err();
+            assert!(err.ends_with("election did not satisfy the specification"), "{err}");
+            assert!(!err.contains("phases ("), "{err}");
+        }
+    }
+
+    #[test]
+    fn sim_elections_pass_the_daemons_cost_caps() {
+        // Refused before a run, with the bytes `--json` (and the daemon)
+        // answer.
+        let json_error = |flags: &[&str]| {
+            let mut cmd = vec!["elect", "--json"];
+            cmd.extend_from_slice(flags);
+            run_cli(&cmd).unwrap_err()
+        };
+        let ak = ["--ring", "1,2,3", "--algo", "ak", "--k", "1000000000"];
+        let t0 = std::time::Instant::now();
+        let err = run_cli(&[&["elect"][..], &ak].concat()).unwrap_err();
+        assert!(t0.elapsed() < std::time::Duration::from_millis(100), "{:?}", t0.elapsed());
+        assert!(err.contains("needs at least 18000000009 actions"), "{err}");
+        assert_eq!(err, json_error(&ak));
+
+        let ak_ref = ["--ring", "1,2", "--algo", "ak-ref", "--k", "128"];
+        let err = run_cli(&[&["elect"][..], &ak_ref].concat()).unwrap_err();
+        assert!(err.contains("(2k+1)*n <= 512 (got 514)"), "{err}");
+        assert_eq!(err, json_error(&ak_ref));
+
+        let co = ["--ring", "1,5000,6000", "--algo", "content-oblivious"];
+        let err = run_cli(&[&["elect"][..], &co].concat()).unwrap_err();
+        assert!(err.contains("(got 5000)"), "{err}");
+        assert_eq!(err, json_error(&co));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use hre_words as words;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use hre_algos::{engines as election_engines, Engine};
+    pub use hre_algos::{engines as election_engines, AlgoId, Engine};
     pub use hre_analysis::{demonstrate_impossibility, reconstruct_phases, Table};
     pub use hre_baselines::{BoundedN, ChangRoberts, MtAk, OracleN, Peterson};
     pub use hre_cluster::{ClusterConfig, HashRing, RouterHandle};
@@ -77,6 +77,6 @@ pub mod prelude {
         AdversarialSched, Adversary, ExploreReport, FaultPlan, LinkFault, RandomSched,
         RoundRobinSched, RunOptions, RunReport, SyncSched, Verdict,
     };
-    pub use hre_svc::{AlgoId, ElectRequest, ServerHandle, SvcConfig};
+    pub use hre_svc::{ElectRequest, ServerHandle, SvcConfig};
     pub use hre_words::{labels, Label};
 }

@@ -5,7 +5,7 @@
 //! make the same scheduling decisions and report the same outcome and
 //! counters.
 
-use homonym_rings::algos::{by_name, content_oblivious::ContentOblivious, max_uid::MaxUid};
+use homonym_rings::algos::{content_oblivious::ContentOblivious, max_uid::MaxUid};
 use homonym_rings::prelude::*;
 use homonym_rings::sim::{
     run_with_observer, ActionEvent, Algorithm, Network, Observer, ProcessBehavior, Scheduler,
@@ -81,7 +81,7 @@ fn both_loops_agree<A: Algorithm>(
     ring: &RingLabeling,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let engine = by_name(name).expect("registered engine");
+    let engine = AlgoId::parse(name).expect("registered engine").engine();
     if engine.supports(ring).is_err() {
         return Ok(());
     }
