@@ -1,7 +1,13 @@
-//! E24 — whole-stack deterministic simulation: the entire serving path
+//! E24 — whole-stack deterministic simulation: the serving path
 //! (worker pools, queue deadlines, breakers, hedging, failover,
 //! retransmit/reassembly, heartbeats, `Ak` coordinator elections) runs
-//! inside virtual time against seeded fault plans.
+//! inside virtual time against seeded fault plans. The router's part is
+//! the code that ships: every request runs the router's own
+//! `ForwardMachine` (attempt timeouts, adaptive per-backend hedge
+//! thresholds, failover, the request deadline) over its own breakers and
+//! topology, on one `ClusterConfig` whose clock is the world's. The
+//! backends' queue and workers, the control plane's node loop and the
+//! router's prober are modelled.
 //!
 //! Three claims, three gates:
 //!
@@ -15,17 +21,25 @@
 //!    churn, and mixtures) holds the safety invariants on every
 //!    instance: the elected coordinator is the ring's Lyndon winner
 //!    (I0), the router accepts at most one config per ballot epoch and
-//!    epochs only advance (I1), no client-visible failure goes
-//!    unattributed — outside every fault window with every breaker
-//!    closed (I2), and every 200 body is byte-equal to the memoized
-//!    election oracle's answer (I3). Full mode runs ≥ 100 000
-//!    instances; `--quick` runs 2 000.
+//!    epochs only advance (I1), every transport failure delivered to the
+//!    router shows in that backend's breaker and no client-visible
+//!    failure (502, 504) goes unattributed — outside every fault window
+//!    with every breaker closed (I2), and every 200 body is byte-equal to
+//!    the memoized election oracle's answer (I3). Full mode runs
+//!    ≥ 100 000 instances; `--quick` runs 2 000.
 //! 3. **Regressions are caught and minimized.** With a deliberately
-//!    planted bug armed (failover/hedge timeouts skip the breaker's
-//!    `record_failure`, silently under-counting ill health), the sweep
-//!    must fail, the failing plan must shrink to a smaller reproducer,
-//!    and that reproducer must replay with an identical transcript hash
-//!    twice in a row — the debugging loop the harness exists for.
+//!    planted bug armed in the shipped router (a failover or hedge
+//!    attempt's transport failure skips the breaker's `record_failure`,
+//!    silently under-counting ill health), the sweep must fail, the
+//!    failing plan must shrink to a smaller reproducer, and that
+//!    reproducer must replay with an identical transcript hash twice in
+//!    a row — the debugging loop the harness exists for.
+//!
+//! The counters come from the shipped router where it keeps them:
+//! `hedges`, `failovers` and `breaker opens` sum its per-backend
+//! counters, so `failovers` counts transport failures plus candidates
+//! skipped for an open breaker (the model counted relaunches after any
+//! unanswered attempt, 503s included).
 //!
 //! The machine-readable result is written to `BENCH_e24.json` at the
 //! repo root by the `exp_dst` binary.
@@ -150,7 +164,7 @@ pub fn run_e24(quick: bool) -> E24Outcome {
     let reg_ok = caught && replay_ok;
     ok &= reg_ok;
     out.push_str(&format!(
-        "### Planted regression (failover/hedge timeouts skip the breaker)\n\n\
+        "### Planted regression (failover/hedge transport failures skip the breaker)\n\n\
          {reg_count} armed instances (backend-kill + mixed, base seed {REGRESSION_SEED}): \
          {} failing instance(s) — {}\n",
         reg.failures.len(),

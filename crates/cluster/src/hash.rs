@@ -76,17 +76,12 @@ impl HashRing {
         self.backends.is_empty()
     }
 
-    /// Backend names, in configuration order.
-    pub fn backends(&self) -> &[String] {
-        &self.backends
-    }
-
     /// Virtual nodes per backend.
     pub fn vnodes(&self) -> usize {
         self.vnodes
     }
 
-    /// Index (into [`HashRing::backends`]) of the backend owning `key`:
+    /// Index (into the configured backends) of the backend owning `key`:
     /// the first ring point clockwise from the key.
     pub fn primary(&self, key: u64) -> Option<usize> {
         if self.points.is_empty() {

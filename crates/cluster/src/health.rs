@@ -18,7 +18,9 @@
 //!
 //! All transitions are tallied (opened/half-opened/closed counters) so
 //! `GET /metrics` can expose breaker churn, and so tests can assert "the
-//! breaker opened, then probed" without racing the prober thread.
+//! breaker opened, then probed" without racing the prober thread. Every
+//! recorded failure is tallied too ([`Breaker::failures_total`]): the
+//! simulator reconciles it against the failures it delivered.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -68,6 +70,7 @@ struct BreakerInner {
 pub struct Breaker {
     inner: Mutex<BreakerInner>,
     failure_threshold: u32,
+    failures: AtomicU64,
     opened: AtomicU64,
     half_opened: AtomicU64,
     closed: AtomicU64,
@@ -78,16 +81,7 @@ impl Breaker {
     /// failures and then probes on a `probe_start`..=`probe_cap`
     /// capped-exponential schedule.
     pub fn new(failure_threshold: u32, probe_start: Duration, probe_cap: Duration) -> Breaker {
-        Breaker::with_backoff(failure_threshold, hre_runtime::Backoff::new(probe_start, probe_cap))
-    }
-
-    /// A closed breaker pacing its probes with the given [`Backoff`]
-    /// policy — the injection point for deterministic jitter: a backoff
-    /// built with [`hre_runtime::Backoff::with_jitter`] makes the probe
-    /// schedule seeded, so two breakers constructed from the same seed
-    /// and driven through the same failure sequence produce identical
-    /// probe deadlines (what the simulation harness replays).
-    pub fn with_backoff(failure_threshold: u32, backoff: hre_runtime::Backoff) -> Breaker {
+        let backoff = hre_runtime::Backoff::new(probe_start, probe_cap);
         Breaker {
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
@@ -96,21 +90,10 @@ impl Breaker {
                 probe_due: Instant::now(),
             }),
             failure_threshold: failure_threshold.max(1),
+            failures: AtomicU64::new(0),
             opened: AtomicU64::new(0),
             half_opened: AtomicU64::new(0),
             closed: AtomicU64::new(0),
-        }
-    }
-
-    /// Time remaining until the next half-open probe is admitted, as of
-    /// `now`: `Some(wait)` while open (zero once due), `None` in the
-    /// closed and half-open states. The simulation engine uses this to
-    /// schedule its probe events instead of polling.
-    pub fn probe_eta_at(&self, now: Instant) -> Option<Duration> {
-        let inner = self.inner.lock().unwrap();
-        match inner.state {
-            BreakerState::Open => Some(inner.probe_due.saturating_duration_since(now)),
-            BreakerState::Closed | BreakerState::HalfOpen => None,
         }
     }
 
@@ -125,11 +108,6 @@ impl Breaker {
         inner.state
     }
 
-    /// Current state, as of now.
-    pub fn state(&self) -> BreakerState {
-        self.state_at(Instant::now())
-    }
-
     /// The stored state, without admitting a probe even if one is due —
     /// for the metrics renderers, so a scrape has no routing side
     /// effects.
@@ -142,11 +120,6 @@ impl Breaker {
     /// deadline, at which point the breaker half-opens and admits it.
     pub fn allows_request_at(&self, now: Instant) -> bool {
         self.state_at(now) != BreakerState::Open
-    }
-
-    /// [`Breaker::allows_request_at`] as of now.
-    pub fn allows_request(&self) -> bool {
-        self.allows_request_at(Instant::now())
     }
 
     /// A request or probe succeeded: close the breaker, forget the
@@ -165,6 +138,7 @@ impl Breaker {
     /// counts toward the threshold; a half-open probe failure re-opens
     /// immediately with a longer wait.
     pub fn record_failure_at(&self, now: Instant) {
+        self.failures.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
         inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
         let trip = match inner.state {
@@ -201,9 +175,9 @@ impl Breaker {
         }
     }
 
-    /// [`Breaker::trip_at`] as of now.
-    pub fn trip(&self) {
-        self.trip_at(Instant::now());
+    /// How many failures have been recorded, in any state.
+    pub fn failures_total(&self) -> u64 {
+        self.failures.load(Ordering::Relaxed)
     }
 
     /// How many times the breaker has tripped open.
@@ -243,6 +217,10 @@ mod tests {
         assert_eq!(b.state_at(t0), BreakerState::Open);
         assert_eq!(b.opened_total(), 1);
         assert!(!b.allows_request_at(t0));
+        // The total counts every failure: the broken streak's and the
+        // one that lands while open.
+        b.record_failure_at(t0);
+        assert_eq!(b.failures_total(), 6);
     }
 
     #[test]
@@ -296,43 +274,6 @@ mod tests {
         assert!(b.allows_request_at(t0 + START));
         b.record_success();
         assert_eq!(b.state_at(t0 + START), BreakerState::Closed);
-    }
-
-    #[test]
-    fn same_seed_breakers_produce_identical_probe_schedules() {
-        // The jitter satellite: with a seeded jittered backoff injected,
-        // the probe schedule is a pure function of (seed, failure
-        // sequence) — the breaker path's only randomness is gone.
-        let t0 = Instant::now();
-        let schedule = |seed: u64| -> Vec<Duration> {
-            let b =
-                Breaker::with_backoff(1, hre_runtime::Backoff::with_jitter(START, CAP, 0.3, seed));
-            let mut t = t0;
-            let mut etas = Vec::new();
-            for _ in 0..10 {
-                b.record_failure_at(t); // open with a jittered wait
-                let eta = b.probe_eta_at(t).expect("open after failure");
-                etas.push(eta);
-                t += eta;
-                assert!(b.allows_request_at(t), "probe admitted exactly at its deadline");
-            }
-            etas
-        };
-        assert_eq!(schedule(42), schedule(42), "same seed ⇒ identical probe deadlines");
-        assert_ne!(schedule(42), schedule(1042), "different seed ⇒ different deadlines");
-    }
-
-    #[test]
-    fn probe_eta_tracks_the_open_window() {
-        let b = Breaker::new(1, START, CAP);
-        let t0 = Instant::now();
-        assert_eq!(b.probe_eta_at(t0), None, "closed: no probe pending");
-        b.record_failure_at(t0);
-        assert_eq!(b.probe_eta_at(t0), Some(START));
-        assert_eq!(b.probe_eta_at(t0 + START / 2), Some(START / 2));
-        assert_eq!(b.probe_eta_at(t0 + START), Some(Duration::ZERO), "due now");
-        assert!(b.allows_request_at(t0 + START));
-        assert_eq!(b.probe_eta_at(t0 + START), None, "half-open: probe in flight");
     }
 
     #[test]

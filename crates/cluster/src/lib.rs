@@ -17,11 +17,14 @@
 //!   half-open probe → closed), probed via `GET /healthz` on the shared
 //!   capped-backoff schedule; requests route to the next ring position
 //!   while a breaker is open.
-//! * **Hedged retries** ([`router`]): if a backend sits on a request
+//! * **Hedged retries** ([`forward`]): if a backend sits on a request
 //!   past an adaptive per-backend threshold (derived from its observed
 //!   p95 latency), the router fires a duplicate to the failover backend
 //!   and takes whichever response lands first. Safe because elections
 //!   are deterministic and idempotent — both answers are byte-identical.
+//!   The whole attempt/hedge/failover/deadline race is one sans-IO
+//!   [`ForwardMachine`], driven by the router's reactor and by the
+//!   deterministic simulator (`hre-dst`) alike.
 //! * **Cluster observability**: Prometheus `GET /metrics` (per-backend
 //!   request/error/hedge counters, breaker-state gauges, shared
 //!   [`hre_runtime::Log2Histogram`] latencies) and a `GET /cluster`
@@ -37,6 +40,7 @@
 
 pub mod bench;
 pub(crate) mod eventloop;
+pub mod forward;
 pub mod hash;
 pub mod health;
 pub mod metrics;
@@ -44,10 +48,11 @@ pub mod router;
 pub mod topology;
 
 pub use bench::{run_cluster_load, ClusterLoadOptions, ClusterLoadReport};
+pub use forward::{AttemptId, Command, ForwardMachine, Timer};
 pub use hash::{shard_key, HashRing};
 pub use health::{Breaker, BreakerState};
 pub use metrics::{BackendMetrics, ClusterMetrics};
-pub use router::{start, ClusterConfig, RouterController, RouterHandle, RouterSummary};
+pub use router::{start, ClusterConfig, RouterController, RouterHandle, RouterSummary, Shared};
 pub use topology::{BackendSlot, Topology};
 
 // The shared wire codec: one source of truth, re-exported so cluster

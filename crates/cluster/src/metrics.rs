@@ -36,7 +36,8 @@ use std::sync::Arc;
 pub struct BackendMetrics {
     /// Proxied requests attempted against this backend (live + hedge).
     pub requests: AtomicU64,
-    /// Attempts that failed at the transport level.
+    /// Attempts that failed at the transport level (timeouts included),
+    /// or were answered with a 5xx other than 503.
     pub errors: AtomicU64,
     /// Attempts answered `503 busy` (backend alive, queue full).
     pub busy: AtomicU64,
@@ -54,7 +55,10 @@ pub struct BackendMetrics {
 pub struct ClusterMetrics {
     /// Client-facing requests accepted by the front door.
     pub requests: AtomicU64,
-    /// Client-facing requests that exhausted every backend (502).
+    /// Answers the router gave itself, counted per forward (a batch has
+    /// one per owning shard): every backend exhausted with nothing to
+    /// relay (502), the request deadline passed (504), or no backends
+    /// configured (502).
     pub request_errors: AtomicU64,
     /// Hedged duplicates whose response won the race.
     pub hedge_wins: AtomicU64,

@@ -1,7 +1,8 @@
 //! The front-door router: one listener, N backends, rotation-affinity
 //! routing, breaker-gated failover, and hedged retries, served by one
 //! epoll reactor thread (the front-connection machine
-//! [`hre_svc::front`] driving `eventloop.rs`).
+//! [`hre_svc::front`] driving `eventloop.rs`, which drives one
+//! [`ForwardMachine`](crate::ForwardMachine) per routed request).
 //!
 //! Request path for `POST /elect`:
 //!
@@ -57,7 +58,7 @@ use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, Reactor, DEFAULT_TRACE_CAP};
 use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, ArrayWriter, Json};
-use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest, RequestSpan};
+use hre_svc::{error_json, Client, ClientResponse, ElectRequest, RequestSpan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -136,22 +137,56 @@ impl Default for ClusterConfig {
 /// How often blocked loops wake up to check the shutdown flag.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
-/// Everything the reactor, the prober and the controllers share.
-pub(crate) struct Shared {
-    pub(crate) cfg: ClusterConfig,
+/// Everything the reactor, the prober and the controllers share, and
+/// all a [`ForwardMachine`](crate::ForwardMachine) reads besides its own
+/// request: the config (clock and timing), the topology, the counters
+/// and the recorder. The simulator builds one to drive the machine.
+pub struct Shared {
+    /// The router's configuration.
+    pub cfg: ClusterConfig,
     /// The live topology generation. Swapped whole by config pushes;
     /// readers clone the `Arc` once and never see a mixed generation.
     pub(crate) topology: RwLock<Arc<Topology>>,
     pub(crate) metrics: ClusterMetrics,
-    pub(crate) recorder: Arc<FlightRecorder>,
+    /// The router's flight recorder.
+    pub recorder: Arc<FlightRecorder>,
     /// Drain flag: the handle's [`RouterHandle::shutdown_flag`].
     pub(crate) shutdown: Arc<AtomicBool>,
+    /// See [`Shared::with_planted_regression`].
+    pub(crate) planted_regression: bool,
 }
 
 impl Shared {
+    /// The state of a router serving `cfg`, on its initial topology.
+    pub fn new(cfg: ClusterConfig) -> Shared {
+        Shared::with_planted_regression(cfg, false)
+    }
+
+    /// [`Shared::new`], with `planted_regression` set: then a transport
+    /// failure of a failover or hedge attempt skips its breaker. The bug
+    /// the deterministic simulator's regression gate must catch.
+    #[doc(hidden)]
+    pub fn with_planted_regression(cfg: ClusterConfig, planted_regression: bool) -> Shared {
+        Shared {
+            topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
+            metrics: ClusterMetrics::new(),
+            recorder: FlightRecorder::new(cfg.trace_cap),
+            cfg,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            planted_regression,
+        }
+    }
+
     /// One consistent snapshot of the backend set.
-    pub(crate) fn topology(&self) -> Arc<Topology> {
+    pub fn topology(&self) -> Arc<Topology> {
         Arc::clone(&self.topology.read().unwrap())
+    }
+
+    /// Swaps in the successor topology for `backends` at `epoch`
+    /// ([`Topology::successor`]), unfenced.
+    pub fn install(&self, epoch: u64, backends: &[String]) {
+        let mut topo = self.topology.write().unwrap();
+        *topo = Arc::new(topo.successor(epoch, backends, &self.cfg));
     }
 }
 
@@ -171,7 +206,7 @@ pub struct BackendSummary {
     pub addr: String,
     /// Proxied attempts (live + hedged).
     pub requests: u64,
-    /// Transport-level failures.
+    /// Transport-level failures and non-503 5xx answers.
     pub errors: u64,
     /// 503-busy answers.
     pub busy: u64,
@@ -192,7 +227,8 @@ pub struct BackendSummary {
 pub struct RouterSummary {
     /// Client-facing requests accepted.
     pub requests: u64,
-    /// Client-facing requests that exhausted every backend.
+    /// Forwards answered by the router itself: every backend exhausted
+    /// (502) or the deadline passed (504).
     pub request_errors: u64,
     /// Hedged duplicates whose response won the race.
     pub hedge_wins: u64,
@@ -270,13 +306,7 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
     validate_backends(&cfg.backends, &[cfg.addr.clone(), addr.to_string()]).map_err(invalid)?;
     let reactor = Reactor::new()?;
 
-    let shared = Arc::new(Shared {
-        topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
-        metrics: ClusterMetrics::new(),
-        recorder: FlightRecorder::new(cfg.trace_cap),
-        cfg,
-        shutdown: Arc::new(AtomicBool::new(false)),
-    });
+    let shared = Arc::new(Shared::new(cfg));
 
     let reactor = {
         let shared = Arc::clone(&shared);
@@ -476,8 +506,8 @@ impl RouterController {
     }
 }
 
-/// Every endpoint that is *not* a proxied election, answered inline on
-/// the reactor.
+/// Every endpoint that is neither a proxied election nor a trace merge,
+/// answered inline on the reactor.
 pub(crate) fn route_aux(req: &Request, shared: &Arc<Shared>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -489,55 +519,9 @@ pub(crate) fn route_aux(req: &Request, shared: &Arc<Shared>) -> Response {
             )
         }
         ("GET", "/cluster") => Response::json(200, cluster_doc(shared).to_string()),
-        ("GET", path) if path.starts_with("/trace/") => {
-            handle_trace_merged(&path["/trace/".len()..], shared)
-        }
         ("POST", _) | ("GET", _) => Response::json(404, error_json("no such endpoint")),
         _ => Response::json(405, error_json("method not allowed")),
     }
-}
-
-/// The router's trace read side. `/trace/recent` lists the router's own
-/// root spans; `/trace/<id>` additionally fans out to every backend's
-/// `/trace/<id>` and merges whatever spans they still retain, tagging
-/// each span's `src` with who recorded it — that is how one client
-/// request becomes one connected tree spanning router and backends.
-fn handle_trace_merged(tail: &str, shared: &Arc<Shared>) -> Response {
-    if tail == "recent" {
-        return hre_svc::server::handle_trace(tail, &shared.recorder);
-    }
-    let Some(trace_id) = TraceId::from_hex(tail) else {
-        return Response::json(400, error_json("trace id must be 1-16 hex digits, nonzero"));
-    };
-    let mut spans = shared.recorder.trace_spans(trace_id);
-    for s in &mut spans {
-        s.src = "cluster".into();
-    }
-    let fetch_timeout = shared.cfg.timeout.min(Duration::from_millis(500));
-    let topo = shared.topology();
-    for slot in &topo.slots {
-        // Fresh connections, not the proxy pools: a trace fetch must not
-        // evict a request path's keep-alive connection mid-race.
-        let fetched = Client::connect(slot.addr(), fetch_timeout)
-            .and_then(|mut c| c.get(&format!("/trace/{}", trace_id.to_hex())));
-        if let Ok(resp) = fetched {
-            if resp.status == 200 {
-                if let Ok(remote) = tracewire::spans_from_doc(&resp.body_text()) {
-                    spans.extend(remote.into_iter().map(|mut s| {
-                        s.src = slot.addr().to_string();
-                        s
-                    }));
-                }
-            }
-        }
-    }
-    if spans.is_empty() {
-        return Response::json(
-            404,
-            error_json("no spans retained for that trace (evicted, or never seen)"),
-        );
-    }
-    Response::json(200, tracewire::trace_doc(trace_id, &spans))
 }
 
 /// The `GET /cluster` topology document.

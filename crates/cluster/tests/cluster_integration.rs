@@ -175,59 +175,30 @@ fn fails_over_when_a_backend_dies_and_reports_the_breaker() {
 
 #[test]
 fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
-    // Backend 0: single worker, no cache — easy to stall with one big
-    // election. Backend 1: healthy.
-    let slow_cfg = SvcConfig {
-        workers: 1,
-        cache_cap: 0,
-        deadline: Duration::from_secs(30),
-        ..Default::default()
-    };
-    let slow = start_svc(slow_cfg).expect("slow backend");
+    // Backend 0 is a tar pit: a bound listener that never accepts, so
+    // connects to it complete and requests to it go unanswered, however
+    // fast the engine. Backend 1 is healthy.
+    let tar_pit = std::net::TcpListener::bind("127.0.0.1:0").expect("tar pit");
     let fast = start_svc(SvcConfig::default()).expect("fast backend");
-    let addrs = vec![slow.addr.to_string(), fast.addr.to_string()];
+    let addrs =
+        vec![tar_pit.local_addr().expect("tar pit addr").to_string(), fast.addr.to_string()];
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_millis(10),
         deadline: Duration::from_secs(20),
         timeout: Duration::from_secs(20),
-        // Keep the prober from stealing the single worker's attention.
-        health_interval: Duration::from_millis(500),
+        // The prober's start-up sweep is its only one: one failed probe
+        // of the tar pit leaves its breaker closed.
+        health_interval: Duration::from_secs(60),
         ..Default::default()
     })
     .expect("router");
 
-    // A ring homed on the slow backend.
+    // A ring homed on the tar pit.
     let labels = (0..64u64)
-        .map(|salt| {
-            let mut l = vec![1, 3, 1, 3, 2, 2, 1, 2];
-            l[0] = salt + 1;
-            l
-        })
+        .map(salted)
         .find(|l| router.primary_backend(l) == addrs[0])
-        .expect("some ring homes on the slow backend");
-
-    // Stuff the slow backend's only worker (plus queue) with elections
-    // big enough to hold it busy well past the hedge threshold. The
-    // optimized engine runs an n = 256 election in ~35 ms in release
-    // builds — not enough stall to outlive the pickup sleep below — so
-    // release builds use a bigger ring and more stuffers (n = 512 is
-    // ~130 ms apiece); debug builds keep the small shape (~700 ms
-    // apiece there).
-    let (stuff_n, stuff_count) = if cfg!(debug_assertions) { (256u64, 2) } else { (512, 4) };
-    let big: Vec<String> = (0..stuff_n).map(|i| (i % 17).to_string()).collect();
-    let big_body = format!(r#"{{"ring":[{}],"algo":"ak"}}"#, big.join(","));
-    let stuffers: Vec<_> = (0..stuff_count)
-        .map(|_| {
-            let addr = addrs[0].clone();
-            let body = big_body.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr, Duration::from_secs(60)).expect("direct");
-                c.post_json("/elect", &body).expect("big election").status
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(100)); // let the worker pick one up
+        .expect("some ring homes on the tar pit");
 
     // Route a cheap request homed on the stalled backend: the hedge
     // must fire and the fast backend's answer must win.
@@ -235,10 +206,6 @@ fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
     let resp = c.post_json("/elect", &body_for(&labels)).expect("hedged");
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     assert_eq!(resp.header("x-backend"), Some(addrs[1].as_str()), "hedge winner");
-
-    for s in stuffers {
-        assert_eq!(s.join().expect("stuffer"), 200);
-    }
 
     // The hedge flew as an extra in-flight request, and once everything
     // resolved the in-flight gauge reconciles back to zero — under the
@@ -265,8 +232,52 @@ fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
     assert!(summary.backends[0].hedges >= 1, "hedge must have fired: {summary}");
     assert!(summary.hedge_wins >= 1, "{summary}");
     assert_eq!(summary.request_errors, 0, "{summary}");
-    slow.shutdown();
     fast.shutdown();
+}
+
+#[test]
+fn a_trace_merge_does_not_stall_routing_behind_a_tar_pit() {
+    // The merge fetches `/trace/<id>` from every backend; the tar pit
+    // holds its fetch until the 500 ms fetch timeout. Routing must go on
+    // meanwhile.
+    let tar_pit = std::net::TcpListener::bind("127.0.0.1:0").expect("tar pit");
+    let healthy = start_svc(SvcConfig::default()).expect("backend");
+    let addrs =
+        vec![healthy.addr.to_string(), tar_pit.local_addr().expect("tar pit addr").to_string()];
+    let router = start(ClusterConfig {
+        backends: addrs.clone(),
+        hedge_min: Duration::from_secs(10),
+        health_interval: Duration::from_secs(60),
+        ..Default::default()
+    })
+    .expect("router");
+    let router_addr = router.addr.to_string();
+    let labels = (0..64u64)
+        .map(salted)
+        .find(|l| router.primary_backend(l) == addrs[0])
+        .expect("some ring homes on the healthy backend");
+    let mut c = client(&router_addr);
+    assert_eq!(c.post_json("/elect", &body_for(&labels)).expect("warm-up").status, 200);
+
+    let merge = std::thread::spawn(move || {
+        let started = std::time::Instant::now();
+        let resp = client(&router_addr).get("/trace/00000000deadbeef").expect("trace merge");
+        (resp.status, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let started = std::time::Instant::now();
+    let resp = c.post_json("/elect", &body_for(&labels)).expect("routed during the merge");
+    let took = started.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert!(took < Duration::from_millis(50), "/elect took {took:?} during a trace merge");
+
+    let (status, merge_took) = merge.join().expect("merge thread");
+    assert_eq!(status, 404, "no backend retains the trace");
+    assert!(merge_took >= Duration::from_millis(400), "the merge waited out the tar pit");
+    let summary = router.shutdown();
+    assert_eq!(summary.request_errors, 0, "{summary}");
+    assert!(summary.backends.iter().all(|b| b.errors == 0), "a fetch touches no counter");
+    healthy.shutdown();
 }
 
 #[test]

@@ -1,11 +1,20 @@
 //! # hre-dst — whole-stack deterministic simulation
 //!
 //! This crate runs the repository's **entire serving path** — the
-//! service's worker pool and result cache, the cluster's hash ring,
-//! circuit breakers, hedging, and failover, `hre-net`'s retransmit
-//! window and in-order reassembly, and the control plane's CRDT
-//! membership with `Ak` coordinator elections — inside **virtual
-//! time**, against seeded fault plans.
+//! service's worker pool and result cache, the router's forward race
+//! (hash ring, circuit breakers, hedging, failover, deadline),
+//! `hre-net`'s retransmit window and in-order reassembly, and the
+//! control plane's CRDT membership with `Ak` coordinator elections —
+//! inside **virtual time**, against seeded fault plans.
+//!
+//! Ports, not mocks: the router is the shipped one. Each client request
+//! is a real `POST /elect` body through the router's own intake and
+//! [`ForwardMachine`](hre_cluster::ForwardMachine), on one
+//! [`ClusterConfig`](hre_cluster::ClusterConfig) whose clock is the
+//! world's [`VirtualClock`](hre_runtime::VirtualClock); the world only
+//! carries its commands (attempts over the modelled data path, timers on
+//! the event heap). The backends' queue, workers and cost, the control
+//! plane's node loop and the router's prober are modelled.
 //!
 //! The moving parts:
 //!
@@ -14,9 +23,8 @@
 //!   churn).
 //! - [`run_plan`] — executes one plan inside a
 //!   [`VirtualClock`](hre_runtime::VirtualClock) +
-//!   [`SimFabric`](hre_runtime::SimFabric) world, reusing the real
-//!   production components, and returns a transcript hash, invariant
-//!   violations, and counters.
+//!   [`SimFabric`](hre_runtime::SimFabric) world and returns a
+//!   transcript hash, invariant violations, and counters.
 //! - [`sweep`] — fans instances through the work-stealing runner;
 //!   thread-count invariant by construction.
 //! - [`minimize`] / [`artifact_json`] / [`parse_artifact`] — shrink a
@@ -25,9 +33,9 @@
 //!
 //! Determinism contract: a run is a pure function of its plan. No wall
 //! clocks, no OS scheduling, no global mutable state feeds the
-//! transcript (the election memo caches *values* only), so the same
-//! plan yields the same transcript hash on any machine at any
-//! parallelism.
+//! transcript (the election memo caches *values* only; trace and span
+//! ids stay out of it), so the same plan yields the same transcript hash
+//! on any machine at any parallelism.
 
 pub mod oracle;
 pub mod scenario;

@@ -1,21 +1,30 @@
 //! The whole serving path as one deterministic, virtual-time world.
 //!
-//! One [`World`] wires the real production components — the service's
-//! result cache, the cluster's breakers and hash ring, `hre-net`'s
-//! retransmit window and reassembly, the control plane's CRDT view and
-//! `Ak` coordinator election — into a single event loop driven by a
-//! [`VirtualClock`] and a seeded [`SimFabric`]. Every latency, loss,
-//! and jitter draw comes from the plan's seed, so a run is a pure
-//! function of its [`ScenarioPlan`]: the transcript hash is
-//! byte-identical across machines, thread counts, and reruns.
+//! One [`World`] runs shipped components — the router's forward race
+//! ([`ForwardMachine`]) over its breakers, hash ring and topology, the
+//! service's result cache, `hre-net`'s retransmit window and reassembly,
+//! the control plane's CRDT view and `Ak` coordinator election — in a
+//! single event loop driven by a [`VirtualClock`] and a seeded
+//! [`SimFabric`]. The router is one [`ClusterConfig`] whose clock is the
+//! world's: its attempt timeouts, hedge thresholds, deadlines and breaker
+//! probe schedules all run in virtual time, fed from the world's event
+//! heap. What the world models rather than ships: the backends' queue,
+//! workers and cost, the control plane's node loop, and the router's
+//! prober. Every latency, loss, and jitter draw comes from the plan's
+//! seed, so a run is a pure function of its [`ScenarioPlan`]: the
+//! transcript hash is byte-identical across machines, thread counts, and
+//! reruns.
 //!
 //! Three invariants are checked continuously:
 //!
 //! - **I1 (config safety)**: the router never accepts two different
 //!   configurations at one epoch, and accepted epochs never regress.
-//! - **I2 (failure attribution)**: a client-visible failure implies
-//!   every timed-out attempt recorded a breaker failure, and the moment
-//!   is covered by a fault window or a non-closed breaker.
+//! - **I2 (failure attribution)**: every transport failure the world
+//!   delivered to the router (an attempt that timed out) and every probe
+//!   failure shows in the breaker bookkeeping of that backend's slot
+//!   (I2a, [`Breaker::failures_total`](hre_cluster::Breaker::failures_total));
+//!   and a client-visible failure (502, 504) falls in a fault window or
+//!   while some breaker is not closed (I2b).
 //! - **I3 (answer fidelity)**: every 200 body is byte-equal to the
 //!   oracle's independently computed `response_json`.
 //!
@@ -24,29 +33,30 @@
 
 use crate::oracle;
 use crate::scenario::{FaultSpec, Rng, ScenarioKind, ScenarioPlan};
-use hre_cluster::{shard_key, Breaker, BreakerState, HashRing};
+use hre_cluster::{
+    AttemptId, BackendSlot, Breaker, BreakerState, ClusterConfig, Command, ForwardMachine, Shared,
+    Timer,
+};
 use hre_ctrl::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 use hre_net::frame::{encode_frame, FrameReader, KIND_ACK, KIND_DATA};
 use hre_net::reliable::{Offer, Reassembly};
 use hre_net::window::RetransmitWindow;
 use hre_runtime::trace::{render_tree, SpanAttrs, SpanId, Stage, TraceId};
-use hre_runtime::{
-    Backoff, Clock, FlightRecorder, LinkProfile, NetFabric, SimFabric, VirtualClock,
-};
+use hre_runtime::{Clock, ClockHandle, LinkProfile, NetFabric, SimFabric, VirtualClock};
+use hre_svc::http::{ParseStep, Request, RequestParser, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::Json;
-use hre_svc::{error_json, response_json, AlgoId, CacheKey, ElectRequest, ShardedLru};
+use hre_svc::{
+    error_json, response_json, AlgoId, CacheKey, ClientResponse, ElectRequest, ShardedLru,
+};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The router's fabric endpoint id (backends are `0..n`).
 pub const ROUTER: u64 = 1000;
 
-const ATTEMPT_TIMEOUT_NS: u64 = 120_000_000;
-const DEADLINE_NS: u64 = 400_000_000;
-const HEDGE_MIN_NS: u64 = 30_000_000;
-const HEDGE_MAX_NS: u64 = 120_000_000;
 const HEARTBEAT_NS: u64 = 75_000_000;
 const FAIL_TIMEOUT_NS: u64 = 260_000_000;
 const ELECT_COOLDOWN_NS: u64 = 350_000_000;
@@ -58,15 +68,34 @@ const HIT_COST_NS: u64 = 250_000;
 const MISS_BASE_NS: u64 = 800_000;
 const MISS_PER_LABEL_NS: u64 = 150_000;
 /// Aftermath margin appended to every fault window for the I2 sanity
-/// check: long enough for breakers (probe cap 640ms + jitter) to close.
+/// check: long enough for breakers (probe cap 640ms) to close.
 const WINDOW_MARGIN_NS: u64 = 1_600_000_000;
+
+/// The router: the shipped config, with the timing E24 has always run.
+fn router_config(backends: u64, clock: &Arc<VirtualClock>, record_spans: bool) -> ClusterConfig {
+    ClusterConfig {
+        backends: (0..backends).map(|id| id.to_string()).collect(),
+        vnodes: 16,
+        timeout: Duration::from_millis(120),
+        deadline: Duration::from_millis(400),
+        hedge_min: Duration::from_millis(30),
+        failure_threshold: 3,
+        probe_start: Duration::from_millis(80),
+        probe_cap: Duration::from_millis(640),
+        trace_cap: if record_spans { 8192 } else { 0 },
+        slow_threshold: None,
+        clock: ClockHandle::from(Arc::clone(clock)),
+        ..ClusterConfig::default()
+    }
+}
 
 /// Knobs for one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldOptions {
-    /// Plants the regression E24's gate (c) must catch: failover and
-    /// hedge attempts skip `record_failure_at` on timeout, so breakers
-    /// under-count and client-visible failures go unattributed.
+    /// Plants the regression E24's gate (c) must catch, in the shipped
+    /// router ([`Shared::with_planted_regression`]): a transport failure
+    /// of a failover or hedge attempt skips its breaker, so breakers
+    /// under-count and I2a fails.
     pub planted_regression: bool,
     /// Keep the full transcript text (sweeps keep only the hash).
     pub collect_transcript: bool,
@@ -83,17 +112,20 @@ pub struct RunStats {
     pub ok: u64,
     /// Requests answered 422 (invalid ring — a correct terminal answer).
     pub invalid: u64,
-    /// Requests answered 503 (pure backpressure, every attempt busy).
+    /// Requests answered 503 (the last answer of an exhausted race was
+    /// a backend's backpressure).
     pub busy: u64,
-    /// Client-visible failures (504 deadline / 502 exhausted).
+    /// Client-visible failures (502 exhausted, 504 deadline).
     pub failed: u64,
-    /// Hedge attempts launched.
+    /// Hedges the router fired (its per-backend `hedges` counters).
     pub hedges: u64,
-    /// Failover attempts launched.
+    /// The router's per-backend `failovers` counters: attempts that
+    /// failed at the transport level, plus candidates skipped for an
+    /// open breaker.
     pub failovers: u64,
-    /// Attempts that timed out at the router.
+    /// Attempts whose transport timeout fired at the router.
     pub timeouts: u64,
-    /// Responses that arrived after their request was already decided.
+    /// Responses that arrived for an attempt the router had abandoned.
     pub wasted: u64,
     /// Result-cache hits across all backends.
     pub cache_hits: u64,
@@ -109,7 +141,7 @@ pub struct RunStats {
     pub config_rejects: u64,
     /// Peers declared dead by failure detectors.
     pub suspects: u64,
-    /// Breaker open transitions observed at the router.
+    /// Breaker open transitions (the breakers' own counters).
     pub breaker_opens: u64,
     /// Fabric datagrams delivered.
     pub fabric_delivered: u64,
@@ -184,50 +216,37 @@ impl Tape {
     }
 }
 
-/// How one proxied attempt resolved at the router.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Res {
-    Ok200,
-    Invalid422,
-    Busy,
-    Timeout,
-}
-
-struct AttemptState {
-    backend: u64,
-    sent_ns: u64,
-    resolved: Option<Res>,
-    recorded_failure: bool,
-    hedge: bool,
-    span: SpanId,
-}
-
-struct ReqState {
+/// One client request: what it asks, and its race at the router.
+struct ClientReq {
     elect: ElectRequest,
-    shard: u64,
+    /// Rotation distance from the canonical frame back to the request's.
     d: usize,
-    candidates: Vec<u64>,
-    next_cand: usize,
-    attempts: Vec<AttemptState>,
-    skipped: Vec<u64>,
     admitted_ns: u64,
-    deadline_ns: u64,
-    done: bool,
-    status: u16,
-    fail_open: bool,
-    trace: TraceId,
-    root_span: SpanId,
+    /// The race, until it answers.
+    machine: Option<ForwardMachine>,
+    /// The machine's attempts, by id.
+    attempts: Vec<Link>,
+    /// The machine's armed timers, with the sequence number of the heap
+    /// event that fires each.
+    timers: Vec<(Timer, u64)>,
 }
 
-impl ReqState {
-    fn in_flight(&self) -> bool {
-        self.attempts.iter().any(|a| a.resolved.is_none())
-    }
+/// One attempt on the modelled data path.
+struct Link {
+    backend: u64,
+    /// Index into [`Router::books`].
+    book: usize,
+    /// Whether the router still waits for it: an answer to an abandoned
+    /// or already answered attempt is wasted.
+    live: bool,
+    /// The trace context the backend reads off the request's headers
+    /// (only read when spans are recorded).
+    ctx: (TraceId, SpanId),
 }
 
 struct QJob {
     req: u32,
-    attempt: u32,
+    attempt: AttemptId,
     deadline_ns: u64,
     arrived_ns: u64,
 }
@@ -283,14 +302,34 @@ struct Backend {
 }
 
 struct Router {
-    ring: HashRing,
-    breakers: BTreeMap<u64, Breaker>,
+    shared: Arc<Shared>,
+    /// Every slot the router has held, with the transport failures the
+    /// world delivered to its breaker: timeouts and failed probes (I2a).
+    books: Vec<(Arc<BackendSlot>, u64)>,
     breaker_prev: BTreeMap<u64, BreakerState>,
-    hist: hre_runtime::Log2Histogram,
     cfg_epoch: u64,
     coordinator: u64,
     accepted: BTreeMap<u64, (u64, Vec<u64>)>,
-    hedge_ns: u64,
+}
+
+impl Router {
+    /// The book of `slot`, opened on first sight.
+    fn book(&mut self, slot: &Arc<BackendSlot>) -> usize {
+        match self.books.iter().position(|(s, _)| Arc::ptr_eq(s, slot)) {
+            Some(i) => i,
+            None => {
+                self.books.push((Arc::clone(slot), 0));
+                self.books.len() - 1
+            }
+        }
+    }
+
+    /// Opens a book for every slot of the active topology.
+    fn book_topology(&mut self) {
+        for slot in &self.shared.topology().slots {
+            self.book(slot);
+        }
+    }
 }
 
 struct OutLink {
@@ -317,47 +356,14 @@ enum Action {
 
 enum Ev {
     Arrival(u32),
-    AttemptArrive {
-        req: u32,
-        attempt: u32,
-        backend: u64,
-    },
-    JobDone {
-        backend: u64,
-        generation: u32,
-        req: u32,
-        attempt: u32,
-        status: u16,
-        body: Option<String>,
-    },
-    AttemptResponse {
-        req: u32,
-        attempt: u32,
-        backend: u64,
-        status: u16,
-        body: Option<String>,
-    },
-    AttemptTimeout {
-        req: u32,
-        attempt: u32,
-    },
-    HedgeFire {
-        req: u32,
-    },
-    Deadline {
-        req: u32,
-    },
-    CtrlTick {
-        node: u64,
-    },
+    AttemptArrive { req: u32, attempt: AttemptId, backend: u64 },
+    JobDone { backend: u64, generation: u32, req: u32, attempt: AttemptId, resp: ClientResponse },
+    AttemptResponse { req: u32, attempt: AttemptId, backend: u64, resp: ClientResponse },
+    RouterTimer { req: u32, timer: Timer, seq: u64 },
+    CtrlTick { node: u64 },
     RouterTick,
     Fault(u32),
-    Announce {
-        node: u64,
-        epoch: u64,
-        coordinator: u64,
-        order: Vec<u64>,
-    },
+    Announce { node: u64, epoch: u64, coordinator: u64, order: Vec<u64> },
 }
 
 struct Pending {
@@ -389,22 +395,30 @@ fn sched(heap: &mut BinaryHeap<Reverse<Pending>>, seq: &mut u64, t_ns: u64, ev: 
     heap.push(Reverse(Pending { t_ns, seq: s, ev }));
 }
 
-fn note_breaker(
-    tape: &mut Tape,
-    prev: &mut BTreeMap<u64, BreakerState>,
-    breaker: &Breaker,
-    b: u64,
-    now: std::time::Instant,
-    t_ns: u64,
-    stats: &mut RunStats,
-) {
-    let st = breaker.state_at(now);
-    if prev.get(&b) != Some(&st) {
-        tape.note(t_ns, &format!("breaker backend={b} state={}", st.as_str()));
-        if st == BreakerState::Open {
-            stats.breaker_opens += 1;
-        }
-        prev.insert(b, st);
+/// An answer as a backend's svc sends it.
+fn svc_reply(status: u16, body: String, headers: &[(&str, &str)]) -> ClientResponse {
+    ClientResponse {
+        status,
+        headers: headers.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        body: body.into_bytes(),
+    }
+}
+
+/// The 503 a backend with a full queue sheds with.
+fn busy_reply() -> ClientResponse {
+    svc_reply(503, error_json("job queue full, retry shortly"), &[("retry-after", "1")])
+}
+
+/// The trace context a backend reads off a forwarded request's headers.
+fn trace_headers(request: &[u8]) -> (TraceId, SpanId) {
+    let mut parser = RequestParser::new(DEFAULT_MAX_BODY);
+    parser.push(request);
+    match parser.step() {
+        ParseStep::Request(req) => (
+            req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_default(),
+            req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or_default(),
+        ),
+        _ => Default::default(),
     }
 }
 
@@ -422,7 +436,7 @@ pub struct World {
     violations: Vec<String>,
     backends: Vec<Backend>,
     router: Router,
-    reqs: Vec<ReqState>,
+    reqs: Vec<ClientReq>,
     out_links: BTreeMap<(u64, u64), OutLink>,
     in_links: BTreeMap<(u64, u64), InLink>,
     blocked: BTreeSet<(u64, u64)>,
@@ -431,7 +445,6 @@ pub struct World {
     fault_windows: Vec<(u64, u64)>,
     churn_victim: Option<u64>,
     duration_ns: u64,
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 /// Runs `plan` to quiescence and reports the outcome.
@@ -480,7 +493,8 @@ impl World {
         });
         let rng = Rng(plan.seed ^ 0x0DD_B411);
         let tape = Tape::new(opts.collect_transcript);
-        let recorder = opts.record_spans.then(|| FlightRecorder::new(8192));
+        let cfg = router_config(plan.backends, &clock, opts.record_spans);
+        let shared = Arc::new(Shared::with_planted_regression(cfg, opts.planted_regression));
         let duration_ns = plan.duration_us * 1_000;
         World {
             plan,
@@ -495,14 +509,12 @@ impl World {
             violations: Vec::new(),
             backends: Vec::new(),
             router: Router {
-                ring: HashRing::new(&[], 16),
-                breakers: BTreeMap::new(),
+                shared,
+                books: Vec::new(),
                 breaker_prev: BTreeMap::new(),
-                hist: hre_runtime::Log2Histogram::default(),
                 cfg_epoch: 0,
                 coordinator: 0,
                 accepted: BTreeMap::new(),
-                hedge_ns: 60_000_000,
             },
             reqs: Vec::new(),
             out_links: BTreeMap::new(),
@@ -513,7 +525,6 @@ impl World {
             fault_windows: Vec::new(),
             churn_victim: None,
             duration_ns,
-            recorder,
         }
     }
 
@@ -563,24 +574,9 @@ impl World {
                     electing: false,
                 },
             });
-        }
-        let names: Vec<String> = (0..n).map(|id| id.to_string()).collect();
-        self.router.ring = HashRing::new(&names, 16);
-        for id in 0..n {
-            self.router.breakers.insert(
-                id,
-                Breaker::with_backoff(
-                    3,
-                    Backoff::with_jitter(
-                        Duration::from_millis(80),
-                        Duration::from_millis(640),
-                        0.2,
-                        self.plan.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ),
-                ),
-            );
             self.router.breaker_prev.insert(id, BreakerState::Closed);
         }
+        self.router.book_topology();
         self.router.cfg_epoch = epoch0;
         self.router.coordinator = coordinator;
         self.router.accepted.insert(epoch0, (coordinator, (0..n).collect()));
@@ -603,23 +599,14 @@ impl World {
             } else {
                 oracle::draw_request(&mut self.rng)
             };
-            let (canon, d) = elect.canonicalized();
-            let shard = shard_key(&canon.labels);
-            self.reqs.push(ReqState {
+            let (_, d) = elect.canonicalized();
+            self.reqs.push(ClientReq {
                 elect,
-                shard,
                 d,
-                candidates: Vec::new(),
-                next_cand: 0,
-                attempts: Vec::new(),
-                skipped: Vec::new(),
                 admitted_ns: 0,
-                deadline_ns: 0,
-                done: false,
-                status: 0,
-                fail_open: false,
-                trace: TraceId(0),
-                root_span: SpanId(0),
+                machine: None,
+                attempts: Vec::new(),
+                timers: Vec::new(),
             });
             sched(&mut self.heap, &mut self.evseq, t, Ev::Arrival((self.reqs.len() - 1) as u32));
         }
@@ -694,15 +681,13 @@ impl World {
             Ev::AttemptArrive { req, attempt, backend } => {
                 self.on_attempt_arrive(req, attempt, backend)
             }
-            Ev::JobDone { backend, generation, req, attempt, status, body } => {
-                self.on_job_done(backend, generation, req, attempt, status, body)
+            Ev::JobDone { backend, generation, req, attempt, resp } => {
+                self.on_job_done(backend, generation, req, attempt, resp)
             }
-            Ev::AttemptResponse { req, attempt, backend, status, body } => {
-                self.on_attempt_response(req, attempt, backend, status, body)
+            Ev::AttemptResponse { req, attempt, backend, resp } => {
+                self.on_attempt_response(req, attempt, backend, resp)
             }
-            Ev::AttemptTimeout { req, attempt } => self.on_attempt_timeout(req, attempt),
-            Ev::HedgeFire { req } => self.on_hedge_fire(req),
-            Ev::Deadline { req } => self.on_deadline(req),
+            Ev::RouterTimer { req, timer, seq } => self.on_router_timer(req, timer, seq),
             Ev::CtrlTick { node } => self.on_ctrl_tick(node),
             Ev::RouterTick => self.on_router_tick(),
             Ev::Fault(i) => self.on_fault(i),
@@ -714,145 +699,95 @@ impl World {
 
     // ---- client request path (router + backends) -------------------
 
+    /// A client's `POST /elect` reaches the router: the shipped intake
+    /// parses it and plans its candidates.
     fn on_arrival(&mut self, req: u32) {
         let now = self.now_ns();
-        let (shard, trace, root_span) = {
-            let r = &mut self.reqs[req as usize];
-            r.admitted_ns = now;
-            r.deadline_ns = now + DEADLINE_NS;
-            if let Some(rec) = &self.recorder {
-                r.trace = rec.mint_trace();
-                r.root_span = rec.next_span_id();
-            }
-            (r.shard, r.trace, r.root_span)
+        let r = &mut self.reqs[req as usize];
+        r.admitted_ns = now;
+        let http = Request {
+            method: "POST".into(),
+            path: "/elect".into(),
+            headers: Vec::new(),
+            body: r.elect.to_json().into_bytes(),
         };
-        let _ = (trace, root_span);
-        let order: Vec<u64> = self
-            .router
-            .ring
-            .preference_order(shard)
-            .into_iter()
-            .map(|i| self.router.ring.backends()[i].parse::<u64>().expect("ring names are ids"))
-            .collect();
-        let now_i = self.clock.now();
-        let allowed: Vec<u64> = order
-            .iter()
-            .copied()
-            .filter(|b| {
-                self.router.breakers.get(b).map(|br| br.allows_request_at(now_i)).unwrap_or(false)
-            })
-            .collect();
-        let fail_open = allowed.is_empty() && !order.is_empty();
-        let candidates = if fail_open { order.clone() } else { allowed };
-        self.tape.note(
-            now,
-            &format!("req={req} arrive shard={shard:x} cands={candidates:?} fail_open={fail_open}"),
-        );
-        {
-            let r = &mut self.reqs[req as usize];
-            r.candidates = candidates;
-            r.fail_open = fail_open;
+        self.tape.note(now, &format!("req={req} arrive"));
+        match ForwardMachine::elect(&self.router.shared, &http) {
+            Ok(machine) => {
+                self.reqs[req as usize].machine = Some(machine);
+                self.run_machine(req);
+            }
+            Err(resp) => self.finish_request(req, resp),
         }
-        sched(&mut self.heap, &mut self.evseq, now + DEADLINE_NS, Ev::Deadline { req });
-        if self.reqs[req as usize].candidates.is_empty() {
-            self.finish_request(req, 502, "no-backends");
-            return;
-        }
-        self.launch_attempt(req, false);
     }
 
-    /// Launches the next viable candidate; returns false when none
-    /// remain.
-    fn launch_attempt(&mut self, req: u32, hedge: bool) -> bool {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
+    /// Carries out request `req`'s machine commands: launches become
+    /// data-path events, timers become heap events.
+    fn run_machine(&mut self, req: u32) {
         loop {
-            let (backend, fail_open) = {
-                let r = &self.reqs[req as usize];
-                if r.next_cand >= r.candidates.len() {
-                    return false;
+            let r = &mut self.reqs[req as usize];
+            let Some(command) = r.machine.as_mut().and_then(ForwardMachine::next_command) else {
+                return;
+            };
+            match command {
+                Command::Launch { attempt, slot, request } => {
+                    self.launch(req, attempt, &slot, &request)
                 }
-                (r.candidates[r.next_cand], r.fail_open)
-            };
-            self.reqs[req as usize].next_cand += 1;
-            // Breaker state may have changed since arrival; re-check
-            // (unless the request is already in fail-open mode).
-            let allowed = self
-                .router
-                .breakers
-                .get(&backend)
-                .map(|b| b.allows_request_at(now_i))
-                .unwrap_or(false);
-            if !allowed && !fail_open {
-                self.tape.note(now, &format!("req={req} skip backend={backend} breaker-open"));
-                self.reqs[req as usize].skipped.push(backend);
-                continue;
+                Command::Abandon(attempt) => r.attempts[attempt.0 as usize].live = false,
+                Command::Arm(timer, at) => {
+                    let t_ns = at.saturating_duration_since(self.clock.epoch()).as_nanos() as u64;
+                    let seq = self.evseq;
+                    r.timers.push((timer, seq));
+                    sched(
+                        &mut self.heap,
+                        &mut self.evseq,
+                        t_ns,
+                        Ev::RouterTimer { req, timer, seq },
+                    );
+                }
+                Command::Cancel(timer) => r.timers.retain(|(t, _)| *t != timer),
+                Command::Answer(resp) => {
+                    r.machine = None;
+                    self.finish_request(req, resp);
+                }
             }
-            let attempt = self.reqs[req as usize].attempts.len() as u32;
-            let span = self.recorder.as_ref().map(|r| r.next_span_id()).unwrap_or(SpanId(0));
-            self.reqs[req as usize].attempts.push(AttemptState {
-                backend,
-                sent_ns: now,
-                resolved: None,
-                recorded_failure: false,
-                hedge,
-                span,
-            });
-            let kind = if hedge {
-                "hedge"
-            } else if attempt > 0 {
-                "failover"
-            } else {
-                "primary"
-            };
-            self.tape
-                .note(now, &format!("req={req} attempt={attempt} backend={backend} kind={kind}"));
-            if !self.blocked.contains(&(ROUTER, backend)) {
-                let lat = self.data_latency_ns(ROUTER, backend);
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
-                    now + lat,
-                    Ev::AttemptArrive { req, attempt, backend },
-                );
-            }
+        }
+    }
+
+    /// An attempt leaves the router for `slot`'s backend.
+    fn launch(&mut self, req: u32, attempt: AttemptId, slot: &Arc<BackendSlot>, request: &[u8]) {
+        let now = self.now_ns();
+        let backend: u64 = slot.addr().parse().expect("backends are named by id");
+        let book = self.router.book(slot);
+        let ctx = if self.opts.record_spans { trace_headers(request) } else { Default::default() };
+        let attempts = &mut self.reqs[req as usize].attempts;
+        debug_assert_eq!(attempt.0 as usize, attempts.len(), "attempts launch in id order");
+        attempts.push(Link { backend, book, live: true, ctx });
+        self.tape.note(now, &format!("req={req} attempt={} backend={backend}", attempt.0));
+        if !self.blocked.contains(&(ROUTER, backend)) {
+            let lat = self.data_latency_ns(ROUTER, backend);
             sched(
                 &mut self.heap,
                 &mut self.evseq,
-                now + ATTEMPT_TIMEOUT_NS,
-                Ev::AttemptTimeout { req, attempt },
+                now + lat,
+                Ev::AttemptArrive { req, attempt, backend },
             );
-            if attempt == 0 {
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
-                    now + self.router.hedge_ns,
-                    Ev::HedgeFire { req },
-                );
-            }
-            return true;
         }
     }
 
-    fn on_attempt_arrive(&mut self, req: u32, attempt: u32, backend: u64) {
+    fn on_attempt_arrive(&mut self, req: u32, attempt: AttemptId, backend: u64) {
         let now = self.now_ns();
         if self.blocked.contains(&(ROUTER, backend)) || !self.backends[backend as usize].alive {
             return;
         }
-        let deadline_ns = self.reqs[req as usize].deadline_ns;
-        let free = {
-            let b = &self.backends[backend as usize];
-            b.busy < WORKERS
-        };
-        if free {
-            self.start_job(backend, QJob { req, attempt, deadline_ns, arrived_ns: now });
-        } else if self.backends[backend as usize].queue.len() < QUEUE_CAP {
-            self.backends[backend as usize].queue.push_back(QJob {
-                req,
-                attempt,
-                deadline_ns,
-                arrived_ns: now,
-            });
+        let deadline_ns =
+            self.reqs[req as usize].admitted_ns + self.router.shared.cfg.deadline.as_nanos() as u64;
+        let job = QJob { req, attempt, deadline_ns, arrived_ns: now };
+        let b = &mut self.backends[backend as usize];
+        if b.busy < WORKERS {
+            self.start_job(backend, job);
+        } else if b.queue.len() < QUEUE_CAP {
+            b.queue.push_back(job);
         } else {
             // Queue full: shed immediately, as the real pool does.
             let lat = self.data_latency_ns(backend, ROUTER);
@@ -860,44 +795,42 @@ impl World {
                 &mut self.heap,
                 &mut self.evseq,
                 now + lat,
-                Ev::AttemptResponse { req, attempt, backend, status: 503, body: None },
+                Ev::AttemptResponse { req, attempt, backend, resp: busy_reply() },
             );
         }
     }
 
     fn start_job(&mut self, backend: u64, job: QJob) {
         let now = self.now_ns();
-        let (elect, d) = {
-            let r = &self.reqs[job.req as usize];
-            (r.elect.clone(), r.d)
-        };
+        let r = &self.reqs[job.req as usize];
+        let (elect, d) = (&r.elect, r.d);
         let n = elect.labels.len();
         let (canon, _) = elect.canonicalized();
         let key = CacheKey::new(&canon.labels, canon.algo, canon.k);
         let b = &mut self.backends[backend as usize];
-        let (cost, result) = match b.lru.get(&key) {
+        let (cost, result, cache) = match b.lru.get(&key) {
             Some(hit) => {
                 self.stats.cache_hits += 1;
-                (HIT_COST_NS, hit)
+                (HIT_COST_NS, hit, "HIT")
             }
             None => {
                 self.stats.cache_misses += 1;
-                let (result, _) = oracle::elect_canonical(&elect);
+                let (result, _) = oracle::elect_canonical(elect);
                 b.lru.insert(key, result.clone());
-                (MISS_BASE_NS + MISS_PER_LABEL_NS * n as u64, result)
+                (MISS_BASE_NS + MISS_PER_LABEL_NS * n as u64, result, "MISS")
             }
         };
         let (status, body) = match result {
-            Ok(out) => (200u16, response_json(&elect, &out.into_coords(d, n))),
+            Ok(out) => (200u16, response_json(elect, &out.into_coords(d, n))),
             Err(e) => (422u16, error_json(&e)),
         };
         b.busy += 1;
-        if let (Some(rec), true) = (&self.recorder, job.arrived_ns < now) {
-            let r = &self.reqs[job.req as usize];
+        if job.arrived_ns < now {
+            let (trace, parent) = r.attempts[job.attempt.0 as usize].ctx;
             let epoch = self.clock.epoch();
-            rec.record_span(
-                r.trace,
-                r.attempts[job.attempt as usize].span,
+            self.router.shared.recorder.record_span(
+                trace,
+                parent,
                 Stage::QueueWait,
                 epoch + Duration::from_nanos(job.arrived_ns),
                 epoch + Duration::from_nanos(now),
@@ -913,8 +846,7 @@ impl World {
                 generation: self.backends[backend as usize].generation,
                 req: job.req,
                 attempt: job.attempt,
-                status,
-                body: Some(body),
+                resp: svc_reply(status, body, &[("x-cache", cache)]),
             },
         );
     }
@@ -924,9 +856,8 @@ impl World {
         backend: u64,
         generation: u32,
         req: u32,
-        attempt: u32,
-        status: u16,
-        body: Option<String>,
+        attempt: AttemptId,
+        resp: ClientResponse,
     ) {
         let now = self.now_ns();
         if self.backends[backend as usize].generation != generation {
@@ -939,7 +870,7 @@ impl World {
                 &mut self.heap,
                 &mut self.evseq,
                 now + lat,
-                Ev::AttemptResponse { req, attempt, backend, status, body },
+                Ev::AttemptResponse { req, attempt, backend, resp },
             );
         }
         // Pull queued work, shedding anything that expired while queued.
@@ -956,17 +887,12 @@ impl World {
             };
             if now > job.deadline_ns {
                 let lat = self.data_latency_ns(backend, ROUTER);
+                let resp = svc_reply(504, error_json("deadline expired"), &[]);
                 sched(
                     &mut self.heap,
                     &mut self.evseq,
                     now + lat,
-                    Ev::AttemptResponse {
-                        req: job.req,
-                        attempt: job.attempt,
-                        backend,
-                        status: 504,
-                        body: None,
-                    },
+                    Ev::AttemptResponse { req: job.req, attempt: job.attempt, backend, resp },
                 );
                 continue;
             }
@@ -974,316 +900,159 @@ impl World {
         }
     }
 
+    /// A backend's answer reaches the router.
     fn on_attempt_response(
         &mut self,
         req: u32,
-        attempt: u32,
+        attempt: AttemptId,
         backend: u64,
-        status: u16,
-        body: Option<String>,
+        resp: ClientResponse,
     ) {
         let now = self.now_ns();
-        let now_i = self.clock.now();
         if self.blocked.contains(&(backend, ROUTER)) {
             return; // the response died on a partition cut
         }
-        let already_resolved =
-            self.reqs[req as usize].attempts[attempt as usize].resolved.is_some();
-        if status == 200 {
-            if let Some(br) = self.router.breakers.get(&backend) {
-                br.record_success();
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    backend,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
-            }
-        }
-        if already_resolved || self.reqs[req as usize].done {
+        let r = &mut self.reqs[req as usize];
+        let link = &mut r.attempts[attempt.0 as usize];
+        if !std::mem::take(&mut link.live) {
             self.stats.wasted += 1;
             return;
         }
-        match status {
-            200 => {
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Ok200);
-                self.record_attempt_span(req, attempt, false);
-                // I3: the body must equal the oracle's independent
-                // recomputation, byte for byte.
-                let (elect, d) = {
-                    let r = &self.reqs[req as usize];
-                    (r.elect.clone(), r.d)
-                };
-                let (oracle_result, od) = oracle::elect_canonical(&elect);
-                debug_assert_eq!(d, od);
-                let expect = match oracle_result {
-                    Ok(out) => {
-                        let out = out.into_coords(od, elect.labels.len());
-                        // I0 (generalized): a 200's leader must satisfy
-                        // the request algorithm's declarative winner
-                        // rule, whichever engine served it.
-                        let ring = hre_ring::RingLabeling::from_raw(&elect.labels);
-                        let want = elect.algo.engine().oracle_leader(&ring);
-                        if let Some(want) = want {
-                            if out.leader != want {
-                                self.violations.push(format!(
-                                    "I0 leader violates {} winner rule: req={req} got={} \
-                                     expected={want}",
-                                    elect.algo.name(),
-                                    out.leader
-                                ));
-                            }
-                        }
-                        response_json(&elect, &out)
-                    }
-                    Err(e) => error_json(&e),
-                };
-                if body.as_deref() != Some(expect.as_str()) {
-                    self.violations.push(format!(
-                        "I3 response body diverges from oracle: req={req} backend={backend}"
-                    ));
-                }
-                let lat_ns = now - self.reqs[req as usize].admitted_ns;
-                self.router.hist.record(Duration::from_nanos(lat_ns));
-                self.tape.note(
-                    now,
-                    &format!(
-                        "req={req} done status=200 backend={backend} attempts={} lat_us={}",
-                        self.reqs[req as usize].attempts.len(),
-                        lat_ns / 1_000
-                    ),
-                );
-                self.stats.ok += 1;
-                self.finish_request_quietly(req, 200);
-            }
-            422 => {
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Invalid422);
-                self.record_attempt_span(req, attempt, false);
-                self.tape.note(now, &format!("req={req} done status=422 backend={backend}"));
-                self.stats.invalid += 1;
-                self.finish_request_quietly(req, 422);
-            }
-            _ => {
-                // 503 queue-full or 504 expired-in-queue: backpressure.
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Busy);
-                self.record_attempt_span(req, attempt, true);
-                self.tape.note(
-                    now,
-                    &format!("req={req} attempt={attempt} busy status={status} backend={backend}"),
-                );
-                self.after_attempt_resolution(req);
-            }
-        }
-    }
-
-    fn on_attempt_timeout(&mut self, req: u32, attempt: u32) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        {
-            let r = &self.reqs[req as usize];
-            if r.done || r.attempts[attempt as usize].resolved.is_some() {
-                return;
-            }
-        }
-        self.stats.timeouts += 1;
-        let backend = self.reqs[req as usize].attempts[attempt as usize].backend;
-        self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Timeout);
-        self.record_attempt_span(req, attempt, true);
-        // THE PLANTED REGRESSION: when enabled, only the primary
-        // attempt's timeout reaches the breaker — failover and hedge
-        // timeouts vanish from the health signal.
-        let record = !(self.opts.planted_regression && attempt > 0);
-        if record {
-            if let Some(br) = self.router.breakers.get(&backend) {
-                br.record_failure_at(now_i);
-                self.reqs[req as usize].attempts[attempt as usize].recorded_failure = true;
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    backend,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
-            }
-        }
         self.tape.note(
             now,
-            &format!("req={req} attempt={attempt} timeout backend={backend} recorded={record}"),
+            &format!("req={req} attempt={} status={} backend={backend}", attempt.0, resp.status),
         );
-        self.after_attempt_resolution(req);
+        let machine = r.machine.as_mut().expect("a live attempt's race is running");
+        machine.on_response(attempt, resp);
+        self.run_machine(req);
     }
 
-    /// After an attempt resolves without deciding the request: fail
-    /// over if nothing else is in flight, or finish if out of options.
-    fn after_attempt_resolution(&mut self, req: u32) {
-        let (done, in_flight, exhausted) = {
-            let r = &self.reqs[req as usize];
-            (r.done, r.in_flight(), r.next_cand >= r.candidates.len())
-        };
-        if done || in_flight {
-            return;
-        }
-        if !exhausted {
-            self.stats.failovers += 1;
-            let now = self.now_ns();
-            self.tape.note(now, &format!("req={req} failover"));
-            if self.launch_attempt(req, false) {
-                return;
-            }
-        }
-        // Nothing launchable: classify by what the attempts saw.
-        let all_busy =
-            self.reqs[req as usize].attempts.iter().all(|a| a.resolved == Some(Res::Busy));
-        if all_busy && !self.reqs[req as usize].attempts.is_empty() {
-            self.stats.busy += 1;
-            let now = self.now_ns();
-            self.tape.note(now, &format!("req={req} done status=503 busy"));
-            self.finish_request_quietly(req, 503);
-        } else {
-            self.finish_request(req, 502, "exhausted");
-        }
-    }
-
-    fn on_hedge_fire(&mut self, req: u32) {
-        let now = self.now_ns();
-        let eligible = {
-            let r = &self.reqs[req as usize];
-            !r.done
-                && r.attempts.len() == 1
-                && r.attempts[0].resolved.is_none()
-                && r.next_cand < r.candidates.len()
-        };
-        if eligible {
-            self.stats.hedges += 1;
-            self.tape.note(now, &format!("req={req} hedge"));
-            self.launch_attempt(req, true);
-        }
-    }
-
-    fn on_deadline(&mut self, req: u32) {
-        if !self.reqs[req as usize].done {
-            self.finish_request(req, 504, "deadline");
-        }
-    }
-
-    /// Terminal bookkeeping without failure-invariant checks (success,
-    /// invalid, and pure-backpressure outcomes).
-    fn finish_request_quietly(&mut self, req: u32, status: u16) {
+    /// A machine timer fires, unless it was cancelled since.
+    fn on_router_timer(&mut self, req: u32, timer: Timer, seq: u64) {
         let now = self.now_ns();
         let r = &mut self.reqs[req as usize];
-        r.done = true;
-        r.status = status;
-        if let Some(rec) = &self.recorder {
-            let epoch = self.clock.epoch();
-            rec.record_span_with_id(
-                r.root_span,
-                r.trace,
-                SpanId(0),
-                Stage::Request,
-                epoch + Duration::from_nanos(r.admitted_ns),
-                epoch + Duration::from_nanos(now),
-                SpanAttrs {
-                    a: status as u64,
-                    root: true,
-                    err: status >= 500,
-                    ..Default::default()
-                },
-            );
+        let Some(i) = r.timers.iter().position(|&armed| armed == (timer, seq)) else { return };
+        r.timers.swap_remove(i);
+        match timer {
+            Timer::Attempt(attempt) => {
+                // Delivered as a transport failure: I2a expects it in
+                // the breaker's count.
+                let link = &r.attempts[attempt.0 as usize];
+                self.stats.timeouts += 1;
+                self.router.books[link.book].1 += 1;
+                let line =
+                    format!("req={req} attempt={} timeout backend={}", attempt.0, link.backend);
+                self.tape.note(now, &line);
+            }
+            Timer::Hedge(_) => self.tape.note(now, &format!("req={req} hedge timer")),
+            Timer::Deadline => self.tape.note(now, &format!("req={req} deadline")),
         }
+        let machine = r.machine.as_mut().expect("an armed timer's race is running");
+        machine.on_timer(timer);
+        self.run_machine(req);
     }
 
-    /// Terminal bookkeeping for client-visible failures, with the I2
-    /// attribution checks.
-    fn finish_request(&mut self, req: u32, status: u16, reason: &str) {
+    /// The router answered request `req`: classify it and check I0, I2b
+    /// and I3.
+    fn finish_request(&mut self, req: u32, resp: Response) {
         let now = self.now_ns();
-        let now_i = self.clock.now();
-        self.stats.failed += 1;
+        let r = &self.reqs[req as usize];
+        let backend = resp.headers.iter().find(|(k, _)| k == "x-backend").map_or("-", |(_, v)| v);
         self.tape.note(
             now,
             &format!(
-                "req={req} fail status={status} reason={reason} attempts={}",
-                self.reqs[req as usize].attempts.len()
+                "req={req} done status={} backend={backend} attempts={} lat_us={}",
+                resp.status,
+                r.attempts.len(),
+                (now - r.admitted_ns) / 1_000
             ),
         );
-        // I2b: the failure moment must be explainable — inside a fault
-        // window or with some breaker not closed.
-        let in_window = self.fault_windows.iter().any(|(s, e)| now >= *s && now <= *e);
-        let breaker_open =
-            self.router.breakers.values().any(|b| b.state_at(now_i) != BreakerState::Closed);
-        if !in_window && !breaker_open {
-            self.violations.push(format!(
-                "I2 unexplained client failure: req={req} status={status} at t={now} \
-                 with no fault window and every breaker closed"
-            ));
+        match resp.status {
+            200 => {
+                self.stats.ok += 1;
+                self.check_answer(req, &resp.body);
+            }
+            422 => self.stats.invalid += 1,
+            503 => self.stats.busy += 1,
+            status => {
+                self.stats.failed += 1;
+                // I2b: the failure moment must be explainable — inside a
+                // fault window or with some breaker not closed.
+                let in_window = self.fault_windows.iter().any(|(s, e)| now >= *s && now <= *e);
+                let topo = self.router.shared.topology();
+                let breaker_open =
+                    topo.slots.iter().any(|s| s.breaker.peek_state() != BreakerState::Closed);
+                if !in_window && !breaker_open {
+                    self.violations.push(format!(
+                        "I2 unexplained client failure: req={req} status={status} at t={now} \
+                         with no fault window and every breaker closed"
+                    ));
+                }
+            }
         }
-        self.finish_request_quietly(req, status);
     }
 
-    fn record_attempt_span(&mut self, req: u32, attempt: u32, err: bool) {
-        if let Some(rec) = &self.recorder {
-            let now = self.now_ns();
-            let epoch = self.clock.epoch();
-            let r = &self.reqs[req as usize];
-            let a = &r.attempts[attempt as usize];
-            rec.record_span_with_id(
-                a.span,
-                r.trace,
-                r.root_span,
-                if a.hedge { Stage::Hedge } else { Stage::Attempt },
-                epoch + Duration::from_nanos(a.sent_ns),
-                epoch + Duration::from_nanos(now),
-                SpanAttrs { a: a.backend, err, ..Default::default() },
-            );
+    /// I0 and I3 on a 200: the leader follows the algorithm's winner
+    /// rule, and the body is the oracle's, byte for byte.
+    fn check_answer(&mut self, req: u32, body: &[u8]) {
+        let elect = &self.reqs[req as usize].elect;
+        let (oracle_result, d) = oracle::elect_canonical(elect);
+        let expect = match oracle_result {
+            Ok(out) => {
+                let out = out.into_coords(d, elect.labels.len());
+                let ring = hre_ring::RingLabeling::from_raw(&elect.labels);
+                if let Some(want) = elect.algo.engine().oracle_leader(&ring) {
+                    if out.leader != want {
+                        self.violations.push(format!(
+                            "I0 leader violates {} winner rule: req={req} got={} expected={want}",
+                            elect.algo.name(),
+                            out.leader
+                        ));
+                    }
+                }
+                response_json(elect, &out)
+            }
+            Err(e) => error_json(&e),
+        };
+        if body != expect.as_bytes() {
+            self.violations.push(format!("I3 response body diverges from oracle: req={req}"));
         }
     }
 
     // ---- router maintenance ----------------------------------------
 
+    /// Notes a breaker's state in the transcript when it changed.
+    fn note_breaker(&mut self, b: u64, breaker: &Breaker) {
+        let st = breaker.state_at(self.clock.now());
+        if self.router.breaker_prev.insert(b, st) != Some(st) {
+            let now = self.now_ns();
+            self.tape.note(now, &format!("breaker backend={b} state={}", st.as_str()));
+        }
+    }
+
+    /// The prober: a half-open breaker is probed, and the probe's outcome
+    /// feeds it as live traffic's does.
     fn on_router_tick(&mut self) {
         let now = self.now_ns();
         let now_i = self.clock.now();
-        let ids: Vec<u64> = self.router.breakers.keys().copied().collect();
-        for b in ids {
-            let br = self.router.breakers.get(&b).expect("listed");
-            note_breaker(
-                &mut self.tape,
-                &mut self.router.breaker_prev,
-                br,
-                b,
-                now_i,
-                now,
-                &mut self.stats,
-            );
-            if br.state_at(now_i) == BreakerState::HalfOpen {
+        let topo = self.router.shared.topology();
+        for slot in &topo.slots {
+            let b: u64 = slot.addr().parse().expect("backends are named by id");
+            self.note_breaker(b, &slot.breaker);
+            if slot.breaker.state_at(now_i) == BreakerState::HalfOpen {
                 let reachable = !self.blocked.contains(&(ROUTER, b))
                     && !self.blocked.contains(&(b, ROUTER))
                     && self.backends.get(b as usize).map(|x| x.alive).unwrap_or(false);
                 if reachable {
-                    br.record_success();
+                    slot.breaker.record_success();
                 } else {
-                    br.record_failure_at(now_i);
+                    slot.breaker.record_failure_at(now_i);
+                    let book = self.router.book(slot);
+                    self.router.books[book].1 += 1;
                 }
                 self.tape.note(now, &format!("probe backend={b} ok={reachable}"));
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    b,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
+                self.note_breaker(b, &slot.breaker);
             }
-        }
-        // Adaptive hedge threshold: twice the observed p95, clamped.
-        let p95_us = self.router.hist.snapshot().quantile_us(0.95);
-        if p95_us > 0 {
-            self.router.hedge_ns = (2 * p95_us * 1_000).clamp(HEDGE_MIN_NS, HEDGE_MAX_NS);
         }
         if now < self.duration_ns {
             sched(&mut self.heap, &mut self.evseq, now + ROUTER_TICK_NS, Ev::RouterTick);
@@ -1442,18 +1211,16 @@ impl World {
                 plan.len()
             ),
         );
-        if let Some(rec) = &self.recorder {
-            let epoch_i = self.clock.epoch();
-            let t = rec.mint_trace();
-            rec.record_span(
-                t,
-                SpanId(0),
-                Stage::Membership,
-                epoch_i + Duration::from_nanos(now),
-                epoch_i + Duration::from_nanos(now + latency),
-                SpanAttrs { a: epoch, b: plan.len() as u64, root: true, ..Default::default() },
-            );
-        }
+        let rec = &self.router.shared.recorder;
+        let epoch_i = self.clock.epoch();
+        rec.record_span(
+            rec.mint_trace(),
+            SpanId(0),
+            Stage::Membership,
+            epoch_i + Duration::from_nanos(now),
+            epoch_i + Duration::from_nanos(now + latency),
+            SpanAttrs { a: epoch, b: plan.len() as u64, root: true, ..Default::default() },
+        );
         sched(
             &mut self.heap,
             &mut self.evseq,
@@ -1514,10 +1281,14 @@ impl World {
                     now,
                     &format!("gossip retransmit from={from} to={to} seq={seq} attempt={attempts}"),
                 );
-                if let Some(rec) = &self.recorder {
-                    let t = rec.mint_trace();
-                    rec.record_event(t, SpanId(0), Stage::Retransmit, seq, attempts as u64);
-                }
+                let rec = &self.router.shared.recorder;
+                rec.record_event(
+                    rec.mint_trace(),
+                    SpanId(0),
+                    Stage::Retransmit,
+                    seq,
+                    attempts as u64,
+                );
             }
             self.fabric.send(from as u32, to as u32, bytes);
         }
@@ -1622,10 +1393,14 @@ impl World {
             }
         }
         let accepted = cfg.epoch > self.router.cfg_epoch;
-        if let Some(rec) = &self.recorder {
-            let t = rec.mint_trace();
-            rec.record_event(t, SpanId(0), Stage::Reconfigure, cfg.epoch, accepted as u64);
-        }
+        let rec = &self.router.shared.recorder;
+        rec.record_event(
+            rec.mint_trace(),
+            SpanId(0),
+            Stage::Reconfigure,
+            cfg.epoch,
+            accepted as u64,
+        );
         if !accepted {
             if cfg.epoch < self.router.cfg_epoch {
                 self.stats.config_rejects += 1;
@@ -1637,7 +1412,8 @@ impl World {
         self.router.cfg_epoch = cfg.epoch;
         self.router.coordinator = cfg.coordinator;
         let names: Vec<String> = sorted.iter().map(|id| id.to_string()).collect();
-        self.router.ring = HashRing::new(&names, 16);
+        self.router.shared.install(cfg.epoch, &names);
+        self.router.book_topology();
         self.stats.config_accepts += 1;
         self.tape.note(
             now,
@@ -1762,21 +1538,23 @@ impl World {
 
     fn finish(mut self) -> RunOutcome {
         let now = self.now_ns();
-        // I2a: every timed-out attempt — on any request, however it
-        // ended — must have fed the breaker. Checked globally because a
-        // swallowed failure on a request that later succeeds is exactly
-        // the kind of silent health-signal under-count the planted
-        // regression models.
-        for (req, r) in self.reqs.iter().enumerate() {
-            for (i, a) in r.attempts.iter().enumerate() {
-                if a.resolved == Some(Res::Timeout) && !a.recorded_failure {
-                    self.violations.push(format!(
-                        "I2 unattributed timeout: req={req} attempt={i} backend={} \
-                         timed out without recording a breaker failure",
-                        a.backend
-                    ));
-                }
+        // I2a: every transport failure the world delivered — on any
+        // request, however it ended — must show in the breaker of the
+        // slot it hit. Checked globally because a swallowed failure on a
+        // request that later succeeds is exactly the kind of silent
+        // health-signal under-count the planted regression plants.
+        for (slot, delivered) in &self.router.books {
+            let recorded = slot.breaker.failures_total();
+            if recorded != *delivered {
+                self.violations.push(format!(
+                    "I2 unattributed failures: backend={} was delivered {delivered} transport \
+                     failures but its breaker recorded {recorded}",
+                    slot.addr()
+                ));
             }
+            self.stats.hedges += slot.metrics.hedges.load(Ordering::Relaxed);
+            self.stats.failovers += slot.metrics.failovers.load(Ordering::Relaxed);
+            self.stats.breaker_opens += slot.breaker.opened_total();
         }
         self.stats.fabric_delivered = self.fabric.delivered_total();
         self.stats.fabric_dropped = self.fabric.dropped_total();
@@ -1792,7 +1570,8 @@ impl World {
                 self.stats.config_accepts
             ),
         );
-        let spans = self.recorder.as_ref().map(|rec| render_tree(&rec.spans()));
+        let spans =
+            self.opts.record_spans.then(|| render_tree(&self.router.shared.recorder.spans()));
         RunOutcome {
             hash: self.tape.hash,
             violations: self.violations,

@@ -3,92 +3,45 @@
 //!
 //! Extracted from `hre-net`'s reconnect loop (dial, sleep, double, cap)
 //! so the cluster router's circuit-breaker probing paces itself with the
-//! *same* policy instead of carrying a drifting copy. The default
-//! schedule is deliberately minimal and deterministic: no jitter (the
-//! workspace's experiments are reproducible bit-for-bit, and the
-//! consumers are either single dialers or per-backend probers that
-//! cannot stampede).
-//!
-//! When de-synchronization *is* wanted — many probers tripping at the
-//! same instant — [`Backoff::with_jitter`] spreads each delay by a
-//! seeded SplitMix64 stream instead of an ambient RNG, so jittered
-//! schedules stay reproducible: two backoffs built from the same seed
-//! advance through byte-identical delay sequences, which is what lets
-//! the deterministic-simulation harness replay breaker probe storms
-//! from a seed.
+//! *same* policy instead of carrying a drifting copy. The schedule is
+//! deliberately minimal and deterministic: no jitter (the workspace's
+//! experiments are reproducible bit-for-bit, and the consumers are
+//! either single dialers or per-backend probers that cannot stampede).
 
 use std::time::Duration;
 
 /// A capped exponential backoff schedule: `start, 2·start, 4·start, …`
-/// clamped to `cap`, until [`Backoff::reset`]. Optionally jittered by a
-/// deterministic seeded stream (see [`Backoff::with_jitter`]).
+/// clamped to `cap`, until [`Backoff::reset`].
 #[derive(Clone, Copy, Debug)]
 pub struct Backoff {
     start: Duration,
     cap: Duration,
     current: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is drawn uniformly from
-    /// `base ± base·frac`. Zero means the exact base delay.
-    jitter_frac: f64,
-    /// SplitMix64 state for the jitter draws.
-    rng: u64,
 }
 
 impl Backoff {
-    /// A schedule beginning at `start` and doubling up to `cap`, with
-    /// no jitter.
+    /// A schedule beginning at `start` and doubling up to `cap`.
     pub fn new(start: Duration, cap: Duration) -> Backoff {
         let start = start.max(Duration::from_micros(1));
-        Backoff { start, cap: cap.max(start), current: start, jitter_frac: 0.0, rng: 0 }
-    }
-
-    /// Like [`Backoff::new`], but each returned delay is drawn
-    /// uniformly from `base ± base·frac` using a SplitMix64 stream
-    /// seeded with `seed`. The stream is the only randomness: same
-    /// seed, same delay sequence.
-    pub fn with_jitter(start: Duration, cap: Duration, frac: f64, seed: u64) -> Backoff {
-        let mut b = Backoff::new(start, cap);
-        b.jitter_frac = frac.clamp(0.0, 1.0);
-        b.rng = seed;
-        b
+        Backoff { start, cap: cap.max(start), current: start }
     }
 
     /// The delay to apply *now*; advances the schedule (doubling,
-    /// capped) and, on a jittered backoff, the jitter stream.
+    /// capped).
     pub fn advance(&mut self) -> Duration {
         let base = self.current;
         self.current = (self.current * 2).min(self.cap);
-        if self.jitter_frac == 0.0 {
-            return base;
-        }
-        // Uniform in [-1, 1) from the seeded stream.
-        let u = 2.0 * self.next_f64() - 1.0;
-        let jittered = base.as_secs_f64() * (1.0 + self.jitter_frac * u);
-        Duration::from_secs_f64(jittered.max(0.0)).max(Duration::from_micros(1))
+        base
     }
 
-    /// The *base* delay `advance` would draw around, without advancing
-    /// either the schedule or the jitter stream.
+    /// The delay `advance` would return, without advancing.
     pub fn peek(&self) -> Duration {
         self.current
     }
 
-    /// Back to the initial delay — call after a success. The jitter
-    /// stream is *not* rewound: replays stay identical only when the
-    /// whole call sequence is identical, which is the property the
-    /// simulator relies on.
+    /// Back to the initial delay — call after a success.
     pub fn reset(&mut self) {
         self.current = self.start;
-    }
-
-    /// SplitMix64 step scaled to `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -113,45 +66,5 @@ mod tests {
         let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(1));
         assert_eq!(b.advance(), Duration::from_millis(10), "cap below start clamps to start");
         assert_eq!(b.advance(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn same_seed_jitter_is_byte_identical() {
-        let schedule = |seed: u64| -> Vec<Duration> {
-            let mut b = Backoff::with_jitter(
-                Duration::from_millis(10),
-                Duration::from_millis(500),
-                0.25,
-                seed,
-            );
-            (0..12).map(|_| b.advance()).collect()
-        };
-        assert_eq!(schedule(7), schedule(7), "same seed, same delays");
-        assert_ne!(schedule(7), schedule(8), "different seed, different delays");
-    }
-
-    #[test]
-    fn jitter_stays_within_the_band_around_each_base() {
-        let mut b =
-            Backoff::with_jitter(Duration::from_millis(100), Duration::from_secs(60), 0.2, 99);
-        let mut base = Duration::from_millis(100);
-        for _ in 0..8 {
-            let d = b.advance();
-            let lo = base.as_secs_f64() * 0.8;
-            let hi = base.as_secs_f64() * 1.2;
-            let got = d.as_secs_f64();
-            assert!(got >= lo - 1e-9 && got <= hi + 1e-9, "{got} outside [{lo}, {hi}]");
-            base = (base * 2).min(Duration::from_secs(60));
-        }
-    }
-
-    #[test]
-    fn zero_frac_jitter_is_the_plain_schedule() {
-        let mut plain = Backoff::new(Duration::from_millis(1), Duration::from_millis(64));
-        let mut zero =
-            Backoff::with_jitter(Duration::from_millis(1), Duration::from_millis(64), 0.0, 123);
-        for _ in 0..10 {
-            assert_eq!(plain.advance(), zero.advance());
-        }
     }
 }
