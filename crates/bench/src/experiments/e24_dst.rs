@@ -1,13 +1,12 @@
 //! E24 — whole-stack deterministic simulation: the serving path
 //! (worker pools, queue deadlines, breakers, hedging, failover,
 //! retransmit/reassembly, heartbeats, `Ak` coordinator elections) runs
-//! inside virtual time against seeded fault plans. The router's part is
-//! the code that ships: every request runs the router's own
-//! `ForwardMachine` (attempt timeouts, adaptive per-backend hedge
-//! thresholds, failover, the request deadline) over its own breakers and
-//! topology, on one `ClusterConfig` whose clock is the world's. The
-//! backends' queue and workers, the control plane's node loop and the
-//! router's prober are modelled.
+//! inside virtual time against seeded fault plans. Both daemons'
+//! request paths are the code that ships: the router's `ForwardMachine`
+//! over its own breakers and topology, and each backend's svc `Desk` and
+//! `execute` (a revived backend starts cold), on one `ClusterConfig` and
+//! one `SvcConfig` whose clock is the world's. The engine's cost, the
+//! control plane's node loop and the router's prober are modelled.
 //!
 //! Three claims, three gates:
 //!
@@ -35,11 +34,10 @@
 //!    reproducer must replay with an identical transcript hash twice in
 //!    a row — the debugging loop the harness exists for.
 //!
-//! The counters come from the shipped router where it keeps them:
-//! `hedges`, `failovers` and `breaker opens` sum its per-backend
-//! counters, so `failovers` counts transport failures plus candidates
-//! skipped for an open breaker (the model counted relaunches after any
-//! unanswered attempt, 503s included).
+//! The counters come from the shipped daemons: `hedges`, `failovers`
+//! (transport failures plus candidates skipped for an open breaker) and
+//! `breaker opens` sum the router's per-backend counters, the cache
+//! counters every backend svc's.
 //!
 //! The machine-readable result is written to `BENCH_e24.json` at the
 //! repo root by the `exp_dst` binary.
@@ -103,8 +101,9 @@ pub fn run_e24(quick: bool) -> E24Outcome {
          I2 failure attribution, I3 oracle byte-equality)\n\n\
          {} seeded instances across {} scenario kinds in {wall_s:.1} s on {threads} thread(s):\n\
          {} requests ({} ok, {} invalid, {} busy, {} failed), {} hedges, {} failovers, \
-         {} timeouts,\n{} elections, {} config accepts ({} stale rejects), {} suspects, \
-         {} breaker opens,\n{} gossip retransmits, fabric {}/{} delivered/dropped.\n\
+         {} timeouts,\n{} cache hits / {} misses, {} elections, {} config accepts \
+         ({} stale rejects), {} suspects, {} breaker opens,\n{} gossip retransmits, \
+         fabric {}/{} delivered/dropped.\n\
          invariant violations: {} — {}\n\n",
         summary.instances,
         all.len(),
@@ -116,6 +115,8 @@ pub fn run_e24(quick: bool) -> E24Outcome {
         t.hedges,
         t.failovers,
         t.timeouts,
+        t.cache_hits,
+        t.cache_misses,
         t.elections,
         t.config_accepts,
         t.config_rejects,

@@ -170,7 +170,7 @@ impl Shared {
         Shared {
             topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
             metrics: ClusterMetrics::new(),
-            recorder: FlightRecorder::new(cfg.trace_cap),
+            recorder: FlightRecorder::with_clock(cfg.trace_cap, cfg.clock.clone()),
             cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
             planted_regression,

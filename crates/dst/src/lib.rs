@@ -1,20 +1,19 @@
 //! # hre-dst — whole-stack deterministic simulation
 //!
 //! This crate runs the repository's **entire serving path** — the
-//! service's worker pool and result cache, the router's forward race
-//! (hash ring, circuit breakers, hedging, failover, deadline),
-//! `hre-net`'s retransmit window and in-order reassembly, and the
-//! control plane's CRDT membership with `Ak` coordinator elections —
+//! service's request desk, job queue and result cache, the router's
+//! forward race (hash ring, circuit breakers, hedging, failover,
+//! deadline), `hre-net`'s retransmit window and in-order reassembly, and
+//! the control plane's CRDT membership with `Ak` coordinator elections —
 //! inside **virtual time**, against seeded fault plans.
 //!
-//! Ports, not mocks: the router is the shipped one. Each client request
-//! is a real `POST /elect` body through the router's own intake and
-//! [`ForwardMachine`](hre_cluster::ForwardMachine), on one
-//! [`ClusterConfig`](hre_cluster::ClusterConfig) whose clock is the
-//! world's [`VirtualClock`](hre_runtime::VirtualClock); the world only
-//! carries its commands (attempts over the modelled data path, timers on
-//! the event heap). The backends' queue, workers and cost, the control
-//! plane's node loop and the router's prober are modelled.
+//! Ports, not mocks: each client request is a real `POST /elect` body
+//! through the router's own [`ForwardMachine`](hre_cluster::ForwardMachine),
+//! and each attempt is answered by svc's own [`Desk`](hre_svc::Desk) and
+//! [`execute`](hre_svc::execute), on configs whose clock is the world's
+//! [`VirtualClock`](hre_runtime::VirtualClock); the world only carries
+//! their commands and bytes. The engine's cost, the control plane's node
+//! loop and the router's prober are modelled.
 //!
 //! The moving parts:
 //!

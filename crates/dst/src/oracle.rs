@@ -20,15 +20,20 @@ fn memo() -> &'static Mutex<HashMap<CacheKey, CachedResult>> {
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The engine the simulated backends' workers run: [`run_election`] on
+/// a request already in canonical coordinates, memoized.
+pub fn elect(canon: &ElectRequest) -> CachedResult {
+    let key = CacheKey { canon: canon.labels.clone(), algo: canon.algo, k: canon.k };
+    let mut memo = memo().lock().unwrap();
+    memo.entry(key).or_insert_with(|| run_election(canon)).clone()
+}
+
 /// Runs (or recalls) the election for `req`, returning the outcome in
 /// **canonical** coordinates plus the rotation distance `d` back to the
 /// request's own frame (`ElectOutcome::into_coords(d, n)` restores it).
 pub fn elect_canonical(req: &ElectRequest) -> (CachedResult, usize) {
     let (canon, d) = req.canonicalized();
-    let key = CacheKey::new(&canon.labels, canon.algo, canon.k);
-    let mut memo = memo().lock().unwrap();
-    let result = memo.entry(key).or_insert_with(|| run_election(&canon)).clone();
-    (result, d)
+    (elect(&canon), d)
 }
 
 /// The shared pool of asymmetric client rings every world draws from.

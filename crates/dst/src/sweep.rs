@@ -48,28 +48,6 @@ fn fold_hash(acc: u64, h: u64) -> u64 {
     acc
 }
 
-fn add_stats(t: &mut RunStats, s: &RunStats) {
-    t.requests += s.requests;
-    t.ok += s.ok;
-    t.invalid += s.invalid;
-    t.busy += s.busy;
-    t.failed += s.failed;
-    t.hedges += s.hedges;
-    t.failovers += s.failovers;
-    t.timeouts += s.timeouts;
-    t.wasted += s.wasted;
-    t.cache_hits += s.cache_hits;
-    t.cache_misses += s.cache_misses;
-    t.retransmits += s.retransmits;
-    t.elections += s.elections;
-    t.config_accepts += s.config_accepts;
-    t.config_rejects += s.config_rejects;
-    t.suspects += s.suspects;
-    t.breaker_opens += s.breaker_opens;
-    t.fabric_delivered += s.fabric_delivered;
-    t.fabric_dropped += s.fabric_dropped;
-}
-
 /// Runs `count` instances cycling through `scenarios`, on `threads`
 /// workers. Deterministic in everything but wall time.
 pub fn sweep(
@@ -95,7 +73,7 @@ pub fn sweep(
     let mut totals = RunStats::default();
     for (idx, (plan, out)) in results.iter().enumerate() {
         hash = fold_hash(hash, out.hash);
-        add_stats(&mut totals, &out.stats);
+        totals.add(&out.stats);
         if !out.violations.is_empty() {
             failures.push(Failure {
                 idx,

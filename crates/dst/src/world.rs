@@ -1,19 +1,18 @@
 //! The whole serving path as one deterministic, virtual-time world.
 //!
 //! One [`World`] runs shipped components — the router's forward race
-//! ([`ForwardMachine`]) over its breakers, hash ring and topology, the
-//! service's result cache, `hre-net`'s retransmit window and reassembly,
-//! the control plane's CRDT view and `Ak` coordinator election — in a
-//! single event loop driven by a [`VirtualClock`] and a seeded
-//! [`SimFabric`]. The router is one [`ClusterConfig`] whose clock is the
-//! world's: its attempt timeouts, hedge thresholds, deadlines and breaker
-//! probe schedules all run in virtual time, fed from the world's event
-//! heap. What the world models rather than ships: the backends' queue,
-//! workers and cost, the control plane's node loop, and the router's
-//! prober. Every latency, loss, and jitter draw comes from the plan's
-//! seed, so a run is a pure function of its [`ScenarioPlan`]: the
-//! transcript hash is byte-identical across machines, thread counts, and
-//! reruns.
+//! ([`ForwardMachine`]) over its breakers, hash ring and topology, each
+//! backend's svc ([`Desk`] and [`hre_svc::execute`] over its own cache),
+//! `hre-net`'s retransmit window and reassembly, the control plane's CRDT
+//! view and `Ak` coordinator election — in one event loop driven by a
+//! [`VirtualClock`] and a seeded [`SimFabric`]. The router is one
+//! [`ClusterConfig`] and every backend one [`SvcConfig`], both on the
+//! world's clock, their timers fed from the world's event heap; attempts
+//! travel as HTTP bytes. Modelled rather than shipped: the engine's cost,
+//! the control plane's node loop, and the router's prober. Every latency,
+//! loss, and jitter draw comes from the plan's seed, so a run is a pure
+//! function of its [`ScenarioPlan`]: the transcript hash is
+//! byte-identical across machines, thread counts, and reruns.
 //!
 //! Three invariants are checked continuously:
 //!
@@ -41,18 +40,18 @@ use hre_ctrl::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 use hre_net::frame::{encode_frame, FrameReader, KIND_ACK, KIND_DATA};
 use hre_net::reliable::{Offer, Reassembly};
 use hre_net::window::RetransmitWindow;
-use hre_runtime::trace::{render_tree, SpanAttrs, SpanId, Stage, TraceId};
+use hre_runtime::trace::{render_tree, SpanAttrs, SpanId, SpanRecord, Stage};
 use hre_runtime::{Clock, ClockHandle, LinkProfile, NetFabric, SimFabric, VirtualClock};
-use hre_svc::http::{ParseStep, Request, RequestParser, Response, DEFAULT_MAX_BODY};
-use hre_svc::json::Json;
-use hre_svc::{
-    error_json, response_json, AlgoId, CacheKey, ClientResponse, ElectRequest, ShardedLru,
+use hre_svc::front::Dispatch;
+use hre_svc::http::{
+    ParseStep, Request, RequestParser, RespStep, Response, ResponseParser, DEFAULT_MAX_BODY,
 };
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use hre_svc::json::Json;
+use hre_svc::{error_json, response_json, AlgoId, Desk, ElectRequest, Job, SvcConfig};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The router's fabric endpoint id (backends are `0..n`).
 pub const ROUTER: u64 = 1000;
@@ -62,9 +61,8 @@ const FAIL_TIMEOUT_NS: u64 = 260_000_000;
 const ELECT_COOLDOWN_NS: u64 = 350_000_000;
 const ROUTER_TICK_NS: u64 = 50_000_000;
 const GOSSIP_RTO: Duration = Duration::from_millis(110);
-const WORKERS: u32 = 2;
-const QUEUE_CAP: usize = 8;
-const HIT_COST_NS: u64 = 250_000;
+/// The engine's modelled cost: a worker holds a job this long before
+/// [`hre_svc::execute`] runs it.
 const MISS_BASE_NS: u64 = 800_000;
 const MISS_PER_LABEL_NS: u64 = 150_000;
 /// Aftermath margin appended to every fault window for the I2 sanity
@@ -103,78 +101,74 @@ pub struct WorldOptions {
     pub record_spans: bool,
 }
 
-/// Counters accumulated over one run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunStats {
+/// Declares [`RunStats`] from one list of counters, with its JSON form
+/// and its sum.
+macro_rules! run_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters accumulated over one run.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct RunStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl RunStats {
+            /// JSON form for summaries and artifacts.
+            pub fn to_json(&self) -> Json {
+                let fields = vec![$((stringify!($name), Json::Num(self.$name as i128)),)*];
+                hre_svc::json::obj(fields)
+            }
+
+            /// Adds another run's counters to these.
+            pub fn add(&mut self, other: &RunStats) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+run_stats! {
     /// Client requests injected.
-    pub requests: u64,
+    requests,
     /// Requests answered 200.
-    pub ok: u64,
+    ok,
     /// Requests answered 422 (invalid ring — a correct terminal answer).
-    pub invalid: u64,
+    invalid,
     /// Requests answered 503 (the last answer of an exhausted race was
     /// a backend's backpressure).
-    pub busy: u64,
+    busy,
     /// Client-visible failures (502 exhausted, 504 deadline).
-    pub failed: u64,
+    failed,
     /// Hedges the router fired (its per-backend `hedges` counters).
-    pub hedges: u64,
+    hedges,
     /// The router's per-backend `failovers` counters: attempts that
     /// failed at the transport level, plus candidates skipped for an
     /// open breaker.
-    pub failovers: u64,
+    failovers,
     /// Attempts whose transport timeout fired at the router.
-    pub timeouts: u64,
+    timeouts,
     /// Responses that arrived for an attempt the router had abandoned.
-    pub wasted: u64,
-    /// Result-cache hits across all backends.
-    pub cache_hits: u64,
-    /// Result-cache misses across all backends.
-    pub cache_misses: u64,
+    wasted,
+    /// Hits of the backends' svc result caches (one lookup per request
+    /// reaching a backend), every backend generation summed.
+    cache_hits,
+    /// Misses of the backends' svc result caches.
+    cache_misses,
     /// Gossip frames retransmitted by the reliable layer.
-    pub retransmits: u64,
+    retransmits,
     /// Coordinator elections run.
-    pub elections: u64,
+    elections,
     /// Configs the router accepted.
-    pub config_accepts: u64,
+    config_accepts,
     /// Configs the router refused as stale.
-    pub config_rejects: u64,
+    config_rejects,
     /// Peers declared dead by failure detectors.
-    pub suspects: u64,
+    suspects,
     /// Breaker open transitions (the breakers' own counters).
-    pub breaker_opens: u64,
+    breaker_opens,
     /// Fabric datagrams delivered.
-    pub fabric_delivered: u64,
+    fabric_delivered,
     /// Fabric datagrams lost to drops or partitions.
-    pub fabric_dropped: u64,
-}
-
-impl RunStats {
-    /// JSON form for summaries and artifacts.
-    pub fn to_json(&self) -> Json {
-        let n = |v: u64| Json::Num(v as i128);
-        hre_svc::json::obj(vec![
-            ("requests", n(self.requests)),
-            ("ok", n(self.ok)),
-            ("invalid", n(self.invalid)),
-            ("busy", n(self.busy)),
-            ("failed", n(self.failed)),
-            ("hedges", n(self.hedges)),
-            ("failovers", n(self.failovers)),
-            ("timeouts", n(self.timeouts)),
-            ("wasted", n(self.wasted)),
-            ("cache_hits", n(self.cache_hits)),
-            ("cache_misses", n(self.cache_misses)),
-            ("retransmits", n(self.retransmits)),
-            ("elections", n(self.elections)),
-            ("config_accepts", n(self.config_accepts)),
-            ("config_rejects", n(self.config_rejects)),
-            ("suspects", n(self.suspects)),
-            ("breaker_opens", n(self.breaker_opens)),
-            ("fabric_delivered", n(self.fabric_delivered)),
-            ("fabric_dropped", n(self.fabric_dropped)),
-        ])
-    }
+    fabric_dropped,
 }
 
 /// Everything one run produced.
@@ -219,8 +213,6 @@ impl Tape {
 /// One client request: what it asks, and its race at the router.
 struct ClientReq {
     elect: ElectRequest,
-    /// Rotation distance from the canonical frame back to the request's.
-    d: usize,
     admitted_ns: u64,
     /// The race, until it answers.
     machine: Option<ForwardMachine>,
@@ -239,16 +231,6 @@ struct Link {
     /// Whether the router still waits for it: an answer to an abandoned
     /// or already answered attempt is wasted.
     live: bool,
-    /// The trace context the backend reads off the request's headers
-    /// (only read when spans are recorded).
-    ctx: (TraceId, SpanId),
-}
-
-struct QJob {
-    req: u32,
-    attempt: AttemptId,
-    deadline_ns: u64,
-    arrived_ns: u64,
 }
 
 struct CfgMsg {
@@ -292,12 +274,30 @@ struct CtrlNode {
     electing: bool,
 }
 
+/// A live backend's svc: the shipped [`hre_svc::Shared`] and [`Desk`],
+/// with the jobs the desk queued waiting for `cfg.workers` modelled
+/// workers.
+struct Svc {
+    shared: Arc<hre_svc::Shared>,
+    desk: Desk,
+    queue: VecDeque<Job>,
+    /// Workers holding a job for its modelled cost.
+    busy: usize,
+}
+
+impl Svc {
+    /// A freshly started svc: cold cache, zeroed counters.
+    fn start(cfg: &SvcConfig) -> Svc {
+        let shared = Arc::new(hre_svc::Shared::new(cfg.clone()));
+        Svc { desk: Desk::new(Arc::clone(&shared)), shared, queue: VecDeque::new(), busy: 0 }
+    }
+}
+
 struct Backend {
-    alive: bool,
+    /// `None` while the backend is down.
+    svc: Option<Svc>,
+    /// Bumped by every kill.
     generation: u32,
-    lru: ShardedLru,
-    busy: u32,
-    queue: VecDeque<QJob>,
     ctrl: CtrlNode,
 }
 
@@ -354,11 +354,15 @@ enum Action {
     ReviveCoordVictim,
 }
 
+/// A timed event. `JobRun` ends a modelled worker's hold on `job`;
+/// `SvcDeadline` is the desk's deadline for `ticket`. Both are void once
+/// their backend's generation has moved on.
 enum Ev {
     Arrival(u32),
-    AttemptArrive { req: u32, attempt: AttemptId, backend: u64 },
-    JobDone { backend: u64, generation: u32, req: u32, attempt: AttemptId, resp: ClientResponse },
-    AttemptResponse { req: u32, attempt: AttemptId, backend: u64, resp: ClientResponse },
+    AttemptArrive { req: u32, attempt: AttemptId, backend: u64, request: Vec<u8> },
+    JobRun { backend: u64, generation: u32, job: Job },
+    SvcDeadline { backend: u64, generation: u32, ticket: u64 },
+    AttemptResponse { req: u32, attempt: AttemptId, backend: u64, response: Vec<u8> },
     RouterTimer { req: u32, timer: Timer, seq: u64 },
     CtrlTick { node: u64 },
     RouterTick,
@@ -366,60 +370,26 @@ enum Ev {
     Announce { node: u64, epoch: u64, coordinator: u64, order: Vec<u64> },
 }
 
-struct Pending {
-    t_ns: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, o: &Self) -> bool {
-        self.t_ns == o.t_ns && self.seq == o.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.t_ns, self.seq).cmp(&(o.t_ns, o.seq))
+/// The fabric's link: 2 ms ± 2 ms, 1 % drops, 0.5 % duplicates, plus
+/// `extra_ns` of injected latency.
+fn link_profile(extra_ns: u64) -> LinkProfile {
+    LinkProfile {
+        latency: Duration::from_millis(2) + Duration::from_nanos(extra_ns),
+        jitter: Duration::from_millis(2),
+        drop: 0.01,
+        duplicate: 0.005,
     }
 }
 
-fn sched(heap: &mut BinaryHeap<Reverse<Pending>>, seq: &mut u64, t_ns: u64, ev: Ev) {
-    let s = *seq;
+/// Virtual nanoseconds of an instant read from `clock`.
+fn virtual_ns(clock: &VirtualClock, at: Instant) -> u64 {
+    at.saturating_duration_since(clock.epoch()).as_nanos() as u64
+}
+
+/// Schedules `ev` at `t_ns`, after every event already due then.
+fn sched(events: &mut BTreeMap<(u64, u64), Ev>, seq: &mut u64, t_ns: u64, ev: Ev) {
+    events.insert((t_ns, *seq), ev);
     *seq += 1;
-    heap.push(Reverse(Pending { t_ns, seq: s, ev }));
-}
-
-/// An answer as a backend's svc sends it.
-fn svc_reply(status: u16, body: String, headers: &[(&str, &str)]) -> ClientResponse {
-    ClientResponse {
-        status,
-        headers: headers.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-        body: body.into_bytes(),
-    }
-}
-
-/// The 503 a backend with a full queue sheds with.
-fn busy_reply() -> ClientResponse {
-    svc_reply(503, error_json("job queue full, retry shortly"), &[("retry-after", "1")])
-}
-
-/// The trace context a backend reads off a forwarded request's headers.
-fn trace_headers(request: &[u8]) -> (TraceId, SpanId) {
-    let mut parser = RequestParser::new(DEFAULT_MAX_BODY);
-    parser.push(request);
-    match parser.step() {
-        ParseStep::Request(req) => (
-            req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_default(),
-            req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or_default(),
-        ),
-        _ => Default::default(),
-    }
 }
 
 /// The full simulated stack for one plan.
@@ -429,12 +399,17 @@ pub struct World {
     clock: Arc<VirtualClock>,
     fabric: SimFabric,
     rng: Rng,
-    heap: BinaryHeap<Reverse<Pending>>,
+    /// Pending events by virtual time, then scheduling order.
+    events: BTreeMap<(u64, u64), Ev>,
     evseq: u64,
     tape: Tape,
     stats: RunStats,
     violations: Vec<String>,
+    svc_cfg: SvcConfig,
     backends: Vec<Backend>,
+    /// Spans of the backends' svcs that went down, tagged with their
+    /// backend (only when spans are recorded).
+    backend_spans: Vec<SpanRecord>,
     router: Router,
     reqs: Vec<ClientReq>,
     out_links: BTreeMap<(u64, u64), OutLink>,
@@ -453,7 +428,7 @@ pub fn run_plan(plan: &ScenarioPlan, opts: &WorldOptions) -> RunOutcome {
     w.bootstrap();
     let hard_stop = w.duration_ns * 2 + 1_000_000_000;
     loop {
-        let next_ev = w.heap.peek().map(|Reverse(p)| p.t_ns);
+        let next_ev = w.events.first_key_value().map(|(&(t_ns, _), _)| t_ns);
         let next_fab = w.fabric.next_due().map(|d| d.as_nanos() as u64);
         let fab_first = match (next_ev, next_fab) {
             (None, None) => break,
@@ -470,12 +445,12 @@ pub fn run_plan(plan: &ScenarioPlan, opts: &WorldOptions) -> RunOutcome {
             w.fabric.deliver_due();
             w.drain_inboxes();
         } else {
-            let Reverse(p) = w.heap.pop().expect("event peeked");
-            if p.t_ns > hard_stop {
+            let ((t_ns, _), ev) = w.events.pop_first().expect("event peeked");
+            if t_ns > hard_stop {
                 break;
             }
-            w.clock.advance_to_elapsed(Duration::from_nanos(p.t_ns));
-            w.handle(p.ev);
+            w.clock.advance_to_elapsed(Duration::from_nanos(t_ns));
+            w.handle(ev);
         }
     }
     w.finish()
@@ -485,16 +460,26 @@ impl World {
     fn new(plan: ScenarioPlan, opts: WorldOptions) -> World {
         let clock = VirtualClock::new();
         let fabric = SimFabric::new(Arc::clone(&clock), plan.seed ^ 0xFA_B41C);
-        fabric.set_default_profile(LinkProfile {
-            latency: Duration::from_millis(2),
-            jitter: Duration::from_millis(2),
-            drop: 0.01,
-            duplicate: 0.005,
-        });
+        fabric.set_default_profile(link_profile(0));
         let rng = Rng(plan.seed ^ 0x0DD_B411);
         let tape = Tape::new(opts.collect_transcript);
         let cfg = router_config(plan.backends, &clock, opts.record_spans);
         let shared = Arc::new(Shared::with_planted_regression(cfg, opts.planted_regression));
+        // Every backend's svc on the world's clock. The 100 ms deadline
+        // sits below the router's 120 ms attempt timeout, so a backend
+        // that cannot start a job in time answers its own 504 before the
+        // router gives the attempt up as a transport failure.
+        let svc_cfg = SvcConfig {
+            workers: 2,
+            cache_cap: 256,
+            cache_shards: 8,
+            queue_cap: 8,
+            deadline: Duration::from_millis(100),
+            trace_cap: if opts.record_spans { 8192 } else { 0 },
+            slow_threshold: None,
+            clock: ClockHandle::from(Arc::clone(&clock)),
+            ..SvcConfig::default()
+        };
         let duration_ns = plan.duration_us * 1_000;
         World {
             plan,
@@ -502,12 +487,14 @@ impl World {
             clock,
             fabric,
             rng,
-            heap: BinaryHeap::new(),
+            events: BTreeMap::new(),
             evseq: 0,
             tape,
             stats: RunStats::default(),
             violations: Vec::new(),
+            svc_cfg,
             backends: Vec::new(),
+            backend_spans: Vec::new(),
             router: Router {
                 shared,
                 books: Vec::new(),
@@ -555,11 +542,8 @@ impl World {
         let epoch0 = (1 << 8) | coordinator;
         for id in 0..n {
             self.backends.push(Backend {
-                alive: true,
+                svc: Some(Svc::start(&self.svc_cfg)),
                 generation: 0,
-                lru: ShardedLru::new(256, 8),
-                busy: 0,
-                queue: VecDeque::new(),
                 ctrl: CtrlNode {
                     incarnation: 1,
                     view: base_view.clone(),
@@ -599,61 +583,50 @@ impl World {
             } else {
                 oracle::draw_request(&mut self.rng)
             };
-            let (_, d) = elect.canonicalized();
             self.reqs.push(ClientReq {
                 elect,
-                d,
                 admitted_ns: 0,
                 machine: None,
                 attempts: Vec::new(),
                 timers: Vec::new(),
             });
-            sched(&mut self.heap, &mut self.evseq, t, Ev::Arrival((self.reqs.len() - 1) as u32));
+            sched(&mut self.events, &mut self.evseq, t, Ev::Arrival((self.reqs.len() - 1) as u32));
         }
         self.stats.requests = self.reqs.len() as u64;
         for id in 0..n {
             let stagger = HEARTBEAT_NS / (n + 1) * (id + 1);
-            sched(&mut self.heap, &mut self.evseq, stagger, Ev::CtrlTick { node: id });
+            sched(&mut self.events, &mut self.evseq, stagger, Ev::CtrlTick { node: id });
         }
-        sched(&mut self.heap, &mut self.evseq, ROUTER_TICK_NS, Ev::RouterTick);
+        sched(&mut self.events, &mut self.evseq, ROUTER_TICK_NS, Ev::RouterTick);
         // Expand the fault timetable.
         let mut timeline = Vec::new();
         let mut windows = Vec::new();
         for f in &self.plan.faults {
-            match f {
+            // Each fault: its start, how long it lasts, and the actions
+            // that open and close it.
+            let (at_us, span_us, open, close) = match f {
                 FaultSpec::Kill { backend, at_us, revive_after_us } => {
-                    let at = at_us * 1_000;
-                    let end = (at_us + revive_after_us) * 1_000;
-                    timeline.push((at, Action::Kill(*backend)));
-                    timeline.push((end, Action::Revive(*backend)));
-                    windows.push((at, end + WINDOW_MARGIN_NS));
+                    (at_us, revive_after_us, Action::Kill(*backend), Action::Revive(*backend))
                 }
                 FaultSpec::KillCoordinator { at_us, revive_after_us } => {
-                    let at = at_us * 1_000;
-                    let end = (at_us + revive_after_us) * 1_000;
-                    timeline.push((at, Action::KillCoord));
-                    timeline.push((end, Action::ReviveCoordVictim));
-                    windows.push((at, end + WINDOW_MARGIN_NS));
+                    (at_us, revive_after_us, Action::KillCoord, Action::ReviveCoordVictim)
                 }
                 FaultSpec::Partition { isolated, at_us, heal_after_us } => {
-                    let at = at_us * 1_000;
-                    let end = (at_us + heal_after_us) * 1_000;
-                    timeline.push((at, Action::Cut(isolated.clone())));
-                    timeline.push((end, Action::Heal));
-                    windows.push((at, end + WINDOW_MARGIN_NS));
+                    (at_us, heal_after_us, Action::Cut(isolated.clone()), Action::Heal)
                 }
                 FaultSpec::SlowLink { from, to, extra_us, at_us, duration_us } => {
-                    let at = at_us * 1_000;
-                    let end = (at_us + duration_us) * 1_000;
-                    timeline.push((at, Action::Slow(*from, *to, extra_us * 1_000)));
-                    timeline.push((end, Action::Unslow(*from, *to)));
-                    windows.push((at, end + WINDOW_MARGIN_NS));
+                    let slow = Action::Slow(*from, *to, extra_us * 1_000);
+                    (at_us, duration_us, slow, Action::Unslow(*from, *to))
                 }
-            }
+            };
+            let (at, end) = (at_us * 1_000, (at_us + span_us) * 1_000);
+            timeline.push((at, open));
+            timeline.push((end, close));
+            windows.push((at, end + WINDOW_MARGIN_NS));
         }
         timeline.sort_by_key(|(t, _)| *t);
         for (i, (t, _)) in timeline.iter().enumerate() {
-            sched(&mut self.heap, &mut self.evseq, *t, Ev::Fault(i as u32));
+            sched(&mut self.events, &mut self.evseq, *t, Ev::Fault(i as u32));
         }
         self.timeline = timeline;
         self.fault_windows = windows;
@@ -678,14 +651,15 @@ impl World {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival(req) => self.on_arrival(req),
-            Ev::AttemptArrive { req, attempt, backend } => {
-                self.on_attempt_arrive(req, attempt, backend)
+            Ev::AttemptArrive { req, attempt, backend, request } => {
+                self.on_attempt_arrive(req, attempt, backend, &request)
             }
-            Ev::JobDone { backend, generation, req, attempt, resp } => {
-                self.on_job_done(backend, generation, req, attempt, resp)
+            Ev::JobRun { backend, generation, job } => self.on_job_run(backend, generation, job),
+            Ev::SvcDeadline { backend, generation, ticket } => {
+                self.on_svc_deadline(backend, generation, ticket)
             }
-            Ev::AttemptResponse { req, attempt, backend, resp } => {
-                self.on_attempt_response(req, attempt, backend, resp)
+            Ev::AttemptResponse { req, attempt, backend, response } => {
+                self.on_attempt_response(req, attempt, backend, &response)
             }
             Ev::RouterTimer { req, timer, seq } => self.on_router_timer(req, timer, seq),
             Ev::CtrlTick { node } => self.on_ctrl_tick(node),
@@ -731,15 +705,15 @@ impl World {
             };
             match command {
                 Command::Launch { attempt, slot, request } => {
-                    self.launch(req, attempt, &slot, &request)
+                    self.launch(req, attempt, &slot, request)
                 }
                 Command::Abandon(attempt) => r.attempts[attempt.0 as usize].live = false,
                 Command::Arm(timer, at) => {
-                    let t_ns = at.saturating_duration_since(self.clock.epoch()).as_nanos() as u64;
+                    let t_ns = virtual_ns(&self.clock, at);
                     let seq = self.evseq;
                     r.timers.push((timer, seq));
                     sched(
-                        &mut self.heap,
+                        &mut self.events,
                         &mut self.evseq,
                         t_ns,
                         Ev::RouterTimer { req, timer, seq },
@@ -755,159 +729,114 @@ impl World {
     }
 
     /// An attempt leaves the router for `slot`'s backend.
-    fn launch(&mut self, req: u32, attempt: AttemptId, slot: &Arc<BackendSlot>, request: &[u8]) {
+    fn launch(&mut self, req: u32, attempt: AttemptId, slot: &Arc<BackendSlot>, request: Vec<u8>) {
         let now = self.now_ns();
         let backend: u64 = slot.addr().parse().expect("backends are named by id");
         let book = self.router.book(slot);
-        let ctx = if self.opts.record_spans { trace_headers(request) } else { Default::default() };
         let attempts = &mut self.reqs[req as usize].attempts;
         debug_assert_eq!(attempt.0 as usize, attempts.len(), "attempts launch in id order");
-        attempts.push(Link { backend, book, live: true, ctx });
+        attempts.push(Link { backend, book, live: true });
         self.tape.note(now, &format!("req={req} attempt={} backend={backend}", attempt.0));
         if !self.blocked.contains(&(ROUTER, backend)) {
             let lat = self.data_latency_ns(ROUTER, backend);
             sched(
-                &mut self.heap,
+                &mut self.events,
                 &mut self.evseq,
                 now + lat,
-                Ev::AttemptArrive { req, attempt, backend },
+                Ev::AttemptArrive { req, attempt, backend, request },
             );
         }
     }
 
-    fn on_attempt_arrive(&mut self, req: u32, attempt: AttemptId, backend: u64) {
-        let now = self.now_ns();
-        if self.blocked.contains(&(ROUTER, backend)) || !self.backends[backend as usize].alive {
+    /// An attempt's bytes reach its backend: svc's parser frames them
+    /// and its desk answers or parks the request.
+    fn on_attempt_arrive(&mut self, req: u32, attempt: AttemptId, backend: u64, request: &[u8]) {
+        if self.blocked.contains(&(ROUTER, backend)) {
             return;
         }
-        let deadline_ns =
-            self.reqs[req as usize].admitted_ns + self.router.shared.cfg.deadline.as_nanos() as u64;
-        let job = QJob { req, attempt, deadline_ns, arrived_ns: now };
         let b = &mut self.backends[backend as usize];
-        if b.busy < WORKERS {
-            self.start_job(backend, job);
-        } else if b.queue.len() < QUEUE_CAP {
-            b.queue.push_back(job);
-        } else {
-            // Queue full: shed immediately, as the real pool does.
-            let lat = self.data_latency_ns(backend, ROUTER);
-            sched(
-                &mut self.heap,
-                &mut self.evseq,
-                now + lat,
-                Ev::AttemptResponse { req, attempt, backend, resp: busy_reply() },
-            );
+        let Some(svc) = &mut b.svc else { return };
+        let mut parser = RequestParser::new(svc.shared.cfg.max_body);
+        parser.push(request);
+        let ParseStep::Request(http) = parser.step() else {
+            unreachable!("the router sends whole requests")
+        };
+        // The attempt's connection id names it, for the answer's way back.
+        let conn = (req as u64) << 32 | attempt.0 as u64;
+        let queue = &mut svc.queue;
+        match svc.desk.dispatch(conn, &http, |job| {
+            queue.push_back(job);
+            true
+        }) {
+            Dispatch::Answer(resp) => self.answer_attempt(backend, conn, &resp),
+            Dispatch::Park(ticket, deadline) => {
+                if let Some(at) = deadline {
+                    let ev = Ev::SvcDeadline { backend, generation: b.generation, ticket };
+                    sched(&mut self.events, &mut self.evseq, virtual_ns(&self.clock, at), ev);
+                }
+                self.start_workers(backend);
+            }
         }
     }
 
-    fn start_job(&mut self, backend: u64, job: QJob) {
+    /// Idle modelled workers take queued jobs, each for its modelled
+    /// cost.
+    fn start_workers(&mut self, backend: u64) {
         let now = self.now_ns();
-        let r = &self.reqs[job.req as usize];
-        let (elect, d) = (&r.elect, r.d);
-        let n = elect.labels.len();
-        let (canon, _) = elect.canonicalized();
-        let key = CacheKey::new(&canon.labels, canon.algo, canon.k);
         let b = &mut self.backends[backend as usize];
-        let (cost, result, cache) = match b.lru.get(&key) {
-            Some(hit) => {
-                self.stats.cache_hits += 1;
-                (HIT_COST_NS, hit, "HIT")
-            }
-            None => {
-                self.stats.cache_misses += 1;
-                let (result, _) = oracle::elect_canonical(elect);
-                b.lru.insert(key, result.clone());
-                (MISS_BASE_NS + MISS_PER_LABEL_NS * n as u64, result, "MISS")
-            }
-        };
-        let (status, body) = match result {
-            Ok(out) => (200u16, response_json(elect, &out.into_coords(d, n))),
-            Err(e) => (422u16, error_json(&e)),
-        };
-        b.busy += 1;
-        if job.arrived_ns < now {
-            let (trace, parent) = r.attempts[job.attempt.0 as usize].ctx;
-            let epoch = self.clock.epoch();
-            self.router.shared.recorder.record_span(
-                trace,
-                parent,
-                Stage::QueueWait,
-                epoch + Duration::from_nanos(job.arrived_ns),
-                epoch + Duration::from_nanos(now),
-                SpanAttrs { a: backend, ..Default::default() },
-            );
+        let Some(svc) = &mut b.svc else { return };
+        while svc.busy < svc.shared.cfg.workers {
+            let Some(job) = svc.queue.pop_front() else { break };
+            svc.busy += 1;
+            let cost = MISS_BASE_NS + MISS_PER_LABEL_NS * job.ring_len() as u64;
+            let ev = Ev::JobRun { backend, generation: b.generation, job };
+            sched(&mut self.events, &mut self.evseq, now + cost, ev);
         }
-        sched(
-            &mut self.heap,
-            &mut self.evseq,
-            now + cost,
-            Ev::JobDone {
-                backend,
-                generation: self.backends[backend as usize].generation,
-                req: job.req,
-                attempt: job.attempt,
-                resp: svc_reply(status, body, &[("x-cache", cache)]),
-            },
-        );
     }
 
-    fn on_job_done(
-        &mut self,
-        backend: u64,
-        generation: u32,
-        req: u32,
-        attempt: AttemptId,
-        resp: ClientResponse,
-    ) {
+    /// A worker's modelled cost elapsed: svc's `execute` runs the job
+    /// with the memoized engine, and the desk answers its request.
+    fn on_job_run(&mut self, backend: u64, generation: u32, job: Job) {
+        let Some(svc) = self.svc_of(backend, generation) else { return };
+        svc.busy -= 1;
+        let finished = hre_svc::execute(&svc.shared, job, oracle::elect);
+        if let Some((conn, resp)) = finished.and_then(|done| svc.desk.finish(done)) {
+            self.answer_attempt(backend, conn, &resp);
+        }
+        self.start_workers(backend);
+    }
+
+    /// The desk's deadline for a parked `/elect` passed.
+    fn on_svc_deadline(&mut self, backend: u64, generation: u32, ticket: u64) {
+        let Some(svc) = self.svc_of(backend, generation) else { return };
+        if let Some((conn, resp)) = svc.desk.expire(ticket) {
+            self.answer_attempt(backend, conn, &resp);
+        }
+    }
+
+    /// `backend`'s svc, unless it went down since `generation` (and
+    /// possibly came back as a fresh one).
+    fn svc_of(&mut self, backend: u64, generation: u32) -> Option<&mut Svc> {
+        let b = &mut self.backends[backend as usize];
+        b.svc.as_mut().filter(|_| b.generation == generation)
+    }
+
+    /// A backend's answer leaves for the router as wire bytes.
+    fn answer_attempt(&mut self, backend: u64, conn: u64, resp: &Response) {
+        if self.blocked.contains(&(backend, ROUTER)) {
+            return;
+        }
         let now = self.now_ns();
-        if self.backends[backend as usize].generation != generation {
-            return; // the backend died (and possibly revived) mid-job
-        }
-        self.backends[backend as usize].busy -= 1;
-        if self.backends[backend as usize].alive && !self.blocked.contains(&(backend, ROUTER)) {
-            let lat = self.data_latency_ns(backend, ROUTER);
-            sched(
-                &mut self.heap,
-                &mut self.evseq,
-                now + lat,
-                Ev::AttemptResponse { req, attempt, backend, resp },
-            );
-        }
-        // Pull queued work, shedding anything that expired while queued.
-        loop {
-            let job = {
-                let b = &mut self.backends[backend as usize];
-                if b.busy >= WORKERS || !b.alive {
-                    break;
-                }
-                match b.queue.pop_front() {
-                    Some(j) => j,
-                    None => break,
-                }
-            };
-            if now > job.deadline_ns {
-                let lat = self.data_latency_ns(backend, ROUTER);
-                let resp = svc_reply(504, error_json("deadline expired"), &[]);
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
-                    now + lat,
-                    Ev::AttemptResponse { req: job.req, attempt: job.attempt, backend, resp },
-                );
-                continue;
-            }
-            self.start_job(backend, job);
-        }
+        let (req, attempt) = ((conn >> 32) as u32, AttemptId(conn as u32));
+        let lat = self.data_latency_ns(backend, ROUTER);
+        let response = resp.to_bytes(false);
+        let ev = Ev::AttemptResponse { req, attempt, backend, response };
+        sched(&mut self.events, &mut self.evseq, now + lat, ev);
     }
 
-    /// A backend's answer reaches the router.
-    fn on_attempt_response(
-        &mut self,
-        req: u32,
-        attempt: AttemptId,
-        backend: u64,
-        resp: ClientResponse,
-    ) {
+    /// A backend's answer reaches the router, where its parser frames
+    /// the bytes.
+    fn on_attempt_response(&mut self, req: u32, attempt: AttemptId, backend: u64, response: &[u8]) {
         let now = self.now_ns();
         if self.blocked.contains(&(backend, ROUTER)) {
             return; // the response died on a partition cut
@@ -918,6 +847,11 @@ impl World {
             self.stats.wasted += 1;
             return;
         }
+        let mut parser = ResponseParser::new(DEFAULT_MAX_BODY);
+        parser.push(response);
+        let RespStep::Response(resp) = parser.step() else {
+            unreachable!("backends send whole responses")
+        };
         self.tape.note(
             now,
             &format!("req={req} attempt={} status={} backend={backend}", attempt.0, resp.status),
@@ -1042,7 +976,7 @@ impl World {
             if slot.breaker.state_at(now_i) == BreakerState::HalfOpen {
                 let reachable = !self.blocked.contains(&(ROUTER, b))
                     && !self.blocked.contains(&(b, ROUTER))
-                    && self.backends.get(b as usize).map(|x| x.alive).unwrap_or(false);
+                    && self.backends.get(b as usize).is_some_and(|x| x.svc.is_some());
                 if reachable {
                     slot.breaker.record_success();
                 } else {
@@ -1055,7 +989,7 @@ impl World {
             }
         }
         if now < self.duration_ns {
-            sched(&mut self.heap, &mut self.evseq, now + ROUTER_TICK_NS, Ev::RouterTick);
+            sched(&mut self.events, &mut self.evseq, now + ROUTER_TICK_NS, Ev::RouterTick);
         }
     }
 
@@ -1071,9 +1005,9 @@ impl World {
     fn on_ctrl_tick(&mut self, node: u64) {
         let now = self.now_ns();
         if now < self.duration_ns {
-            sched(&mut self.heap, &mut self.evseq, now + HEARTBEAT_NS, Ev::CtrlTick { node });
+            sched(&mut self.events, &mut self.evseq, now + HEARTBEAT_NS, Ev::CtrlTick { node });
         }
-        if !self.backends[node as usize].alive {
+        if self.backends[node as usize].svc.is_none() {
             return;
         }
         let n = self.plan.backends;
@@ -1212,17 +1146,17 @@ impl World {
             ),
         );
         let rec = &self.router.shared.recorder;
-        let epoch_i = self.clock.epoch();
+        let start = self.clock.now();
         rec.record_span(
             rec.mint_trace(),
             SpanId(0),
             Stage::Membership,
-            epoch_i + Duration::from_nanos(now),
-            epoch_i + Duration::from_nanos(now + latency),
+            start,
+            start + Duration::from_nanos(latency),
             SpanAttrs { a: epoch, b: plan.len() as u64, root: true, ..Default::default() },
         );
         sched(
-            &mut self.heap,
+            &mut self.events,
             &mut self.evseq,
             now + latency,
             Ev::Announce { node, epoch, coordinator, order },
@@ -1232,7 +1166,7 @@ impl World {
     fn on_announce(&mut self, node: u64, epoch: u64, coordinator: u64, order: Vec<u64>) {
         let now = self.now_ns();
         self.backends[node as usize].ctrl.electing = false;
-        if !self.backends[node as usize].alive {
+        if self.backends[node as usize].svc.is_none() {
             return;
         }
         {
@@ -1344,7 +1278,7 @@ impl World {
             }
             return;
         }
-        if !self.backends[to as usize].alive {
+        if self.backends[to as usize].svc.is_none() {
             return;
         }
         self.backends[to as usize].ctrl.last_seen.insert(from, now);
@@ -1467,31 +1401,13 @@ impl World {
             }
             Action::Slow(from, to, extra_ns) => {
                 let now = self.now_ns();
-                self.fabric.set_link(
-                    from as u32,
-                    to as u32,
-                    LinkProfile {
-                        latency: Duration::from_millis(2) + Duration::from_nanos(extra_ns),
-                        jitter: Duration::from_millis(2),
-                        drop: 0.01,
-                        duplicate: 0.005,
-                    },
-                );
+                self.fabric.set_link(from as u32, to as u32, link_profile(extra_ns));
                 self.slow.insert((from, to), extra_ns);
                 self.tape.note(now, &format!("fault slow from={from} to={to} extra_ns={extra_ns}"));
             }
             Action::Unslow(from, to) => {
                 let now = self.now_ns();
-                self.fabric.set_link(
-                    from as u32,
-                    to as u32,
-                    LinkProfile {
-                        latency: Duration::from_millis(2),
-                        jitter: Duration::from_millis(2),
-                        drop: 0.01,
-                        duplicate: 0.005,
-                    },
-                );
+                self.fabric.set_link(from as u32, to as u32, link_profile(0));
                 self.slow.remove(&(from, to));
                 self.tape.note(now, &format!("fault unslow from={from} to={to}"));
             }
@@ -1500,24 +1416,21 @@ impl World {
 
     fn apply_kill(&mut self, b: u64) {
         let now = self.now_ns();
-        if b as usize >= self.backends.len() || !self.backends[b as usize].alive {
-            return;
-        }
-        let backend = &mut self.backends[b as usize];
-        backend.alive = false;
+        let Some(backend) = self.backends.get_mut(b as usize) else { return };
+        let Some(svc) = backend.svc.take() else { return };
         backend.generation += 1;
-        backend.busy = 0;
-        backend.queue.clear();
+        self.retire(b, svc);
         self.tape.note(now, &format!("fault kill backend={b}"));
     }
 
     fn apply_revive(&mut self, b: u64) {
         let now = self.now_ns();
-        if b as usize >= self.backends.len() || self.backends[b as usize].alive {
+        let Some(backend) = self.backends.get_mut(b as usize) else { return };
+        if backend.svc.is_some() {
             return;
         }
-        let backend = &mut self.backends[b as usize];
-        backend.alive = true;
+        // A restarted process: a fresh svc with a cold cache.
+        backend.svc = Some(Svc::start(&self.svc_cfg));
         backend.ctrl.incarnation += 1;
         let info = Self::member_info(b, backend.ctrl.incarnation);
         backend.ctrl.view.observe(info);
@@ -1534,10 +1447,28 @@ impl World {
         );
     }
 
+    /// Folds the svc of a backend going down, or still up at the end of
+    /// the run, into the run's cache counters and span set.
+    fn retire(&mut self, backend: u64, svc: Svc) {
+        let cache = svc.shared.cache.snapshot();
+        self.stats.cache_hits += cache.hits;
+        self.stats.cache_misses += cache.misses;
+        if self.opts.record_spans {
+            let src = backend.to_string();
+            let spans = svc.shared.recorder.spans().into_iter();
+            self.backend_spans.extend(spans.map(|s| SpanRecord { src: src.clone(), ..s }));
+        }
+    }
+
     // ---- teardown ---------------------------------------------------
 
     fn finish(mut self) -> RunOutcome {
         let now = self.now_ns();
+        for b in 0..self.backends.len() {
+            if let Some(svc) = self.backends[b].svc.take() {
+                self.retire(b as u64, svc);
+            }
+        }
         // I2a: every transport failure the world delivered — on any
         // request, however it ended — must show in the breaker of the
         // slot it hit. Checked globally because a swallowed failure on a
@@ -1570,8 +1501,13 @@ impl World {
                 self.stats.config_accepts
             ),
         );
-        let spans =
-            self.opts.record_spans.then(|| render_tree(&self.router.shared.recorder.spans()));
+        // The router's spans, then each backend's, tagged: a backend's
+        // request span hangs under the attempt that reached it.
+        let spans = self.opts.record_spans.then(|| {
+            let mut spans = self.router.shared.recorder.spans();
+            spans.append(&mut self.backend_spans);
+            render_tree(&spans)
+        });
         RunOutcome {
             hash: self.tape.hash,
             violations: self.violations,
@@ -1597,6 +1533,16 @@ mod tests {
             assert_eq!(a.hash, b.hash, "{kind:?} must replay byte-identically");
             assert_eq!(a.violations, b.violations);
         }
+    }
+
+    #[test]
+    fn span_trees_render_identically_across_runs() {
+        let plan = ScenarioPlan::generate(ScenarioKind::BackendKill, 3);
+        let opts = WorldOptions { record_spans: true, ..Default::default() };
+        let a = run_plan(&plan, &opts).spans.expect("recorded");
+        let b = run_plan(&plan, &opts).spans.expect("recorded");
+        assert_eq!(a, b, "virtual stamps and recording order fix the tree");
+        assert!(a.contains("cache-lookup ["), "each backend's svc spans, tagged:\n{a}");
     }
 
     #[test]

@@ -18,8 +18,15 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// The instant the process measures trace time from: elapsed zero of
+/// every [`VirtualClock`] and of every flight recorder's span clock.
+pub(crate) fn process_epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
 /// A source of monotonic time plus the ability to wait on it.
 pub trait Clock: Send + Sync {
@@ -93,8 +100,9 @@ impl From<Arc<VirtualClock>> for ClockHandle {
     }
 }
 
-/// A simulated clock: an epoch [`Instant`] captured at construction
-/// plus an atomic nanosecond offset. `now()` returns
+/// A simulated clock: the process's trace epoch plus an atomic
+/// nanosecond offset, so a span recorded at one of its instants carries
+/// its virtual time. `now()` returns
 /// `epoch + offset` — a perfectly ordinary `Instant` that all existing
 /// `Instant`-arithmetic code (breaker probe deadlines, queue
 /// deadlines, heartbeat timeouts) consumes unchanged, except that time
@@ -108,10 +116,9 @@ pub struct VirtualClock {
 }
 
 impl VirtualClock {
-    /// A virtual clock starting at elapsed zero, with the epoch pinned
-    /// to the real instant of construction.
+    /// A virtual clock starting at elapsed zero.
     pub fn new() -> Arc<VirtualClock> {
-        Arc::new(VirtualClock { epoch: Instant::now(), offset_ns: AtomicU64::new(0) })
+        Arc::new(VirtualClock { epoch: process_epoch(), offset_ns: AtomicU64::new(0) })
     }
 
     /// The instant this clock calls "elapsed zero".

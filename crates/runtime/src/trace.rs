@@ -20,16 +20,17 @@
 //!   headers keep flowing) — that is the "tracing off" configuration
 //!   the E21 overhead experiment compares against.
 //!
-//! Timestamps are microseconds on the recorder's own monotonic clock
-//! (`Instant` relative to the recorder's creation), so spans from one
-//! process order and subtract exactly; spans merged across processes
-//! (`src` field) are related only through parent/child edges, never by
-//! comparing clocks.
+//! Timestamps are microseconds since one process-wide epoch, which is
+//! also every [`VirtualClock`](crate::VirtualClock)'s zero: spans from
+//! one process order and subtract exactly, whichever recorder holds
+//! them. Spans merged across processes (`src` field) are related only
+//! through parent/child edges, never by comparing clocks.
 //!
 //! Per-stage latency histograms ([`FlightRecorder::stage_snapshots`])
 //! are fed by the same `record_span` calls and back the Prometheus
 //! `hre_stage_seconds` family on both daemons.
 
+use crate::clock::{process_epoch, ClockHandle};
 use crate::hist::{HistSnapshot, Log2Histogram};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -281,7 +282,8 @@ pub struct FlightRecorder {
     head: AtomicU64,
     ids: AtomicU64,
     trace_seed: AtomicU64,
-    epoch: Instant,
+    /// Stamps events: the owning daemon's clock.
+    clock: ClockHandle,
     stage_hist: [Log2Histogram; STAGE_COUNT],
 }
 
@@ -296,8 +298,13 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining the most recent `capacity` spans
-    /// (0 disables recording; ids still mint).
+    /// (0 disables recording; ids still mint), on the wall clock.
     pub fn new(capacity: usize) -> Arc<FlightRecorder> {
+        Self::with_clock(capacity, ClockHandle::default())
+    }
+
+    /// [`FlightRecorder::new`] on `clock`, which stamps its events.
+    pub fn with_clock(capacity: usize, clock: ClockHandle) -> Arc<FlightRecorder> {
         // Seed from wall time *and* a per-process recorder counter:
         // several recorders can share one process (router + backends in
         // a test), and merged traces need their span-id streams disjoint.
@@ -313,7 +320,7 @@ impl FlightRecorder {
             head: AtomicU64::new(0),
             ids: AtomicU64::new(splitmix64(seed)),
             trace_seed: AtomicU64::new(seed),
-            epoch: Instant::now(),
+            clock,
             stage_hist: std::array::from_fn(|_| Log2Histogram::default()),
         })
     }
@@ -355,9 +362,9 @@ impl FlightRecorder {
         }
     }
 
-    /// Microseconds of `t` on this recorder's clock.
+    /// Microseconds of `t` on the recorders' clock.
     pub fn clock_us(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros().min(u64::MAX as u128) as u64
+        t.saturating_duration_since(process_epoch()).as_micros().min(u64::MAX as u128) as u64
     }
 
     /// Records a completed span and returns its freshly minted id.
@@ -412,9 +419,9 @@ impl FlightRecorder {
         slot.seq.store(ticket * 2 + 2, Ordering::Release);
     }
 
-    /// Records an instant event (a zero-duration span) at `now`.
+    /// Records an instant event (a zero-duration span) at its clock's now.
     pub fn record_event(&self, trace: TraceId, parent: SpanId, stage: Stage, a: u64, b: u64) {
-        let now = Instant::now();
+        let now = self.clock.now();
         self.record_span(trace, parent, stage, now, now, SpanAttrs { a, b, ..Default::default() });
     }
 
@@ -538,7 +545,8 @@ pub fn fmt_dur_us(us: u64) -> String {
 /// Renders a set of spans (possibly merged from several daemons) as an
 /// indented tree. Spans whose parent is absent from the set are printed
 /// as roots; children sort by start time on their recording process's
-/// clock. The same rendering backs `hre trace` and the slow-request log.
+/// clock, ties in the order of `spans` (a recorder's is its recording
+/// order). The same rendering backs `hre trace` and the slow-request log.
 pub fn render_tree(spans: &[SpanRecord]) -> String {
     let ids: HashSet<u64> = spans.iter().map(|s| s.id.0).collect();
     let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -550,9 +558,8 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
             roots.push(i);
         }
     }
-    let by_start = |xs: &mut Vec<usize>| {
-        xs.sort_by_key(|&i| (spans[i].start_us, spans[i].id.0));
-    };
+    // Stable: equal starts keep their order in `spans`.
+    let by_start = |xs: &mut Vec<usize>| xs.sort_by_key(|&i| spans[i].start_us);
     by_start(&mut roots);
     for xs in children.values_mut() {
         by_start(xs);

@@ -11,8 +11,9 @@
 //!   depth, cache and worker stats).
 //! * One **epoll reactor** thread holds every connection as a state
 //!   machine (Linux only) — the [`front`] connection machine the router
-//!   and the control plane serve from too; a fixed **worker pool** only
-//!   runs elections.
+//!   and the control plane serve from too — and hands each request to
+//!   the sans-IO [`desk`], which the deterministic simulator drives as
+//!   well; a fixed **worker pool** only runs elections.
 //!   A full job queue answers `503 Retry-After` instead of accepting
 //!   unbounded work, and every request carries a deadline (`504` past
 //!   it). `POST /elect/batch` answers N elections in one exchange.
@@ -38,6 +39,7 @@
 pub mod api;
 pub mod bench;
 pub mod cache;
+pub mod desk;
 pub(crate) mod eventloop;
 pub mod front;
 pub mod http;
@@ -52,10 +54,11 @@ pub use api::{
 };
 pub use bench::{run_load, LoadOptions, LoadReport};
 pub use cache::{CacheKey, CacheSnapshot, ShardedLru};
+pub use desk::{execute, Desk, Done, Job};
 pub use http::{
     request_bytes, Client, ClientResponse, ParseStep, Phase, Request, RequestParser, RespStep,
     Response, ResponseParser, DEFAULT_MAX_BODY,
 };
 pub use json::Json;
 pub use metrics::{naming_violations, SvcMetrics};
-pub use server::{start, RequestSpan, ServerHandle, StatusProvider, SvcConfig, SvcSummary};
+pub use server::{start, RequestSpan, ServerHandle, Shared, StatusProvider, SvcConfig, SvcSummary};

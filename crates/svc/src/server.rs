@@ -6,26 +6,23 @@
 //!
 //! ```text
 //!   reactor (front.rs, eventloop.rs) ── every connection is a state machine
-//!       │  parse, canonicalise, cache hit: respond inline
-//!       │  miss: Job ─▶ unbounded job queue ─▶ workers (pool)
+//!       │  Desk (desk.rs): parse, canonicalise, cache hit: respond inline
+//!       │  miss: Job ─▶ unbounded job queue ─▶ workers (pool): execute
 //!       │                                        │ run election in
 //!       ◀── Done + waker ────────────────────────┘ canonical coords,
 //!                                                  fill cache
 //! ```
 //!
-//! Backpressure: an `/elect` miss is admitted only while the
-//! `queue_depth` gauge is below `queue_cap`, else it is answered `503`
-//! with `Retry-After`. The check is exact because the reactor is the only
-//! thread that enqueues. Batch entries skip it and never see a 503 or
-//! 504. Deadlines: a single job carries `admitted + deadline`; the
-//! reactor arms it as a timer (`504` when it fires), and a worker that
-//! dequeues an already-expired job drops it unexecuted. Shutdown:
-//! flipping the shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI)
-//! stops accepting, lets in-flight requests finish, drains the queue,
-//! then joins every thread.
+//! Admission (`503` past `queue_cap`), deadlines (`504`) and batches are
+//! the [`desk`](crate::desk)'s; its admission check is exact because the
+//! reactor is the only thread that enqueues. Shutdown: flipping the
+//! shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI) stops
+//! accepting, lets in-flight requests finish, drains the queue, then
+//! joins every thread.
 
-use crate::api::{self, ElectRequest};
-use crate::cache::{CacheKey, CacheSnapshot, CachedResult, ShardedLru};
+use crate::api;
+use crate::cache::{CacheSnapshot, ShardedLru};
+use crate::desk::{self, Done, Job};
 use crate::http::{Request, Response, DEFAULT_MAX_BODY};
 use crate::metrics::SvcMetrics;
 use crate::tracewire;
@@ -118,48 +115,45 @@ impl Default for SvcConfig {
 /// How often [`ServerHandle::run_until`] checks its flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// A job admitted to the queue: the request in canonical coordinates,
-/// its cache key, and where the answer goes. A worker that drops a
-/// stale job sends nothing; the reactor's deadline timer answers 504.
-pub(crate) struct Job {
-    pub(crate) canon_req: ElectRequest,
-    pub(crate) key: CacheKey,
-    /// `admitted + deadline` for an `/elect` miss; `None` for a batch
-    /// entry, which never expires.
-    pub(crate) deadline: Option<Instant>,
-    /// Trace context: the request's trace, its root span (parent for
-    /// the worker-side spans), and when the job entered the queue.
-    pub(crate) trace: TraceId,
-    pub(crate) parent: SpanId,
-    pub(crate) enqueued: Instant,
-    pub(crate) reply: Reply,
-}
-
-/// The address of one awaited result: the connection, the request it
-/// is waiting on (a ticket, so a late answer to a request already
-/// answered 504 is recognised as stale), and the slot within it (the
-/// distinct-miss index of a batch; 0 for a single `/elect`).
-#[derive(Clone, Copy)]
-pub(crate) struct Reply {
-    pub(crate) conn: u64,
-    pub(crate) ticket: u64,
-    pub(crate) slot: usize,
-}
-
-/// A finished job, sent back to the reactor.
-pub(crate) struct Done {
-    pub(crate) reply: Reply,
-    pub(crate) result: CachedResult,
-}
-
-/// Everything the reactor and the workers share.
-pub(crate) struct Shared {
-    pub(crate) cfg: SvcConfig,
+/// Everything the reactor, the [`Desk`](crate::Desk) and the workers
+/// share: the config (clock and limits), the counters, the result cache
+/// and the flight recorder.
+pub struct Shared {
+    /// The daemon's configuration.
+    pub cfg: SvcConfig,
+    /// The daemon's counters.
     pub(crate) metrics: SvcMetrics,
-    pub(crate) cache: ShardedLru,
-    pub(crate) recorder: Arc<FlightRecorder>,
+    /// The result cache.
+    pub cache: ShardedLru,
+    /// The daemon's flight recorder.
+    pub recorder: Arc<FlightRecorder>,
     /// Drain flag: the handle's [`ServerHandle::shutdown_flag`].
     pub(crate) shutdown: Arc<AtomicBool>,
+}
+
+impl Shared {
+    /// The state of a daemon serving `cfg`: an empty cache, zeroed
+    /// counters and its own recorder. Starts nothing; the simulator
+    /// builds one per backend to drive a [`Desk`](crate::Desk) itself.
+    pub fn new(cfg: SvcConfig) -> Shared {
+        Shared {
+            cache: ShardedLru::new(cfg.cache_cap, cfg.cache_shards),
+            recorder: FlightRecorder::with_clock(cfg.trace_cap, cfg.clock.clone()),
+            metrics: SvcMetrics::default(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            cfg,
+        }
+    }
+
+    /// Current metrics in the Prometheus text format `/metrics` serves.
+    fn metrics_text(&self) -> String {
+        self.metrics.render_prometheus(
+            &self.cache.snapshot(),
+            self.cfg.workers.max(1),
+            self.cfg.queue_cap.max(1),
+            &self.recorder.stage_snapshots(),
+        )
+    }
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -248,13 +242,7 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         });
     });
 
-    let shared = Arc::new(Shared {
-        cache: ShardedLru::new(cfg.cache_cap, cfg.cache_shards),
-        recorder: FlightRecorder::new(cfg.trace_cap),
-        cfg: cfg.clone(),
-        metrics: SvcMetrics::default(),
-        shutdown: Arc::new(AtomicBool::new(false)),
-    });
+    let shared = Arc::new(Shared::new(cfg.clone()));
     let (job_tx, job_rx) = unbounded::<Job>();
     let (done_tx, done_rx) = unbounded::<Done>();
 
@@ -285,12 +273,7 @@ impl ServerHandle {
 
     /// Current metrics, rendered as the `/metrics` endpoint would.
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.render_prometheus(
-            &self.shared.cache.snapshot(),
-            self.shared.cfg.workers.max(1),
-            self.shared.cfg.queue_cap.max(1),
-            &self.shared.recorder.stage_snapshots(),
-        )
+        self.shared.metrics_text()
     }
 
     /// The daemon's flight recorder (for tests and embedding callers).
@@ -340,13 +323,7 @@ pub(crate) fn route_aux(req: &Request, shared: &Shared) -> Response {
         }
         ("GET", "/metrics") => {
             SvcMetrics::inc(&shared.metrics.metrics_scrapes);
-            let text = shared.metrics.render_prometheus(
-                &shared.cache.snapshot(),
-                shared.cfg.workers.max(1),
-                shared.cfg.queue_cap.max(1),
-                &shared.recorder.stage_snapshots(),
-            );
-            Response::text(200, text)
+            Response::text(200, shared.metrics_text())
         }
         ("GET", path) if path.starts_with("/trace/") => {
             handle_trace(&path["/trace/".len()..], &shared.recorder)
@@ -449,104 +426,18 @@ impl RequestSpan {
     }
 }
 
-/// Opens the `/elect`-family request envelope on the daemon's recorder.
-pub(crate) fn open_request_span(req: &Request, shared: &Shared) -> RequestSpan {
-    RequestSpan::open(req, &shared.recorder, shared.cfg.clock.now())
-}
-
-/// Closes the envelope around a finished response.
-pub(crate) fn close_request_span(span: RequestSpan, shared: &Shared, resp: Response) -> Response {
-    span.close(&shared.recorder, shared.cfg.clock.now(), shared.cfg.slow_threshold, resp)
-}
-
-/// Turns a (canonical-coordinates) result into the HTTP response in the
-/// request's own coordinates, recording latency and outcome counters.
-pub(crate) fn respond(
-    request: &ElectRequest,
-    rot: usize,
-    result: CachedResult,
-    shared: &Shared,
-    admitted: Instant,
-) -> Response {
-    let resp = match result {
-        Ok(canon_out) => {
-            SvcMetrics::inc(&shared.metrics.elect_ok);
-            let out = canon_out.into_coords(rot, request.labels.len());
-            Response::json(200, api::response_json(request, &out))
-        }
-        Err(why) => {
-            SvcMetrics::inc(&shared.metrics.elect_failed);
-            Response::json(422, api::error_json(&why))
-        }
-    };
-    shared.metrics.observe_elect(shared.cfg.clock.now().saturating_duration_since(admitted));
-    resp
-}
-
-/// One worker: dequeue, skip stale jobs, compute (deduping against the
-/// cache), publish, reply. Exits when the queue disconnects (the
-/// reactor gone) and is empty — which is how shutdown drains.
+/// One worker: each job through [`desk::execute`] with the engine
+/// registry, its result back to the reactor. Exits when the queue
+/// disconnects (the reactor gone) and is empty — which is how shutdown
+/// drains.
 fn worker_loop(shared: &Shared, rx: &Receiver<Job>, done: &Sender<Done>, waker: &Waker) {
     while let Ok(job) = rx.recv() {
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let dequeued = shared.cfg.clock.now();
-        shared.recorder.record_span(
-            job.trace,
-            job.parent,
-            Stage::QueueWait,
-            job.enqueued,
-            dequeued,
-            SpanAttrs::default(),
-        );
-        if job.deadline.is_some_and(|deadline| dequeued >= deadline) {
-            // Admitted but nobody can use the answer anymore: the
-            // reactor's deadline timer answers 504.
-            SvcMetrics::inc(&shared.metrics.jobs_dropped_stale);
-            continue;
+        if let Some(finished) = desk::execute(shared, job, api::run_election) {
+            // The reactor is gone only after every connection closed;
+            // then nobody is waiting for this answer.
+            let _ = done.send(finished);
+            waker.wake();
         }
-        shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-        let t0 = shared.cfg.clock.now();
-        // Another worker may have computed this key while the job sat in
-        // the queue; prefer its cached answer over re-running. `peek`
-        // keeps the hit/miss counters client-facing.
-        let result = match shared.cache.peek(&job.key) {
-            Some(hit) => hit,
-            None => {
-                // The execute span's id is minted up front so the core
-                // election hook (made current for this thread while the
-                // election runs) can parent its `election` span to it.
-                let exec = shared.recorder.next_span_id();
-                let computed = {
-                    let _span = trace::set_current(&shared.recorder, job.trace, exec);
-                    api::run_election(&job.canon_req)
-                };
-                shared.metrics.observe_election_run(
-                    job.canon_req.algo,
-                    shared.cfg.clock.now().saturating_duration_since(t0),
-                );
-                shared.recorder.record_span_with_id(
-                    exec,
-                    job.trace,
-                    job.parent,
-                    Stage::Execute,
-                    t0,
-                    shared.cfg.clock.now(),
-                    SpanAttrs { err: computed.is_err(), ..Default::default() },
-                );
-                shared.cache.insert(job.key.clone(), computed.clone());
-                computed
-            }
-        };
-        let busy = shared.cfg.clock.now().saturating_duration_since(t0);
-        shared
-            .metrics
-            .worker_busy_us
-            .fetch_add(busy.as_micros().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-        shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
-        // The reactor is gone only after every connection closed; then
-        // nobody is waiting for this answer.
-        let _ = done.send(Done { reply: job.reply, result });
-        waker.wake();
     }
 }
 

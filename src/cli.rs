@@ -1560,7 +1560,7 @@ fn dst_render_outcome(
         plan.kind.as_str(),
         plan.seed,
         plan.backends,
-        plan.requests,
+        out.stats.requests,
         plan.faults.len(),
         plan.duration_us as f64 / 1e6,
         if regression { " [planted regression armed]" } else { "" },
@@ -2425,6 +2425,20 @@ mod tests {
         let hash = doc.get("transcript_hash").and_then(crate::svc::Json::as_str).unwrap();
         assert!(a.contains(hash), "text and JSON agree on the hash");
         assert!(run_cli(&["dst", "run", "--scenario", "wat"]).is_err());
+    }
+
+    #[test]
+    fn dst_run_reports_the_requests_it_injected() {
+        let run = ["dst", "run", "--seed", "3", "--scenario", "backend-kill"];
+        let text = run_cli(&run).unwrap();
+        let doc = crate::svc::Json::parse(&run_cli(&[&run[..], &["--json"]].concat()).unwrap())
+            .expect("valid JSON");
+        let count = |section: &str| {
+            doc.get(section).and_then(|s| s.get("requests")).and_then(crate::svc::Json::as_u64)
+        };
+        let injected = count("stats").expect("stats.requests");
+        assert!(count("plan").expect("plan.requests") > injected, "late arrivals are dropped");
+        assert!(text.contains(&format!(" {injected} requests,")), "{text}");
     }
 
     #[test]
