@@ -45,7 +45,7 @@ fn usage(name: &str, about: &str, has_quick: bool) -> String {
     out
 }
 
-/// Reads the process's arguments through [`parse`]. On `--help` prints
+/// Reads the process's arguments through `parse`. On `--help` prints
 /// the usage and exits 0; on an unknown argument prints it and the usage
 /// to stderr and exits 2; otherwise returns whether `--quick` was given.
 pub fn from_env(about: &str, has_quick: bool) -> bool {

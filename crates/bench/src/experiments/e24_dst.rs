@@ -1,19 +1,22 @@
 //! E24 — whole-stack deterministic simulation: the serving path
-//! (worker pools, queue deadlines, breakers, hedging, failover,
-//! retransmit/reassembly, heartbeats, `Ak` coordinator elections) runs
-//! inside virtual time against seeded fault plans. Both daemons'
-//! request paths are the code that ships: the router's `ForwardMachine`
-//! over its own breakers and topology, and each backend's svc `Desk` and
-//! `execute` (a revived backend starts cold), on one `ClusterConfig` and
-//! one `SvcConfig` whose clock is the world's. The engine's cost, the
-//! control plane's node loop and the router's prober are modelled.
+//! (worker pools, queue deadlines, breakers, probes, hedging, failover,
+//! gossip, failure detection, `Ak` coordinator elections, fenced config
+//! pushes) runs inside virtual time against seeded fault plans. Every
+//! decision is made by the code that ships: the router's
+//! `ForwardMachine` over its own breakers and topology, its prober's
+//! sweep and its config fence, each backend's svc `Desk` and `execute`
+//! (a revived backend starts cold), and ctrl's member `Machine` on every
+//! backend and on the router (a revived member starts from nothing), on
+//! one `ClusterConfig`, one `SvcConfig` and one `CtrlConfig` whose clock
+//! is the world's. The engine's cost and the transport of the `Ak` round
+//! are modelled.
 //!
 //! Three claims, three gates:
 //!
 //! 1. **Determinism.** The same base seed produces a byte-identical
 //!    sweep — the summary hash, a fold of every instance's transcript
 //!    hash in index order — at 1, 2, and 4 worker threads. Virtual time
-//!    plus a seeded network fabric removes the OS scheduler from the
+//!    and seeded latency draws remove the OS scheduler from the
 //!    observable behavior entirely.
 //! 2. **Invariants at scale.** A sweep across every scenario kind
 //!    (backend kills, partitions, slow links, flap storms, coordinator
@@ -23,9 +26,12 @@
 //!    epochs only advance (I1), every transport failure delivered to the
 //!    router shows in that backend's breaker and no client-visible
 //!    failure (502, 504) goes unattributed — outside every fault window
-//!    with every breaker closed (I2), and every 200 body is byte-equal to
-//!    the memoized election oracle's answer (I3). Full mode runs
-//!    ≥ 100 000 instances; `--quick` runs 2 000.
+//!    with every breaker closed (I2), every 200 body is byte-equal to
+//!    the memoized election oracle's answer (I3), and within a budget
+//!    derived from the control plane's config after the last fault
+//!    window, every live member and the router hold one config over
+//!    exactly the live backends with a live coordinator (I4). Full mode
+//!    runs ≥ 100 000 instances; `--quick` runs 2 000.
 //! 3. **Regressions are caught and minimized.** With a deliberately
 //!    planted bug armed in the shipped router (a failover or hedge
 //!    attempt's transport failure skips the breaker's `record_failure`,
@@ -34,10 +40,12 @@
 //!    reproducer must replay with an identical transcript hash twice in
 //!    a row — the debugging loop the harness exists for.
 //!
-//! The counters come from the shipped daemons: `hedges`, `failovers`
+//! The counters come from the shipped code: `hedges`, `failovers`
 //! (transport failures plus candidates skipped for an open breaker) and
 //! `breaker opens` sum the router's per-backend counters, the cache
-//! counters every backend svc's.
+//! counters every backend svc's, `suspects` the deaths members declared,
+//! `config accepts` the configs the router's fence took, and `elections`
+//! the `Ak` rounds completed.
 //!
 //! The machine-readable result is written to `BENCH_e24.json` at the
 //! repo root by the `exp_dst` binary.
@@ -98,12 +106,11 @@ pub fn run_e24(quick: bool) -> E24Outcome {
     let t = &summary.totals;
     out.push_str(&format!(
         "### Invariants at scale (I0 coordinator = Lyndon winner, I1 epoch fencing, \
-         I2 failure attribution, I3 oracle byte-equality)\n\n\
+         I2 failure attribution, I3 oracle byte-equality, I4 post-heal convergence)\n\n\
          {} seeded instances across {} scenario kinds in {wall_s:.1} s on {threads} thread(s):\n\
          {} requests ({} ok, {} invalid, {} busy, {} failed), {} hedges, {} failovers, \
          {} timeouts,\n{} cache hits / {} misses, {} elections, {} config accepts \
-         ({} stale rejects), {} suspects, {} breaker opens,\n{} gossip retransmits, \
-         fabric {}/{} delivered/dropped.\n\
+         ({} rejects), {} suspects, {} breaker opens.\n\
          invariant violations: {} — {}\n\n",
         summary.instances,
         all.len(),
@@ -122,9 +129,6 @@ pub fn run_e24(quick: bool) -> E24Outcome {
         t.config_rejects,
         t.suspects,
         t.breaker_opens,
-        t.retransmits,
-        t.fabric_delivered,
-        t.fabric_dropped,
         summary.failures.len(),
         if sweep_ok { "PASS" } else { "FAIL" }
     ));

@@ -8,7 +8,7 @@
 //!    thousands of concurrent keep-alive connections held by one
 //!    multiplexing client thread, the reactor must serve **≥ 2×** the
 //!    req/s the thread-per-connection core served on the same shape at
-//!    4 096 connections ([`THREADS_BASELINE_REQ_S`], the last
+//!    4 096 connections (`THREADS_BASELINE_REQ_S`, the last
 //!    measurement before that core was deleted). The workload is cache-hit
 //!    dominated, so this measures the serving core itself — parse,
 //!    route, respond — not election CPU; at this connection count a

@@ -27,7 +27,7 @@
 //! * The request deadline answers 504 for every unconcluded forward.
 //!
 //! The request is answered when its last forward concludes (a batch's
-//! answers joined by the pure [`gather`]). Concluding a forward abandons
+//! answers joined by the pure `gather`). Concluding a forward abandons
 //! its live attempts: an abandoned attempt records no `attempt` span and
 //! a late response to it changes nothing, while every attempt that
 //! resolved records one, so the winner's tree is complete.

@@ -25,9 +25,9 @@
 //! ```
 //!
 //! `POST /elect/batch` splits the batch by owning shard
-//! ([`split_batch`]), runs the same race once per shard with that
+//! (`split_batch`), runs the same race once per shard with that
 //! shard's sub-batch, and joins the answers in request order
-//! ([`gather`]).
+//! (`gather`).
 //!
 //! Hedging is safe here in a way it is not for general RPC: elections
 //! are deterministic (round-robin scheduler, canonical-rotation cache)
@@ -39,21 +39,23 @@
 //! Since PR 6 the backend set is **dynamic**: everything per-backend
 //! lives in an immutable [`Topology`] snapshot behind an
 //! `RwLock<Arc<..>>`, and the control plane's elected coordinator swaps
-//! it via [`RouterHandle::update_backends`]. Pushes are fenced by epoch
+//! it via [`Shared::update_backends`]. Pushes are fenced by epoch
 //! — a push below the current epoch is a deposed coordinator talking
-//! and is refused. Each request grabs one snapshot up front, so a swap
+//! and is refused, and so is another backend list at the current
+//! epoch. Each request grabs one snapshot up front, so a swap
 //! mid-request cannot mix generations. With [`ClusterConfig::dynamic`]
 //! set the router may start with no backends at all and answers `502`
 //! until the first config push lands.
 //!
 //! A background prober hits every backend's `GET /healthz` each
-//! `health_interval`; probe outcomes feed the same breakers as live
-//! traffic, and open breakers pace their probes on the shared
-//! capped-backoff schedule ([`hre_runtime::Backoff`]).
+//! `health_interval` ([`Shared::probe_targets`]); probe outcomes feed
+//! the same breakers as live traffic ([`Shared::probe_outcome`]), and
+//! open breakers pace their probes on the shared capped-backoff
+//! schedule ([`hre_runtime::Backoff`]).
 
 use crate::hash::shard_key;
 use crate::metrics::ClusterMetrics;
-use crate::topology::Topology;
+use crate::topology::{BackendSlot, Topology};
 use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, Reactor, DEFAULT_TRACE_CAP};
 use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
@@ -152,6 +154,9 @@ pub struct Shared {
     pub recorder: Arc<FlightRecorder>,
     /// Drain flag: the handle's [`RouterHandle::shutdown_flag`].
     pub(crate) shutdown: Arc<AtomicBool>,
+    /// The router's own addresses, configured and bound: no backend may
+    /// name one.
+    local: Vec<String>,
     /// See [`Shared::with_planted_regression`].
     pub(crate) planted_regression: bool,
 }
@@ -171,6 +176,7 @@ impl Shared {
             topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
             metrics: ClusterMetrics::new(),
             recorder: FlightRecorder::with_clock(cfg.trace_cap, cfg.clock.clone()),
+            local: vec![cfg.addr.clone()],
             cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
             planted_regression,
@@ -182,11 +188,102 @@ impl Shared {
         Arc::clone(&self.topology.read().unwrap())
     }
 
-    /// Swaps in the successor topology for `backends` at `epoch`
-    /// ([`Topology::successor`]), unfenced.
-    pub fn install(&self, epoch: u64, backends: &[String]) {
-        let mut topo = self.topology.write().unwrap();
-        *topo = Arc::new(topo.successor(epoch, backends, &self.cfg));
+    /// Applies a control-plane config push: swap the topology to
+    /// `backends` at `epoch`. Slots shared with the previous generation
+    /// keep their breaker state, warm pools, and counters; removed
+    /// backends' idle streams close ([`Topology::successor`]).
+    ///
+    /// **Epoch fencing**: a push whose epoch is *below* the active one
+    /// comes from a deposed coordinator and is refused, and so is a
+    /// *different* backend list at the active epoch: one epoch names one
+    /// config, so that epoch is spent too (both refusals count in
+    /// `hre_cluster_stale_configs_total`). The active config re-pushed is
+    /// accepted — that is the live coordinator's periodic refresh. Every
+    /// push is recorded as a [`Stage::Reconfigure`] root span, accepted
+    /// or not.
+    pub fn update_backends(&self, epoch: u64, backends: &[String]) -> Result<(), String> {
+        let t0 = self.cfg.clock.now();
+        let result = (|| {
+            validate_backends(backends, &self.local)?;
+            if !self.cfg.dynamic && backends.is_empty() {
+                return Err("refusing to reconfigure a static router to zero backends".into());
+            }
+            let mut slot = self.topology.write().unwrap();
+            if epoch < slot.epoch {
+                ClusterMetrics::inc(&self.metrics.stale_configs);
+                return Err(format!(
+                    "stale config push: epoch {epoch} is behind the active epoch {}",
+                    slot.epoch
+                ));
+            }
+            if epoch == slot.epoch && !slot.slots.iter().map(|s| s.addr()).eq(backends) {
+                ClusterMetrics::inc(&self.metrics.stale_configs);
+                return Err(format!(
+                    "conflicting config push: epoch {epoch} is active with another backend list"
+                ));
+            }
+            *slot = Arc::new(slot.successor(epoch, backends, &self.cfg));
+            ClusterMetrics::inc(&self.metrics.reconfigures);
+            Ok(())
+        })();
+        let rec = &self.recorder;
+        let trace_id = rec.mint_trace();
+        let root = rec.next_span_id();
+        rec.record_span_with_id(
+            root,
+            trace_id,
+            SpanId::NONE,
+            Stage::Reconfigure,
+            t0,
+            self.cfg.clock.now(),
+            SpanAttrs { a: epoch, b: result.is_ok() as u64, err: result.is_err(), root: true },
+        );
+        result
+    }
+
+    /// Force-open the breaker for `addr` — the control plane declared
+    /// the member dead (missed heartbeats), so stop sending it live
+    /// traffic *now* instead of burning `failure_threshold` real
+    /// requests discovering the hole, and close its idle streams so a
+    /// later half-open attempt dials afresh. Returns whether the address
+    /// is in the active topology.
+    pub fn trip_backend(&self, addr: &str) -> bool {
+        let topo = self.topology();
+        match topo.slot_for(addr) {
+            Some(slot) => {
+                slot.breaker.trip_at(self.cfg.clock.now());
+                slot.clear_idle();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The prober's sweep: every slot of the active topology whose
+    /// breaker admits a request now (an open breaker only once its
+    /// capped backoff makes a probe due). Each is sent `GET /healthz`
+    /// within [`Shared::probe_timeout`], and the outcome goes to
+    /// [`Shared::probe_outcome`].
+    pub fn probe_targets(&self) -> Vec<Arc<BackendSlot>> {
+        let now = self.cfg.clock.now();
+        let topo = self.topology();
+        topo.slots.iter().filter(|s| s.breaker.allows_request_at(now)).cloned().collect()
+    }
+
+    /// How long a probe waits for its answer.
+    pub fn probe_timeout(&self) -> Duration {
+        self.cfg.timeout.min(Duration::from_millis(500))
+    }
+
+    /// A probe's outcome feeds its slot's breaker as live traffic's
+    /// does; a failed probe also closes the slot's idle streams.
+    pub fn probe_outcome(&self, slot: &BackendSlot, healthy: bool) {
+        if healthy {
+            slot.breaker.record_success();
+        } else {
+            slot.breaker.record_failure_at(self.cfg.clock.now());
+            slot.clear_idle();
+        }
     }
 }
 
@@ -306,7 +403,9 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
     validate_backends(&cfg.backends, &[cfg.addr.clone(), addr.to_string()]).map_err(invalid)?;
     let reactor = Reactor::new()?;
 
-    let shared = Arc::new(Shared::new(cfg));
+    let mut shared = Shared::new(cfg);
+    shared.local.push(addr.to_string());
+    let shared = Arc::new(shared);
 
     let reactor = {
         let shared = Arc::clone(&shared);
@@ -442,67 +541,15 @@ impl std::fmt::Debug for RouterController {
 }
 
 impl RouterController {
-    /// Applies a control-plane config push: swap the topology to
-    /// `backends` at `epoch`. Slots shared with the previous generation
-    /// keep their breaker state, warm pools, and counters; removed
-    /// backends' idle streams close ([`Topology::successor`]).
-    ///
-    /// **Epoch fencing**: a push whose epoch is *below* the active one
-    /// comes from a deposed coordinator and is refused. The active
-    /// epoch re-pushed (same backend set or not) is accepted — that is
-    /// the live coordinator's periodic refresh, and it must be able to
-    /// repair a member that missed the original push. Every push is
-    /// recorded as a [`Stage::Reconfigure`] root span, accepted or not.
+    /// Applies a control-plane config push; see
+    /// [`Shared::update_backends`].
     pub fn update_backends(&self, epoch: u64, backends: &[String]) -> Result<(), String> {
-        let t0 = self.shared.cfg.clock.now();
-        let result = (|| {
-            validate_backends(backends, &[self.shared.cfg.addr.clone(), self.addr.to_string()])?;
-            if !self.shared.cfg.dynamic && backends.is_empty() {
-                return Err("refusing to reconfigure a static router to zero backends".into());
-            }
-            let mut slot = self.shared.topology.write().unwrap();
-            if epoch < slot.epoch {
-                ClusterMetrics::inc(&self.shared.metrics.stale_configs);
-                return Err(format!(
-                    "stale config push: epoch {epoch} is behind the active epoch {}",
-                    slot.epoch
-                ));
-            }
-            *slot = Arc::new(slot.successor(epoch, backends, &self.shared.cfg));
-            ClusterMetrics::inc(&self.shared.metrics.reconfigures);
-            Ok(())
-        })();
-        let rec = &self.shared.recorder;
-        let trace_id = rec.mint_trace();
-        let root = rec.next_span_id();
-        rec.record_span_with_id(
-            root,
-            trace_id,
-            SpanId::NONE,
-            Stage::Reconfigure,
-            t0,
-            self.shared.cfg.clock.now(),
-            SpanAttrs { a: epoch, b: result.is_ok() as u64, err: result.is_err(), root: true },
-        );
-        result
+        self.shared.update_backends(epoch, backends)
     }
 
-    /// Force-open the breaker for `addr` — the control plane declared
-    /// the member dead (missed heartbeats), so stop sending it live
-    /// traffic *now* instead of burning `failure_threshold` real
-    /// requests discovering the hole, and close its idle streams so a
-    /// later half-open attempt dials afresh. Returns whether the address
-    /// is in the active topology.
+    /// Force-opens a dead member's breaker; see [`Shared::trip_backend`].
     pub fn trip_backend(&self, addr: &str) -> bool {
-        let topo = self.shared.topology();
-        match topo.slot_for(addr) {
-            Some(slot) => {
-                slot.breaker.trip_at(self.shared.cfg.clock.now());
-                slot.clear_idle();
-                true
-            }
-            None => false,
-        }
+        self.shared.trip_backend(addr)
     }
 }
 
@@ -748,29 +795,18 @@ pub(crate) fn pass_through(resp: &ClientResponse, backend: &str) -> Response {
     out
 }
 
-/// Sweeps every backend's `GET /healthz` each `health_interval`;
-/// outcomes feed the breakers (open breakers admit probes only when the
-/// capped backoff says one is due). Each sweep works off a fresh
-/// topology snapshot, so new members are probed and removed ones are
-/// not.
+/// Runs [`Shared::probe_targets`]' sweep each `health_interval`, one
+/// blocking probe at a time. Each sweep works off a fresh topology
+/// snapshot, so new members are probed and removed ones are not.
 fn prober_loop(shared: &Arc<Shared>) {
-    let probe_timeout = shared.cfg.timeout.min(Duration::from_millis(500));
+    let probe_timeout = shared.probe_timeout();
     while !shared.shutdown.load(Ordering::Relaxed) {
-        let topo = shared.topology();
-        for slot in &topo.slots {
-            if !slot.breaker.allows_request_at(shared.cfg.clock.now()) {
-                continue; // open, next probe not due yet
-            }
+        for slot in shared.probe_targets() {
             let healthy = Client::connect(slot.addr(), probe_timeout)
                 .and_then(|mut c| c.get("/healthz"))
                 .map(|r| r.status == 200)
                 .unwrap_or(false);
-            if healthy {
-                slot.breaker.record_success();
-            } else {
-                slot.breaker.record_failure_at(shared.cfg.clock.now());
-                slot.clear_idle();
-            }
+            shared.probe_outcome(&slot, healthy);
         }
         let mut slept = Duration::ZERO;
         while slept < shared.cfg.health_interval {
@@ -798,6 +834,22 @@ mod tests {
 
     fn ok(body: &str) -> Response {
         Response::json(200, body.to_string())
+    }
+
+    #[test]
+    fn one_epoch_names_one_config() {
+        let router = start(ClusterConfig { dynamic: true, ..ClusterConfig::default() }).unwrap();
+        let a = ["127.0.0.1:9".to_string(), "127.0.0.1:10".to_string()];
+        let b = ["127.0.0.1:11".to_string()];
+        router.update_backends(6, &a).expect("a fresh epoch is accepted");
+        router.update_backends(6, &a).expect("the coordinator's refresh is accepted");
+        let conflict = router.update_backends(6, &b);
+        assert!(conflict.is_err(), "a second config at epoch 6 must be refused");
+        assert_eq!(router.backends(), a, "the refused push leaves the accepted config");
+        router.update_backends(7, &b).expect("a higher epoch is accepted");
+        assert!(router.update_backends(6, &a).is_err(), "a lower epoch is refused");
+        assert_eq!((router.epoch(), router.backends()), (7, b.to_vec()));
+        router.shutdown();
     }
 
     #[test]

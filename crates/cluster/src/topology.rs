@@ -23,9 +23,10 @@
 //! promptly.
 //!
 //! Each topology carries the control-plane **epoch** that produced it;
-//! [`crate::router::RouterHandle::update_backends`] refuses pushes whose
-//! epoch is below the current one, which is how a deposed coordinator's
-//! stale configuration is fenced off.
+//! [`crate::Shared::update_backends`] refuses pushes whose epoch is below
+//! the current one, or that name other backends at the current one,
+//! which is how a deposed coordinator's stale configuration is fenced
+//! off.
 
 use crate::hash::HashRing;
 use crate::health::Breaker;

@@ -99,7 +99,7 @@ impl Algorithm for Ak {
     /// Simulator spawn point: each process knows its ring position, so its
     /// `string` can be a zero-copy `(start, len)` window into the shared
     /// labeling instead of an owned, growing vector, and its label counts
-    /// a dense vector indexed by label rank, from one [`RingTable`] the
+    /// a dense vector indexed by label rank, from one `RingTable` the
     /// whole ring shares. On fault-free runs every received token matches
     /// the window's periodic continuation and the window never
     /// materializes; a diverging token (duplication, reordering) falls back
@@ -359,7 +359,7 @@ impl AkProc {
 
     /// `p.string`, materialized (for tests and analyses). The live
     /// representation is usually a zero-copy window into the ring labeling
-    /// (see [`PrefixString`]), so this copies on demand.
+    /// (see `PrefixString`), so this copies on demand.
     pub fn string_vec(&self) -> Vec<Label> {
         self.string.to_vec()
     }

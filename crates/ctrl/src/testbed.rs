@@ -3,7 +3,8 @@
 //! CI rolling-restart smoke. Nothing here is test-only in the `cfg`
 //! sense: chaos harnesses in other crates link it directly.
 
-use crate::node::{ClusterTopology, CtrlHandle};
+use crate::machine::ClusterTopology;
+use crate::node::CtrlHandle;
 use std::time::{Duration, Instant};
 
 /// Polls `f` every `poll` until it returns `Some` or `timeout` passes.

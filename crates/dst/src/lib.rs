@@ -3,17 +3,21 @@
 //! This crate runs the repository's **entire serving path** — the
 //! service's request desk, job queue and result cache, the router's
 //! forward race (hash ring, circuit breakers, hedging, failover,
-//! deadline), `hre-net`'s retransmit window and in-order reassembly, and
-//! the control plane's CRDT membership with `Ak` coordinator elections —
-//! inside **virtual time**, against seeded fault plans.
+//! deadline), its prober and its config fence, and the control plane's
+//! members with their gossip, failure detection, `Ak` coordinator
+//! elections and config pushes — inside **virtual time**, against seeded
+//! fault plans.
 //!
 //! Ports, not mocks: each client request is a real `POST /elect` body
 //! through the router's own [`ForwardMachine`](hre_cluster::ForwardMachine),
-//! and each attempt is answered by svc's own [`Desk`](hre_svc::Desk) and
-//! [`execute`](hre_svc::execute), on configs whose clock is the world's
-//! [`VirtualClock`](hre_runtime::VirtualClock); the world only carries
-//! their commands and bytes. The engine's cost, the control plane's node
-//! loop and the router's prober are modelled.
+//! each attempt is answered by svc's own [`Desk`](hre_svc::Desk) and
+//! [`execute`](hre_svc::execute), every backend and the router run ctrl's
+//! own [`Machine`](hre_ctrl::Machine), and the router's breakers take the
+//! shipped prober's sweep and its topology the shipped fence
+//! ([`Shared`](hre_cluster::Shared)), all on configs whose clock is the
+//! world's [`VirtualClock`](hre_runtime::VirtualClock); the world only
+//! carries their commands and bytes. The engine's cost and the transport
+//! of the `Ak` round are modelled.
 //!
 //! The moving parts:
 //!
@@ -21,10 +25,9 @@
 //!   (backend kills, partitions, slow links, flap storms, coordinator
 //!   churn).
 //! - [`run_plan`] — executes one plan inside a
-//!   [`VirtualClock`](hre_runtime::VirtualClock) +
-//!   [`SimFabric`](hre_runtime::SimFabric) world and returns a
+//!   [`VirtualClock`](hre_runtime::VirtualClock) world and returns a
 //!   transcript hash, invariant violations, and counters.
-//! - [`sweep`] — fans instances through the work-stealing runner;
+//! - [`sweep()`] — fans instances through the work-stealing runner;
 //!   thread-count invariant by construction.
 //! - [`minimize`] / [`artifact_json`] / [`parse_artifact`] — shrink a
 //!   failing plan to a small reproducer and round-trip it through the

@@ -1,31 +1,38 @@
 //! The whole serving path as one deterministic, virtual-time world.
 //!
 //! One [`World`] runs shipped components — the router's forward race
-//! ([`ForwardMachine`]) over its breakers, hash ring and topology, each
-//! backend's svc ([`Desk`] and [`hre_svc::execute`] over its own cache),
-//! `hre-net`'s retransmit window and reassembly, the control plane's CRDT
-//! view and `Ak` coordinator election — in one event loop driven by a
-//! [`VirtualClock`] and a seeded [`SimFabric`]. The router is one
-//! [`ClusterConfig`] and every backend one [`SvcConfig`], both on the
-//! world's clock, their timers fed from the world's event heap; attempts
-//! travel as HTTP bytes. Modelled rather than shipped: the engine's cost,
-//! the control plane's node loop, and the router's prober. Every latency,
-//! loss, and jitter draw comes from the plan's seed, so a run is a pure
-//! function of its [`ScenarioPlan`]: the transcript hash is
+//! ([`ForwardMachine`]) over its breakers, hash ring and topology, its
+//! prober's sweep and its config fence ([`Shared`]), each backend's svc
+//! ([`Desk`] and [`hre_svc::execute`] over its own cache), and the
+//! control plane's member ([`Machine`]) on every backend and on the
+//! router — in one event loop driven by a [`VirtualClock`]. The router is
+//! one [`ClusterConfig`], every backend one [`SvcConfig`], and every
+//! member one [`CtrlConfig`], all on the world's clock, their timers fed
+//! from the world's event heap. Attempts, probes and control exchanges
+//! travel as HTTP bytes over one modelled hop; a cut link drops them (the
+//! caller's timeout fires) and a dead process refuses them. Modelled
+//! rather than shipped: the engine's cost and the transport of the `Ak`
+//! round. Every latency draw comes from the plan's seed, so a run is a
+//! pure function of its [`ScenarioPlan`]: the transcript hash is
 //! byte-identical across machines, thread counts, and reruns.
 //!
-//! Three invariants are checked continuously:
+//! Four invariants are checked:
 //!
 //! - **I1 (config safety)**: the router never accepts two different
 //!   configurations at one epoch, and accepted epochs never regress.
 //! - **I2 (failure attribution)**: every transport failure the world
-//!   delivered to the router (an attempt that timed out) and every probe
-//!   failure shows in the breaker bookkeeping of that backend's slot
+//!   delivered to the router (an attempt that timed out, a failed probe)
+//!   shows in the breaker bookkeeping of that backend's slot
 //!   (I2a, [`Breaker::failures_total`](hre_cluster::Breaker::failures_total));
 //!   and a client-visible failure (502, 504) falls in a fault window or
 //!   while some breaker is not closed (I2b).
 //! - **I3 (answer fidelity)**: every 200 body is byte-equal to the
 //!   oracle's independently computed `response_json`.
+//! - **I4 (post-heal convergence)**: within [`convergence_budget`] of the
+//!   last fault window's end, every live member and the router hold one
+//!   identical config, whose backends are exactly the live backends and
+//!   whose coordinator is live. The world ticks the control plane until
+//!   that holds, or the budget is spent.
 //!
 //! Elections additionally check **I0**: the coordinator `Ak` elects is
 //! the plan's Lyndon-rotation owner ([`RingPlan::expected_coordinator`]).
@@ -36,31 +43,26 @@ use hre_cluster::{
     AttemptId, BackendSlot, Breaker, BreakerState, ClusterConfig, Command, ForwardMachine, Shared,
     Timer,
 };
-use hre_ctrl::{MemberId, MemberInfo, RingPlan, Role, Status, View};
-use hre_net::frame::{encode_frame, FrameReader, KIND_ACK, KIND_DATA};
-use hre_net::reliable::{Offer, Reassembly};
-use hre_net::window::RetransmitWindow;
-use hre_runtime::trace::{render_tree, SpanAttrs, SpanId, SpanRecord, Stage};
-use hre_runtime::{Clock, ClockHandle, LinkProfile, NetFabric, SimFabric, VirtualClock};
+use hre_ctrl::{ClusterTopology, CtrlConfig, Machine, MemberId, RingPlan, Role, CTRL_TIMEOUT};
+use hre_runtime::trace::{render_tree, SpanRecord};
+use hre_runtime::{Clock, ClockHandle, VirtualClock};
 use hre_svc::front::Dispatch;
 use hre_svc::http::{
-    ParseStep, Request, RequestParser, RespStep, Response, ResponseParser, DEFAULT_MAX_BODY,
+    request_bytes, ParseStep, Request, RequestParser, RespStep, Response, ResponseParser,
+    DEFAULT_MAX_BODY,
 };
 use hre_svc::json::Json;
-use hre_svc::{error_json, response_json, AlgoId, Desk, ElectRequest, Job, SvcConfig};
+use hre_svc::{
+    error_json, response_json, AlgoId, ClientResponse, Desk, ElectRequest, Job, SvcConfig,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The router's fabric endpoint id (backends are `0..n`).
+/// The router's endpoint id (backends are `0..n`).
 pub const ROUTER: u64 = 1000;
 
-const HEARTBEAT_NS: u64 = 75_000_000;
-const FAIL_TIMEOUT_NS: u64 = 260_000_000;
-const ELECT_COOLDOWN_NS: u64 = 350_000_000;
-const ROUTER_TICK_NS: u64 = 50_000_000;
-const GOSSIP_RTO: Duration = Duration::from_millis(110);
 /// The engine's modelled cost: a worker holds a job this long before
 /// [`hre_svc::execute`] runs it.
 const MISS_BASE_NS: u64 = 800_000;
@@ -69,7 +71,9 @@ const MISS_PER_LABEL_NS: u64 = 150_000;
 /// check: long enough for breakers (probe cap 640ms) to close.
 const WINDOW_MARGIN_NS: u64 = 1_600_000_000;
 
-/// The router: the shipped config, with the timing E24 has always run.
+/// The router: the shipped config, with the timing E24 has always run,
+/// and a warm-start backend list a control plane reconfigures, as
+/// `hre cluster-route --ctrl --backends …` starts.
 fn router_config(backends: u64, clock: &Arc<VirtualClock>, record_spans: bool) -> ClusterConfig {
     ClusterConfig {
         backends: (0..backends).map(|id| id.to_string()).collect(),
@@ -82,9 +86,41 @@ fn router_config(backends: u64, clock: &Arc<VirtualClock>, record_spans: bool) -
         probe_cap: Duration::from_millis(640),
         trace_cap: if record_spans { 8192 } else { 0 },
         slow_threshold: None,
+        dynamic: true,
         clock: ClockHandle::from(Arc::clone(clock)),
         ..ClusterConfig::default()
     }
+}
+
+/// Every member's control plane: the shipped config with the timing
+/// E24's control plane has always run (heartbeat 75 ms, failure timeout
+/// 260 ms, 350 ms between election attempts) and the default push
+/// interval. Each member fills in its identity, seeds and recorder.
+fn ctrl_config(clock: &Arc<VirtualClock>) -> CtrlConfig {
+    CtrlConfig {
+        heartbeat_interval: Duration::from_millis(75),
+        failure_timeout: Duration::from_millis(260),
+        election_idle: Duration::from_millis(350),
+        clock: ClockHandle::from(Arc::clone(clock)),
+        ..CtrlConfig::default()
+    }
+}
+
+/// I4's budget: how long after the last fault window closes the control
+/// plane of `members` members (backends and the router) may take to
+/// converge on `cfg`. An exchange in flight over a cut when it heals
+/// fails within [`CTRL_TIMEOUT`]; gossip reaches a member held dead
+/// within one round-robin pass (at most `members` ticks), once to learn
+/// of the deaths it was charged with and once more to hear the
+/// refutations; the initiator may have to wait out one attempt made
+/// before the views agreed and one that failed (an `election_idle`
+/// each); and a push the round's coordinator sent in vain is repeated
+/// after `push_interval`.
+pub fn convergence_budget(cfg: &CtrlConfig, members: u32) -> Duration {
+    CTRL_TIMEOUT
+        + cfg.heartbeat_interval * (2 * members + 2)
+        + cfg.election_idle * 2
+        + cfg.push_interval
 }
 
 /// Knobs for one run.
@@ -153,22 +189,16 @@ run_stats! {
     cache_hits,
     /// Misses of the backends' svc result caches.
     cache_misses,
-    /// Gossip frames retransmitted by the reliable layer.
-    retransmits,
-    /// Coordinator elections run.
+    /// `Ak` rounds the control plane completed.
     elections,
-    /// Configs the router accepted.
+    /// Configs the router's fence accepted.
     config_accepts,
-    /// Configs the router refused as stale.
+    /// Configs the router refused: its member's `409`s and its fence's.
     config_rejects,
-    /// Peers declared dead by failure detectors.
+    /// Peers declared dead by the members' failure detectors.
     suspects,
     /// Breaker open transitions (the breakers' own counters).
     breaker_opens,
-    /// Fabric datagrams delivered.
-    fabric_delivered,
-    /// Fabric datagrams lost to drops or partitions.
-    fabric_dropped,
 }
 
 /// Everything one run produced.
@@ -233,47 +263,6 @@ struct Link {
     live: bool,
 }
 
-struct CfgMsg {
-    epoch: u64,
-    coordinator: u64,
-    backends: Vec<u64>,
-}
-
-impl CfgMsg {
-    fn to_payload(&self) -> Vec<u8> {
-        hre_svc::json::obj(vec![
-            ("cfg", Json::Num(1)),
-            ("epoch", Json::Num(self.epoch as i128)),
-            ("coordinator", Json::Num(self.coordinator as i128)),
-            ("backends", hre_svc::json::nums(self.backends.iter().copied())),
-        ])
-        .to_string()
-        .into_bytes()
-    }
-
-    fn from_json(v: &Json) -> Option<CfgMsg> {
-        Some(CfgMsg {
-            epoch: v.get("epoch")?.as_u64()?,
-            coordinator: v.get("coordinator")?.as_u64()?,
-            backends: v.get("backends")?.as_arr()?.iter().filter_map(Json::as_u64).collect(),
-        })
-    }
-}
-
-struct CtrlNode {
-    incarnation: u64,
-    view: View,
-    view_version: u64,
-    view_json: String,
-    view_json_version: u64,
-    last_seen: BTreeMap<u64, u64>,
-    round_seen: u64,
-    cfg_epoch: u64,
-    cfg_backends: BTreeSet<u64>,
-    last_elect_ns: Option<u64>,
-    electing: bool,
-}
-
 /// A live backend's svc: the shipped [`hre_svc::Shared`] and [`Desk`],
 /// with the jobs the desk queued waiting for `cfg.workers` modelled
 /// workers.
@@ -293,23 +282,35 @@ impl Svc {
     }
 }
 
+/// A running backend process: its svc and its control-plane member,
+/// which records into the svc's flight recorder, as `hre serve --ctrl`
+/// wires them.
+struct Process {
+    svc: Svc,
+    ctrl: Machine,
+}
+
 struct Backend {
     /// `None` while the backend is down.
-    svc: Option<Svc>,
+    up: Option<Process>,
     /// Bumped by every kill.
     generation: u32,
-    ctrl: CtrlNode,
 }
 
 struct Router {
     shared: Arc<Shared>,
+    /// The router's control-plane member, wired as `hre cluster-route
+    /// --ctrl` wires it: accepted configs go to the fence, deaths trip
+    /// breakers.
+    ctrl: Machine,
     /// Every slot the router has held, with the transport failures the
     /// world delivered to its breaker: timeouts and failed probes (I2a).
     books: Vec<(Arc<BackendSlot>, u64)>,
     breaker_prev: BTreeMap<u64, BreakerState>,
-    cfg_epoch: u64,
-    coordinator: u64,
-    accepted: BTreeMap<u64, (u64, Vec<u64>)>,
+    /// Every config the fence accepted, by epoch (I1).
+    accepted: BTreeMap<u64, Vec<String>>,
+    /// Probes of the current sweep still unanswered.
+    probing: usize,
 }
 
 impl Router {
@@ -332,14 +333,27 @@ impl Router {
     }
 }
 
-struct OutLink {
-    window: RetransmitWindow,
-    last_view_version: u64,
+/// A committed `Ak` round: its epoch and ring order.
+type RoundKey = (u64, Vec<MemberId>);
+
+/// A control exchange or a probe on the modelled hop.
+struct Call {
+    from: u64,
+    to: u64,
+    caller: Caller,
+    /// The request's bytes, until it arrives.
+    request: Vec<u8>,
+    /// Whether the caller still waits: the first of its answer and its
+    /// timeout resolves it.
+    open: bool,
 }
 
-struct InLink {
-    reader: FrameReader,
-    reasm: Reassembly,
+#[derive(Clone, Copy)]
+enum Caller {
+    /// Exchange `id` of process `generation` of member `from`.
+    Member { generation: u32, id: u64 },
+    /// The prober's `GET /healthz` to the slot of book `book`.
+    Probe { book: usize },
 }
 
 #[derive(Clone, Debug)]
@@ -355,30 +369,61 @@ enum Action {
 }
 
 /// A timed event. `JobRun` ends a modelled worker's hold on `job`;
-/// `SvcDeadline` is the desk's deadline for `ticket`. Both are void once
-/// their backend's generation has moved on.
+/// `SvcDeadline` is the desk's deadline for `ticket`. Both, like a
+/// member's tick and round, are void once their backend's generation
+/// has moved on.
 enum Ev {
     Arrival(u32),
-    AttemptArrive { req: u32, attempt: AttemptId, backend: u64, request: Vec<u8> },
-    JobRun { backend: u64, generation: u32, job: Job },
-    SvcDeadline { backend: u64, generation: u32, ticket: u64 },
-    AttemptResponse { req: u32, attempt: AttemptId, backend: u64, response: Vec<u8> },
-    RouterTimer { req: u32, timer: Timer, seq: u64 },
-    CtrlTick { node: u64 },
-    RouterTick,
+    AttemptArrive {
+        req: u32,
+        attempt: AttemptId,
+        backend: u64,
+        request: Vec<u8>,
+    },
+    JobRun {
+        backend: u64,
+        generation: u32,
+        job: Job,
+    },
+    SvcDeadline {
+        backend: u64,
+        generation: u32,
+        ticket: u64,
+    },
+    AttemptResponse {
+        req: u32,
+        attempt: AttemptId,
+        backend: u64,
+        response: Vec<u8>,
+    },
+    RouterTimer {
+        req: u32,
+        timer: Timer,
+        seq: u64,
+    },
+    CtrlTick {
+        member: u64,
+        generation: u32,
+    },
+    ProbeSweep,
+    CallArrive(u32),
+    /// A call's answer reaches its caller; `None` is a refusal.
+    CallAnswer {
+        call: u32,
+        response: Option<Vec<u8>>,
+    },
+    CallTimeout(u32),
+    RoundDone {
+        member: u64,
+        generation: u32,
+        epoch: u64,
+        coordinator: MemberId,
+    },
+    RoundExpire {
+        epoch: u64,
+        order: Vec<MemberId>,
+    },
     Fault(u32),
-    Announce { node: u64, epoch: u64, coordinator: u64, order: Vec<u64> },
-}
-
-/// The fabric's link: 2 ms ± 2 ms, 1 % drops, 0.5 % duplicates, plus
-/// `extra_ns` of injected latency.
-fn link_profile(extra_ns: u64) -> LinkProfile {
-    LinkProfile {
-        latency: Duration::from_millis(2) + Duration::from_nanos(extra_ns),
-        jitter: Duration::from_millis(2),
-        drop: 0.01,
-        duplicate: 0.005,
-    }
 }
 
 /// Virtual nanoseconds of an instant read from `clock`.
@@ -392,12 +437,37 @@ fn sched(events: &mut BTreeMap<(u64, u64), Ev>, seq: &mut u64, t_ns: u64, ev: Ev
     *seq += 1;
 }
 
+/// Member `endpoint`'s control address.
+fn ctrl_addr(endpoint: u64) -> String {
+    format!("ctrl:{endpoint}")
+}
+
+/// The endpoint behind a control address.
+fn ctrl_endpoint(addr: &str) -> Option<u64> {
+    addr.strip_prefix("ctrl:")?.parse().ok()
+}
+
+/// The response in `bytes`, as the caller's parser frames it.
+fn parse_response(bytes: &[u8]) -> ClientResponse {
+    let mut parser = ResponseParser::new(DEFAULT_MAX_BODY);
+    parser.push(bytes);
+    let RespStep::Response(resp) = parser.step() else { unreachable!("whole responses only") };
+    resp
+}
+
+/// The request in `bytes`, as the callee's parser frames it.
+fn parse_request(bytes: &[u8]) -> Request {
+    let mut parser = RequestParser::new(DEFAULT_MAX_BODY);
+    parser.push(bytes);
+    let ParseStep::Request(req) = parser.step() else { unreachable!("whole requests only") };
+    req
+}
+
 /// The full simulated stack for one plan.
 pub struct World {
     plan: ScenarioPlan,
     opts: WorldOptions,
     clock: Arc<VirtualClock>,
-    fabric: SimFabric,
     rng: Rng,
     /// Pending events by virtual time, then scheduling order.
     events: BTreeMap<(u64, u64), Ev>,
@@ -406,52 +476,42 @@ pub struct World {
     stats: RunStats,
     violations: Vec<String>,
     svc_cfg: SvcConfig,
+    ctrl_cfg: CtrlConfig,
     backends: Vec<Backend>,
     /// Spans of the backends' svcs that went down, tagged with their
     /// backend (only when spans are recorded).
     backend_spans: Vec<SpanRecord>,
     router: Router,
     reqs: Vec<ClientReq>,
-    out_links: BTreeMap<(u64, u64), OutLink>,
-    in_links: BTreeMap<(u64, u64), InLink>,
+    calls: Vec<Call>,
+    /// `Ak` rounds waiting for their members, by epoch and ring order,
+    /// with the members (and their generations) that joined.
+    rounds: BTreeMap<RoundKey, Vec<(u64, u32)>>,
     blocked: BTreeSet<(u64, u64)>,
     slow: BTreeMap<(u64, u64), u64>,
     timeline: Vec<(u64, Action)>,
     fault_windows: Vec<(u64, u64)>,
     churn_victim: Option<u64>,
     duration_ns: u64,
+    /// From here on the world ends as soon as the control plane has
+    /// converged: the run is over, every request answered, every fault
+    /// window closed.
+    settle_ns: u64,
+    /// I4's deadline: the last fault window's end plus the budget.
+    converge_by_ns: u64,
+    /// Set when the world has ended.
+    done: bool,
 }
 
-/// Runs `plan` to quiescence and reports the outcome.
+/// Runs `plan` until the control plane has converged after the run (or
+/// I4's budget is spent) and reports the outcome.
 pub fn run_plan(plan: &ScenarioPlan, opts: &WorldOptions) -> RunOutcome {
     let mut w = World::new(plan.clone(), *opts);
     w.bootstrap();
-    let hard_stop = w.duration_ns * 2 + 1_000_000_000;
-    loop {
-        let next_ev = w.events.first_key_value().map(|(&(t_ns, _), _)| t_ns);
-        let next_fab = w.fabric.next_due().map(|d| d.as_nanos() as u64);
-        let fab_first = match (next_ev, next_fab) {
-            (None, None) => break,
-            (Some(e), Some(f)) => f <= e,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-        };
-        if fab_first {
-            let f = next_fab.expect("fabric due");
-            if f > hard_stop {
-                break;
-            }
-            w.clock.advance_to_elapsed(Duration::from_nanos(f));
-            w.fabric.deliver_due();
-            w.drain_inboxes();
-        } else {
-            let ((t_ns, _), ev) = w.events.pop_first().expect("event peeked");
-            if t_ns > hard_stop {
-                break;
-            }
-            w.clock.advance_to_elapsed(Duration::from_nanos(t_ns));
-            w.handle(ev);
-        }
+    while !w.done {
+        let Some(((t_ns, _), ev)) = w.events.pop_first() else { break };
+        w.clock.advance_to_elapsed(Duration::from_nanos(t_ns));
+        w.handle(ev);
     }
     w.finish()
 }
@@ -459,8 +519,6 @@ pub fn run_plan(plan: &ScenarioPlan, opts: &WorldOptions) -> RunOutcome {
 impl World {
     fn new(plan: ScenarioPlan, opts: WorldOptions) -> World {
         let clock = VirtualClock::new();
-        let fabric = SimFabric::new(Arc::clone(&clock), plan.seed ^ 0xFA_B41C);
-        fabric.set_default_profile(link_profile(0));
         let rng = Rng(plan.seed ^ 0x0DD_B411);
         let tape = Tape::new(opts.collect_transcript);
         let cfg = router_config(plan.backends, &clock, opts.record_spans);
@@ -480,12 +538,23 @@ impl World {
             clock: ClockHandle::from(Arc::clone(&clock)),
             ..SvcConfig::default()
         };
+        let ctrl_cfg = ctrl_config(&clock);
+        let router_ctrl = {
+            let on_router = CtrlConfig {
+                node_id: Some(ROUTER),
+                role: Role::Router,
+                serve_addr: ROUTER.to_string(),
+                seeds: (0..plan.backends).map(ctrl_addr).collect(),
+                recorder: Some(Arc::clone(&shared.recorder)),
+                ..ctrl_cfg.clone()
+            };
+            Machine::new(&on_router, ctrl_addr(ROUTER), 1)
+        };
         let duration_ns = plan.duration_us * 1_000;
         World {
             plan,
             opts,
             clock,
-            fabric,
             rng,
             events: BTreeMap::new(),
             evseq: 0,
@@ -493,25 +562,29 @@ impl World {
             stats: RunStats::default(),
             violations: Vec::new(),
             svc_cfg,
+            ctrl_cfg,
             backends: Vec::new(),
             backend_spans: Vec::new(),
             router: Router {
                 shared,
+                ctrl: router_ctrl,
                 books: Vec::new(),
                 breaker_prev: BTreeMap::new(),
-                cfg_epoch: 0,
-                coordinator: 0,
                 accepted: BTreeMap::new(),
+                probing: 0,
             },
             reqs: Vec::new(),
-            out_links: BTreeMap::new(),
-            in_links: BTreeMap::new(),
+            calls: Vec::new(),
+            rounds: BTreeMap::new(),
             blocked: BTreeSet::new(),
             slow: BTreeMap::new(),
             timeline: Vec::new(),
             fault_windows: Vec::new(),
             churn_victim: None,
             duration_ns,
+            settle_ns: duration_ns,
+            converge_by_ns: 0,
+            done: false,
         }
     }
 
@@ -519,58 +592,29 @@ impl World {
         self.clock.elapsed().as_nanos() as u64
     }
 
-    fn member_info(id: u64, incarnation: u64) -> MemberInfo {
-        MemberInfo {
-            id: id as MemberId,
+    /// Backend `b`'s process, started now at `incarnation`: a fresh svc
+    /// with a cold cache, and a member that joins through every other
+    /// backend.
+    fn start_process(&self, b: u64, incarnation: u64) -> Process {
+        let svc = Svc::start(&self.svc_cfg);
+        let cfg = CtrlConfig {
+            node_id: Some(b),
             role: Role::Backend,
-            ctrl_addr: format!("sim://{id}"),
-            serve_addr: format!("sim://{id}/elect"),
-            incarnation,
-            status: Status::Alive,
-        }
+            serve_addr: b.to_string(),
+            seeds: (0..self.plan.backends).filter(|p| *p != b).map(ctrl_addr).collect(),
+            recorder: Some(Arc::clone(&svc.shared.recorder)),
+            ..self.ctrl_cfg.clone()
+        };
+        Process { ctrl: Machine::new(&cfg, ctrl_addr(b), incarnation), svc }
     }
 
     fn bootstrap(&mut self) {
         let n = self.plan.backends;
-        // Full shared view: a static bootstrap list, as real fleets use.
-        let mut base_view = View::new();
-        for id in 0..n {
-            base_view.observe(Self::member_info(id, 1));
+        for b in 0..n {
+            let up = Some(self.start_process(b, 1));
+            self.backends.push(Backend { up, generation: 0 });
+            self.router.breaker_prev.insert(b, BreakerState::Closed);
         }
-        let plan0 = base_view.ring_plan().expect("bootstrap members are live");
-        let coordinator = plan0.expected_coordinator();
-        let epoch0 = (1 << 8) | coordinator;
-        for id in 0..n {
-            self.backends.push(Backend {
-                svc: Some(Svc::start(&self.svc_cfg)),
-                generation: 0,
-                ctrl: CtrlNode {
-                    incarnation: 1,
-                    view: base_view.clone(),
-                    view_version: 1,
-                    view_json: String::new(),
-                    view_json_version: 0,
-                    last_seen: (0..n).filter(|p| *p != id).map(|p| (p, 0)).collect(),
-                    round_seen: 1,
-                    cfg_epoch: epoch0,
-                    cfg_backends: (0..n).collect(),
-                    last_elect_ns: None,
-                    electing: false,
-                },
-            });
-            self.router.breaker_prev.insert(id, BreakerState::Closed);
-        }
-        self.router.book_topology();
-        self.router.cfg_epoch = epoch0;
-        self.router.coordinator = coordinator;
-        self.router.accepted.insert(epoch0, (coordinator, (0..n).collect()));
-        self.tape.note(
-            0,
-            &format!(
-                "config accept epoch={epoch0} coordinator={coordinator} backends={:?} bootstrap",
-                (0..n).collect::<Vec<u64>>()
-            ),
-        );
         // Client arrivals over the first three quarters of the run.
         let mut t = 30_000_000u64;
         for _ in 0..self.plan.requests {
@@ -591,16 +635,25 @@ impl World {
                 timers: Vec::new(),
             });
             sched(&mut self.events, &mut self.evseq, t, Ev::Arrival((self.reqs.len() - 1) as u32));
+            // Every race answers by the router's deadline.
+            let answered = t + self.router.shared.cfg.deadline.as_nanos() as u64;
+            self.settle_ns = self.settle_ns.max(answered);
         }
         self.stats.requests = self.reqs.len() as u64;
-        for id in 0..n {
-            let stagger = HEARTBEAT_NS / (n + 1) * (id + 1);
-            sched(&mut self.events, &mut self.evseq, stagger, Ev::CtrlTick { node: id });
+        self.router.book_topology();
+        // Every member joins at once and ticks from a staggered start.
+        let heartbeat = self.ctrl_cfg.heartbeat_interval.as_nanos() as u64;
+        for (i, member) in (0..n).chain([ROUTER]).enumerate() {
+            self.run_member(member);
+            let first = heartbeat / (n + 2) * (i as u64 + 1);
+            sched(&mut self.events, &mut self.evseq, first, Ev::CtrlTick { member, generation: 0 });
         }
-        sched(&mut self.events, &mut self.evseq, ROUTER_TICK_NS, Ev::RouterTick);
+        let interval = self.router.shared.cfg.health_interval.as_nanos() as u64;
+        sched(&mut self.events, &mut self.evseq, interval, Ev::ProbeSweep);
         // Expand the fault timetable.
         let mut timeline = Vec::new();
         let mut windows = Vec::new();
+        let mut last_end = 0;
         for f in &self.plan.faults {
             // Each fault: its start, how long it lasts, and the actions
             // that open and close it.
@@ -623,6 +676,7 @@ impl World {
             timeline.push((at, open));
             timeline.push((end, close));
             windows.push((at, end + WINDOW_MARGIN_NS));
+            last_end = last_end.max(end);
         }
         timeline.sort_by_key(|(t, _)| *t);
         for (i, (t, _)) in timeline.iter().enumerate() {
@@ -630,22 +684,16 @@ impl World {
         }
         self.timeline = timeline;
         self.fault_windows = windows;
+        self.settle_ns = self.settle_ns.max(last_end);
+        let budget = convergence_budget(&self.ctrl_cfg, n as u32 + 1);
+        self.converge_by_ns = last_end + budget.as_nanos() as u64;
     }
 
-    /// Seeded one-way latency for the modeled data path (router ↔
-    /// backend request/response hops), honoring slow-link faults.
+    /// Seeded one-way latency of the modelled hop (attempts, answers,
+    /// probes and control exchanges), honoring slow-link faults.
     fn data_latency_ns(&mut self, from: u64, to: u64) -> u64 {
         let base = 1_500_000 + self.rng.next_u64() % 1_500_000;
         base + self.slow.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    fn drain_inboxes(&mut self) {
-        let n = self.plan.backends;
-        for node in (0..n).chain(std::iter::once(ROUTER)) {
-            while let Some(dg) = self.fabric.try_recv(node as u32) {
-                self.handle_datagram(dg);
-            }
-        }
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -662,12 +710,27 @@ impl World {
                 self.on_attempt_response(req, attempt, backend, &response)
             }
             Ev::RouterTimer { req, timer, seq } => self.on_router_timer(req, timer, seq),
-            Ev::CtrlTick { node } => self.on_ctrl_tick(node),
-            Ev::RouterTick => self.on_router_tick(),
-            Ev::Fault(i) => self.on_fault(i),
-            Ev::Announce { node, epoch, coordinator, order } => {
-                self.on_announce(node, epoch, coordinator, order)
+            Ev::CtrlTick { member, generation } => self.on_member_tick(member, generation),
+            Ev::ProbeSweep => self.on_probe_sweep(),
+            Ev::CallArrive(call) => self.on_call_arrive(call),
+            Ev::CallAnswer { call, response } => {
+                if std::mem::take(&mut self.calls[call as usize].open) {
+                    self.resolve(call, response.as_deref().map(parse_response));
+                }
             }
+            Ev::CallTimeout(call) => {
+                if std::mem::take(&mut self.calls[call as usize].open) {
+                    self.resolve(call, None);
+                }
+            }
+            Ev::RoundDone { member, generation, epoch, coordinator } => {
+                if let Some(machine) = self.member(member, generation) {
+                    machine.on_round(epoch, Ok(coordinator));
+                    self.run_member(member);
+                }
+            }
+            Ev::RoundExpire { epoch, order } => self.on_round_expire(epoch, order),
+            Ev::Fault(i) => self.on_fault(i),
         }
     }
 
@@ -755,7 +818,7 @@ impl World {
             return;
         }
         let b = &mut self.backends[backend as usize];
-        let Some(svc) = &mut b.svc else { return };
+        let Some(Process { svc, .. }) = &mut b.up else { return };
         let mut parser = RequestParser::new(svc.shared.cfg.max_body);
         parser.push(request);
         let ParseStep::Request(http) = parser.step() else {
@@ -784,7 +847,7 @@ impl World {
     fn start_workers(&mut self, backend: u64) {
         let now = self.now_ns();
         let b = &mut self.backends[backend as usize];
-        let Some(svc) = &mut b.svc else { return };
+        let Some(Process { svc, .. }) = &mut b.up else { return };
         while svc.busy < svc.shared.cfg.workers {
             let Some(job) = svc.queue.pop_front() else { break };
             svc.busy += 1;
@@ -818,7 +881,7 @@ impl World {
     /// possibly came back as a fresh one).
     fn svc_of(&mut self, backend: u64, generation: u32) -> Option<&mut Svc> {
         let b = &mut self.backends[backend as usize];
-        b.svc.as_mut().filter(|_| b.generation == generation)
+        b.up.as_mut().filter(|_| b.generation == generation).map(|p| &mut p.svc)
     }
 
     /// A backend's answer leaves for the router as wire bytes.
@@ -953,7 +1016,7 @@ impl World {
         }
     }
 
-    // ---- router maintenance ----------------------------------------
+    // ---- the router's prober ----------------------------------------
 
     /// Notes a breaker's state in the transcript when it changed.
     fn note_breaker(&mut self, b: u64, breaker: &Breaker) {
@@ -964,411 +1027,338 @@ impl World {
         }
     }
 
-    /// The prober: a half-open breaker is probed, and the probe's outcome
-    /// feeds it as live traffic's does.
-    fn on_router_tick(&mut self) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        let topo = self.router.shared.topology();
-        for slot in &topo.slots {
+    /// One sweep of the shipped prober: a `GET /healthz` to every backend
+    /// whose breaker admits one. As the router's prober thread does, the
+    /// next sweep waits `health_interval` after this one's last answer.
+    fn on_probe_sweep(&mut self) {
+        let timeout = self.router.shared.probe_timeout();
+        for slot in self.router.shared.probe_targets() {
             let b: u64 = slot.addr().parse().expect("backends are named by id");
-            self.note_breaker(b, &slot.breaker);
-            if slot.breaker.state_at(now_i) == BreakerState::HalfOpen {
-                let reachable = !self.blocked.contains(&(ROUTER, b))
-                    && !self.blocked.contains(&(b, ROUTER))
-                    && self.backends.get(b as usize).is_some_and(|x| x.svc.is_some());
-                if reachable {
-                    slot.breaker.record_success();
-                } else {
-                    slot.breaker.record_failure_at(now_i);
-                    let book = self.router.book(slot);
-                    self.router.books[book].1 += 1;
-                }
-                self.tape.note(now, &format!("probe backend={b} ok={reachable}"));
-                self.note_breaker(b, &slot.breaker);
-            }
+            let book = self.router.book(&slot);
+            self.router.probing += 1;
+            let request = request_bytes("GET", "/healthz", slot.addr(), &[], None);
+            self.call(ROUTER, b, Caller::Probe { book }, request, timeout);
         }
-        if now < self.duration_ns {
-            sched(&mut self.events, &mut self.evseq, now + ROUTER_TICK_NS, Ev::RouterTick);
+        for slot in &self.router.shared.topology().slots {
+            self.note_breaker(slot.addr().parse().expect("named by id"), &slot.breaker);
+        }
+        if self.router.probing == 0 {
+            self.next_sweep();
         }
     }
 
-    // ---- control plane ---------------------------------------------
-
-    fn refresh_view_json(ctrl: &mut CtrlNode) {
-        if ctrl.view_json_version != ctrl.view_version {
-            ctrl.view_json = ctrl.view.to_json().to_string();
-            ctrl.view_json_version = ctrl.view_version;
-        }
-    }
-
-    fn on_ctrl_tick(&mut self, node: u64) {
+    fn next_sweep(&mut self) {
         let now = self.now_ns();
         if now < self.duration_ns {
-            sched(&mut self.events, &mut self.evseq, now + HEARTBEAT_NS, Ev::CtrlTick { node });
+            let at = now + self.router.shared.cfg.health_interval.as_nanos() as u64;
+            sched(&mut self.events, &mut self.evseq, at, Ev::ProbeSweep);
         }
-        if self.backends[node as usize].svc.is_none() {
-            return;
+    }
+
+    // ---- the modelled hop for control exchanges and probes ------------
+
+    /// Sends `request` from `from` to `to`; its answer, a refusal or its
+    /// timeout goes to `caller`.
+    fn call(&mut self, from: u64, to: u64, caller: Caller, request: Vec<u8>, timeout: Duration) {
+        let now = self.now_ns();
+        let call = self.calls.len() as u32;
+        self.calls.push(Call { from, to, caller, request, open: true });
+        let expiry = now + timeout.as_nanos() as u64;
+        sched(&mut self.events, &mut self.evseq, expiry, Ev::CallTimeout(call));
+        if !self.blocked.contains(&(from, to)) {
+            let lat = self.data_latency_ns(from, to);
+            sched(&mut self.events, &mut self.evseq, now + lat, Ev::CallArrive(call));
         }
-        let n = self.plan.backends;
-        // Refutation: if gossip says I'm dead, rejoin louder.
-        {
-            let ctrl = &mut self.backends[node as usize].ctrl;
-            let me_dead = ctrl
-                .view
-                .member(node as MemberId)
-                .map(|m| m.status == Status::Dead)
-                .unwrap_or(false);
-            if me_dead {
-                ctrl.incarnation += 1;
-                ctrl.view.observe(Self::member_info(node, ctrl.incarnation));
-                ctrl.view_version += 1;
-                self.tape.note(
-                    now,
-                    &format!("ctrl node={node} refute incarnation={}", ctrl.incarnation),
-                );
-            }
+    }
+
+    /// A call's bytes reach its callee, which answers — a member through
+    /// its machine, a probed backend through its svc's desk — or refuses
+    /// when its process is down.
+    fn on_call_arrive(&mut self, call: u32) {
+        let c = &mut self.calls[call as usize];
+        let (from, to, caller) = (c.from, c.to, c.caller);
+        if self.blocked.contains(&(from, to)) {
+            return; // cut on the way
         }
-        // Failure detection.
-        let stale: Vec<u64> = {
-            let ctrl = &self.backends[node as usize].ctrl;
-            (0..n)
-                .filter(|p| *p != node)
-                .filter(|p| ctrl.view.is_live(*p as MemberId))
-                .filter(|p| ctrl.last_seen.get(p).copied().unwrap_or(0) + FAIL_TIMEOUT_NS < now)
-                .collect()
-        };
-        for p in stale {
-            let ctrl = &mut self.backends[node as usize].ctrl;
-            if ctrl.view.declare_dead(p as MemberId) {
-                ctrl.view_version += 1;
-                self.stats.suspects += 1;
-                self.tape.note(now, &format!("ctrl node={node} suspect peer={p}"));
-            }
-        }
-        // Gossip out + pump retransmits on every out-link.
-        Self::refresh_view_json(&mut self.backends[node as usize].ctrl);
-        let now_i = self.clock.now();
-        for peer in (0..n).filter(|p| *p != node) {
-            let view_version = self.backends[node as usize].ctrl.view_version;
-            let payload: Option<Vec<u8>> = {
-                let link = self.out_links.entry((node, peer)).or_insert_with(|| OutLink {
-                    window: RetransmitWindow::new(GOSSIP_RTO),
-                    last_view_version: 0,
-                });
-                if link.window.len() >= 8 {
-                    None // backpressure: the peer is unreachable anyway
-                } else if link.last_view_version < view_version {
-                    link.last_view_version = view_version;
-                    Some(self.backends[node as usize].ctrl.view_json.clone().into_bytes())
-                } else {
-                    Some(b"hb".to_vec())
+        let req = parse_request(&std::mem::take(&mut c.request));
+        let answer = match caller {
+            Caller::Member { .. } => self.ctrl_answer(to, &req),
+            Caller::Probe { .. } => self.backends[to as usize].up.as_mut().map(|p| {
+                match p.svc.desk.dispatch(0, &req, |_| unreachable!("a probe queues no job")) {
+                    Dispatch::Answer(resp) => resp,
+                    Dispatch::Park(..) => unreachable!("a probe is answered at once"),
                 }
-            };
-            if let Some(p) = payload {
-                let link = self.out_links.get_mut(&(node, peer)).expect("just ensured");
-                let seq = link.window.next_seq();
-                link.window.insert(seq, encode_frame(seq, KIND_DATA, &p), now_i);
+            }),
+        };
+        if !self.blocked.contains(&(to, from)) {
+            let now = self.now_ns();
+            let lat = self.data_latency_ns(to, from);
+            let response = answer.map(|resp| resp.to_bytes(false));
+            sched(&mut self.events, &mut self.evseq, now + lat, Ev::CallAnswer { call, response });
+        }
+    }
+
+    /// Member `to` answers a control request, if its process is up.
+    fn ctrl_answer(&mut self, to: u64, req: &Request) -> Option<Response> {
+        let machine = self.member(to, None)?;
+        let resp = machine.on_request(req, || Ok(format!("round:{to}")));
+        if to == ROUTER && req.path == "/ctrl/config" && resp.status == 409 {
+            self.stats.config_rejects += 1;
+        }
+        self.run_member(to);
+        Some(resp)
+    }
+
+    /// A call resolved: its answer, or `None` for a refusal or a timeout.
+    fn resolve(&mut self, call: u32, answer: Option<ClientResponse>) {
+        let Call { from, caller, .. } = self.calls[call as usize];
+        match caller {
+            Caller::Member { generation, id } => {
+                if let Some(machine) = self.member(from, Some(generation)) {
+                    machine.on_reply(id, answer);
+                    self.run_member(from);
+                }
             }
-            self.pump_link(node, peer);
+            Caller::Probe { book } => {
+                let slot = Arc::clone(&self.router.books[book].0);
+                let healthy = answer.is_some_and(|r| r.status == 200);
+                self.router.shared.probe_outcome(&slot, healthy);
+                let b: u64 = slot.addr().parse().expect("backends are named by id");
+                if !healthy {
+                    // Delivered as a transport failure: I2a expects it in
+                    // the breaker's count.
+                    self.router.books[book].1 += 1;
+                    let now = self.now_ns();
+                    self.tape.note(now, &format!("probe backend={b} failed"));
+                }
+                self.note_breaker(b, &slot.breaker);
+                self.router.probing -= 1;
+                if self.router.probing == 0 {
+                    self.next_sweep();
+                }
+            }
         }
-        // Pump the router push link too, if it exists.
-        if self.out_links.contains_key(&(node, ROUTER)) {
-            self.pump_link(node, ROUTER);
+    }
+
+    // ---- the control plane --------------------------------------------
+
+    /// Member `endpoint`'s machine, if its process is up (and, given a
+    /// generation, still that one).
+    fn member(
+        &mut self,
+        endpoint: u64,
+        generation: impl Into<Option<u32>>,
+    ) -> Option<&mut Machine> {
+        if endpoint == ROUTER {
+            return Some(&mut self.router.ctrl);
         }
-        // Election check: the first live member of my plan initiates
-        // when the live set no longer matches the installed config.
-        let decision = {
-            let ctrl = &self.backends[node as usize].ctrl;
-            match ctrl.view.ring_plan() {
-                Some(plan) if plan.order.first() == Some(&(node as MemberId)) => {
-                    let live: BTreeSet<u64> = plan.order.iter().copied().collect();
-                    let cooled = ctrl
-                        .last_elect_ns
-                        .map(|t| now.saturating_sub(t) >= ELECT_COOLDOWN_NS)
-                        .unwrap_or(true);
-                    if live != ctrl.cfg_backends && cooled && !ctrl.electing {
-                        Some(plan)
-                    } else {
-                        None
+        let b = &mut self.backends[endpoint as usize];
+        let current = generation.into().is_none_or(|g| g == b.generation);
+        b.up.as_mut().filter(|_| current).map(|p| &mut p.ctrl)
+    }
+
+    fn on_member_tick(&mut self, member: u64, generation: u32) {
+        let Some(machine) = self.member(member, generation) else { return };
+        machine.tick();
+        self.run_member(member);
+        if member == ROUTER {
+            self.check_convergence();
+        }
+        let at = self.now_ns() + self.ctrl_cfg.heartbeat_interval.as_nanos() as u64;
+        sched(&mut self.events, &mut self.evseq, at, Ev::CtrlTick { member, generation });
+    }
+
+    /// Carries out member `endpoint`'s commands: exchanges become calls,
+    /// a committed round joins the modelled round, and the router's
+    /// member hands configs to the fence and deaths to the breakers.
+    fn run_member(&mut self, endpoint: u64) {
+        let generation =
+            if endpoint == ROUTER { 0 } else { self.backends[endpoint as usize].generation };
+        while let Some(command) = self.member(endpoint, None).and_then(Machine::next_command) {
+            match command {
+                hre_ctrl::Command::Exchange { id, to, path, body } => {
+                    let dest = ctrl_endpoint(&to).expect("members name each other ctrl:{id}");
+                    let json = [("content-type", "application/json")];
+                    let request = request_bytes("POST", path, &to, &json, Some(body.as_bytes()));
+                    let caller = Caller::Member { generation, id };
+                    self.call(endpoint, dest, caller, request, CTRL_TIMEOUT);
+                }
+                hre_ctrl::Command::Run { epoch, plan, .. } => {
+                    self.join_round(endpoint, generation, epoch, plan)
+                }
+                hre_ctrl::Command::Config(topo) if endpoint == ROUTER => self.router_config(topo),
+                hre_ctrl::Command::Config(_) => {}
+                hre_ctrl::Command::Died(peer) => {
+                    self.stats.suspects += 1;
+                    let now = self.now_ns();
+                    self.tape
+                        .note(now, &format!("ctrl member={endpoint} suspect peer={}", peer.id));
+                    if endpoint == ROUTER && peer.role == Role::Backend {
+                        self.router.shared.trip_backend(&peer.serve_addr);
                     }
                 }
-                _ => None,
             }
-        };
-        if let Some(plan) = decision {
-            self.start_election(node, plan);
         }
     }
 
-    fn start_election(&mut self, node: u64, plan: RingPlan) {
+    /// The router member's accepted config goes through the router's
+    /// shipped fence; I1 checks what the fence lets through.
+    fn router_config(&mut self, topo: ClusterTopology) {
         let now = self.now_ns();
-        let round = self.backends[node as usize].ctrl.round_seen + 1;
-        self.backends[node as usize].ctrl.round_seen = round;
-        let epoch = (round << 8) | node;
-        // Run the real Ak over the plan's salted labeling (memoized):
-        // the coordinator is whoever owns the elected label.
-        let (coordinator, messages) = if plan.len() == 1 {
-            (plan.order[0], 0)
-        } else {
-            let req = ElectRequest::new(plan.labels.clone(), AlgoId::Ak, Some(1))
-                .expect("plan labels form a valid ring");
-            let (result, d) = oracle::elect_canonical(&req);
-            match result {
-                Ok(out) => {
-                    let out = out.into_coords(d, plan.len());
-                    (plan.order[out.leader], out.messages)
-                }
-                Err(e) => {
-                    self.violations.push(format!("I0 election failed on plan at node {node}: {e}"));
-                    (plan.expected_coordinator(), 0)
-                }
+        let ClusterTopology { epoch, coordinator, backends } = topo;
+        if let Err(why) = self.router.shared.update_backends(epoch, &backends) {
+            self.stats.config_rejects += 1;
+            self.tape.note(now, &format!("config reject epoch={epoch}: {why}"));
+            return;
+        }
+        // I1: one config per epoch, forever, and epochs never regress.
+        if let Some(prev) = self.router.accepted.get(&epoch).filter(|b| **b != backends) {
+            self.violations.push(format!(
+                "I1 split-brain config: epoch={epoch} previously {prev:?}, now {backends:?}"
+            ));
+        }
+        if let Some(latest) = self.router.accepted.keys().next_back().filter(|e| **e > epoch) {
+            self.violations.push(format!("I1 epoch regressed: {epoch} accepted after {latest}"));
+        }
+        self.tape.note(
+            now,
+            &format!("config accept epoch={epoch} coordinator={coordinator} backends={backends:?}"),
+        );
+        self.router.accepted.insert(epoch, backends);
+        self.router.book_topology();
+        self.stats.config_accepts += 1;
+    }
+
+    /// A member starts its `Ak` process for a committed round. The round's
+    /// transport is modelled: once every member of the plan has joined,
+    /// the memoized engine elects over the plan's labels and each member
+    /// learns the outcome 0.4 ms + 0.15 ms per message later; a round some
+    /// member never joins fails everywhere after `election_idle`, the
+    /// `Ak` process's idle timeout.
+    fn join_round(&mut self, member: u64, generation: u32, epoch: u64, plan: RingPlan) {
+        let now = self.now_ns();
+        let key = (epoch, plan.order.clone());
+        let joined = self.rounds.entry(key.clone()).or_default();
+        joined.push((member, generation));
+        if joined.len() == 1 {
+            let at = now + self.ctrl_cfg.election_idle.as_nanos() as u64;
+            let ev = Ev::RoundExpire { epoch, order: key.1.clone() };
+            sched(&mut self.events, &mut self.evseq, at, ev);
+        }
+        if joined.len() < plan.len() {
+            return;
+        }
+        let joined = self.rounds.remove(&key).expect("just joined");
+        let req = ElectRequest::new(plan.labels.clone(), AlgoId::Ak, Some(1))
+            .expect("plan labels form a valid ring");
+        let (result, d) = oracle::elect_canonical(&req);
+        let (coordinator, messages) = match result {
+            Ok(out) => {
+                let out = out.into_coords(d, plan.len());
+                (plan.order[out.leader], out.messages)
+            }
+            Err(e) => {
+                self.violations.push(format!("I0 election failed on plan at epoch {epoch}: {e}"));
+                (plan.expected_coordinator(), 0)
             }
         };
         // I0: Ak must elect the Lyndon-rotation owner.
         let expected = plan.expected_coordinator();
         if coordinator != expected {
             self.violations.push(format!(
-                "I0 election diverges from Lyndon oracle: node={node} got={coordinator} \
+                "I0 election diverges from Lyndon oracle: epoch={epoch} got={coordinator} \
                  expected={expected}"
             ));
         }
-        let latency = 400_000 + messages * 150_000;
-        let order: Vec<u64> = plan.order.to_vec();
-        self.backends[node as usize].ctrl.electing = true;
-        self.backends[node as usize].ctrl.last_elect_ns = Some(now);
         self.stats.elections += 1;
         self.tape.note(
             now,
-            &format!(
-                "elect node={node} epoch={epoch} coordinator={coordinator} size={}",
-                plan.len()
-            ),
+            &format!("elect epoch={epoch} coordinator={coordinator} size={}", plan.len()),
         );
-        let rec = &self.router.shared.recorder;
-        let start = self.clock.now();
-        rec.record_span(
-            rec.mint_trace(),
-            SpanId(0),
-            Stage::Membership,
-            start,
-            start + Duration::from_nanos(latency),
-            SpanAttrs { a: epoch, b: plan.len() as u64, root: true, ..Default::default() },
-        );
-        sched(
-            &mut self.events,
-            &mut self.evseq,
-            now + latency,
-            Ev::Announce { node, epoch, coordinator, order },
-        );
+        let at = now + 400_000 + messages * 150_000;
+        for (member, generation) in joined {
+            let ev = Ev::RoundDone { member, generation, epoch, coordinator };
+            sched(&mut self.events, &mut self.evseq, at, ev);
+        }
     }
 
-    fn on_announce(&mut self, node: u64, epoch: u64, coordinator: u64, order: Vec<u64>) {
+    fn on_round_expire(&mut self, epoch: u64, order: Vec<MemberId>) {
+        let Some(joined) = self.rounds.remove(&(epoch, order)) else { return };
+        for (member, generation) in joined {
+            if let Some(machine) = self.member(member, generation) {
+                machine.on_round(epoch, Err("election round did not halt".into()));
+                self.run_member(member);
+            }
+        }
+    }
+
+    /// Once settled, the world ends at the first router tick where the
+    /// control plane has converged (I4), or with a violation once the
+    /// budget is spent.
+    fn check_convergence(&mut self) {
         let now = self.now_ns();
-        self.backends[node as usize].ctrl.electing = false;
-        if self.backends[node as usize].svc.is_none() {
+        if now < self.settle_ns {
             return;
         }
+        match self.divergence() {
+            None => self.tape.note(now, "control plane converged"),
+            Some(_) if now < self.converge_by_ns => return,
+            Some(why) => self.violations.push(format!(
+                "I4 no convergence {} ms after the last fault window: {why}",
+                (now - self.settle_ns.min(now)) / 1_000_000
+            )),
+        }
+        self.done = true;
+    }
+
+    /// What keeps the control plane from I4's agreement: every live
+    /// member and the router hold one config, whose backends are the live
+    /// backends and whose coordinator is one of them (so it is the only
+    /// member that believes it coordinates).
+    fn divergence(&self) -> Option<String> {
+        let live: Vec<String> = (0..self.plan.backends)
+            .filter(|b| self.backends[*b as usize].up.is_some())
+            .map(|b| b.to_string())
+            .collect();
+        let Some(config) = self.router.ctrl.config() else {
+            return Some("the router's member holds no config".into());
+        };
+        if config.backends != live {
+            return Some(format!("config {config:?} is not over the live backends {live:?}"));
+        }
+        if !live.contains(&config.coordinator.to_string()) {
+            return Some(format!("config {config:?} names a coordinator that is down"));
+        }
+        let topology = self.router.shared.topology();
+        if topology.epoch != config.epoch
+            || !topology.slots.iter().map(|s| s.addr()).eq(&config.backends)
         {
-            let ctrl = &mut self.backends[node as usize].ctrl;
-            ctrl.cfg_epoch = epoch;
-            ctrl.cfg_backends = order.iter().copied().collect();
+            return Some(format!("the router routes epoch {} of another config", topology.epoch));
         }
-        self.tape.note(
-            now,
-            &format!(
-                "announce node={node} epoch={epoch} coordinator={coordinator} backends={order:?}"
-            ),
-        );
-        let cfg = CfgMsg { epoch, coordinator, backends: order.clone() };
-        let payload = cfg.to_payload();
-        let now_i = self.clock.now();
-        let n = self.plan.backends;
-        for dest in (0..n).filter(|p| *p != node).chain(std::iter::once(ROUTER)) {
-            let link = self.out_links.entry((node, dest)).or_insert_with(|| OutLink {
-                window: RetransmitWindow::new(GOSSIP_RTO),
-                last_view_version: 0,
-            });
-            if link.window.len() >= 12 {
-                continue;
-            }
-            let seq = link.window.next_seq();
-            link.window.insert(seq, encode_frame(seq, KIND_DATA, &payload), now_i);
-            self.pump_link(node, dest);
-        }
-    }
-
-    /// Sends every due frame on the reliable link `from → to` into the
-    /// fabric, counting retransmissions.
-    fn pump_link(&mut self, from: u64, to: u64) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        let link = match self.out_links.get_mut(&(from, to)) {
-            Some(l) => l,
-            None => return,
-        };
-        for seq in link.window.due(now_i) {
-            let (bytes, attempts) = link.window.begin_send(seq, now_i).expect("due seq in window");
-            if attempts > 1 {
-                self.stats.retransmits += 1;
-                self.tape.note(
-                    now,
-                    &format!("gossip retransmit from={from} to={to} seq={seq} attempt={attempts}"),
-                );
-                let rec = &self.router.shared.recorder;
-                rec.record_event(
-                    rec.mint_trace(),
-                    SpanId(0),
-                    Stage::Retransmit,
-                    seq,
-                    attempts as u64,
-                );
-            }
-            self.fabric.send(from as u32, to as u32, bytes);
-        }
-    }
-
-    fn handle_datagram(&mut self, dg: hre_runtime::Datagram) {
-        let now_i = self.clock.now();
-        let from = dg.from as u64;
-        let to = dg.to as u64;
-        let link = self
-            .in_links
-            .entry((from, to))
-            .or_insert_with(|| InLink { reader: FrameReader::new(), reasm: Reassembly::new() });
-        link.reader.extend(&dg.bytes);
-        let mut delivered: Vec<Vec<u8>> = Vec::new();
-        let mut ack: Option<u64> = None;
-        while let Some(frame) = link.reader.next_frame() {
-            let frame = match frame {
-                Ok(f) => f,
-                Err(_) => continue,
-            };
-            if frame.kind == KIND_ACK {
-                if let Some(out) = self.out_links.get_mut(&(to, from)) {
-                    out.window.ack(frame.seq, now_i);
-                }
-                continue;
-            }
-            match link.reasm.offer(frame.seq, frame.payload) {
-                Offer::Delivered(payloads) => delivered.extend(payloads),
-                Offer::Buffered | Offer::Duplicate => {}
-            }
-            ack = Some(link.reasm.cumulative_ack());
-        }
-        if let Some(cum) = ack {
-            self.fabric.send(to as u32, from as u32, encode_frame(cum, KIND_ACK, &[]));
-        }
-        for payload in delivered {
-            self.deliver_payload(to, from, payload);
-        }
-    }
-
-    fn deliver_payload(&mut self, to: u64, from: u64, payload: Vec<u8>) {
-        let now = self.now_ns();
-        if to == ROUTER {
-            if let Ok(text) = String::from_utf8(payload) {
-                if let Ok(v) = Json::parse(&text) {
-                    if v.get("cfg").is_some() {
-                        if let Some(cfg) = CfgMsg::from_json(&v) {
-                            self.router_accept_config(cfg);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        if self.backends[to as usize].svc.is_none() {
-            return;
-        }
-        self.backends[to as usize].ctrl.last_seen.insert(from, now);
-        if payload == b"hb" {
-            return;
-        }
-        let text = match String::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => return,
-        };
-        let v = match Json::parse(&text) {
-            Ok(v) => v,
-            Err(_) => return,
-        };
-        if v.get("cfg").is_some() {
-            if let Some(cfg) = CfgMsg::from_json(&v) {
-                let ctrl = &mut self.backends[to as usize].ctrl;
-                if cfg.epoch >= ctrl.cfg_epoch {
-                    ctrl.cfg_epoch = cfg.epoch;
-                    ctrl.cfg_backends = cfg.backends.iter().copied().collect();
-                    ctrl.round_seen = ctrl.round_seen.max(cfg.epoch >> 8);
-                }
-            }
-            return;
-        }
-        if let Ok(view) = View::from_json(&v) {
-            let ctrl = &mut self.backends[to as usize].ctrl;
-            if ctrl.view.merge(&view) {
-                ctrl.view_version += 1;
+        for (b, backend) in self.backends.iter().enumerate() {
+            let held = backend.up.as_ref().and_then(|p| p.ctrl.config());
+            if backend.up.is_some() && held != Some(config) {
+                return Some(format!("backend {b} holds {held:?}, the router {config:?}"));
             }
         }
-    }
-
-    fn router_accept_config(&mut self, cfg: CfgMsg) {
-        let now = self.now_ns();
-        let mut sorted = cfg.backends.clone();
-        sorted.sort_unstable();
-        // I1: one config per epoch, forever.
-        if let Some((coord, backs)) = self.router.accepted.get(&cfg.epoch) {
-            if *coord != cfg.coordinator || *backs != sorted {
-                self.violations.push(format!(
-                    "I1 split-brain config: epoch={} previously ({coord}, {backs:?}), \
-                     now ({}, {sorted:?})",
-                    cfg.epoch, cfg.coordinator
-                ));
-            }
-        }
-        let accepted = cfg.epoch > self.router.cfg_epoch;
-        let rec = &self.router.shared.recorder;
-        rec.record_event(
-            rec.mint_trace(),
-            SpanId(0),
-            Stage::Reconfigure,
-            cfg.epoch,
-            accepted as u64,
-        );
-        if !accepted {
-            if cfg.epoch < self.router.cfg_epoch {
-                self.stats.config_rejects += 1;
-                self.tape.note(now, &format!("config reject epoch={} stale", cfg.epoch));
-            }
-            return;
-        }
-        self.router.accepted.insert(cfg.epoch, (cfg.coordinator, sorted.clone()));
-        self.router.cfg_epoch = cfg.epoch;
-        self.router.coordinator = cfg.coordinator;
-        let names: Vec<String> = sorted.iter().map(|id| id.to_string()).collect();
-        self.router.shared.install(cfg.epoch, &names);
-        self.router.book_topology();
-        self.stats.config_accepts += 1;
-        self.tape.note(
-            now,
-            &format!(
-                "config accept epoch={} coordinator={} backends={sorted:?}",
-                cfg.epoch, cfg.coordinator
-            ),
-        );
+        None
     }
 
     // ---- faults -----------------------------------------------------
 
     fn on_fault(&mut self, idx: u32) {
+        let now = self.now_ns();
         let action = self.timeline[idx as usize].1.clone();
         match action {
             Action::Kill(b) => self.apply_kill(b),
             Action::Revive(b) => self.apply_revive(b),
             Action::KillCoord => {
-                let victim = self.router.coordinator;
-                self.churn_victim = Some(victim);
-                self.apply_kill(victim);
+                // Whoever the router's config names coordinator.
+                let victim = self.router.ctrl.config().map(|c| c.coordinator);
+                self.churn_victim = victim;
+                if let Some(victim) = victim {
+                    self.apply_kill(victim);
+                }
             }
             Action::ReviveCoordVictim => {
                 if let Some(victim) = self.churn_victim.take() {
@@ -1376,15 +1366,9 @@ impl World {
                 }
             }
             Action::Cut(isolated) => {
-                let now = self.now_ns();
                 let n = self.plan.backends;
                 let rest: Vec<u64> =
                     (0..n).filter(|b| !isolated.contains(b)).chain([ROUTER]).collect();
-                let groups: Vec<Vec<u32>> = vec![
-                    isolated.iter().map(|b| *b as u32).collect(),
-                    rest.iter().map(|b| *b as u32).collect(),
-                ];
-                self.fabric.partition(&groups);
                 for a in &isolated {
                     for b in &rest {
                         self.blocked.insert((*a, *b));
@@ -1394,20 +1378,14 @@ impl World {
                 self.tape.note(now, &format!("fault partition isolated={isolated:?}"));
             }
             Action::Heal => {
-                let now = self.now_ns();
-                self.fabric.heal();
                 self.blocked.clear();
                 self.tape.note(now, "fault heal");
             }
             Action::Slow(from, to, extra_ns) => {
-                let now = self.now_ns();
-                self.fabric.set_link(from as u32, to as u32, link_profile(extra_ns));
                 self.slow.insert((from, to), extra_ns);
                 self.tape.note(now, &format!("fault slow from={from} to={to} extra_ns={extra_ns}"));
             }
             Action::Unslow(from, to) => {
-                let now = self.now_ns();
-                self.fabric.set_link(from as u32, to as u32, link_profile(0));
                 self.slow.remove(&(from, to));
                 self.tape.note(now, &format!("fault unslow from={from} to={to}"));
             }
@@ -1417,34 +1395,30 @@ impl World {
     fn apply_kill(&mut self, b: u64) {
         let now = self.now_ns();
         let Some(backend) = self.backends.get_mut(b as usize) else { return };
-        let Some(svc) = backend.svc.take() else { return };
+        let Some(process) = backend.up.take() else { return };
         backend.generation += 1;
-        self.retire(b, svc);
+        self.retire(b, process.svc);
         self.tape.note(now, &format!("fault kill backend={b}"));
     }
 
+    /// A restarted process: a fresh svc with a cold cache, and a fresh
+    /// member at an incarnation above any its last run gossiped (virtual
+    /// milliseconds, as live members use wall-clock ones), joining
+    /// through the seeds and ticking from the next heartbeat.
     fn apply_revive(&mut self, b: u64) {
         let now = self.now_ns();
-        let Some(backend) = self.backends.get_mut(b as usize) else { return };
-        if backend.svc.is_some() {
+        if self.backends.get(b as usize).is_none_or(|x| x.up.is_some()) {
             return;
         }
-        // A restarted process: a fresh svc with a cold cache.
-        backend.svc = Some(Svc::start(&self.svc_cfg));
-        backend.ctrl.incarnation += 1;
-        let info = Self::member_info(b, backend.ctrl.incarnation);
-        backend.ctrl.view.observe(info);
-        backend.ctrl.view_version += 1;
-        // Grace for peers: everyone was "just seen" so the reviver
-        // doesn't instantly suspect the whole fleet.
-        let peers: Vec<u64> = backend.ctrl.last_seen.keys().copied().collect();
-        for p in peers {
-            backend.ctrl.last_seen.insert(p, now);
-        }
-        self.tape.note(
-            now,
-            &format!("fault revive backend={b} incarnation={}", backend.ctrl.incarnation),
-        );
+        let incarnation = now / 1_000_000 + 1;
+        let process = self.start_process(b, incarnation);
+        let backend = &mut self.backends[b as usize];
+        backend.up = Some(process);
+        let generation = backend.generation;
+        self.tape.note(now, &format!("fault revive backend={b} incarnation={incarnation}"));
+        self.run_member(b);
+        let at = now + self.ctrl_cfg.heartbeat_interval.as_nanos() as u64;
+        sched(&mut self.events, &mut self.evseq, at, Ev::CtrlTick { member: b, generation });
     }
 
     /// Folds the svc of a backend going down, or still up at the end of
@@ -1465,8 +1439,8 @@ impl World {
     fn finish(mut self) -> RunOutcome {
         let now = self.now_ns();
         for b in 0..self.backends.len() {
-            if let Some(svc) = self.backends[b].svc.take() {
-                self.retire(b as u64, svc);
+            if let Some(process) = self.backends[b].up.take() {
+                self.retire(b as u64, process.svc);
             }
         }
         // I2a: every transport failure the world delivered — on any
@@ -1487,8 +1461,6 @@ impl World {
             self.stats.failovers += slot.metrics.failovers.load(Ordering::Relaxed);
             self.stats.breaker_opens += slot.breaker.opened_total();
         }
-        self.stats.fabric_delivered = self.fabric.delivered_total();
-        self.stats.fabric_dropped = self.fabric.dropped_total();
         self.tape.note(
             now,
             &format!(

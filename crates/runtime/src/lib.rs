@@ -25,8 +25,6 @@
 pub mod backoff;
 pub mod clock;
 pub mod driver;
-pub mod epoch;
-pub mod fabric;
 pub mod hist;
 pub mod net;
 pub mod reactor;
@@ -35,8 +33,6 @@ pub mod trace;
 pub use backoff::Backoff;
 pub use clock::{Clock, ClockHandle, RealClock, VirtualClock};
 pub use driver::{drive_node, NodeTransport, RecvFault, SendFault, ThreadOutcome};
-pub use epoch::EpochClock;
-pub use fabric::{Datagram, LinkProfile, NetFabric, SimFabric, ThreadFabric};
 pub use hist::{bucket_of, render_prometheus_histogram, HistSnapshot, Log2Histogram, LOG2_BUCKETS};
 pub use net::{tcp_connect_nonblocking, ConnectStart};
 pub use reactor::{Event, Interest, PollOutcome, Reactor, TimerKey, Waker, WAKE_TOKEN};

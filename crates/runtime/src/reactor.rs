@@ -24,7 +24,7 @@
 //!
 //! The syscall surface is a four-function `extern "C"` shim against
 //! glibc (`epoll_create1` / `epoll_ctl` / `epoll_wait` / `close`) in
-//! the [`sys`] module — the same no-new-deps discipline as the
+//! the `sys` module — the same no-new-deps discipline as the
 //! hand-rolled HTTP layer and the vendored `signal-hook`. Everything
 //! that can be done with safe std **is**: fds come from
 //! `std::net`/`std::os::unix::net` types switched to nonblocking mode

@@ -113,7 +113,7 @@ where
     })
 }
 
-/// Explores every ring of a catalog exhaustively (see [`crate::explore`])
+/// Explores every ring of a catalog exhaustively (see [`crate::explore()`])
 /// in parallel, reports in catalog order.
 pub fn explore_many<A>(
     algo: &A,

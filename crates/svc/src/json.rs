@@ -6,7 +6,7 @@
 //! strings, booleans, null, and **integer** numbers (labels are `u64`;
 //! nothing in the API is fractional, so fractions and exponents are
 //! rejected with a clear error instead of silently rounding). Object
-//! member order is preserved, which makes [`Json::to_string`] output
+//! member order is preserved, which makes `Json`'s `to_string` output
 //! byte-stable — the property the `hre elect --json` ↔ `POST /elect`
 //! comparability contract rests on.
 //!

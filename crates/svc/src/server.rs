@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Admission (`503` past `queue_cap`), deadlines (`504`) and batches are
-//! the [`desk`](crate::desk)'s; its admission check is exact because the
+//! the [`desk`]'s; its admission check is exact because the
 //! reactor is the only thread that enqueues. Shutdown: flipping the
 //! shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI) stops
 //! accepting, lets in-flight requests finish, drains the queue, then

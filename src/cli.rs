@@ -1582,16 +1582,9 @@ fn dst_render_outcome(
     );
     let _ = writeln!(
         text,
-        "cluster: {} elections, {} config accepts ({} stale rejects), \
-         {} suspects, {} breaker opens, {} retransmits, fabric {}/{} delivered/dropped",
-        s.elections,
-        s.config_accepts,
-        s.config_rejects,
-        s.suspects,
-        s.breaker_opens,
-        s.retransmits,
-        s.fabric_delivered,
-        s.fabric_dropped,
+        "cluster: {} elections, {} config accepts ({} rejects), \
+         {} suspects, {} breaker opens",
+        s.elections, s.config_accepts, s.config_rejects, s.suspects, s.breaker_opens,
     );
     let _ = writeln!(text, "transcript hash: {:016x}", out.hash);
     if out.violations.is_empty() {
