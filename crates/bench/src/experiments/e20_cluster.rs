@@ -6,9 +6,11 @@
 //! remains — and that the router's consistent-hash placement is built
 //! for: **aggregate cache capacity**. The workload cycles W distinct
 //! canonical rings, every request a fresh rotation (distinct bytes on
-//! the wire, one cache entry per ring). One backend with an LRU of
-//! capacity C < W thrashes — cyclic access over W keys is LRU's
-//! adversarial case, hit rate ≈ 0, every request a full election. Three
+//! the wire, one cache entry per ring). One backend with a SIEVE cache
+//! of capacity C < W thrashes — a strictly cyclic scan over W keys
+//! evicts each key before its next request, so no entry is ever
+//! visited and SIEVE evicts first-in first-out: hit rate ≈ 0, every
+//! request a full election. Three
 //! backends split the W rings ≈ W/3 apiece by canonical-rotation
 //! affinity; W/3 < C, so after one warm-up pass every request is a
 //! cache hit. Same machine, same total cache configuration per node —
@@ -40,7 +42,7 @@ fn bases(w: usize, n: u64) -> Vec<ElectRequest> {
         .collect()
 }
 
-/// Backend config for the capacity experiment: a single-shard LRU so
+/// Backend config for the capacity experiment: a single-shard cache so
 /// the capacity bound is exact, sized to hold less than the workload.
 fn backend_cfg(cache_cap: usize) -> SvcConfig {
     SvcConfig {
@@ -122,10 +124,11 @@ pub fn chaos(w: usize, n: u64, requests: u64) -> (ClusterLoadReport, RouterSumma
 pub fn report() -> String {
     let mut out = String::new();
     out.push_str(
-        "### Aggregate cache capacity: W = 48 canonical rings, per-node LRU cap 32\n\n\
+        "### Aggregate cache capacity: W = 48 canonical rings, per-node SIEVE cap 32\n\n\
          Every request is a fresh rotation of one of 48 rings (n = 128, algo Ak).\n\
-         Cyclic access over 48 keys against a 32-entry LRU is the adversarial\n\
-         pattern — one node thrashes. Three nodes hold ~16 rings each by\n\
+         A cyclic scan over 48 keys against a 32-entry cache evicts each key\n\
+         before its next request, so nothing is ever visited and SIEVE evicts\n\
+         first-in first-out — one node thrashes. Three nodes hold ~16 rings each by\n\
          rotation-affinity placement, so the working set fits and the cluster\n\
          serves hits. Single core: the speedup is cache capacity, not CPU.\n\n",
     );

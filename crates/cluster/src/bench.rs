@@ -4,7 +4,7 @@
 //! Unlike the single-service generator (`hre_svc::bench`), the workload
 //! here is a *set* of distinct canonical rings cycled round-robin, each
 //! optionally rotated per request. That is the workload sharding is
-//! about: W distinct rings that overflow one backend's LRU cache but fit
+//! about: W distinct rings that overflow one backend's SIEVE cache but fit
 //! the combined capacity of N shards. The report therefore tracks which
 //! backend answered each request (the router's `x-backend` header) so
 //! scaling experiments can see the spread.

@@ -4,7 +4,7 @@
 //! (Booth least rotation, via `hre-words`) of its label sequence, so all
 //! `n` rotations of a labeled ring — the same ring, re-indexed — map to
 //! one key and therefore one backend. That is what lets the backends'
-//! canonical-rotation LRU caches keep their hit rates as the cluster
+//! canonical-rotation SIEVE caches keep their hit rates as the cluster
 //! scales out: a rotation workload that is one cache entry on one node
 //! is still one cache entry on N nodes.
 //!

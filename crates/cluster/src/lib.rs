@@ -9,7 +9,7 @@
 //!   over the backends, keyed by the *canonical* (Booth least) rotation
 //!   of the request's label sequence. Every rotation of a labeled ring
 //!   is the same labeled ring re-indexed, so every rotation routes to
-//!   the same shard and shares its LRU result cache — cache hit rates
+//!   the same shard and shares its SIEVE result cache — cache hit rates
 //!   survive scale-out. Adding or removing one of N nodes remaps only
 //!   ~1/N of the keyspace (property-tested at ≤ 2.5/N).
 //! * **Health-checked failover** ([`health`]): per-backend three-state

@@ -3,7 +3,7 @@
 //! rest on:
 //!
 //! 1. **Rotation affinity**: every rotation of a labeled ring routes to
-//!    the same backend. Break this and the per-shard LRU caches stop
+//!    the same backend. Break this and the per-shard SIEVE caches stop
 //!    deduplicating rotated requests, which is the whole point of
 //!    sharding by canonical rotation.
 //! 2. **Bounded remap**: adding or removing one of N backends moves at

@@ -390,11 +390,12 @@ enum Ev {
         generation: u32,
         ticket: u64,
     },
+    /// An attempt's answer reaches the router; `None` is a refusal.
     AttemptResponse {
         req: u32,
         attempt: AttemptId,
         backend: u64,
-        response: Vec<u8>,
+        response: Option<Vec<u8>>,
     },
     RouterTimer {
         req: u32,
@@ -707,7 +708,7 @@ impl World {
                 self.on_svc_deadline(backend, generation, ticket)
             }
             Ev::AttemptResponse { req, attempt, backend, response } => {
-                self.on_attempt_response(req, attempt, backend, &response)
+                self.on_attempt_response(req, attempt, backend, response.as_deref())
             }
             Ev::RouterTimer { req, timer, seq } => self.on_router_timer(req, timer, seq),
             Ev::CtrlTick { member, generation } => self.on_member_tick(member, generation),
@@ -812,26 +813,30 @@ impl World {
     }
 
     /// An attempt's bytes reach its backend: svc's parser frames them
-    /// and its desk answers or parks the request.
+    /// and its desk answers or parks the request. A backend that is down
+    /// refuses the connection.
     fn on_attempt_arrive(&mut self, req: u32, attempt: AttemptId, backend: u64, request: &[u8]) {
         if self.blocked.contains(&(ROUTER, backend)) {
             return;
         }
+        // The attempt's connection id names it, for the answer's way back.
+        let conn = (req as u64) << 32 | attempt.0 as u64;
         let b = &mut self.backends[backend as usize];
-        let Some(Process { svc, .. }) = &mut b.up else { return };
+        let Some(Process { svc, .. }) = &mut b.up else {
+            self.answer_attempt(backend, conn, None);
+            return;
+        };
         let mut parser = RequestParser::new(svc.shared.cfg.max_body);
         parser.push(request);
         let ParseStep::Request(http) = parser.step() else {
             unreachable!("the router sends whole requests")
         };
-        // The attempt's connection id names it, for the answer's way back.
-        let conn = (req as u64) << 32 | attempt.0 as u64;
         let queue = &mut svc.queue;
         match svc.desk.dispatch(conn, &http, |job| {
             queue.push_back(job);
             true
         }) {
-            Dispatch::Answer(resp) => self.answer_attempt(backend, conn, &resp),
+            Dispatch::Answer(resp) => self.answer_attempt(backend, conn, Some(&resp)),
             Dispatch::Park(ticket, deadline) => {
                 if let Some(at) = deadline {
                     let ev = Ev::SvcDeadline { backend, generation: b.generation, ticket };
@@ -864,7 +869,7 @@ impl World {
         svc.busy -= 1;
         let finished = hre_svc::execute(&svc.shared, job, oracle::elect);
         if let Some((conn, resp)) = finished.and_then(|done| svc.desk.finish(done)) {
-            self.answer_attempt(backend, conn, &resp);
+            self.answer_attempt(backend, conn, Some(&resp));
         }
         self.start_workers(backend);
     }
@@ -873,7 +878,7 @@ impl World {
     fn on_svc_deadline(&mut self, backend: u64, generation: u32, ticket: u64) {
         let Some(svc) = self.svc_of(backend, generation) else { return };
         if let Some((conn, resp)) = svc.desk.expire(ticket) {
-            self.answer_attempt(backend, conn, &resp);
+            self.answer_attempt(backend, conn, Some(&resp));
         }
     }
 
@@ -884,22 +889,29 @@ impl World {
         b.up.as_mut().filter(|_| b.generation == generation).map(|p| &mut p.svc)
     }
 
-    /// A backend's answer leaves for the router as wire bytes.
-    fn answer_attempt(&mut self, backend: u64, conn: u64, resp: &Response) {
+    /// A backend's answer leaves for the router as wire bytes; `None`
+    /// refuses the connection.
+    fn answer_attempt(&mut self, backend: u64, conn: u64, resp: Option<&Response>) {
         if self.blocked.contains(&(backend, ROUTER)) {
             return;
         }
         let now = self.now_ns();
         let (req, attempt) = ((conn >> 32) as u32, AttemptId(conn as u32));
         let lat = self.data_latency_ns(backend, ROUTER);
-        let response = resp.to_bytes(false);
+        let response = resp.map(|resp| resp.to_bytes(false));
         let ev = Ev::AttemptResponse { req, attempt, backend, response };
         sched(&mut self.events, &mut self.evseq, now + lat, ev);
     }
 
     /// A backend's answer reaches the router, where its parser frames
-    /// the bytes.
-    fn on_attempt_response(&mut self, req: u32, attempt: AttemptId, backend: u64, response: &[u8]) {
+    /// the bytes. A refusal is a transport failure.
+    fn on_attempt_response(
+        &mut self,
+        req: u32,
+        attempt: AttemptId,
+        backend: u64,
+        response: Option<&[u8]>,
+    ) {
         let now = self.now_ns();
         if self.blocked.contains(&(backend, ROUTER)) {
             return; // the response died on a partition cut
@@ -907,9 +919,20 @@ impl World {
         let r = &mut self.reqs[req as usize];
         let link = &mut r.attempts[attempt.0 as usize];
         if !std::mem::take(&mut link.live) {
-            self.stats.wasted += 1;
+            // Only an answer to an abandoned attempt wasted backend work.
+            self.stats.wasted += response.is_some() as u64;
             return;
         }
+        let machine = r.machine.as_mut().expect("a live attempt's race is running");
+        let Some(response) = response else {
+            // I2a expects the refusal in the breaker's count.
+            self.router.books[link.book].1 += 1;
+            self.tape
+                .note(now, &format!("req={req} attempt={} refused backend={backend}", attempt.0));
+            machine.on_failure(attempt);
+            self.run_machine(req);
+            return;
+        };
         let mut parser = ResponseParser::new(DEFAULT_MAX_BODY);
         parser.push(response);
         let RespStep::Response(resp) = parser.step() else {
@@ -919,7 +942,6 @@ impl World {
             now,
             &format!("req={req} attempt={} status={} backend={backend}", attempt.0, resp.status),
         );
-        let machine = r.machine.as_mut().expect("a live attempt's race is running");
         machine.on_response(attempt, resp);
         self.run_machine(req);
     }

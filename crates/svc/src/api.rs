@@ -249,8 +249,14 @@ impl ElectOutcome {
     /// (i.e. `canonical = rotate_left(request, d)`). Only the leader
     /// *index* moves; every other field is rotation-invariant.
     pub fn into_coords(mut self, d: usize, n: usize) -> ElectOutcome {
-        self.leader = (self.leader + d) % n;
+        self.leader = self.leader_at(d, n);
         self
+    }
+
+    /// The leader index [`ElectOutcome::into_coords`] maps to, read from
+    /// a borrowed outcome.
+    pub(crate) fn leader_at(&self, d: usize, n: usize) -> usize {
+        (self.leader + d) % n
     }
 }
 
@@ -302,21 +308,28 @@ pub fn run_election(req: &ElectRequest) -> Result<ElectOutcome, String> {
 /// of the contract: `hre elect --json` and `POST /elect` both emit this
 /// and must stay byte-identical.
 pub fn response_json(req: &ElectRequest, out: &ElectOutcome) -> String {
+    rotated_response_json(req, out, 0)
+}
+
+/// [`response_json`] for `out` computed on the request's ring rotated
+/// left `d` places: the leader is re-indexed as
+/// [`ElectOutcome::into_coords`] would, without copying the outcome.
+pub(crate) fn rotated_response_json(req: &ElectRequest, out: &ElectOutcome, d: usize) -> String {
     // Room for every member at its widest (20-digit numbers), so the
     // one buffer never grows.
     let mut body = String::with_capacity(320 + 21 * (req.labels.len() + out.label_word.len()));
-    write_response(&mut body, req, out);
+    write_response(&mut body, req, out, d);
     body
 }
 
-/// Appends [`response_json`] to `body`.
-pub(crate) fn write_response(body: &mut String, req: &ElectRequest, out: &ElectOutcome) {
+/// Appends [`rotated_response_json`] to `body`.
+pub(crate) fn write_response(body: &mut String, req: &ElectRequest, out: &ElectOutcome, d: usize) {
     let mut obj = ObjWriter::new(body);
     obj.str("algo", req.algo.name());
     obj.nums("ring", &req.labels);
     obj.num("n", req.labels.len() as u64);
     obj.num("k", req.k as u64);
-    obj.num("leader", out.leader as u64);
+    obj.num("leader", out.leader_at(d, req.labels.len()) as u64);
     obj.num("leader_label", out.leader_label);
     obj.nums("label_word", &out.label_word);
     obj.num("messages", out.messages);
@@ -612,11 +625,14 @@ mod tests {
             let (canon_req, rot) = req.canonicalized();
             assert_eq!(canon_req.labels, hre_words::canonical_rotation(&req.labels));
             let canon_out = run_election(&canon_req).expect("clean");
+            let rotated = rotated_response_json(&req, &canon_out, rot);
             let mapped = canon_out.into_coords(rot, n);
             let direct = run_election(&req).expect("clean");
             assert_eq!(mapped, direct, "rotation d={d}");
-            // And the response bodies are byte-identical.
+            // And the response bodies are byte-identical, whether the
+            // outcome was mapped or is read in place.
             assert_eq!(response_json(&req, &mapped), response_json(&req, &direct));
+            assert_eq!(rotated, response_json(&req, &direct));
         }
     }
 }

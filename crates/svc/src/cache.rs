@@ -1,4 +1,4 @@
-//! Sharded LRU result cache keyed by the **canonical rotation** of the
+//! Sharded SIEVE result cache keyed by the **canonical rotation** of the
 //! label sequence.
 //!
 //! Two requests whose rings are rotations of each other describe the
@@ -12,13 +12,23 @@
 //!
 //! Error outcomes are cached too: a spec violation (e.g. Chang–Roberts
 //! on a homonym ring) happens on every rotation or none.
+//!
+//! Each shard evicts by SIEVE (Zhang et al., "SIEVE is Simpler than
+//! LRU", NSDI '24): entries queue in insertion order, a hit only sets the
+//! entry's visited bit, and an eviction sweeps a hand from where it last
+//! stopped toward newer entries (wrapping to the oldest), clearing
+//! visited bits until it reaches an unvisited entry, which it evicts.
+//! A hit therefore reorders nothing and copies nothing: a lookup takes
+//! the canonical labels as a slice, hashes them once, and hands back the
+//! stored [`Arc`]. It answers only after comparing the full key — labels,
+//! algorithm and `k` — since labels come from clients.
 
 use crate::api::{AlgoId, ElectOutcome};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: canonical labels + algorithm + effective multiplicity
 /// bound. Build it with [`CacheKey::new`], which canonicalizes.
@@ -36,6 +46,10 @@ impl CacheKey {
     /// Canonicalizes `labels` and builds the key.
     pub fn new(labels: &[u64], algo: AlgoId, k: usize) -> CacheKey {
         CacheKey { canon: hre_words::canonical_rotation(labels), algo, k }
+    }
+
+    fn matches(&self, canon: &[u64], algo: AlgoId, k: usize) -> bool {
+        self.canon == canon && self.algo == algo && self.k == k
     }
 }
 
@@ -70,29 +84,80 @@ pub struct CacheSnapshot {
     pub len: usize,
 }
 
+/// The hash of a key's fields, in [`CacheKey`]'s field order: it picks
+/// the shard and is the shard index's key.
+fn hash_of(canon: &[u64], algo: AlgoId, k: usize) -> u64 {
+    let mut h = DefaultHasher::new();
+    canon.hash(&mut h);
+    algo.hash(&mut h);
+    k.hash(&mut h);
+    h.finish()
+}
+
+/// A resident entry.
+struct Slot {
+    hash: u64,
+    key: CacheKey,
+    value: Arc<CachedResult>,
+    /// Set by every hit since the hand last passed the entry.
+    visited: bool,
+}
+
+/// One independently locked part of the cache.
+#[derive(Default)]
 struct Shard {
-    /// Key → (value, last-touch tick).
-    map: HashMap<CacheKey, (CachedResult, u64)>,
-    /// Tick → key, the recency order (ticks are unique per shard).
-    order: BTreeMap<u64, CacheKey>,
-    /// Next tick to hand out.
-    tick: u64,
+    /// Key hash → index into `slots`. A second key with a resident key's
+    /// hash is not cached while that one stays.
+    index: HashMap<u64, usize>,
+    /// The resident entries; an evicted entry's slot goes to the entry
+    /// inserted in its place.
+    slots: Vec<Slot>,
+    /// Indices into `slots` in insertion order, oldest first.
+    queue: VecDeque<usize>,
+    /// Position in `queue` where the next eviction starts its sweep.
+    hand: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: &CacheKey) {
-        if let Some((_, old_tick)) = self.map.get(key) {
-            let old_tick = *old_tick;
-            self.order.remove(&old_tick);
-            self.tick += 1;
-            let t = self.tick;
-            self.order.insert(t, key.clone());
-            self.map.get_mut(key).expect("entry just read").1 = t;
+    /// The resident entry for the key, marked visited.
+    fn hit(
+        &mut self,
+        hash: u64,
+        canon: &[u64],
+        algo: AlgoId,
+        k: usize,
+    ) -> Option<Arc<CachedResult>> {
+        let slot = &mut self.slots[*self.index.get(&hash)?];
+        if !slot.key.matches(canon, algo, k) {
+            return None;
         }
+        slot.visited = true;
+        Some(Arc::clone(&slot.value))
+    }
+
+    /// Evicts by the SIEVE rule and returns the freed slot. The queue is
+    /// not empty.
+    fn evict(&mut self) -> usize {
+        let mut pos = self.hand;
+        loop {
+            if pos == self.queue.len() {
+                pos = 0;
+            }
+            if !std::mem::take(&mut self.slots[self.queue[pos]].visited) {
+                break;
+            }
+            pos += 1;
+        }
+        let freed = self.queue.remove(pos).expect("the hand is inside the queue");
+        // The hand rests on the next newer entry, or on the oldest if the
+        // newest was evicted.
+        self.hand = if pos == self.queue.len() { 0 } else { pos };
+        self.index.remove(&self.slots[freed].hash);
+        freed
     }
 }
 
-/// A sharded, capacity-bounded LRU map from [`CacheKey`] to
+/// A sharded, capacity-bounded SIEVE map from [`CacheKey`] to
 /// [`CachedResult`]. Capacity 0 disables caching entirely (every
 /// lookup is a miss and inserts are dropped) — used by benchmarks to
 /// measure the uncached baseline.
@@ -110,9 +175,7 @@ impl ShardedLru {
         let shards = shards.clamp(1, 64);
         let per_shard_cap = if capacity == 0 { 0 } else { capacity.div_ceil(shards) };
         ShardedLru {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), order: BTreeMap::new(), tick: 0 }))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             per_shard_cap,
             stats: CacheStats::default(),
         }
@@ -123,76 +186,82 @@ impl ShardedLru {
         self.per_shard_cap == 0
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[(hash as usize) % self.shards.len()];
+        shard.lock().expect("cache shard poisoned")
     }
 
-    /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
-        if self.disabled() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        let found = shard.map.get(key).map(|(v, _)| v.clone());
-        match found {
-            Some(v) => {
-                shard.touch(key);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Like [`ShardedLru::get`] but without touching the hit/miss
-    /// counters — for the worker-side dedupe re-check, so the stats
-    /// count exactly one hit-or-miss per client request.
-    pub fn peek(&self, key: &CacheKey) -> Option<CachedResult> {
+    fn find(&self, canon: &[u64], algo: AlgoId, k: usize) -> Option<Arc<CachedResult>> {
         if self.disabled() {
             return None;
         }
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        let found = shard.map.get(key).map(|(v, _)| v.clone());
-        if found.is_some() {
-            shard.touch(key);
-        }
+        let hash = hash_of(canon, algo, k);
+        self.shard(hash).hit(hash, canon, algo, k)
+    }
+
+    /// Looks up the key with canonical labels `canon`, marking a hit
+    /// visited. Counts one hit or miss. Allocates nothing.
+    pub fn lookup(&self, canon: &[u64], algo: AlgoId, k: usize) -> Option<Arc<CachedResult>> {
+        let found = self.find(canon, algo, k);
+        let counter = if found.is_some() { &self.stats.hits } else { &self.stats.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Inserts (or refreshes) an entry, evicting the least recently
-    /// used entry of the target shard if it is full.
+    /// [`ShardedLru::lookup`] by key, the result copied out of the cache.
+    pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.lookup(&key.canon, key.algo, key.k).map(|found| CachedResult::clone(&found))
+    }
+
+    /// Like [`ShardedLru::lookup`] but without touching the hit/miss
+    /// counters — for the worker-side dedupe re-check, so the stats
+    /// count exactly one hit-or-miss per client request.
+    pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedResult>> {
+        self.find(&key.canon, key.algo, key.k)
+    }
+
+    /// Whether `key` is resident, without counting or marking it.
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        let hash = hash_of(&key.canon, key.algo, key.k);
+        let shard = self.shard(hash);
+        shard.index.get(&hash).is_some_and(|&i| shard.slots[i].key == *key)
+    }
+
+    /// [`ShardedLru::insert_shared`] of a value not yet shared.
     pub fn insert(&self, key: CacheKey, value: CachedResult) {
+        self.insert_shared(key, Arc::new(value));
+    }
+
+    /// Inserts an entry at the newest end of its shard, evicting one by
+    /// the SIEVE rule if the shard is full. A resident key keeps its
+    /// entry as it is.
+    pub fn insert_shared(&self, key: CacheKey, value: Arc<CachedResult>) {
         if self.disabled() {
             return;
         }
-        let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
-        if shard.map.contains_key(&key) {
-            shard.touch(&key);
-            shard.map.get_mut(&key).expect("entry just touched").0 = value;
+        let hash = hash_of(&key.canon, key.algo, key.k);
+        let mut shard = self.shard(hash);
+        if shard.index.contains_key(&hash) {
             return;
         }
-        while shard.map.len() >= self.per_shard_cap {
-            let Some((&oldest, _)) = shard.order.iter().next() else { break };
-            let victim = shard.order.remove(&oldest).expect("tick just seen");
-            shard.map.remove(&victim);
+        let slot = Slot { hash, key, value, visited: false };
+        let i = if shard.queue.len() >= self.per_shard_cap {
+            let freed = shard.evict();
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.tick += 1;
-        let t = shard.tick;
-        shard.order.insert(t, key.clone());
-        shard.map.insert(key, (value, t));
+            shard.slots[freed] = slot;
+            freed
+        } else {
+            shard.slots.push(slot);
+            shard.slots.len() - 1
+        };
+        shard.queue.push_back(i);
+        shard.index.insert(hash, i);
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Entries currently resident, across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").queue.len()).sum()
     }
 
     /// `true` when no entries are resident.
@@ -272,20 +341,35 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_first() {
-        // Single shard so the recency order is global.
-        let cache = ShardedLru::new(2, 1);
-        let keys: Vec<CacheKey> =
-            (0..3).map(|i| CacheKey::new(&[i, i + 1, i + 2], AlgoId::Ak, 1)).collect();
-        cache.insert(keys[0].clone(), outcome(0));
-        cache.insert(keys[1].clone(), outcome(1));
-        // Touch keys[0] so keys[1] becomes the LRU victim.
-        assert!(cache.get(&keys[0]).is_some());
-        cache.insert(keys[2].clone(), outcome(2));
-        assert!(cache.get(&keys[0]).is_some(), "recently touched survives");
-        assert!(cache.get(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(cache.get(&keys[2]).is_some());
-        assert_eq!(cache.snapshot().evictions, 1);
+    fn sieve_keeps_a_visited_entry_that_lru_would_evict() {
+        // One shard of capacity 3. After a, b, c and a hit on a, the hand
+        // clears a's bit and evicts b, then c, then d: SIEVE keeps a,
+        // which LRU would evict third (it would hold d, e, f).
+        let cache = ShardedLru::new(3, 1);
+        let [a, b, c, d, e, f]: [CacheKey; 6] =
+            std::array::from_fn(|i| CacheKey::new(&[i as u64, 9, 9], AlgoId::Ak, 1));
+        for key in [&a, &b, &c] {
+            cache.insert(key.clone(), outcome(0));
+        }
+        assert!(cache.get(&a).is_some());
+        for key in [&d, &e, &f] {
+            cache.insert(key.clone(), outcome(0));
+        }
+        let resident: Vec<bool> = [&a, &b, &c, &d, &e, &f].map(|k| cache.contains(k)).to_vec();
+        assert_eq!(resident, [true, false, false, false, true, true]);
+        assert_eq!(cache.snapshot().evictions, 3);
+    }
+
+    #[test]
+    fn a_hit_shares_the_stored_value() {
+        let cache = ShardedLru::new(4, 1);
+        let key = CacheKey::new(&[2, 1, 2, 3], AlgoId::Ak, 2);
+        let value = Arc::new(outcome(3));
+        cache.insert_shared(key.clone(), Arc::clone(&value));
+        let hit = cache.lookup(&key.canon, key.algo, key.k).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &value));
+        // The full key decides: same labels under another k miss.
+        assert!(cache.lookup(&key.canon, key.algo, 3).is_none());
     }
 
     #[test]

@@ -59,7 +59,7 @@ type Queue<'a> = dyn FnMut(Job) -> bool + 'a;
 pub struct Done {
     ticket: u64,
     slot: usize,
-    result: CachedResult,
+    result: Arc<CachedResult>,
 }
 
 /// A request parked until its jobs are done.
@@ -77,7 +77,7 @@ struct Batch {
     /// Request order: the entry, or its validation error.
     entries: Vec<Result<Entry, String>>,
     /// The distinct misses' results, by slot, as workers return them.
-    computed: Vec<Option<CachedResult>>,
+    computed: Vec<Option<Arc<CachedResult>>>,
     outstanding: usize,
 }
 
@@ -90,7 +90,7 @@ struct Entry {
 }
 
 enum Source {
-    Cached(CachedResult),
+    Cached(Arc<CachedResult>),
     /// Slot `i` of [`Batch::computed`].
     Miss(usize),
 }
@@ -102,14 +102,22 @@ pub struct Desk {
     parked: HashMap<u64, (u64, Pending)>,
     /// Source of tickets.
     next_ticket: u64,
-    /// Reused by every canonicalisation.
+    /// Reused by every canonicalisation: Booth's scratch, and the
+    /// canonical labels of the request being looked up.
     scratch: RotationScratch<u64>,
+    canon: Vec<u64>,
 }
 
 impl Desk {
     /// A desk answering for `shared`, nothing parked.
     pub fn new(shared: Arc<Shared>) -> Desk {
-        Desk { shared, parked: HashMap::new(), next_ticket: 0, scratch: RotationScratch::new() }
+        Desk {
+            shared,
+            parked: HashMap::new(),
+            next_ticket: 0,
+            scratch: RotationScratch::new(),
+            canon: Vec::new(),
+        }
     }
 
     /// Answers a request that arrived on connection `conn` now, or parks
@@ -157,7 +165,7 @@ impl Desk {
         let shared = &*self.shared;
         let resp = match pending {
             Pending::Elect { request, rot, span } => {
-                let resp = respond(&request, rot, result, shared, span.admitted)
+                let resp = respond(&request, rot, &result, shared, span.admitted)
                     .with_header("x-cache", "MISS".into());
                 close_request_span(span, shared, resp)
             }
@@ -184,13 +192,16 @@ impl Desk {
             Err(why) => return Dispatch::Answer(bad_request(span, shared, &why)),
         };
         let start = shared.cfg.clock.now();
-        let (key, rot, cached) = lookup(shared, &mut self.scratch, &request);
-        record_lookup(shared, &span, start, cached.is_some() as u64);
-        if let Some(cached) = cached {
-            let resp = respond(&request, rot, cached, shared, span.admitted)
-                .with_header("x-cache", "HIT".into());
-            return Dispatch::Answer(close_request_span(span, shared, resp));
-        }
+        let (rot, found) = lookup(shared, &mut self.scratch, &mut self.canon, &request);
+        record_lookup(shared, &span, start, found.is_ok() as u64);
+        let key = match found {
+            Ok(cached) => {
+                let resp = respond(&request, rot, &cached, shared, span.admitted)
+                    .with_header("x-cache", "HIT".into());
+                return Dispatch::Answer(close_request_span(span, shared, resp));
+            }
+            Err(key) => key,
+        };
 
         if shared.metrics.queue_depth.load(Ordering::Relaxed) >= shared.cfg.queue_cap.max(1) as i64
         {
@@ -237,13 +248,13 @@ impl Desk {
                     continue;
                 }
             };
-            let (key, rot, cached) = lookup(shared, &mut self.scratch, &request);
-            let source = match cached {
-                Some(cached) => {
+            let (rot, found) = lookup(shared, &mut self.scratch, &mut self.canon, &request);
+            let source = match found {
+                Ok(cached) => {
                     hits += 1;
                     Source::Cached(cached)
                 }
-                None => Source::Miss(*miss_index.entry(key).or_insert_with_key(|key| {
+                Err(key) => Source::Miss(*miss_index.entry(key).or_insert_with_key(|key| {
                     misses.push(key.clone());
                     misses.len() - 1
                 })),
@@ -261,7 +272,7 @@ impl Desk {
             if enqueue(shared, &span, key, None, (ticket, slot), queue) {
                 outstanding += 1;
             } else {
-                computed[slot] = Some(Err("service shutting down".into()));
+                computed[slot] = Some(Arc::new(Err("service shutting down".into())));
             }
         }
         let batch = Batch { span, hits, entries, computed, outstanding };
@@ -273,18 +284,20 @@ impl Desk {
     }
 }
 
-/// The one cache-lookup path: `request` canonicalised through the desk's
-/// scratch, then looked up. Returns its key, the rotation from its
-/// coordinates to the canonical ones, and the cached result.
+/// The one cache-lookup path: `request` canonicalised into the desk's
+/// reused buffers, then looked up by slice, so a hit allocates nothing.
+/// Returns the rotation from its coordinates to the canonical ones, and
+/// the cached result or, on a miss, the key its job will carry.
 fn lookup(
     shared: &Shared,
     scratch: &mut RotationScratch<u64>,
+    canon: &mut Vec<u64>,
     request: &ElectRequest,
-) -> (CacheKey, usize, Option<CachedResult>) {
-    let (canon, rot) = request.canonicalized_with(scratch);
-    let key = CacheKey { canon: canon.labels, algo: canon.algo, k: canon.k };
-    let cached = shared.cache.get(&key);
-    (key, rot, cached)
+) -> (usize, Result<Arc<CachedResult>, CacheKey>) {
+    let rot = scratch.canonical_rotation_into(&request.labels, canon);
+    let (algo, k) = (request.algo, request.k);
+    let found = shared.cache.lookup(canon, algo, k);
+    (rot, found.ok_or_else(|| CacheKey { canon: canon.clone(), algo, k }))
 }
 
 /// The `cache-lookup` span of a request's lookups since `start`; `a`
@@ -366,14 +379,15 @@ pub fn execute(
             // election hook (made current for this thread while the
             // election runs) can parent its `election` span to it.
             let exec = shared.recorder.next_span_id();
-            let CacheKey { canon, algo, k } = &job.key;
-            let computed = {
+            let CacheKey { canon, algo, k } = job.key;
+            let request = ElectRequest { labels: canon, algo, k };
+            let computed = Arc::new({
                 let _span = trace::set_current(&shared.recorder, job.trace, exec);
-                engine(&ElectRequest { labels: canon.clone(), algo: *algo, k: *k })
-            };
+                engine(&request)
+            });
             shared
                 .metrics
-                .observe_election_run(*algo, shared.cfg.clock.now().saturating_duration_since(t0));
+                .observe_election_run(algo, shared.cfg.clock.now().saturating_duration_since(t0));
             shared.recorder.record_span_with_id(
                 exec,
                 job.trace,
@@ -383,7 +397,8 @@ pub fn execute(
                 shared.cfg.clock.now(),
                 SpanAttrs { err: computed.is_err(), ..Default::default() },
             );
-            shared.cache.insert(job.key, computed.clone());
+            let key = CacheKey { canon: request.labels, algo, k };
+            shared.cache.insert_shared(key, Arc::clone(&computed));
             computed
         }
     };
@@ -410,34 +425,28 @@ fn unavailable(why: &str) -> Response {
     Response::json(503, api::error_json(why)).with_header("retry-after", "1".into())
 }
 
-/// One answered election: its outcome counter ticked, its latency
-/// observed, and a canonical-coordinates result mapped back into the
-/// request's own coordinates.
-fn answered(
-    shared: &Shared,
-    request: &ElectRequest,
-    rot: usize,
-    result: CachedResult,
-    admitted: Instant,
-) -> CachedResult {
+/// One answered election: its outcome counter ticked and its latency
+/// observed.
+fn answered(shared: &Shared, result: &CachedResult, admitted: Instant) {
     let m = &shared.metrics;
     SvcMetrics::inc(if result.is_ok() { &m.elect_ok } else { &m.elect_failed });
     m.observe_elect(shared.cfg.clock.now().saturating_duration_since(admitted));
-    result.map(|canon_out| canon_out.into_coords(rot, request.labels.len()))
 }
 
-/// The single-request response for a result: 200 with the outcome, or
-/// 422 with the specification error.
+/// The single-request response for a canonical-coordinates result `rot`
+/// places from the request's: 200 with the outcome, or 422 with the
+/// specification error.
 fn respond(
     request: &ElectRequest,
     rot: usize,
-    result: CachedResult,
+    result: &CachedResult,
     shared: &Shared,
     admitted: Instant,
 ) -> Response {
-    match answered(shared, request, rot, result, admitted) {
-        Ok(out) => Response::json(200, api::response_json(request, &out)),
-        Err(why) => Response::json(422, api::error_json(&why)),
+    answered(shared, result, admitted);
+    match result {
+        Ok(out) => Response::json(200, api::rotated_response_json(request, out, rot)),
+        Err(why) => Response::json(422, api::error_json(why)),
     }
 }
 
@@ -458,13 +467,14 @@ fn batch_response(batch: Batch, shared: &Shared) -> Response {
                 continue;
             }
         };
-        let result = match source {
+        let result = match &source {
             Source::Cached(result) => result,
-            Source::Miss(slot) => computed[slot].clone().expect("every miss was answered"),
+            Source::Miss(slot) => computed[*slot].as_ref().expect("every miss was answered"),
         };
-        match answered(shared, &request, rot, result, span.admitted) {
-            Ok(out) => api::write_response(arr.element(), &request, &out),
-            Err(why) => api::write_error(arr.element(), &why),
+        answered(shared, result, span.admitted);
+        match &**result {
+            Ok(out) => api::write_response(arr.element(), &request, out, rot),
+            Err(why) => api::write_error(arr.element(), why),
         }
     }
     arr.finish();

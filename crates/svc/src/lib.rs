@@ -17,7 +17,7 @@
 //!   A full job queue answers `503 Retry-After` instead of accepting
 //!   unbounded work, and every request carries a deadline (`504` past
 //!   it). `POST /elect/batch` answers N elections in one exchange.
-//! * A **sharded LRU result cache** keyed by the *canonical rotation*
+//! * A **sharded SIEVE result cache** keyed by the *canonical rotation*
 //!   (Booth least rotation, via `hre-words`) of the label sequence, so
 //!   rotationally-equivalent rings — the same labeled ring, re-indexed —
 //!   share one entry; hits replay the outcome with the leader index
