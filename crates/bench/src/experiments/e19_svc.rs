@@ -53,11 +53,9 @@ fn measure(cache_cap: usize, requests: u64) -> (LoadReport, SvcSummary) {
     let load = LoadOptions {
         connections: 4,
         requests,
-        base,
+        bases: vec![base],
         rotate: true,
-        batch: 0,
-        pipeline: 0,
-        open_loop: None,
+        ..LoadOptions::default()
     };
     let report = run_load(&handle.addr.to_string(), &load).expect("load run");
     (report, handle.shutdown())
@@ -160,6 +158,7 @@ pub fn report() -> String {
         "\ncache speedup on the rotation workload: {speedup:.1}x \
          (acceptance threshold: >= 5x)\n"
     ));
+    assert!(speedup >= 5.0, "cache speedup {speedup:.1}x below the 5x acceptance threshold");
     out
 }
 

@@ -22,24 +22,17 @@
 //! once its breaker opens.
 
 use hre_analysis::Table;
-use hre_cluster::{
-    run_cluster_load, start as start_router, ClusterConfig, ClusterLoadOptions, ClusterLoadReport,
-    RouterSummary,
+use hre_cluster::{start as start_router, ClusterConfig, RouterSummary};
+use hre_svc::{
+    run_load, salted_rings, start as start_svc, LoadOptions, LoadReport, ServerHandle, SvcConfig,
 };
-use hre_svc::{start as start_svc, AlgoId, ElectRequest, ServerHandle, SvcConfig};
 use std::time::Duration;
 
-/// W structurally distinct canonical rings: the heavy-homonymy base
-/// `i mod 11` (primitive for the lengths used here), salted in one
-/// position so each ring is its own canonical class and cache entry.
-fn bases(w: usize, n: u64) -> Vec<ElectRequest> {
-    (0..w)
-        .map(|j| {
-            let mut labels: Vec<u64> = (0..n).map(|i| i % 11).collect();
-            labels[0] = 100 + j as u64;
-            ElectRequest::new(labels, AlgoId::Ak, None).expect("valid ring")
-        })
-        .collect()
+/// Four lock-step connections over `w` salted rings of size `n`, every
+/// request a fresh rotation.
+fn load(w: usize, n: u64, requests: u64) -> LoadOptions {
+    let bases = salted_rings(w, n).expect("valid rings");
+    LoadOptions { connections: 4, requests, bases, rotate: true, ..LoadOptions::default() }
 }
 
 /// Backend config for the capacity experiment: a single-shard cache so
@@ -79,10 +72,9 @@ pub fn measure(
     w: usize,
     n: u64,
     requests: u64,
-) -> (ClusterLoadReport, RouterSummary) {
+) -> (LoadReport, RouterSummary) {
     let (backends, router) = cluster(nodes, cache_cap);
-    let opts = ClusterLoadOptions { connections: 4, requests, bases: bases(w, n), rotate: true };
-    let report = run_cluster_load(&router.addr.to_string(), &opts).expect("load run");
+    let report = run_load(&router.addr.to_string(), &load(w, n, requests)).expect("load run");
     let summary = router.shutdown();
     for b in backends {
         b.shutdown();
@@ -91,19 +83,18 @@ pub fn measure(
 }
 
 /// The chaos run: 3 nodes, kill one mid-load; returns the client view.
-pub fn chaos(w: usize, n: u64, requests: u64) -> (ClusterLoadReport, RouterSummary) {
+pub fn chaos(w: usize, n: u64, requests: u64) -> (LoadReport, RouterSummary) {
     let (mut backends, router) = cluster(3, 64);
     let addr = router.addr.to_string();
-    let work = bases(w, n);
+    let opts = load(w, n, requests);
     // Kill a backend that actually owns part of the workload: with random
     // ports the consistent-hash ring occasionally places zero of the W
     // rings on a given node, and killing an idle node is (correctly)
     // invisible without exercising failover.
-    let victim_addr = router.primary_backend(&work[0].labels).to_string();
+    let victim_addr = router.primary_backend(&opts.bases[0].labels).to_string();
     let victim =
         backends.iter().position(|b| b.addr.to_string() == victim_addr).expect("victim is ours");
-    let opts = ClusterLoadOptions { connections: 4, requests, bases: work, rotate: true };
-    let load = std::thread::spawn(move || run_cluster_load(&addr, &opts).expect("load run"));
+    let load = std::thread::spawn(move || run_load(&addr, &opts).expect("load run"));
     // Take the backend down mid-flight: trigger on observed progress (an
     // eighth of the requests proxied) rather than a wall-clock sleep,
     // which the optimized election engine finishes ahead of.
@@ -156,6 +147,7 @@ pub fn report() -> String {
         "\naggregate throughput, 3 nodes vs 1: {speedup:.1}x \
          (acceptance threshold: >= 2x)\n"
     ));
+    assert!(speedup >= 2.0, "3 nodes vs 1: {speedup:.1}x below the 2x acceptance threshold");
     let spread: Vec<String> =
         warm_sum.backends.iter().map(|b| format!("{} -> {}", b.addr, b.requests)).collect();
     out.push_str(&format!("placement spread over 3 nodes: {}\n", spread.join(" | ")));

@@ -43,15 +43,7 @@ fn daemon(trace_cap: usize) -> ServerHandle {
 fn load(requests: u64) -> LoadOptions {
     let labels: Vec<u64> = (0..64u64).map(|i| i % 7).collect();
     let base = ElectRequest::new(labels, AlgoId::Ak, None).expect("request");
-    LoadOptions {
-        connections: 4,
-        requests,
-        base,
-        rotate: true,
-        batch: 0,
-        pipeline: 0,
-        open_loop: None,
-    }
+    LoadOptions { connections: 4, requests, bases: vec![base], rotate: true, ..Default::default() }
 }
 
 /// One load run against a fresh daemon with the given recorder

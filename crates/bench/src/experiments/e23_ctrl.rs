@@ -20,13 +20,13 @@
 //!    rejected (`409`) by the members — fencing, not trust.
 
 use hre_analysis::Table;
-use hre_cluster::{
-    run_cluster_load, start as start_router, ClusterConfig, ClusterLoadOptions, ClusterLoadReport,
-    RouterSummary,
-};
+use hre_cluster::{start as start_router, ClusterConfig, RouterSummary};
 use hre_ctrl::testbed::{agreed_config, wait_for_agreement, wait_until};
 use hre_ctrl::{start as start_ctrl, ClusterTopology, CtrlConfig, CtrlHandle, Role};
-use hre_svc::{start as start_svc, AlgoId, Client, ElectRequest, ServerHandle, SvcConfig};
+use hre_svc::{
+    run_load, salted_rings, start as start_svc, Client, LoadOptions, LoadReport, ServerHandle,
+    SvcConfig,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,22 +36,11 @@ use std::time::{Duration, Instant};
 /// core stay well inside this.
 pub const REELECTION_BUDGET: Duration = Duration::from_secs(10);
 
-/// W structurally distinct canonical rings (same shape as E20).
-fn bases(w: usize, n: u64) -> Vec<ElectRequest> {
-    (0..w)
-        .map(|j| {
-            let mut labels: Vec<u64> = (0..n).map(|i| i % 11).collect();
-            labels[0] = 100 + j as u64;
-            ElectRequest::new(labels, AlgoId::Ak, None).expect("valid ring")
-        })
-        .collect()
-}
-
 /// What the coordinator-kill run produced.
 #[derive(Debug)]
 pub struct ChurnOutcome {
     /// The client-side view of the load run across the kill.
-    pub load: ClusterLoadReport,
+    pub load: LoadReport,
     /// The router's drain-time counters.
     pub summary: RouterSummary,
     /// The epoch of the config the coordinator owned before dying.
@@ -143,8 +132,10 @@ pub fn coordinator_kill(w: usize, n: u64, requests: u64) -> ChurnOutcome {
 
     // --- load across the kill.
     let addr = router.addr.to_string();
-    let opts = ClusterLoadOptions { connections: 4, requests, bases: bases(w, n), rotate: true };
-    let load = std::thread::spawn(move || run_cluster_load(&addr, &opts).expect("load run"));
+    let bases = salted_rings(w, n).expect("valid rings");
+    let opts =
+        LoadOptions { connections: 4, requests, bases, rotate: true, ..LoadOptions::default() };
+    let load = std::thread::spawn(move || run_load(&addr, &opts).expect("load run"));
     let armed = Instant::now();
     while router.requests_seen() < requests / 8 && armed.elapsed() < Duration::from_secs(30) {
         std::thread::sleep(Duration::from_micros(200));

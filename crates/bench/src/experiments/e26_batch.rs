@@ -118,11 +118,10 @@ fn throughput(requests: u64, batch: usize) -> f64 {
     let load = LoadOptions {
         connections: 4,
         requests,
-        base,
+        bases: vec![base],
         rotate: true,
         batch,
-        pipeline: 0,
-        open_loop: None,
+        ..LoadOptions::default()
     };
     let report = run_load(&handle.addr.to_string(), &load).expect("load run");
     handle.shutdown();

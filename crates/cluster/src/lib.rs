@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub(crate) mod eventloop;
 pub mod forward;
 pub mod hash;
@@ -47,7 +46,6 @@ pub mod metrics;
 pub mod router;
 pub mod topology;
 
-pub use bench::{run_cluster_load, ClusterLoadOptions, ClusterLoadReport};
 pub use forward::{AttemptId, Command, ForwardMachine, Timer};
 pub use hash::{shard_key, HashRing};
 pub use health::{Breaker, BreakerState};

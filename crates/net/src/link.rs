@@ -211,8 +211,7 @@ impl<M: WireMessage> TxLoop<M> {
     pub(crate) fn run(mut self) {
         let mut conn: Option<(TcpStream, FrameReader)> = None;
         // The timing logic lives in the clock-agnostic window state
-        // machine (shared with the simulation harness); this loop just
-        // feeds it wall-clock `now`s.
+        // machine; this loop just feeds it wall-clock `now`s.
         let mut window = RetransmitWindow::new(self.rto);
         let mut delayq: Vec<(Instant, Vec<u8>)> = Vec::new();
         let mut stash: Option<(Instant, Vec<u8>)> = None;

@@ -4,10 +4,9 @@
 //! due, when a resend fires, which ACKs yield clean RTT samples — is a
 //! function of an explicit `now` instead of ambient wall-clock reads,
 //! the same `*_at` discipline the cluster's circuit breaker follows.
-//! `hre-net`'s real TX thread drives it with `Instant::now()`; the
-//! deterministic-simulation harness drives the identical code with a
-//! virtual clock, so retransmit storms replay byte-identically from a
-//! seed.
+//! Only `hre-net`'s TX thread runs it, feeding it `Instant::now()`;
+//! the explicit `now` is what lets its unit tests step the same code
+//! through chosen instants.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

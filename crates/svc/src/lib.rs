@@ -52,7 +52,7 @@ pub use api::{
     batch_from_json, batch_response_body, error_json, response_json, run_election, AlgoId,
     ElectOutcome, ElectRequest, MAX_BATCH,
 };
-pub use bench::{run_load, LoadOptions, LoadReport};
+pub use bench::{run_load, salted_rings, LoadOptions, LoadReport};
 pub use cache::{CacheKey, CacheSnapshot, ShardedLru};
 pub use desk::{execute, Desk, Done, Job};
 pub use http::{

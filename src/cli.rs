@@ -749,6 +749,58 @@ fn serve_cmd(opts: &Opts) -> Result<String, String> {
     Ok(format!("drained cleanly\n{summary}"))
 }
 
+/// The load flags `bench-svc` and `bench-cluster` share, over `bases`.
+fn load_from(opts: &Opts, bases: Vec<ElectRequest>) -> Result<crate::svc::LoadOptions, String> {
+    Ok(crate::svc::LoadOptions {
+        connections: u64_opt(opts, "connections", 8)? as usize,
+        requests: u64_opt(opts, "requests", 2000)?,
+        bases,
+        rotate: !opts.contains_key("no-rotate"),
+        ..Default::default()
+    })
+}
+
+/// Runs `load` at `addr`, a failure worded for the CLI.
+fn run_load_at(
+    addr: &str,
+    load: &crate::svc::LoadOptions,
+) -> Result<crate::svc::LoadReport, String> {
+    crate::svc::run_load(addr, load).map_err(|e| format!("load generation failed: {e}"))
+}
+
+/// An in-process load target: where to send the load, the line that
+/// describes it, and how to stop it (returning its drain summary).
+struct Target {
+    addr: String,
+    banner: String,
+    stop: Box<dyn FnOnce() -> String>,
+}
+
+/// Runs `load` against `--addr` or, without it, against the in-process
+/// target `start` brings up, and appends the report to `out`.
+fn bench_cmd(
+    opts: &Opts,
+    mut out: String,
+    load: &crate::svc::LoadOptions,
+    start: impl FnOnce() -> Result<Target, String>,
+) -> Result<String, String> {
+    let report = match opts.get("addr") {
+        Some(addr) => {
+            let _ = writeln!(out, "target: {addr}");
+            run_load_at(addr, load)?
+        }
+        None => {
+            let target = start()?;
+            let _ = writeln!(out, "target: {}", target.banner);
+            let report = run_load_at(&target.addr, load);
+            out.push_str(&(target.stop)());
+            report?
+        }
+    };
+    out.push_str(&report.pretty());
+    Ok(out)
+}
+
 /// `hre bench-svc`: closed-loop load against a daemon — an external one
 /// (`--addr`) or an in-process one spun up for the measurement.
 fn bench_svc_cmd(opts: &Opts) -> Result<String, String> {
@@ -773,13 +825,10 @@ fn bench_svc_cmd(opts: &Opts) -> Result<String, String> {
         None => None,
     };
     let load = crate::svc::LoadOptions {
-        connections: u64_opt(opts, "connections", 8)? as usize,
-        requests: u64_opt(opts, "requests", 2000)?,
-        base,
-        rotate: !opts.contains_key("no-rotate"),
         batch: u64_opt(opts, "batch", 0)? as usize,
         pipeline: u64_opt(opts, "pipeline", 0)? as usize,
         open_loop,
+        ..load_from(opts, vec![base])?
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -787,49 +836,35 @@ fn bench_svc_cmd(opts: &Opts) -> Result<String, String> {
         "{} elections over {} connections (ring n={}, algo {}, {})",
         load.requests,
         load.connections,
-        load.base.labels.len(),
-        load.base.algo.name(),
+        load.bases[0].labels.len(),
+        load.bases[0].algo.name(),
         if load.rotate { "rotating" } else { "verbatim" }
     );
     if load.batch > 1 {
         let _ = writeln!(out, "batched: {} entries per POST /elect/batch", load.batch);
     }
     if load.pipeline > 1 {
-        if load.open_loop.is_some() {
-            return Err("--open-loop drives its own schedule; drop --pipeline".into());
-        }
         let _ = writeln!(out, "pipelined: {} requests in flight per connection", load.pipeline);
     }
     if let Some(rate) = load.open_loop {
         let _ = writeln!(out, "open loop: {rate} req/s target arrival rate");
     }
-    let report = match opts.get("addr") {
-        Some(addr) => {
-            let _ = writeln!(out, "target: {addr}");
-            crate::svc::run_load(addr, &load)
-        }
-        None => {
-            let cfg = svc_config_from(opts, "127.0.0.1:0")?;
-            let handle =
-                crate::svc::start(cfg.clone()).map_err(|e| format!("cannot start daemon: {e}"))?;
-            let _ = writeln!(
-                out,
-                "target: in-process daemon on {} ({} workers, cache {})",
+    bench_cmd(opts, out, &load, || {
+        let cfg = svc_config_from(opts, "127.0.0.1:0")?;
+        let handle =
+            crate::svc::start(cfg.clone()).map_err(|e| format!("cannot start daemon: {e}"))?;
+        Ok(Target {
+            addr: handle.addr.to_string(),
+            banner: format!(
+                "in-process daemon on {} ({} workers, cache {})",
                 handle.addr, cfg.workers, cfg.cache_cap
-            );
-            let r = crate::svc::run_load(&handle.addr.to_string(), &load);
-            let summary = handle.shutdown();
-            let _ = writeln!(
-                out,
-                "server cache: {} hits / {} misses",
-                summary.cache.hits, summary.cache.misses
-            );
-            r
-        }
-    }
-    .map_err(|e| format!("load generation failed: {e}"))?;
-    out.push_str(&report.pretty());
-    Ok(out)
+            ),
+            stop: Box::new(move || {
+                let cache = handle.shutdown().cache;
+                format!("server cache: {} hits / {} misses\n", cache.hits, cache.misses)
+            }),
+        })
+    })
 }
 
 /// `hre cluster-route`: run the front-door router over a set of backend
@@ -1105,19 +1140,7 @@ fn bench_cluster_cmd(opts: &Opts) -> Result<String, String> {
     if w == 0 || n < 2 {
         return Err("--rings must be >= 1 and --n >= 2".into());
     }
-    let bases: Result<Vec<ElectRequest>, String> = (0..w)
-        .map(|j| {
-            let mut labels: Vec<u64> = (0..n).map(|i| i % 11).collect();
-            labels[0] = 100 + j as u64;
-            ElectRequest::new(labels, AlgoId::Ak, None)
-        })
-        .collect();
-    let load = crate::cluster::ClusterLoadOptions {
-        connections: u64_opt(opts, "connections", 8)? as usize,
-        requests: u64_opt(opts, "requests", 2000)?,
-        bases: bases?,
-        rotate: !opts.contains_key("no-rotate"),
-    };
+    let load = load_from(opts, crate::svc::salted_rings(w, n)?)?;
     if opts.contains_key("churn") {
         if opts.contains_key("addr") {
             return Err("--churn runs in-process only (it must own the members it kills); \
@@ -1136,45 +1159,38 @@ fn bench_cluster_cmd(opts: &Opts) -> Result<String, String> {
         n,
         if load.rotate { "rotating" } else { "verbatim" }
     );
-    let report = match opts.get("addr") {
-        Some(addr) => {
-            let _ = writeln!(out, "target: {addr}");
-            crate::cluster::run_cluster_load(addr, &load)
-        }
-        None => {
-            let nodes = u64_opt(opts, "nodes", 3)? as usize;
-            let cfg = SvcConfig {
-                cache_cap: u64_opt(opts, "cache-cap", 1024)? as usize,
-                ..SvcConfig::default()
-            };
-            let backends: Vec<ServerHandle> = (0..nodes.max(1))
-                .map(|_| crate::svc::start(cfg.clone()))
-                .collect::<std::io::Result<_>>()
-                .map_err(|e| format!("cannot start backends: {e}"))?;
-            let router = crate::cluster::start(crate::cluster::ClusterConfig {
-                backends: backends.iter().map(|b| b.addr.to_string()).collect(),
-                ..Default::default()
-            })
-            .map_err(|e| format!("cannot start router: {e}"))?;
-            let _ = writeln!(
-                out,
-                "target: in-process router on {} over {} backends (cache {} each)",
+    bench_cmd(opts, out, &load, || {
+        let nodes = u64_opt(opts, "nodes", 3)? as usize;
+        let cfg = SvcConfig {
+            cache_cap: u64_opt(opts, "cache-cap", 1024)? as usize,
+            ..SvcConfig::default()
+        };
+        let backends: Vec<ServerHandle> = (0..nodes.max(1))
+            .map(|_| crate::svc::start(cfg.clone()))
+            .collect::<std::io::Result<_>>()
+            .map_err(|e| format!("cannot start backends: {e}"))?;
+        let router = crate::cluster::start(crate::cluster::ClusterConfig {
+            backends: backends.iter().map(|b| b.addr.to_string()).collect(),
+            ..Default::default()
+        })
+        .map_err(|e| format!("cannot start router: {e}"))?;
+        Ok(Target {
+            addr: router.addr.to_string(),
+            banner: format!(
+                "in-process router on {} over {} backends (cache {} each)",
                 router.addr,
                 backends.len(),
                 cfg.cache_cap
-            );
-            let r = crate::cluster::run_cluster_load(&router.addr.to_string(), &load);
-            let summary = router.shutdown();
-            for b in backends {
-                b.shutdown();
-            }
-            let _ = write!(out, "{summary}");
-            r
-        }
-    }
-    .map_err(|e| format!("load generation failed: {e}"))?;
-    out.push_str(&report.pretty());
-    Ok(out)
+            ),
+            stop: Box::new(move || {
+                let summary = router.shutdown();
+                for b in backends {
+                    b.shutdown();
+                }
+                summary.to_string()
+            }),
+        })
+    })
 }
 
 /// Nearest-rank percentile over a sorted latency sample, in ms.
@@ -1191,7 +1207,7 @@ fn percentile_ms(sorted: &[std::time::Duration], q: f64) -> f64 {
 /// of each re-election alongside the client-side request latency.
 fn bench_cluster_churn_cmd(
     opts: &Opts,
-    load: crate::cluster::ClusterLoadOptions,
+    load: crate::svc::LoadOptions,
     w: usize,
     n: u64,
 ) -> Result<String, String> {
@@ -1267,7 +1283,7 @@ fn bench_cluster_churn_cmd(
 
     let requests = load.requests;
     let addr = router.addr.to_string();
-    let loader = std::thread::spawn(move || crate::cluster::run_cluster_load(&addr, &load));
+    let loader = std::thread::spawn(move || run_load_at(&addr, &load));
 
     let mut reelections: Vec<Duration> = Vec::new();
     let mut rejoins: Vec<Duration> = Vec::new();
@@ -1323,10 +1339,7 @@ fn bench_cluster_churn_cmd(
         epoch = rj.epoch;
     }
 
-    let report = loader
-        .join()
-        .map_err(|_| "load thread panicked".to_string())?
-        .map_err(|e| format!("load generation failed: {e}"))?;
+    let report = loader.join().map_err(|_| "load thread panicked".to_string())??;
     router_ctrl.shutdown();
     for m in members {
         m.ctrl.shutdown();
