@@ -40,7 +40,7 @@
 pub mod content_oblivious;
 pub mod max_uid;
 
-use hre_net::{run_tcp, NetOptions, NetReport};
+use hre_net::{try_run_tcp, NetOptions, NetReport};
 use hre_ring::RingLabeling;
 use hre_runtime::{run_threaded, ThreadedOptions, ThreadedReport};
 use hre_sim::{
@@ -297,7 +297,7 @@ pub trait Engine: Send + Sync {
     ) -> Result<ThreadedReport, String>;
 
     /// Runs the engine over loopback TCP; `Err` when its messages have no
-    /// wire codec.
+    /// wire codec, or the host has no reactor (off Linux).
     fn run_tcp(&self, ring: &RingLabeling, k: usize, opts: NetOptions)
         -> Result<NetReport, String>;
 }
@@ -337,7 +337,7 @@ struct SimEngine<A: hre_sim::Algorithm> {
     threads: Option<Runner<A, ThreadedOptions, ThreadedReport>>,
     /// `None` while the engine's messages have no
     /// [`WireMessage`](hre_net::WireMessage) codec.
-    tcp: Option<Runner<A, NetOptions, NetReport>>,
+    tcp: Option<Runner<A, NetOptions, std::io::Result<NetReport>>>,
 }
 
 impl<A: hre_sim::Algorithm> SimEngine<A> {
@@ -456,7 +456,7 @@ impl<A: hre_sim::Algorithm> Engine for SimEngine<A> {
                 if self.threads.is_some() { " or threads" } else { "" }
             )
         })?;
-        Ok(run(&self.algorithm(ring, k), ring, opts))
+        run(&self.algorithm(ring, k), ring, opts).map_err(|e| format!("--transport tcp: {e}"))
     }
 }
 
@@ -517,7 +517,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: None,
             make: |_, k| Ak::new(k),
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::AkRef,
@@ -529,7 +529,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: Some(AK_REF_MAX_STRING),
             make: |_, k| AkReference::new(k),
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::Bk,
@@ -541,7 +541,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: None,
             make: |_, k| Bk::new(k),
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::Cr,
@@ -553,7 +553,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: None,
             make: |_, _| ChangRoberts,
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::Peterson,
@@ -565,7 +565,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: None,
             make: |_, _| Peterson,
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::OracleN,
@@ -581,7 +581,7 @@ static REGISTRY: [&dyn Engine; 8] = {
             max_string: None,
             make: |r, _| OracleN::new(r.n()),
             threads: Some(run_threaded),
-            tcp: Some(run_tcp),
+            tcp: Some(|algo, ring, opts| try_run_tcp(algo, ring, opts, None)),
         },
         &SimEngine {
             id: AlgoId::MaxUid,

@@ -148,6 +148,7 @@ pub fn report() -> String {
          and sufficient to re-establish end-to-end.\n",
         if all_recovered { "YES" } else { "NO" }
     ));
+    assert!(controls_clean && all_faults_broke && all_recovered, "E13 gate failed:\n{out}");
     out
 }
 

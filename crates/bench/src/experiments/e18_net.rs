@@ -137,6 +137,7 @@ pub fn report() -> String {
         if all_agree { "YES" } else { "NO" },
         if recovered { "YES" } else { "NO" }
     ));
+    assert!(all_agree && recovered, "E18 gate failed:\n{out}");
     out
 }
 

@@ -8,8 +8,8 @@
 //! (a revived backend starts cold), and ctrl's member `Machine` on every
 //! backend and on the router (a revived member starts from nothing), on
 //! one `ClusterConfig`, one `SvcConfig` and one `CtrlConfig` whose clock
-//! is the world's. The engine's cost and the transport of the `Ak` round
-//! are modelled.
+//! is the world's, and each member's side of an `Ak` round is the
+//! shipped ring member. The engine's cost is modelled.
 //!
 //! Three claims, three gates:
 //!

@@ -3,10 +3,12 @@
 //! This is the point of the whole control plane: the coordinator is not
 //! picked by a bully heuristic or a hand-rolled consensus — it is the
 //! *paper's* `Ak` engine ([`hre_core::Ak`]), byte-for-byte the process
-//! the simulator and the socket runtime execute, driven over real TCP
-//! via [`hre_net::PeerLink`] (the same framed, retransmitting,
-//! exactly-once FIFO link `run_tcp` uses, here with its two endpoints
-//! in different OS processes).
+//! the simulator and the socket runtime execute, run as a sans-IO
+//! [`hre_net::RingMember`] (the same framed, retransmitting,
+//! exactly-once FIFO link `run_tcp` uses, here with its two ends in
+//! different OS processes). The node drives it over TCP on its endpoint
+//! reactor; the deterministic simulator (`hre-dst`) carries its frames
+//! over a modelled hop.
 //!
 //! A round is fully determined by a [`RingPlan`]: member `order[i]`
 //! listens for its predecessor on a listener bound at *prepare* time
@@ -16,79 +18,48 @@
 //! member can also compute locally from the plan
 //! ([`RingPlan::expected_coordinator`]), giving tests and operators an
 //! oracle for what the wire protocol must conclude.
-//!
-//! The single-member ring needs no sockets: the only live backend is
-//! the coordinator by definition, and [`run_round`] short-circuits.
 
 use crate::member::{MemberId, RingPlan};
-use hre_core::{Ak, AkMsg};
-use hre_net::{LinkConfig, LinkMetrics, PeerLink};
-use hre_runtime::{drive_node, ThreadOutcome};
-use hre_sim::{Algorithm, ProcessBehavior};
+use hre_core::{Ak, AkProc};
+use hre_net::{Ledger, LinkConfig, RingMember};
+use hre_runtime::ThreadOutcome;
+use hre_sim::Algorithm;
 use hre_words::Label;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long a finished member keeps its RX side ACKing after its own
-/// drain, so a slower predecessor's retransmissions are not orphaned.
-const LINGER: Duration = Duration::from_millis(100);
+/// One member's `Ak` process with its two ring links.
+pub type RoundMember = RingMember<AkProc>;
 
-/// What one member learned from a round.
-#[derive(Clone, Debug)]
-pub struct RoundOutcome {
-    /// The elected coordinator, mapped back from the leader label.
-    pub coordinator: MemberId,
-    /// Whether *this* member is the coordinator.
-    pub is_coordinator: bool,
-    /// Logical messages this member sent during the round.
-    pub messages_sent: u64,
-}
-
-/// Runs this member's `Ak` process for the round described by `plan`.
-///
-/// `listener` is the election listener bound at prepare time (the
-/// predecessor dials it); `successor` is the successor's election
-/// address from the commit message. Blocks until the process halts or
-/// `idle` passes without a message (a member dying mid-round leaves the
-/// survivors timing out, and the initiator retries at a fresh epoch).
-pub fn run_round(
+/// Starts member `me`'s `Ak` process for the round over `plan` at `now`;
+/// it gives up after `idle` without a message (a member dying mid-round
+/// leaves the survivors timing out, and the initiator retries at a fresh
+/// epoch).
+pub fn start_member(
     me: MemberId,
     plan: &RingPlan,
-    listener: Option<TcpListener>,
-    successor: Option<SocketAddr>,
     idle: Duration,
-) -> Result<RoundOutcome, String> {
+    ledger: Ledger,
+    now: Instant,
+) -> Result<RoundMember, String> {
     let pos = plan.position(me).ok_or("this member is not in the ring plan")?;
-    if plan.len() == 1 {
-        // Alone on the ring: coordinator by definition, no wire needed.
-        return Ok(RoundOutcome { coordinator: me, is_coordinator: true, messages_sent: 0 });
-    }
-    let listener = listener.ok_or("multi-member round needs a bound election listener")?;
-    let successor = successor.ok_or("multi-member round needs the successor's address")?;
-
-    let (link, mut transport) = PeerLink::open::<AkMsg>(
-        listener,
-        successor,
-        Arc::new(LinkMetrics::default()),
-        Arc::new(LinkMetrics::default()),
-        LinkConfig::default(),
-        None,
-    );
-
     // Distinct labels ⇒ the plan's labeling is in K1: k = 1 is the
     // tight multiplicity bound, giving Ak its cheapest correct run.
-    let mut proc = Ak::new(1).spawn(Label::new(plan.labels[pos]));
-    let (outcome, sent) = drive_node(&mut proc, &mut transport, idle);
-    // Commit the result *before* tearing the link down; close_graceful
-    // keeps ACKing for the linger so a slower neighbor can still drain.
-    let election = proc.election();
-    drop(transport);
-    link.close_graceful(LINGER);
+    let proc = Ak::new(1).spawn(Label::new(plan.labels[pos]));
+    Ok(RingMember::start(proc, idle, LinkConfig::default(), ledger, now))
+}
 
+/// What member `me` learned from its round: the elected coordinator,
+/// mapped back from the leader label, or why the round failed.
+pub fn coordinator(
+    me: MemberId,
+    plan: &RingPlan,
+    member: &RoundMember,
+    outcome: ThreadOutcome,
+) -> Result<MemberId, String> {
     if outcome != ThreadOutcome::Halted {
         return Err(format!("election round did not halt cleanly: {outcome:?}"));
     }
+    let election = member.election();
     let leader_label = election.leader.ok_or("round halted without learning a leader")?.raw();
     let coordinator = plan
         .member_with_label(leader_label)
@@ -96,13 +67,14 @@ pub fn run_round(
     if election.is_leader && coordinator != me {
         return Err("this member won the election but the plan disagrees".into());
     }
-    Ok(RoundOutcome { coordinator, is_coordinator: election.is_leader, messages_sent: sent })
+    Ok(coordinator)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::member::{MemberInfo, Role, Status, View};
+    use hre_net::Output;
 
     fn plan_of(ids: &[MemberId]) -> RingPlan {
         let mut v = View::new();
@@ -119,49 +91,52 @@ mod tests {
         v.ring_plan().unwrap()
     }
 
+    /// Three members' rounds over in-memory hops that deliver at once:
+    /// every member concludes the plan's local oracle, and exactly one,
+    /// the Lyndon owner, concludes it coordinates.
     #[test]
-    fn single_member_round_self_elects_without_sockets() {
-        let plan = plan_of(&[42]);
-        let out = run_round(42, &plan, None, None, Duration::from_secs(1)).unwrap();
-        assert!(out.is_coordinator);
-        assert_eq!(out.coordinator, 42);
-        assert_eq!(plan.expected_coordinator(), 42);
-    }
-
-    /// Three "processes" (threads here; real processes in production —
-    /// the sockets don't care) run the full prepare-shaped round:
-    /// listeners bound first, then every member drives its own Ak node,
-    /// and all three agree with the plan's local oracle.
-    #[test]
-    fn three_member_round_elects_the_lyndon_owner_over_tcp() {
+    fn three_member_round_elects_the_lyndon_owner_over_in_memory_hops() {
         let plan = plan_of(&[11, 23, 7]);
         assert_eq!(plan.order, vec![7, 11, 23]);
         let n = plan.len();
-        let mut listeners = Vec::new();
-        let mut addrs = Vec::new();
-        for _ in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            addrs.push(l.local_addr().unwrap());
-            listeners.push(l);
-        }
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let plan = plan.clone();
-                let succ = addrs[(i + 1) % n];
-                let me = plan.order[i];
-                std::thread::spawn(move || {
-                    run_round(me, &plan, Some(l), Some(succ), Duration::from_secs(5))
-                })
-            })
+        let now = Instant::now();
+        let idle = Duration::from_secs(5);
+        let mut members: Vec<RoundMember> = plan
+            .order
+            .iter()
+            .map(|&me| start_member(me, &plan, idle, Ledger::default(), now).unwrap())
             .collect();
-        let outcomes: Vec<RoundOutcome> =
-            handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect();
+        let mut outcomes = vec![None; n];
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for i in 0..n {
+                while let Some(out) = members[i].poll_output() {
+                    moved = true;
+                    let (succ, pred) = ((i + 1) % n, (i + n - 1) % n);
+                    match out {
+                        Output::Dial => members[i].on_connected(true, now),
+                        Output::ToSuccessor(bytes) => {
+                            members[succ].on_predecessor_bytes(&bytes, now)
+                        }
+                        Output::ToPredecessor(bytes) => {
+                            members[pred].on_successor_bytes(&bytes, now)
+                        }
+                        Output::Done(outcome) => {
+                            outcomes[i] =
+                                Some(coordinator(plan.order[i], &plan, &members[i], outcome))
+                        }
+                        Output::DropSuccessor | Output::DropPredecessor => {
+                            unreachable!("a faultless hop never desynchronizes")
+                        }
+                    }
+                }
+            }
+        }
         let expect = plan.expected_coordinator();
-        assert!(outcomes.iter().all(|o| o.coordinator == expect));
-        assert_eq!(outcomes.iter().filter(|o| o.is_coordinator).count(), 1);
-        let winner_pos = plan.position(expect).unwrap();
-        assert!(outcomes[winner_pos].is_coordinator);
+        let outcomes: Vec<MemberId> = outcomes.into_iter().map(|o| o.unwrap().unwrap()).collect();
+        assert_eq!(outcomes, vec![expect; n], "every member concludes the oracle");
+        let winners: Vec<usize> = (0..n).filter(|&i| members[i].election().is_leader).collect();
+        assert_eq!(winners, vec![plan.position(expect).unwrap()]);
     }
 }

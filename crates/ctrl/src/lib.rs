@@ -13,9 +13,10 @@
 //! (a state-based CRDT — [`member::View`]); the live backends are
 //! ordered into a **labeled unidirectional ring** ([`member::RingPlan`]:
 //! id order, labels hashed distinct, hence an asymmetric labeling in
-//! `K1`); and the unmodified [`hre_core::Ak`] engine runs over
-//! [`hre_net::PeerLink`] TCP links to elect the coordinator
-//! ([`election::run_round`]). The coordinator owns the consistent-hash
+//! `K1`); and the unmodified [`hre_core::Ak`] engine, one sans-IO
+//! [`hre_net::RingMember`] per member ([`election::start_member`]) on the
+//! node's endpoint reactor, elects the coordinator over TCP links
+//! between the members. The coordinator owns the consistent-hash
 //! ring configuration and pushes it to every member; **epochs** fence
 //! off deposed coordinators — a config push below the accepted epoch, or
 //! a different config at it, is answered `409` and ignored.
@@ -40,7 +41,6 @@ pub mod member;
 pub mod node;
 pub mod testbed;
 
-pub use election::{run_round, RoundOutcome};
 pub use machine::{ClusterTopology, Command, Machine, CTRL_TIMEOUT};
 pub use member::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 pub use node::{derive_node_id, start, ConfigCallback, CtrlConfig, CtrlHandle, DeathCallback};

@@ -205,7 +205,8 @@ pub struct Machine {
     running: Option<Round>,
     initiation: Option<Initiation>,
     last_push: Instant,
-    last_attempt: Option<Instant>,
+    /// When this member last initiated an election, and at which epoch.
+    last_attempt: Option<(Instant, u64)>,
     /// The dead member gossip reached last (the round-robin cursor).
     dead_cursor: MemberId,
     next_id: u64,
@@ -632,9 +633,10 @@ impl Machine {
 
     /// Does the live backend set agree with the accepted, uncontested
     /// config? If not, and this member is the initiator (the lowest-id
-    /// live backend) and no attempt started within `election_idle` (a
-    /// failed round's members time out after that long), start an
-    /// election.
+    /// live backend), start an election — unless its last attempt did not
+    /// settle (no config was accepted at or above its epoch) and started
+    /// within `election_idle`, the time a failed round's members take to
+    /// time out.
     fn election_tick(&mut self) {
         if self.cfg.role != Role::Backend || self.running.is_some() || self.initiation.is_some() {
             return;
@@ -650,15 +652,16 @@ impl Machine {
                 .as_ref()
                 .is_some_and(|c| c.backends == backends && plan.order.contains(&c.coordinator));
         let now = self.cfg.clock.now();
-        let cooling = self
-            .last_attempt
-            .is_some_and(|t| now.saturating_duration_since(t) < self.cfg.election_idle);
+        let cooling = self.last_attempt.is_some_and(|(t, epoch)| {
+            self.config.as_ref().is_none_or(|c| c.epoch < epoch)
+                && now.saturating_duration_since(t) < self.cfg.election_idle
+        });
         if settled || cooling {
             return;
         }
-        self.last_attempt = Some(now);
         self.epoch += 1;
         let epoch = self.epoch;
+        self.last_attempt = Some((now, epoch));
         if plan.len() == 1 {
             // Alone: coordinator by definition; no round, no messages —
             // the paper's n=1 ring is trivially asymmetric.
@@ -1033,6 +1036,42 @@ mod tests {
         sim.clock.advance(MS);
         sim.members[0].tick();
         assert!(Sim::paths(&sim.take(0)).contains(&"/ctrl/prepare"), "cooled down");
+    }
+
+    #[test]
+    fn a_settled_election_holds_off_no_later_one() {
+        // The plan over 2, 3 and 4 elects 4, which the initiator outlives.
+        let mut sim = Sim::new(&[2, 3, 4]);
+        sim.round();
+        let runs: Vec<(usize, u64, RingPlan)> = std::mem::take(&mut sim.log)
+            .into_iter()
+            .filter_map(|(i, c)| match c {
+                Command::Run { epoch, plan, .. } => Some((i, epoch, plan)),
+                _ => None,
+            })
+            .collect();
+        let coordinator = runs[0].2.expected_coordinator();
+        assert_eq!(coordinator, 4);
+        for (i, epoch, _) in &runs {
+            sim.members[*i].on_round(*epoch, Ok(coordinator));
+        }
+        sim.settle();
+        let heartbeat = CtrlConfig::default().heartbeat_interval;
+        sim.clock.advance(Duration::from_millis(100));
+        sim.down[2] = true;
+        let killed = sim.now();
+        let reelected = |log: &[(usize, Command)]| {
+            log.iter().any(|(_, c)| matches!(c, Command::Run { epoch, .. } if *epoch > runs[0].1))
+        };
+        while !reelected(&sim.log) {
+            assert!(sim.now() - killed < CtrlConfig::default().election_idle, "held off");
+            sim.clock.advance(heartbeat);
+            sim.round();
+        }
+        // Declaring the coordinator dead takes `failure_timeout` and a
+        // tick; the initiator prepares on the next one.
+        let timeout = CtrlConfig::default().failure_timeout;
+        assert!(sim.now() - killed <= timeout + heartbeat * 2, "{:?}", sim.now() - killed);
     }
 
     #[test]

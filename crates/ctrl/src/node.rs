@@ -1,34 +1,42 @@
 //! The control-plane node: one per process, next to the data-plane
 //! daemon it represents. It drives one [`Machine`] — the member's whole
 //! state and every decision, see [`crate::machine`] for the protocol —
-//! over real sockets and threads.
+//! over real sockets, from two threads.
 //!
 //! The machine sits behind one lock. The node's small HTTP endpoint —
 //! served by the data plane's front-connection machine
 //! ([`hre_svc::front`]) on one reactor thread — hands it each request
-//! and answers at once, binding an election listener when a prepare is
-//! accepted. A manager thread ticks it every heartbeat interval and
-//! carries out its exchanges as blocking [`Client`] calls, one at a time,
-//! each within [`CTRL_TIMEOUT`]. A committed round runs on its own thread
-//! ([`run_round`] over TCP) and reports its outcome back. Accepted
-//! configs and declared deaths reach the `on_config`/`on_death`
+//! and answers at once. A prepare it accepts binds an election listener
+//! on that reactor, and a commit starts the round's `Ak` member there
+//! ([`RingSocket`], the socket shell `run_tcp` uses too), which reports
+//! the elected coordinator to the machine the moment its process halts
+//! or idles out; the member's window drains and its ACKs linger on the
+//! reactor's timers after that. A manager thread ticks the machine every
+//! heartbeat interval and carries out its exchanges as blocking
+//! [`Client`] calls, one at a time, each within [`CTRL_TIMEOUT`] — the
+//! endpoint's too, which it hands over instead of blocking its reactor.
+//! Accepted configs and declared deaths reach the `on_config`/`on_death`
 //! callbacks, called outside the lock.
 
-use crate::election::run_round;
+use crate::election;
 use crate::machine::{ClusterTopology, Command, Machine, CTRL_TIMEOUT};
-use crate::member::{MemberId, Role, View};
+use crate::member::{MemberId, RingPlan, Role, View};
+use hre_core::AkProc;
+use hre_net::{Ledger, RingSocket};
 use hre_runtime::trace::FlightRecorder;
-use hre_runtime::{ClockHandle, Reactor};
+use hre_runtime::{ClockHandle, Event, Interest, Reactor};
 use hre_svc::front::{self, Dispatch, Front, Service};
 use hre_svc::http::{Request, DEFAULT_MAX_BODY};
 use hre_svc::{Client, StatusProvider};
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::net::{IpAddr, SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Callback invoked whenever a config push is accepted (routers hook
 /// `hre-cluster`'s `Shared::update_backends` here).
@@ -60,7 +68,9 @@ pub struct CtrlConfig {
     /// this is declared dead.
     pub failure_timeout: Duration,
     /// Idle timeout for this member's `Ak` process during a round, and
-    /// so the least time between two election attempts.
+    /// so the least time between an election attempt that did not settle
+    /// (no config was accepted at or above its epoch) and the next; an
+    /// attempt that settled holds off no later one.
     pub election_idle: Duration,
     /// How often the coordinator re-pushes the active config.
     pub push_interval: Duration,
@@ -113,21 +123,10 @@ impl std::fmt::Debug for CtrlConfig {
 /// How often the manager wakes up to check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// What the lock guards: the member, and the election listener bound for
-/// the round it prepared (handed to that round's thread at commit).
-struct Node {
-    machine: Machine,
-    listener: Option<TcpListener>,
-}
-
 struct Inner {
     cfg: CtrlConfig,
-    /// The interface the control endpoint listens on; election
-    /// listeners bind there too.
-    ip: IpAddr,
-    node: Mutex<Node>,
+    machine: Mutex<Machine>,
     shutdown: Arc<AtomicBool>,
-    rounds: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running control-plane node. Dropping the handle leaks the threads;
@@ -169,22 +168,29 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
         .unwrap_or(1)
         .max(1);
     let machine = Machine::new(&cfg, addr.to_string(), incarnation);
+    let me = machine.member_id();
     let inner = Arc::new(Inner {
         cfg,
-        ip: addr.ip(),
-        node: Mutex::new(Node { machine, listener: None }),
+        machine: Mutex::new(machine),
         shutdown: Arc::new(AtomicBool::new(false)),
-        rounds: Mutex::new(Vec::new()),
     });
 
     // Join through the seeds before the manager starts, so the first
     // tick already gossips with a populated view. Seed failures are
     // non-fatal: the seed may simply not be up yet, and later gossip
     // (seeds also learn about us from *our* records spreading) heals.
-    drive(&inner, |_| ());
+    carry_out(&inner, step(&inner, |_| ()).1);
 
+    let (handoff, handed) = mpsc::channel();
     let endpoint = {
-        let mut endpoint = Endpoint(Arc::clone(&inner));
+        let mut endpoint = Endpoint {
+            inner: Arc::clone(&inner),
+            me,
+            ip: addr.ip(),
+            handoff,
+            prepared: None,
+            round: None,
+        };
         let shutdown = Arc::clone(&inner.shutdown);
         std::thread::spawn(move || {
             front::serve(&mut endpoint, reactor, listener, DEFAULT_MAX_BODY, shutdown);
@@ -192,14 +198,14 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
     };
     let manager = {
         let inner = Arc::clone(&inner);
-        std::thread::spawn(move || manager_loop(&inner))
+        std::thread::spawn(move || manager_loop(&inner, &handed))
     };
     Ok(CtrlHandle { addr, inner, endpoint, manager })
 }
 
 impl CtrlHandle {
     fn read<T>(&self, f: impl FnOnce(&Machine) -> T) -> T {
-        f(&self.inner.node.lock().unwrap().machine)
+        f(&self.inner.machine.lock().unwrap())
     }
 
     /// This node's member id.
@@ -242,128 +248,214 @@ impl CtrlHandle {
     /// data-plane daemon's `GET /ctrl` answers with this node's status.
     pub fn status_provider(&self) -> StatusProvider {
         let inner = Arc::clone(&self.inner);
-        StatusProvider::new(move || inner.node.lock().unwrap().machine.status_doc().to_string())
+        StatusProvider::new(move || inner.machine.lock().unwrap().status_doc().to_string())
     }
 
-    /// Stops gossiping, drains the endpoint, and joins the manager, the
-    /// endpoint, and any election round still in flight.
+    /// Stops gossiping, drains the endpoint, and joins the manager and
+    /// the endpoint (with any election round on its reactor).
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         let _ = self.manager.join();
         let _ = self.endpoint.join();
-        for h in self.inner.rounds.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
-/// Runs `input` on the machine under the lock, then carries out every
-/// command it emitted — and every command the replies to those lead to —
-/// with the lock released.
-fn drive<T>(inner: &Arc<Inner>, input: impl FnOnce(&mut Node) -> T) -> T {
-    let (value, todo) = {
-        let mut node = inner.node.lock().unwrap();
-        let value = input(&mut node);
-        (value, drain(&mut node.machine))
-    };
-    carry_out(inner, todo);
-    value
+/// Runs `input` on the machine under the lock; returns its value and
+/// every command the machine emitted.
+fn step<T>(inner: &Inner, input: impl FnOnce(&mut Machine) -> T) -> (T, VecDeque<Command>) {
+    let mut machine = inner.machine.lock().unwrap();
+    let value = input(&mut machine);
+    (value, std::iter::from_fn(|| machine.next_command()).collect())
 }
 
-fn carry_out(inner: &Arc<Inner>, mut todo: VecDeque<Command>) {
+/// Calls the callback of a config or a death; hands any other command
+/// back.
+fn notify(cfg: &CtrlConfig, command: Command) -> Option<Command> {
+    match command {
+        Command::Config(topo) => {
+            if let Some(cb) = &cfg.on_config {
+                cb(&topo);
+            }
+            None
+        }
+        Command::Died(member) => {
+            if let (Role::Backend, Some(cb)) = (member.role, &cfg.on_death) {
+                cb(&member.serve_addr);
+            }
+            None
+        }
+        other => Some(other),
+    }
+}
+
+/// The manager's side: carries out `todo` — and every command the
+/// replies to its exchanges lead to — with the lock released.
+fn carry_out(inner: &Inner, mut todo: VecDeque<Command>) {
     while let Some(command) = todo.pop_front() {
-        match command {
-            Command::Exchange { id, to, path, body } => {
-                let reply = Client::connect(&to, CTRL_TIMEOUT)
-                    .and_then(|mut c| c.post_json(path, &body))
-                    .ok();
-                let mut node = inner.node.lock().unwrap();
-                node.machine.on_reply(id, reply);
-                todo.extend(drain(&mut node.machine));
-            }
-            Command::Run { epoch, plan, successor } => {
-                // Only the endpoint's thread accepts a commit, and it runs
-                // this before it takes another request: the listener the
-                // lock holds is this round's.
-                let (me, listener) = {
-                    let mut node = inner.node.lock().unwrap();
-                    (node.machine.member_id(), node.listener.take())
-                };
-                let round = {
-                    let inner = Arc::clone(inner);
-                    std::thread::spawn(move || {
-                        let idle = inner.cfg.election_idle;
-                        let outcome = successor
-                            .parse::<SocketAddr>()
-                            .map_err(|e| format!("bad successor address: {e}"))
-                            .and_then(|next| run_round(me, &plan, listener, Some(next), idle))
-                            .map(|out| out.coordinator);
-                        if let Err(why) = &outcome {
-                            eprintln!("ctrl[{me}]: election round at epoch {epoch} failed: {why}");
-                        }
-                        drive(&inner, |node| node.machine.on_round(epoch, outcome));
-                    })
-                };
-                inner.rounds.lock().unwrap().push(round);
-            }
-            Command::Config(topo) => {
-                if let Some(cb) = &inner.cfg.on_config {
-                    cb(&topo);
-                }
-            }
-            Command::Died(member) => {
-                if let (Role::Backend, Some(cb)) = (member.role, &inner.cfg.on_death) {
-                    cb(&member.serve_addr);
-                }
-            }
+        // Only a commit, an inbound request the endpoint takes, starts a
+        // round: the manager never sees `Run`.
+        if let Some(Command::Exchange { id, to, path, body }) = notify(&inner.cfg, command) {
+            let reply =
+                Client::connect(&to, CTRL_TIMEOUT).and_then(|mut c| c.post_json(path, &body)).ok();
+            todo.extend(step(inner, |m| m.on_reply(id, reply)).1);
         }
     }
 }
 
-fn drain(machine: &mut Machine) -> VecDeque<Command> {
-    std::iter::from_fn(|| machine.next_command()).collect()
+fn manager_loop(inner: &Inner, handed: &Receiver<Command>) {
+    let mut next_tick = Instant::now();
+    while !inner.shutdown.load(Ordering::Relaxed) {
+        let now = Instant::now();
+        if now >= next_tick {
+            carry_out(inner, step(inner, Machine::tick).1);
+            next_tick = Instant::now() + inner.cfg.heartbeat_interval;
+            continue;
+        }
+        let wait = (next_tick - now).min(POLL);
+        match handed.recv_timeout(wait) {
+            Ok(command) => carry_out(inner, VecDeque::from([command])),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+        }
+    }
 }
 
-/// The control endpoint as a listener of the front-connection machine.
-/// Every route answers at once — the machine emits no exchange for an
-/// inbound request, and a commit's round runs on its own thread — so
-/// nothing parks.
-struct Endpoint(Arc<Inner>);
+/// The control endpoint: a listener of the front-connection machine,
+/// and the round this member runs on the same reactor. Every route
+/// answers at once, so nothing parks.
+struct Endpoint {
+    inner: Arc<Inner>,
+    me: MemberId,
+    /// The interface the control endpoint listens on; election
+    /// listeners bind there too.
+    ip: IpAddr,
+    /// Exchanges for the manager to carry out.
+    handoff: Sender<Command>,
+    /// The election listener of the round this member prepared, watched
+    /// by the reactor under the first of its tokens.
+    prepared: Option<(TcpListener, [u64; 3])>,
+    /// The round this member runs: its epoch, its plan, and its member.
+    round: Option<(u64, RingPlan, RingSocket<AkProc>)>,
+}
+
+impl Endpoint {
+    /// Carries out what the machine emitted on the endpoint's thread:
+    /// callbacks here, a round on this reactor, exchanges by the manager.
+    fn carry_out(&mut self, front: &mut Front<Infallible>, todo: VecDeque<Command>) {
+        for command in todo {
+            match notify(&self.inner.cfg, command) {
+                Some(Command::Run { epoch, plan, successor }) => {
+                    self.run(front, epoch, plan, &successor)
+                }
+                // The manager outlives the endpoint, so a send fails only
+                // while the node shuts down.
+                Some(exchange) => drop(self.handoff.send(exchange)),
+                None => {}
+            }
+        }
+    }
+
+    /// Starts this member's round committed at `epoch` on the listener
+    /// its prepare bound. A round still draining is dropped: the machine
+    /// waits for the new one only.
+    fn run(&mut self, front: &mut Front<Infallible>, epoch: u64, plan: RingPlan, successor: &str) {
+        let idle = self.inner.cfg.election_idle;
+        let started = successor
+            .parse::<SocketAddr>()
+            .map_err(|e| format!("bad successor address: {e}"))
+            .and_then(|next| {
+                let (listener, tokens) =
+                    self.prepared.take().ok_or("no election listener bound for the round")?;
+                let member = election::start_member(
+                    self.me,
+                    &plan,
+                    idle,
+                    Ledger::default(),
+                    Instant::now(),
+                )?;
+                Ok(RingSocket::start(member, listener, next, tokens, &mut front.reactor))
+            });
+        match started {
+            Ok(socket) => {
+                self.round = Some((epoch, plan, socket));
+                self.report(front);
+            }
+            Err(why) => self.finish(front, epoch, Err(why)),
+        }
+    }
+
+    /// Hands the round's outcome to the machine once its process
+    /// finished, and drops the round once its link closed.
+    fn report(&mut self, front: &mut Front<Infallible>) {
+        let Some((epoch, plan, socket)) = &mut self.round else { return };
+        let epoch = *epoch;
+        let outcome = socket
+            .take_done()
+            .map(|done| election::coordinator(self.me, plan, socket.member(), done));
+        if socket.member().closed() {
+            self.round = None;
+        }
+        if let Some(outcome) = outcome {
+            self.finish(front, epoch, outcome);
+        }
+    }
+
+    fn finish(
+        &mut self,
+        front: &mut Front<Infallible>,
+        epoch: u64,
+        outcome: Result<MemberId, String>,
+    ) {
+        if let Err(why) = &outcome {
+            eprintln!("ctrl[{}]: election round at epoch {epoch} failed: {why}", self.me);
+        }
+        let todo = step(&self.inner, |m| m.on_round(epoch, outcome)).1;
+        self.carry_out(front, todo);
+    }
+}
 
 impl Service for Endpoint {
     type Parked = Infallible;
 
     fn dispatch(
         &mut self,
-        _: &mut Front<Infallible>,
+        front: &mut Front<Infallible>,
         _: u64,
         req: &Request,
     ) -> Dispatch<Infallible> {
-        let ip = self.0.ip;
-        Dispatch::Answer(drive(&self.0, |node| {
-            let Node { machine, listener } = node;
+        let (ip, prepared) = (self.ip, &mut self.prepared);
+        let (resp, todo) = step(&self.inner, |machine| {
             machine.on_request(req, || {
                 let bound = TcpListener::bind((ip, 0))
+                    .and_then(|l| l.set_nonblocking(true).map(|()| l))
                     .map_err(|e| format!("cannot bind election listener: {e}"))?;
                 let addr = bound.local_addr().map_err(|e| e.to_string())?;
-                *listener = Some(bound);
+                let tokens = [front.token(), front.token(), front.token()];
+                front
+                    .reactor
+                    .register(bound.as_raw_fd(), tokens[0], Interest::READABLE)
+                    .map_err(|e| format!("cannot watch election listener: {e}"))?;
+                *prepared = Some((bound, tokens));
                 Ok(addr.to_string())
             })
-        }))
+        });
+        self.carry_out(front, todo);
+        Dispatch::Answer(resp)
     }
-}
 
-fn manager_loop(inner: &Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        drive(inner, |node| node.machine.tick());
-        let mut slept = Duration::ZERO;
-        while slept < inner.cfg.heartbeat_interval {
-            if inner.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let step = POLL.min(inner.cfg.heartbeat_interval - slept);
-            std::thread::sleep(step);
-            slept += step;
+    fn event(&mut self, front: &mut Front<Infallible>, ev: Event) {
+        // A dial that reaches a prepared listener before its round
+        // starts waits in the backlog: the round accepts it at start.
+        if let Some((_, _, socket)) = self.round.as_mut().filter(|r| r.2.owns(ev.token)) {
+            socket.event(&mut front.reactor, ev);
+            self.report(front);
+        }
+    }
+
+    fn timer(&mut self, front: &mut Front<Infallible>, token: u64) {
+        if let Some((_, _, socket)) = self.round.as_mut().filter(|r| r.2.owns(token)) {
+            socket.timer(&mut front.reactor);
+            self.report(front);
         }
     }
 }

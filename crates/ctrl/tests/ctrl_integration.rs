@@ -1,8 +1,8 @@
 //! Live control-plane integration: real processes' worth of ctrl nodes
 //! (threads with real TCP listeners) bootstrap through a seed, gossip a
-//! shared view, elect a coordinator with the unmodified `Ak` over
-//! `PeerLink` TCP links, survive coordinator death with a fenced
-//! re-election, and answer stale config pushes `409`.
+//! shared view, elect a coordinator with the unmodified `Ak` over TCP
+//! links between their ring members, survive coordinator death with a
+//! fenced re-election, and answer stale config pushes `409`.
 
 use hre_ctrl::testbed::{wait_for_agreement, wait_until};
 use hre_ctrl::{start, CtrlConfig, CtrlHandle, Role};

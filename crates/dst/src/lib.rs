@@ -15,9 +15,10 @@
 //! own [`Machine`](hre_ctrl::Machine), and the router's breakers take the
 //! shipped prober's sweep and its topology the shipped fence
 //! ([`Shared`](hre_cluster::Shared)), all on configs whose clock is the
-//! world's [`VirtualClock`](hre_runtime::VirtualClock); the world only
-//! carries their commands and bytes. The engine's cost and the transport
-//! of the `Ak` round are modelled.
+//! world's [`VirtualClock`](hre_runtime::VirtualClock), and each member's
+//! side of an `Ak` round is the shipped ring member
+//! ([`RingMember`](hre_net::RingMember)); the world only carries their
+//! commands and bytes. The engine's cost is modelled.
 //!
 //! The moving parts:
 //!

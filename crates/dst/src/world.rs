@@ -8,11 +8,13 @@
 //! router — in one event loop driven by a [`VirtualClock`]. The router is
 //! one [`ClusterConfig`], every backend one [`SvcConfig`], and every
 //! member one [`CtrlConfig`], all on the world's clock, their timers fed
-//! from the world's event heap. Attempts, probes and control exchanges
-//! travel as HTTP bytes over one modelled hop; a cut link drops them (the
-//! caller's timeout fires) and a dead process refuses them. Modelled
-//! rather than shipped: the engine's cost and the transport of the `Ak`
-//! round. Every latency draw comes from the plan's seed, so a run is a
+//! from the world's event heap. Each member's side of an `Ak` round is
+//! the shipped ring member ([`RoundMember`]: the `Ak` process, its
+//! retransmit window, reassembly and framing). Attempts, probes, control
+//! exchanges and the rounds' frames travel as bytes over one modelled
+//! hop; a cut link drops them (the caller's timeout fires, the window
+//! retransmits) and a dead process refuses them. Modelled rather than
+//! shipped: the engine's cost. Every latency draw comes from the plan's seed, so a run is a
 //! pure function of its [`ScenarioPlan`]: the transcript hash is
 //! byte-identical across machines, thread counts, and reruns.
 //!
@@ -34,8 +36,9 @@
 //!   whose coordinator is live. The world ticks the control plane until
 //!   that holds, or the budget is spent.
 //!
-//! Elections additionally check **I0**: the coordinator `Ak` elects is
-//! the plan's Lyndon-rotation owner ([`RingPlan::expected_coordinator`]).
+//! Elections additionally check **I0**: every member whose `Ak` process
+//! halts concludes the plan's Lyndon-rotation owner
+//! ([`RingPlan::expected_coordinator`]), and none wedges.
 
 use crate::oracle;
 use crate::scenario::{FaultSpec, Rng, ScenarioKind, ScenarioPlan};
@@ -43,18 +46,18 @@ use hre_cluster::{
     AttemptId, BackendSlot, Breaker, BreakerState, ClusterConfig, Command, ForwardMachine, Shared,
     Timer,
 };
-use hre_ctrl::{ClusterTopology, CtrlConfig, Machine, MemberId, RingPlan, Role, CTRL_TIMEOUT};
+use hre_ctrl::election::{self, RoundMember};
+use hre_ctrl::{ClusterTopology, CtrlConfig, Machine, RingPlan, Role, CTRL_TIMEOUT};
+use hre_net::{Ledger, Output};
 use hre_runtime::trace::{render_tree, SpanRecord};
-use hre_runtime::{Clock, ClockHandle, VirtualClock};
+use hre_runtime::{Clock, ClockHandle, ThreadOutcome, VirtualClock};
 use hre_svc::front::Dispatch;
 use hre_svc::http::{
     request_bytes, ParseStep, Request, RequestParser, RespStep, Response, ResponseParser,
     DEFAULT_MAX_BODY,
 };
 use hre_svc::json::Json;
-use hre_svc::{
-    error_json, response_json, AlgoId, ClientResponse, Desk, ElectRequest, Job, SvcConfig,
-};
+use hre_svc::{error_json, response_json, ClientResponse, Desk, ElectRequest, Job, SvcConfig};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -94,7 +97,8 @@ fn router_config(backends: u64, clock: &Arc<VirtualClock>, record_spans: bool) -
 
 /// Every member's control plane: the shipped config with the timing
 /// E24's control plane has always run (heartbeat 75 ms, failure timeout
-/// 260 ms, 350 ms between election attempts) and the default push
+/// 260 ms, a 350 ms `Ak` idle timeout, which also holds an election
+/// attempt that did not settle off the next) and the default push
 /// interval. Each member fills in its identity, seeds and recorder.
 fn ctrl_config(clock: &Arc<VirtualClock>) -> CtrlConfig {
     CtrlConfig {
@@ -189,8 +193,11 @@ run_stats! {
     cache_hits,
     /// Misses of the backends' svc result caches.
     cache_misses,
-    /// `Ak` rounds the control plane completed.
+    /// `Ak` rounds the control plane completed (their coordinators'
+    /// reports).
     elections,
+    /// Frames the rounds' retransmit windows resent.
+    retransmits,
     /// Configs the router's fence accepted.
     config_accepts,
     /// Configs the router refused: its member's `409`s and its fence's.
@@ -284,10 +291,27 @@ impl Svc {
 
 /// A running backend process: its svc and its control-plane member,
 /// which records into the svc's flight recorder, as `hre serve --ctrl`
-/// wires them.
+/// wires them, with the election listener its last accepted prepare
+/// bound and the round it runs.
 struct Process {
     svc: Svc,
     ctrl: Machine,
+    bound: Option<u64>,
+    round: Option<Round>,
+}
+
+/// A member's side of a committed `Ak` round, listening on `port` and
+/// dialing `successor`'s.
+struct Round {
+    epoch: u64,
+    plan: RingPlan,
+    port: u64,
+    successor: (u64, u64),
+    predecessor: u64,
+    member: RoundMember,
+    /// The member's armed timer: its instant and the sequence number of
+    /// the heap event that fires it.
+    armed: Option<(Instant, u64)>,
 }
 
 struct Backend {
@@ -332,9 +356,6 @@ impl Router {
         }
     }
 }
-
-/// A committed `Ak` round: its epoch and ring order.
-type RoundKey = (u64, Vec<MemberId>);
 
 /// A control exchange or a probe on the modelled hop.
 struct Call {
@@ -414,15 +435,19 @@ enum Ev {
         response: Option<Vec<u8>>,
     },
     CallTimeout(u32),
-    RoundDone {
-        member: u64,
-        generation: u32,
-        epoch: u64,
-        coordinator: MemberId,
+    /// A round's bytes reach `to`: DATA for its round listening on
+    /// `port`, or ACKs for its round that dialed `from`'s `port`.
+    RingBytes {
+        from: u64,
+        to: u64,
+        port: u64,
+        ack: bool,
+        bytes: Vec<u8>,
     },
-    RoundExpire {
-        epoch: u64,
-        order: Vec<MemberId>,
+    RingTimer {
+        member: u64,
+        port: u64,
+        seq: u64,
     },
     Fault(u32),
 }
@@ -441,6 +466,17 @@ fn sched(events: &mut BTreeMap<(u64, u64), Ev>, seq: &mut u64, t_ns: u64, ev: Ev
 /// Member `endpoint`'s control address.
 fn ctrl_addr(endpoint: u64) -> String {
     format!("ctrl:{endpoint}")
+}
+
+/// The election address of member `endpoint`'s listener `port`.
+fn ring_addr(endpoint: u64, port: u64) -> String {
+    format!("ring:{endpoint}:{port}")
+}
+
+/// The member and port behind an election address.
+fn ring_endpoint(addr: &str) -> Option<(u64, u64)> {
+    let (endpoint, port) = addr.strip_prefix("ring:")?.split_once(':')?;
+    Some((endpoint.parse().ok()?, port.parse().ok()?))
 }
 
 /// The endpoint behind a control address.
@@ -485,9 +521,10 @@ pub struct World {
     router: Router,
     reqs: Vec<ClientReq>,
     calls: Vec<Call>,
-    /// `Ak` rounds waiting for their members, by epoch and ring order,
-    /// with the members (and their generations) that joined.
-    rounds: BTreeMap<RoundKey, Vec<(u64, u32)>>,
+    /// The next election listener's port.
+    next_port: u64,
+    /// Every round member's link counters.
+    ring_ledger: Ledger,
     blocked: BTreeSet<(u64, u64)>,
     slow: BTreeMap<(u64, u64), u64>,
     timeline: Vec<(u64, Action)>,
@@ -576,7 +613,8 @@ impl World {
             },
             reqs: Vec::new(),
             calls: Vec::new(),
-            rounds: BTreeMap::new(),
+            next_port: 0,
+            ring_ledger: Ledger::default(),
             blocked: BTreeSet::new(),
             slow: BTreeMap::new(),
             timeline: Vec::new(),
@@ -606,7 +644,12 @@ impl World {
             recorder: Some(Arc::clone(&svc.shared.recorder)),
             ..self.ctrl_cfg.clone()
         };
-        Process { ctrl: Machine::new(&cfg, ctrl_addr(b), incarnation), svc }
+        Process {
+            ctrl: Machine::new(&cfg, ctrl_addr(b), incarnation),
+            svc,
+            bound: None,
+            round: None,
+        }
     }
 
     fn bootstrap(&mut self) {
@@ -724,13 +767,18 @@ impl World {
                     self.resolve(call, None);
                 }
             }
-            Ev::RoundDone { member, generation, epoch, coordinator } => {
-                if let Some(machine) = self.member(member, generation) {
-                    machine.on_round(epoch, Ok(coordinator));
-                    self.run_member(member);
+            Ev::RingBytes { from, to, port, ack, bytes } => {
+                self.on_ring_bytes(from, to, port, ack, &bytes)
+            }
+            Ev::RingTimer { member, port, seq } => {
+                let now = self.clock.now();
+                let Some(round) = self.round(member, port) else { return };
+                if round.armed.is_some_and(|(_, s)| s == seq) {
+                    round.armed = None;
+                    round.member.on_timer(now);
+                    self.carry_round(member, port);
                 }
             }
-            Ev::RoundExpire { epoch, order } => self.on_round_expire(epoch, order),
             Ev::Fault(i) => self.on_fault(i),
         }
     }
@@ -1120,10 +1168,22 @@ impl World {
         }
     }
 
-    /// Member `to` answers a control request, if its process is up.
+    /// Member `to` answers a control request, if its process is up. A
+    /// prepare it accepts binds an election listener on a fresh port.
     fn ctrl_answer(&mut self, to: u64, req: &Request) -> Option<Response> {
+        let port = self.next_port;
+        let mut bound = false;
         let machine = self.member(to, None)?;
-        let resp = machine.on_request(req, || Ok(format!("round:{to}")));
+        let resp = machine.on_request(req, || {
+            bound = true;
+            Ok(ring_addr(to, port))
+        });
+        if let Some(process) = self.backends.get_mut(to as usize).and_then(|b| b.up.as_mut()) {
+            if bound {
+                self.next_port += 1;
+                process.bound = Some(port);
+            }
+        }
         if to == ROUTER && req.path == "/ctrl/config" && resp.status == 409 {
             self.stats.config_rejects += 1;
         }
@@ -1191,8 +1251,8 @@ impl World {
     }
 
     /// Carries out member `endpoint`'s commands: exchanges become calls,
-    /// a committed round joins the modelled round, and the router's
-    /// member hands configs to the fence and deaths to the breakers.
+    /// a committed round starts its ring member, and the router's member
+    /// hands configs to the fence and deaths to the breakers.
     fn run_member(&mut self, endpoint: u64) {
         let generation =
             if endpoint == ROUTER { 0 } else { self.backends[endpoint as usize].generation };
@@ -1205,8 +1265,8 @@ impl World {
                     let caller = Caller::Member { generation, id };
                     self.call(endpoint, dest, caller, request, CTRL_TIMEOUT);
                 }
-                hre_ctrl::Command::Run { epoch, plan, .. } => {
-                    self.join_round(endpoint, generation, epoch, plan)
+                hre_ctrl::Command::Run { epoch, plan, successor } => {
+                    self.start_round(endpoint, epoch, plan, &successor)
                 }
                 hre_ctrl::Command::Config(topo) if endpoint == ROUTER => self.router_config(topo),
                 hre_ctrl::Command::Config(_) => {}
@@ -1251,67 +1311,132 @@ impl World {
         self.stats.config_accepts += 1;
     }
 
-    /// A member starts its `Ak` process for a committed round. The round's
-    /// transport is modelled: once every member of the plan has joined,
-    /// the memoized engine elects over the plan's labels and each member
-    /// learns the outcome 0.4 ms + 0.15 ms per message later; a round some
-    /// member never joins fails everywhere after `election_idle`, the
-    /// `Ak` process's idle timeout.
-    fn join_round(&mut self, member: u64, generation: u32, epoch: u64, plan: RingPlan) {
-        let now = self.now_ns();
-        let key = (epoch, plan.order.clone());
-        let joined = self.rounds.entry(key.clone()).or_default();
-        joined.push((member, generation));
-        if joined.len() == 1 {
-            let at = now + self.ctrl_cfg.election_idle.as_nanos() as u64;
-            let ev = Ev::RoundExpire { epoch, order: key.1.clone() };
-            sched(&mut self.events, &mut self.evseq, at, ev);
-        }
-        if joined.len() < plan.len() {
-            return;
-        }
-        let joined = self.rounds.remove(&key).expect("just joined");
-        let req = ElectRequest::new(plan.labels.clone(), AlgoId::Ak, Some(1))
-            .expect("plan labels form a valid ring");
-        let (result, d) = oracle::elect_canonical(&req);
-        let (coordinator, messages) = match result {
-            Ok(out) => {
-                let out = out.into_coords(d, plan.len());
-                (plan.order[out.leader], out.messages)
+    /// Backend `endpoint`'s round listening on `port`, if its process is
+    /// up and still runs that round.
+    fn round(&mut self, endpoint: u64, port: u64) -> Option<&mut Round> {
+        let process = self.backends.get_mut(endpoint as usize)?.up.as_mut()?;
+        process.round.as_mut().filter(|r| r.port == port)
+    }
+
+    /// Backend `endpoint` starts its ring member for the round committed
+    /// at `epoch`, on the listener its prepare bound; a round it still
+    /// drains is dropped.
+    fn start_round(&mut self, endpoint: u64, epoch: u64, plan: RingPlan, successor: &str) {
+        let (now, idle) = (self.clock.now(), self.ctrl_cfg.election_idle);
+        let member = election::start_member(endpoint, &plan, idle, self.ring_ledger.clone(), now)
+            .expect("a commit names a plan with this member");
+        let process = self.backends[endpoint as usize].up.as_mut().expect("a live member commits");
+        let port = process.bound.take().expect("a commit follows the prepare that bound");
+        let successor = ring_endpoint(successor).expect("members name rounds ring:{id}:{port}");
+        let pos = plan.position(endpoint).expect("checked by start_member");
+        let predecessor = plan.order[(pos + plan.len() - 1) % plan.len()];
+        process.round =
+            Some(Round { epoch, plan, port, successor, predecessor, member, armed: None });
+        self.tape.note(self.now_ns(), &format!("ring start member={endpoint} epoch={epoch}"));
+        self.carry_round(endpoint, port);
+    }
+
+    /// Carries out the outputs of backend `endpoint`'s round listening on
+    /// `port`: a dial connects at once if the successor still listens
+    /// where it dials and the hop is not cut, frames cross the hop, the
+    /// outcome goes to the control-plane member, and the member's timer
+    /// is re-armed (or the round dropped once its link closed).
+    fn carry_round(&mut self, endpoint: u64, port: u64) {
+        let now = self.clock.now();
+        while let Some(round) = self.round(endpoint, port) {
+            let ((succ, succ_port), pred) = (round.successor, round.predecessor);
+            let Some(output) = round.member.poll_output() else { break };
+            match output {
+                Output::Dial => {
+                    let listening = self.backends[succ as usize].up.as_ref().is_some_and(|p| {
+                        p.bound == Some(succ_port)
+                            || p.round.as_ref().is_some_and(|r| r.port == succ_port)
+                    });
+                    let cut = self.blocked.contains(&(endpoint, succ))
+                        || self.blocked.contains(&(succ, endpoint));
+                    let round = self.round(endpoint, port).expect("just polled");
+                    round.member.on_connected(listening && !cut, now);
+                }
+                Output::ToSuccessor(bytes) => {
+                    self.ring_send(endpoint, succ, succ_port, false, bytes)
+                }
+                Output::ToPredecessor(bytes) => self.ring_send(endpoint, pred, port, true, bytes),
+                // A modelled hop carries whole frames and injects no
+                // faults: nothing desynchronizes.
+                Output::DropSuccessor | Output::DropPredecessor => {}
+                Output::Done(outcome) => self.round_done(endpoint, port, outcome),
             }
-            Err(e) => {
-                self.violations.push(format!("I0 election failed on plan at epoch {epoch}: {e}"));
-                (plan.expected_coordinator(), 0)
-            }
-        };
-        // I0: Ak must elect the Lyndon-rotation owner.
-        let expected = plan.expected_coordinator();
-        if coordinator != expected {
-            self.violations.push(format!(
-                "I0 election diverges from Lyndon oracle: epoch={epoch} got={coordinator} \
-                 expected={expected}"
-            ));
         }
-        self.stats.elections += 1;
-        self.tape.note(
-            now,
-            &format!("elect epoch={epoch} coordinator={coordinator} size={}", plan.len()),
-        );
-        let at = now + 400_000 + messages * 150_000;
-        for (member, generation) in joined {
-            let ev = Ev::RoundDone { member, generation, epoch, coordinator };
+        let (now_ns, seq) = (self.now_ns(), self.evseq);
+        let clock = Arc::clone(&self.clock);
+        let Some(round) = self.round(endpoint, port) else { return };
+        let want = round.member.deadline();
+        if round.member.closed() {
+            self.backends[endpoint as usize].up.as_mut().expect("a live member").round = None;
+        } else if let Some(at) = want.filter(|w| round.armed.is_none_or(|(armed, _)| *w < armed)) {
+            // A timer armed for later stays: firing before the member's
+            // deadline is harmless, and it re-arms then.
+            round.armed = Some((at, seq));
+            let ev = Ev::RingTimer { member: endpoint, port, seq };
+            sched(&mut self.events, &mut self.evseq, virtual_ns(&clock, at).max(now_ns), ev);
+        }
+    }
+
+    /// Puts a round's bytes on the hop from `from` to `to`, unless the
+    /// hop is cut.
+    fn ring_send(&mut self, from: u64, to: u64, port: u64, ack: bool, bytes: Vec<u8>) {
+        if !self.blocked.contains(&(from, to)) {
+            let at = self.now_ns() + self.data_latency_ns(from, to);
+            let ev = Ev::RingBytes { from, to, port, ack, bytes };
             sched(&mut self.events, &mut self.evseq, at, ev);
         }
     }
 
-    fn on_round_expire(&mut self, epoch: u64, order: Vec<MemberId>) {
-        let Some(joined) = self.rounds.remove(&(epoch, order)) else { return };
-        for (member, generation) in joined {
-            if let Some(machine) = self.member(member, generation) {
-                machine.on_round(epoch, Err("election round did not halt".into()));
-                self.run_member(member);
-            }
+    /// A round's bytes reach `to`, unless the hop was cut on the way:
+    /// DATA for its round listening on `port`, ACKs for its round that
+    /// dialed `from`'s `port`. A round that has not started yet (or has
+    /// moved on) loses them, and the sender's window retransmits.
+    fn on_ring_bytes(&mut self, from: u64, to: u64, port: u64, ack: bool, bytes: &[u8]) {
+        let now = self.clock.now();
+        let Some(process) = self.backends[to as usize].up.as_mut() else { return };
+        let Some(round) = process.round.as_mut() else { return };
+        if self.blocked.contains(&(from, to)) {
+            return;
+        } else if ack && round.successor == (from, port) {
+            round.member.on_successor_bytes(bytes, now);
+        } else if !ack && round.port == port {
+            round.member.on_predecessor_bytes(bytes, now);
+        } else {
+            return;
         }
+        let port = round.port;
+        self.carry_round(to, port);
+    }
+
+    /// Backend `endpoint`'s `Ak` process finished: I0 checks what it
+    /// concluded (the plan's Lyndon owner, or a failed round that neither
+    /// halted nor wedged), and its control-plane member learns the
+    /// outcome at once.
+    fn round_done(&mut self, endpoint: u64, port: u64, outcome: ThreadOutcome) {
+        let round = self.round(endpoint, port).expect("the reporting round");
+        let (epoch, expected) = (round.epoch, round.plan.expected_coordinator());
+        let result = election::coordinator(endpoint, &round.plan, &round.member, outcome);
+        let fine = match &result {
+            Ok(coordinator) => *coordinator == expected,
+            Err(_) => !matches!(outcome, ThreadOutcome::Halted | ThreadOutcome::Wedged),
+        };
+        let what = result.as_ref().map_or("failed".into(), |c| format!("coordinator={c}"));
+        self.tape.note(self.now_ns(), &format!("ring done member={endpoint} epoch={epoch} {what}"));
+        if !fine {
+            self.violations.push(format!(
+                "I0 member={endpoint} epoch={epoch} concluded {result:?}, not {expected}"
+            ));
+        } else if result == Ok(endpoint) {
+            self.stats.elections += 1;
+        }
+        let process = self.backends[endpoint as usize].up.as_mut().expect("a live member");
+        process.ctrl.on_round(epoch, result);
+        self.run_member(endpoint);
     }
 
     /// Once settled, the world ends at the first router tick where the
@@ -1483,6 +1608,7 @@ impl World {
             self.stats.failovers += slot.metrics.failovers.load(Ordering::Relaxed);
             self.stats.breaker_opens += slot.breaker.opened_total();
         }
+        self.stats.retransmits = self.ring_ledger.egress.frames_retried.load(Ordering::Relaxed);
         self.tape.note(
             now,
             &format!(
@@ -1618,5 +1744,43 @@ mod tests {
             }
         }
         assert!(caught > 0, "some seed must surface the planted regression");
+    }
+
+    #[test]
+    fn a_member_killed_mid_round_times_its_survivors_out_and_the_initiator_re_elects() {
+        let quiet = ScenarioPlan {
+            seed: 5,
+            kind: ScenarioKind::BackendKill,
+            backends: 3,
+            requests: 0,
+            duration_us: 2_000_000,
+            faults: Vec::new(),
+        };
+        let opts = WorldOptions { collect_transcript: true, ..Default::default() };
+        let time = |l: &str| -> u64 { l.split(' ').next().unwrap().parse().unwrap() };
+        let epoch = |l: &str| -> u64 {
+            l.split("epoch=").nth(1).unwrap().split(' ').next().unwrap().parse().unwrap()
+        };
+        // Backend 2's first round, which every backend runs: kill it
+        // halfway through.
+        let lines = run_plan(&quiet, &opts).transcript.expect("collected");
+        let start = lines.iter().find(|l| l.contains("ring start member=2 ")).expect("a round");
+        let round = epoch(start);
+        let end = format!("ring done member=2 epoch={round} ");
+        let done = lines.iter().find(|l| l.contains(&end)).expect("it ends");
+        let at_us = (time(start) + time(done)) / 2_000;
+        let kill = FaultSpec::Kill { backend: 2, at_us, revive_after_us: 1_000_000 };
+        let out = run_plan(&ScenarioPlan { faults: vec![kill], ..quiet }, &opts);
+        assert!(out.violations.is_empty(), "I0-I4 hold: {:?}", out.violations);
+        let lines = out.transcript.expect("collected");
+        for survivor in [0, 1] {
+            let failed = format!("ring done member={survivor} epoch={round} failed");
+            assert!(lines.iter().any(|l| l.ends_with(&failed)), "member {survivor} times out");
+        }
+        let reelected = lines
+            .iter()
+            .filter(|l| l.contains("ring done member=0 ") && l.contains("coordinator="))
+            .any(|l| epoch(l) > round);
+        assert!(reelected, "the initiator elects again at a later epoch");
     }
 }

@@ -3,9 +3,16 @@
 //! The fourth execution substrate of the reproduction, after the
 //! discrete-event simulator (`hre-sim`), the exhaustive explorer, and
 //! the in-process channel runtime (`hre-runtime`): the same unmodified
-//! [`hre_sim::ProcessBehavior`] implementations, one OS thread per ring
-//! process, with each directed ring link realized as a **TCP connection
-//! on loopback**.
+//! [`hre_sim::ProcessBehavior`] implementations, one OS thread and one
+//! reactor per ring process, with each directed ring link realized as a
+//! **TCP connection on loopback**.
+//!
+//! A ring process and its two links are one sans-IO machine,
+//! [`RingMember`], which owns every rule of the transport; the socket
+//! shell [`RingSocket`] carries its bytes over TCP on a reactor. The
+//! same member elects the control plane's coordinator between real
+//! processes (`hre-ctrl`), and the deterministic simulator (`hre-dst`)
+//! carries its frames over a modelled hop.
 //!
 //! The paper's model assumes links that are reliable, FIFO, and
 //! exactly-once. A raw socket under the deterministic fault injector is
@@ -30,17 +37,19 @@
 
 pub mod fault;
 pub mod frame;
-pub mod link;
+pub mod member;
 pub mod metrics;
 pub mod node;
 pub mod reliable;
+pub mod shell;
 pub mod window;
 pub mod wire;
 
 pub use fault::{FaultPolicy, LinkInjector, WireAction};
 pub use frame::{crc32, encode_frame, Frame, FrameError, FrameReader, KIND_ACK, KIND_DATA};
-pub use link::{LinkConfig, LinkTransport, PeerLink};
+pub use member::{Ledger, LinkConfig, Output, RingMember, TraceHandle};
 pub use metrics::{LinkMetrics, LinkSnapshot, NetSnapshot, RTT_BUCKETS};
-pub use node::{run_tcp, run_tcp_traced, NetOptions, NetReport, TraceHandle};
+pub use node::{run_tcp, run_tcp_traced, try_run_tcp, NetOptions, NetReport};
 pub use reliable::{Offer, Reassembly};
+pub use shell::RingSocket;
 pub use wire::WireMessage;

@@ -7,8 +7,9 @@
 //! and round-trip times. Comparing the two layers is the point of the
 //! `exp_net` experiment.
 //!
-//! All counters are lock-free atomics so the TX and RX threads of a link
-//! never contend; the RTT histogram is the shared
+//! All counters are lock-free atomics, so the two nodes that share a
+//! link's ledger — the sender's egress and the receiver's ingress, each
+//! on its own thread — never contend; the RTT histogram is the shared
 //! [`hre_runtime::Log2Histogram`] (power-of-two microsecond buckets),
 //! the same type the election service uses for request latency.
 //!

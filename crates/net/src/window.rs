@@ -1,12 +1,12 @@
 //! The sender's retransmission window as a pure state machine.
 //!
-//! Extracted from the TX loop so the *timing logic* — which frames are
-//! due, when a resend fires, which ACKs yield clean RTT samples — is a
-//! function of an explicit `now` instead of ambient wall-clock reads,
-//! the same `*_at` discipline the cluster's circuit breaker follows.
-//! Only `hre-net`'s TX thread runs it, feeding it `Instant::now()`;
-//! the explicit `now` is what lets its unit tests step the same code
-//! through chosen instants.
+//! The *timing logic* — which frames are due, when a resend fires,
+//! which ACKs yield clean RTT samples — is a function of an explicit
+//! `now` instead of ambient wall-clock reads. The sans-IO ring member
+//! ([`crate::RingMember`]) runs it toward its successor, fed the wall
+//! clock by the socket shell and virtual time by the deterministic
+//! simulator; the explicit `now` is also what lets its unit tests step
+//! the same code through chosen instants.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

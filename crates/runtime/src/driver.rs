@@ -1,22 +1,17 @@
-//! The per-node drive loop shared by every real-concurrency runtime.
+//! The rules for running one process, shared by every real-concurrency
+//! runtime: the channel runtime's threads ([`crate::run_threaded`]) and
+//! the socket runtime's sans-IO ring member (`hre_net::RingMember`)
+//! both step their processes through [`Steps`], so their process-facing
+//! semantics cannot drift.
 //!
-//! Both the in-process channel runtime (`hre-runtime`) and the TCP socket
-//! runtime (`hre-net`) run one OS thread per ring process, and both
-//! threads execute the *same* loop: flush the outbox to the right
-//! neighbor, check for local termination, block on the incoming link,
-//! offer the head message to the guarded-action process, repeat. This
-//! module owns that loop once — the runtimes differ only in their
-//! [`NodeTransport`], so their process-facing semantics cannot drift.
-//!
-//! The loop reproduces the model's `rcv` exactly as the simulator does: a
+//! The steps reproduce the model's `rcv` exactly as the simulator does: a
 //! process whose head message matches no enabled guard is permanently
 //! disabled ([`ThreadOutcome::Wedged`]), and a halted process stops
 //! receiving forever.
 
-use hre_sim::{Outbox, ProcessBehavior, Reaction};
-use std::time::Duration;
+use hre_sim::{ElectionState, Outbox, ProcessBehavior, Reaction};
 
-/// How one process's thread ended.
+/// How one process's run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThreadOutcome {
     /// The process halted (local termination decision).
@@ -28,92 +23,101 @@ pub enum ThreadOutcome {
     /// The incoming link disconnected before the process halted.
     Disconnected,
     /// The outgoing link stayed unavailable past the send deadline
-    /// (backpressure stall on bounded links, or a dead transport).
+    /// (backpressure stall on bounded links).
     Stalled,
 }
 
-/// Why a [`NodeTransport::send`] gave up.
+/// Why a send gave up: the link stayed full past the runtime's
+/// deadline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendFault {
-    /// The link stayed full/unavailable past the transport's deadline.
-    Stalled,
-    /// The transport is gone (its machinery shut down underneath us).
-    Disconnected,
+pub struct SendFault;
+
+/// One process's pending sends and its count of sent messages. Each
+/// step hands the whole outbox to a `send` function and then checks for
+/// local termination; a batch counts toward [`Steps::sent`] only if
+/// every message in it was accepted (the accounting whose message
+/// totals integration tests compare bit-for-bit against the simulator).
+#[derive(Debug)]
+pub struct Steps<M> {
+    out: Outbox<M>,
+    sent: u64,
 }
 
-/// Why a [`NodeTransport::recv`] returned no message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvFault {
-    /// Nothing arrived within the idle timeout.
-    Timeout,
-    /// The incoming link is gone and drained.
-    Disconnected,
-}
-
-/// One node's view of its two ring links: send-to-successor and
-/// receive-from-predecessor.
-///
-/// A send to a peer that already halted and tore down its endpoint must
-/// return `Ok(())` — the halted process would never have received the
-/// message, so it is provably irrelevant (the same argument the channel
-/// runtime has always used). Only a genuine stall (deadline exceeded) or
-/// a dead transport is an error.
-pub trait NodeTransport<M> {
-    /// Ships one message toward the right neighbor.
-    fn send(&mut self, msg: M) -> Result<(), SendFault>;
-
-    /// Blocks up to `idle` for the head message of the incoming link.
-    fn recv(&mut self, idle: Duration) -> Result<M, RecvFault>;
-}
-
-/// Runs one process to completion over `transport`: the canonical
-/// recv → guard → react → send loop. Returns the outcome and the number
-/// of messages successfully handed to the transport.
-pub fn drive_node<P, T>(proc: &mut P, transport: &mut T, idle: Duration) -> (ThreadOutcome, u64)
-where
-    P: ProcessBehavior,
-    T: NodeTransport<P::Msg>,
-{
-    let mut out = Outbox::new();
-    let mut sent: u64 = 0;
-    proc.on_start(&mut out);
-    let outcome = loop {
-        match flush(transport, &mut out, &mut sent) {
-            Ok(()) => {}
-            Err(SendFault::Stalled) => break ThreadOutcome::Stalled,
-            Err(SendFault::Disconnected) => break ThreadOutcome::Disconnected,
-        }
-        if proc.election().halted {
-            break ThreadOutcome::Halted;
-        }
-        match transport.recv(idle) {
-            Ok(msg) => match proc.on_msg(&msg, &mut out) {
-                Reaction::Consumed => {}
-                Reaction::Ignored => break ThreadOutcome::Wedged,
-            },
-            Err(RecvFault::Timeout) => break ThreadOutcome::TimedOut,
-            Err(RecvFault::Disconnected) => break ThreadOutcome::Disconnected,
-        }
-    };
-    (outcome, sent)
-}
-
-/// Sends the whole outbox; the batch counts toward `sent` only if every
-/// message was accepted (matching the historical accounting of the
-/// channel runtime, whose message totals integration tests compare
-/// bit-for-bit against the simulator).
-fn flush<M, T: NodeTransport<M>>(
-    transport: &mut T,
-    out: &mut Outbox<M>,
-    sent: &mut u64,
-) -> Result<(), SendFault> {
-    let msgs = std::mem::take(out).into_msgs();
-    let count = msgs.len() as u64;
-    for m in msgs {
-        transport.send(m)?;
+impl<M> Steps<M> {
+    /// Starts `proc` and flushes its initial sends; `Some` if the
+    /// process is already finished.
+    pub fn start<P>(
+        proc: &mut P,
+        send: impl FnMut(M) -> Result<(), SendFault>,
+    ) -> (Steps<M>, Option<ThreadOutcome>)
+    where
+        P: ProcessBehavior<Msg = M>,
+    {
+        let mut steps = Steps { out: Outbox::new(), sent: 0 };
+        proc.on_start(&mut steps.out);
+        let done = steps.flush(proc, send);
+        (steps, done)
     }
-    *sent += count;
-    Ok(())
+
+    /// Offers the head message of the incoming link and flushes what the
+    /// process sent in reaction; `Some` once the process is finished. An
+    /// ignored head message wedges the process for good.
+    pub fn deliver<P>(
+        &mut self,
+        proc: &mut P,
+        msg: &M,
+        send: impl FnMut(M) -> Result<(), SendFault>,
+    ) -> Option<ThreadOutcome>
+    where
+        P: ProcessBehavior<Msg = M>,
+    {
+        match proc.on_msg(msg, &mut self.out) {
+            Reaction::Consumed => self.flush(proc, send),
+            Reaction::Ignored => Some(ThreadOutcome::Wedged),
+        }
+    }
+
+    /// Logical messages sent so far.
+    pub fn sent(&self) -> u64 {
+        self.sent
+    }
+
+    fn flush<P>(
+        &mut self,
+        proc: &P,
+        mut send: impl FnMut(M) -> Result<(), SendFault>,
+    ) -> Option<ThreadOutcome>
+    where
+        P: ProcessBehavior<Msg = M>,
+    {
+        let msgs = std::mem::take(&mut self.out).into_msgs();
+        let count = msgs.len() as u64;
+        if msgs.into_iter().try_for_each(&mut send).is_err() {
+            return Some(ThreadOutcome::Stalled);
+        }
+        self.sent += count;
+        proc.election().halted.then_some(ThreadOutcome::Halted)
+    }
+}
+
+/// Index of the unique leader among a run's final states, if there is
+/// exactly one.
+pub fn unique_leader(elections: &[ElectionState]) -> Option<usize> {
+    let mut leaders = elections.iter().enumerate().filter(|(_, e)| e.is_leader).map(|(i, _)| i);
+    match (leaders.next(), leaders.next()) {
+        (Some(i), None) => Some(i),
+        _ => None,
+    }
+}
+
+/// Whether every process halted and the final states satisfy the
+/// leader-election specification's end conditions.
+pub fn clean_run(elections: &[ElectionState], outcomes: &[ThreadOutcome]) -> bool {
+    let Some(l) = unique_leader(elections) else { return false };
+    let lid = elections[l].leader;
+    outcomes.iter().all(|o| *o == ThreadOutcome::Halted)
+        && lid.is_some()
+        && elections.iter().all(|e| e.done && e.halted && e.leader == lid)
 }
 
 #[cfg(test)]
@@ -154,71 +158,41 @@ mod tests {
         }
     }
 
-    /// Loopback transport: everything sent is received back, FIFO.
-    struct Loopback {
-        q: VecDeque<u32>,
-    }
-
-    impl NodeTransport<u32> for Loopback {
-        fn send(&mut self, msg: u32) -> Result<(), SendFault> {
-            self.q.push_back(msg);
+    /// Steps `proc` over a loopback link holding `queued` first: what is
+    /// sent is received back, FIFO.
+    fn loopback(proc: &mut Echo, queued: &[u32]) -> (ThreadOutcome, u64) {
+        let mut q: VecDeque<u32> = queued.iter().copied().collect();
+        let (mut steps, mut done) = Steps::start(proc, |m| {
+            q.push_back(m);
             Ok(())
+        });
+        while done.is_none() {
+            let msg = q.pop_front().expect("the loop never runs dry");
+            done = steps.deliver(proc, &msg, |m| {
+                q.push_back(m);
+                Ok(())
+            });
         }
-        fn recv(&mut self, _idle: Duration) -> Result<u32, RecvFault> {
-            self.q.pop_front().ok_or(RecvFault::Disconnected)
-        }
+        (done.expect("finished"), steps.sent())
     }
 
     #[test]
-    fn drives_to_halt_and_counts_sends() {
+    fn steps_to_halt_and_counts_sends() {
         let mut proc = Echo { remaining: 5, st: ElectionState::INITIAL };
-        let mut t = Loopback { q: VecDeque::new() };
-        let (outcome, sent) = drive_node(&mut proc, &mut t, Duration::from_secs(1));
-        assert_eq!(outcome, ThreadOutcome::Halted);
         // initial send + 4 echoes (the 5th reception halts without sending)
-        assert_eq!(sent, 5);
+        assert_eq!(loopback(&mut proc, &[]), (ThreadOutcome::Halted, 5));
     }
 
     #[test]
     fn wedges_on_unmatched_guard() {
         let mut proc = Echo { remaining: 100, st: ElectionState::INITIAL };
-        let mut t = Loopback { q: VecDeque::from([999]) };
-        // The loopback yields the poison message after the initial send.
-        // Order: flush(0), recv -> 0, echo 1 ... interleaved; inject 999 first.
-        let (outcome, _) = drive_node(&mut proc, &mut t, Duration::from_secs(1));
-        assert_eq!(outcome, ThreadOutcome::Wedged);
+        assert_eq!(loopback(&mut proc, &[999]).0, ThreadOutcome::Wedged);
     }
 
     #[test]
-    fn reports_disconnect_when_link_dies() {
-        struct Dead;
-        impl NodeTransport<u32> for Dead {
-            fn send(&mut self, _msg: u32) -> Result<(), SendFault> {
-                Ok(())
-            }
-            fn recv(&mut self, _idle: Duration) -> Result<u32, RecvFault> {
-                Err(RecvFault::Disconnected)
-            }
-        }
+    fn a_refused_batch_is_not_counted() {
         let mut proc = Echo { remaining: 3, st: ElectionState::INITIAL };
-        let (outcome, _) = drive_node(&mut proc, &mut Dead, Duration::from_millis(10));
-        assert_eq!(outcome, ThreadOutcome::Disconnected);
-    }
-
-    #[test]
-    fn reports_stall_from_transport() {
-        struct Full;
-        impl NodeTransport<u32> for Full {
-            fn send(&mut self, _msg: u32) -> Result<(), SendFault> {
-                Err(SendFault::Stalled)
-            }
-            fn recv(&mut self, _idle: Duration) -> Result<u32, RecvFault> {
-                Err(RecvFault::Timeout)
-            }
-        }
-        let mut proc = Echo { remaining: 3, st: ElectionState::INITIAL };
-        let (outcome, sent) = drive_node(&mut proc, &mut Full, Duration::from_millis(10));
-        assert_eq!(outcome, ThreadOutcome::Stalled);
-        assert_eq!(sent, 0);
+        let (steps, done) = Steps::start(&mut proc, |_| Err(SendFault));
+        assert_eq!((done, steps.sent()), (Some(ThreadOutcome::Stalled), 0));
     }
 }

@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use backoff::Backoff;
 pub use clock::{Clock, ClockHandle, RealClock, VirtualClock};
-pub use driver::{drive_node, NodeTransport, RecvFault, SendFault, ThreadOutcome};
+pub use driver::{clean_run, unique_leader, SendFault, Steps, ThreadOutcome};
 pub use hist::{bucket_of, render_prometheus_histogram, HistSnapshot, Log2Histogram, LOG2_BUCKETS};
 pub use net::{tcp_connect_nonblocking, ConnectStart};
 pub use reactor::{Event, Interest, PollOutcome, Reactor, TimerKey, Waker, WAKE_TOKEN};
@@ -64,25 +64,13 @@ pub struct ThreadedReport {
 impl ThreadedReport {
     /// Index of the unique leader, if there is exactly one.
     pub fn leader(&self) -> Option<usize> {
-        let leaders: Vec<usize> = self
-            .elections
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_leader)
-            .map(|(i, _)| i)
-            .collect();
-        (leaders.len() == 1).then(|| leaders[0])
+        unique_leader(&self.elections)
     }
 
     /// `true` iff every thread halted and the terminal states satisfy the
     /// leader-election specification's end conditions.
     pub fn clean(&self) -> bool {
-        if !self.outcomes.iter().all(|o| *o == ThreadOutcome::Halted) {
-            return false;
-        }
-        let Some(l) = self.leader() else { return false };
-        let lid = self.elections[l].leader;
-        lid.is_some() && self.elections.iter().all(|e| e.done && e.halted && e.leader == lid)
+        clean_run(&self.elections, &self.outcomes)
     }
 }
 
@@ -111,35 +99,6 @@ impl Default for ThreadedOptions {
             idle_timeout: Duration::from_secs(10),
             channel_capacity: None,
             send_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-/// One ring node's links realized as crossbeam channels: the
-/// [`NodeTransport`] of the in-process runtime.
-struct ChannelTransport<M> {
-    tx: Sender<M>,
-    rx: Receiver<M>,
-    send_timeout: Duration,
-}
-
-impl<M> NodeTransport<M> for ChannelTransport<M> {
-    fn send(&mut self, msg: M) -> Result<(), SendFault> {
-        // The receiver may already have halted and dropped its endpoint;
-        // the message is then provably irrelevant (the halted process would
-        // never have received it), so a disconnect is swallowed. A timeout,
-        // however, is a genuine backpressure stall.
-        match self.tx.send_timeout(msg, self.send_timeout) {
-            Ok(()) | Err(SendTimeoutError::Disconnected(_)) => Ok(()),
-            Err(SendTimeoutError::Timeout(_)) => Err(SendFault::Stalled),
-        }
-    }
-
-    fn recv(&mut self, idle: Duration) -> Result<M, RecvFault> {
-        match self.rx.recv_timeout(idle) {
-            Ok(msg) => Ok(msg),
-            Err(RecvTimeoutError::Timeout) => Err(RecvFault::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvFault::Disconnected),
         }
     }
 }
@@ -179,9 +138,28 @@ where
         let idle = opts.idle_timeout;
         let send_timeout = opts.send_timeout;
         handles.push(std::thread::spawn(move || {
-            let mut transport = ChannelTransport { tx, rx, send_timeout };
-            let (outcome, sent_here) = drive_node(&mut proc, &mut transport, idle);
-            sent.fetch_add(sent_here, Ordering::Relaxed);
+            // The receiver may already have halted and dropped its end;
+            // the message is then provably irrelevant (the halted process
+            // would never have received it), so a disconnect is
+            // swallowed. A timeout, however, is a genuine backpressure
+            // stall.
+            let send = |m| match tx.send_timeout(m, send_timeout) {
+                Ok(()) | Err(SendTimeoutError::Disconnected(_)) => Ok(()),
+                Err(SendTimeoutError::Timeout(_)) => Err(SendFault),
+            };
+            // recv → guard → react → send, until the process finishes.
+            let (mut steps, mut done) = Steps::start(&mut proc, send);
+            let outcome = loop {
+                if let Some(outcome) = done {
+                    break outcome;
+                }
+                done = match rx.recv_timeout(idle) {
+                    Ok(msg) => steps.deliver(&mut proc, &msg, send),
+                    Err(RecvTimeoutError::Timeout) => Some(ThreadOutcome::TimedOut),
+                    Err(RecvTimeoutError::Disconnected) => Some(ThreadOutcome::Disconnected),
+                };
+            };
+            sent.fetch_add(steps.sent(), Ordering::Relaxed);
             // Channels drop here; peers past their own halt never notice.
             (proc, outcome)
         }));

@@ -121,6 +121,52 @@ USAGE:
 /// Parsed arguments: `--key value` pairs plus bare flags.
 pub type Opts = BTreeMap<String, String>;
 
+/// Every command with the flags it reads, a trailing `!` marking a bare
+/// switch, which takes no value. [`dispatch`] refuses any other flag.
+fn flags_of(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "classify" => "ring",
+        "elect" => {
+            "ring algo k transport sched faults fault-seed phases! diagram! json! batch-file"
+        }
+        "generate" => "n k class seed",
+        "impossibility" => "n k0 seed",
+        "verify" => "ring k",
+        "serve" => {
+            "addr workers cache-cap cache-shards queue-cap deadline-ms max-body trace-cap slow-ms \
+             ctrl! join ctrl-addr node-id"
+        }
+        "bench-svc" => {
+            "addr workers cache-cap cache-shards queue-cap deadline-ms max-body trace-cap slow-ms \
+             requests connections no-rotate! ring algo k batch pipeline open-loop"
+        }
+        "cluster-route" => {
+            "addr backends vnodes hedge-min-ms failure-threshold max-body trace-cap slow-ms \
+             ctrl! join ctrl-addr node-id"
+        }
+        "bench-cluster" => {
+            "addr requests connections no-rotate! rings n nodes cache-cap churn! kills json!"
+        }
+        "bench-core" => "sizes k threads seed algo json!",
+        "trace" => "addr id",
+        "ctrl-status" | "ctrl-ring" => "addr",
+        "dst run" => "seed scenario regression! transcript! spans! json!",
+        "dst sweep" => "scenarios count threads seed regression! json! artifact",
+        "dst replay" => "artifact transcript! spans! json!",
+        "help" => "",
+        _ => return None,
+    })
+}
+
+/// Whether `flag` is one of `flags` (as [`flags_of`] lists them), and if
+/// so whether it is a bare switch.
+fn flag_kind(flags: &str, flag: &str) -> Option<bool> {
+    flags.split_whitespace().find_map(|f| match f.strip_suffix('!') {
+        Some(switch) => (switch == flag).then_some(true),
+        None => (f == flag).then_some(false),
+    })
+}
+
 /// Splits `args` into a command name and its options. Returns `None` on
 /// malformed input (missing value, key without `--`, no command).
 pub fn parse(args: &[String]) -> Option<(String, Opts)> {
@@ -138,20 +184,17 @@ pub fn parse(args: &[String]) -> Option<(String, Opts)> {
         cmd = format!("dst {sub}");
         i = 1;
     }
+    let flags = flags_of(&cmd);
     while i < rest.len() {
         let key = rest[i].strip_prefix("--")?.to_string();
-        if matches!(
-            key.as_str(),
-            "phases"
-                | "diagram"
-                | "json"
-                | "no-rotate"
-                | "ctrl"
-                | "churn"
-                | "regression"
-                | "transcript"
-                | "spans"
-        ) {
+        let switch = match flags.map(|f| flag_kind(f, &key)) {
+            Some(Some(switch)) => switch,
+            // A flag the command does not read, which `dispatch` names:
+            // a word after it that is no flag is its value.
+            Some(None) => rest.get(i + 1).is_none_or(|next| next.starts_with("--")),
+            None => false,
+        };
+        if switch {
             opts.insert(key, "true".into());
             i += 1;
             continue;
@@ -165,6 +208,11 @@ pub fn parse(args: &[String]) -> Option<(String, Opts)> {
 
 /// Dispatches a parsed command; returns the text to print.
 pub fn dispatch(cmd: &str, opts: &Opts) -> Result<String, String> {
+    if let Some(flags) = flags_of(cmd) {
+        if let Some(key) = opts.keys().find(|k| flag_kind(flags, k).is_none()) {
+            return Err(format!("hre {cmd} reads no --{key}"));
+        }
+    }
     match cmd {
         "classify" => classify_cmd(opts),
         "elect" => elect_cmd(opts),
@@ -1595,9 +1643,9 @@ fn dst_render_outcome(
     );
     let _ = writeln!(
         text,
-        "cluster: {} elections, {} config accepts ({} rejects), \
+        "cluster: {} elections ({} retransmits), {} config accepts ({} rejects), \
          {} suspects, {} breaker opens",
-        s.elections, s.config_accepts, s.config_rejects, s.suspects, s.breaker_opens,
+        s.elections, s.retransmits, s.config_accepts, s.config_rejects, s.suspects, s.breaker_opens,
     );
     let _ = writeln!(text, "transcript hash: {:016x}", out.hash);
     if out.violations.is_empty() {
@@ -1730,8 +1778,8 @@ fn dst_sweep_cmd(opts: &Opts) -> Result<String, String> {
     let _ = writeln!(
         out,
         "totals: {} requests ({} ok / {} invalid / {} busy / {} failed), \
-         {} elections, {} breaker opens",
-        t.requests, t.ok, t.invalid, t.busy, t.failed, t.elections, t.breaker_opens,
+         {} elections ({} retransmits), {} breaker opens",
+        t.requests, t.ok, t.invalid, t.busy, t.failed, t.elections, t.retransmits, t.breaker_opens,
     );
     if summary.failures.is_empty() {
         let _ = writeln!(out, "invariants: all hold on every instance");
@@ -1813,6 +1861,31 @@ mod tests {
         assert!(parse(&args(&[])).is_none());
         assert!(parse(&args(&["elect", "ring", "1,2"])).is_none()); // missing --
         assert!(parse(&args(&["elect", "--ring"])).is_none()); // missing value
+    }
+
+    #[test]
+    fn flags_a_command_never_reads_are_refused() {
+        for (argv, flag, cmd) in [
+            (
+                &["bench-svc", "--requests", "12", "--rquests", "5", "--connections", "1"][..],
+                "rquests",
+                "bench-svc",
+            ),
+            (&["classify", "--ring", "1,2,3", "--bogus", "7"], "bogus", "classify"),
+            (&["bench-cluster", "--batch", "4"], "batch", "bench-cluster"),
+            (&["verify", "--json", "--ring", "1,2,2"], "json", "verify"),
+        ] {
+            let err = run_cli(argv).unwrap_err();
+            assert_eq!(err, format!("hre {cmd} reads no --{flag}"), "{argv:?}");
+        }
+        // What the benchmark harness starts reads every flag it passes.
+        for argv in
+            [&["serve", "--addr", "a"][..], &["cluster-route", "--addr", "a", "--backends", "b"]]
+        {
+            let (cmd, opts) = parse(&args(argv)).expect("parses");
+            let flags = flags_of(&cmd).expect("a command");
+            assert!(opts.keys().all(|k| flag_kind(flags, k).is_some()), "{argv:?}");
+        }
     }
 
     #[test]
