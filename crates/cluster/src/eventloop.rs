@@ -2,38 +2,27 @@
 //! ([`hre_svc::front`]), which runs each routed request's
 //! [`ForwardMachine`] on the reactor. What a connection parks here is a
 //! routed request's machine, or a trace merge waiting on its backend
-//! fetches. This module keeps only what touches the OS: backend sockets,
-//! the slots' idle pools, and reactor timers standing in for the
-//! machine's. A machine's deadline is its connection's park deadline.
+//! fetches. This module keeps only what touches the OS: the slots' idle
+//! pools, reactor timers standing in for the machine's, and the probe
+//! sweep's timer. A machine's deadline is its connection's park deadline.
 //!
-//! Backend exchanges (one per attempt or trace fetch, multiplexed on the
-//! same reactor):
-//!
-//! ```text
-//!   pooled stream ──────────────┐
-//!                               ▼          flush          response
-//!   tcp_connect_nonblocking ▶ CONNECTING ─▶ SENDING ─▶ RECEIVING ─▶ on_response
-//!        (EINPROGRESS)          │ take_error() != None     │
-//!                               └────────── transport error┴──▶ on_failure
-//! ```
-//!
-//! Attempt streams come from the slot's idle pool or a nonblocking
-//! connect, and a winner's clean stream goes back to the pool. A trace
-//! fetch always dials afresh: it must not take a stream a race could
-//! reuse.
+//! Every backend exchange — an attempt, a trace fetch, a health probe —
+//! is a wire of the front machine ([`Front::open_wire`]), multiplexed on
+//! the same reactor. Attempt streams come from the slot's idle pool or a
+//! fresh dial, and a winner's clean stream goes back to the pool. A
+//! trace fetch or a probe always dials afresh: it must not take a stream
+//! a race could reuse.
 
 use crate::forward::{AttemptId, Command, ForwardMachine, Timer};
 use crate::router::{route_aux, Shared};
 use crate::topology::BackendSlot;
 use hre_runtime::trace::{SpanRecord, TraceId};
-use hre_runtime::{tcp_connect_nonblocking, ConnectStart, Event, Interest, Reactor, TimerKey};
-use hre_svc::front::{self, Dispatch, Front, Service, Tally};
-use hre_svc::http::{request_bytes, Request, RespStep, Response, ResponseParser};
-use hre_svc::{error_json, tracewire, ClientResponse};
+use hre_runtime::{Reactor, TimerKey};
+use hre_svc::front::{self, Dispatch, Front, Service, Tally, WireOutcome};
+use hre_svc::http::{request_bytes, Request, Response};
+use hre_svc::{error_json, tracewire};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,6 +33,8 @@ const HEDGE_BIT: u64 = 1 << 60;
 /// Timer-token bit marking the transport timeout of the attempt on wire
 /// `token & !ATTEMPT_BIT`.
 const ATTEMPT_BIT: u64 = 1 << 59;
+/// Timer token of the next probe sweep.
+const SWEEP: u64 = 1 << 58;
 /// Where a hedge timer keeps its forward's index. Tokens stay below
 /// `1 << FWD_SHIFT`, and a request owns at most `MAX_BATCH` forwards,
 /// which fit in the bits between it and `ATTEMPT_BIT`.
@@ -111,57 +102,26 @@ impl TraceMerge {
 }
 
 /// Whose outcome a backend exchange carries.
-#[derive(Clone, Copy)]
 enum Owner {
-    /// An attempt of the machine parked on the wire's connection.
-    Attempt(AttemptId),
-    /// The trace fetch from topology slot `.0`.
-    Fetch(usize),
-}
-
-/// One backend exchange's wire progress.
-enum WirePhase {
-    /// `connect(2)` returned `EINPROGRESS`; waiting for writability,
-    /// then `take_error()` decides. The serialized request rides along.
-    Connecting { out: Vec<u8> },
-    /// Writing the request bytes.
-    Sending { out: Vec<u8>, pos: usize },
-    /// Request flushed; accumulating the response.
-    Receiving { parser: ResponseParser },
-}
-
-/// One backend exchange: a nonblocking socket and whom it answers.
-struct Wire {
-    /// The front connection waiting on it.
-    conn: u64,
-    owner: Owner,
-    slot: Arc<BackendSlot>,
-    stream: TcpStream,
-    phase: WirePhase,
-}
-
-/// How one reactor pass over a wire ended.
-enum WireStep {
-    /// Still waiting on readiness.
-    Continue,
-    /// A complete response; `clean` = the stream is reusable.
-    Done { resp: ClientResponse, clean: bool },
-    /// Transport failure (connect refused, reset, desync).
-    Failed,
+    /// An attempt of the machine parked on front connection `conn`.
+    Attempt { conn: u64, id: AttemptId },
+    /// The trace fetch from topology slot `i` for the merge parked on
+    /// front connection `conn`.
+    Fetch { conn: u64, i: usize },
+    /// A health probe of the current sweep.
+    Probe,
 }
 
 struct EventLoop<'a> {
-    wires: HashMap<u64, Wire>,
+    /// Every wire out, with whom it answers and the slot it went to.
+    wires: HashMap<u64, (Owner, Arc<BackendSlot>)>,
     shared: &'a Arc<Shared>,
-    /// Fresh wires to drive with synthetic readiness once their request
-    /// is parked again.
-    kick: Vec<u64>,
 }
 
 /// Runs the routing core until shutdown; returns the number of
 /// connections accepted.
 pub(crate) fn reactor_loop(reactor: Reactor, listener: TcpListener, shared: &Arc<Shared>) -> u64 {
-    let mut el = EventLoop { wires: HashMap::new(), shared, kick: Vec::new() };
+    let mut el = EventLoop { wires: HashMap::new(), shared };
     front::serve(&mut el, reactor, listener, shared.cfg.max_body, Arc::clone(&shared.shutdown))
 }
 
@@ -204,17 +164,25 @@ impl Service for EventLoop<'_> {
         }
     }
 
-    fn event(&mut self, front: &mut Front<Parked>, ev: Event) {
-        self.drive_wire(front, ev.token, ev.readable, ev.writable || ev.error || ev.hangup);
+    /// The first probe sweep comes one `health_interval` after start.
+    fn started(&mut self, front: &mut Front<Parked>) {
+        front.reactor.set_timer(self.shared.cfg.health_interval, SWEEP);
     }
 
     fn timer(&mut self, front: &mut Front<Parked>, token: u64) {
+        // A draining router stops probing.
+        if token == SWEEP {
+            if !self.shared.shutdown.load(Ordering::Relaxed) {
+                self.sweep(front);
+            }
+            return;
+        }
         let (conn, timer) = if token & HEDGE_BIT != 0 {
             let f = ((token & !HEDGE_BIT) >> FWD_SHIFT) as usize;
             (token & TOKEN_MASK, Timer::Hedge(f))
         } else if token & ATTEMPT_BIT != 0 {
             match self.wires.get(&(token & !ATTEMPT_BIT)) {
-                Some(Wire { conn, owner: Owner::Attempt(id), .. }) => (*conn, Timer::Attempt(*id)),
+                Some((Owner::Attempt { conn, id }, _)) => (*conn, Timer::Attempt(*id)),
                 _ => return,
             }
         } else {
@@ -226,15 +194,41 @@ impl Service for EventLoop<'_> {
         });
     }
 
-    /// Fresh wires get a synthetic first drive: their fd may already be
-    /// writable, and edge-triggered epoll reports current readiness only
-    /// on the next poll. Their resolutions may answer requests.
-    fn settle(&mut self, front: &mut Front<Parked>) -> bool {
-        let kicked = std::mem::take(&mut self.kick);
-        for &token in &kicked {
-            self.drive_wire(front, token, true, true);
+    /// Hands a finished wire's outcome to its owner.
+    fn wire_done(&mut self, front: &mut Front<Parked>, token: u64, outcome: WireOutcome) {
+        let Some((owner, slot)) = self.wires.remove(&token) else { return };
+        match (owner, outcome) {
+            (Owner::Attempt { conn, id }, WireOutcome::Done(resp, stream)) => {
+                self.input(front, conn, |r| {
+                    r.resolved(id);
+                    let won = r.machine.on_response(id, resp);
+                    if let Some(stream) = stream.filter(|_| won) {
+                        slot.put_idle(stream);
+                    }
+                })
+            }
+            (Owner::Attempt { conn, id }, WireOutcome::Failed) => self.input(front, conn, |r| {
+                r.resolved(id);
+                r.machine.on_failure(id);
+            }),
+            (Owner::Fetch { conn, i }, outcome) => {
+                // A fetch touches no breaker, pool or counter: a failed
+                // or non-200 one only contributes nothing.
+                let spans = match outcome {
+                    WireOutcome::Done(resp, _) if resp.status == 200 => {
+                        tracewire::spans_from_doc(&resp.body_text()).unwrap_or_default()
+                    }
+                    _ => Vec::new(),
+                };
+                let src = slot.addr();
+                let spans = spans.into_iter().map(|s| SpanRecord { src: src.to_string(), ..s });
+                self.fetch_done(front, conn, token, i, spans.collect());
+            }
+            (Owner::Probe, outcome) => {
+                let healthy = matches!(outcome, WireOutcome::Done(resp, _) if resp.status == 200);
+                self.probed(front, &slot, healthy);
+            }
         }
-        !kicked.is_empty()
     }
 
     fn tally(&self, what: Tally) {
@@ -301,7 +295,8 @@ impl EventLoop<'_> {
         while let Some(command) = routed.machine.next_command() {
             match command {
                 Command::Launch { attempt, slot, request } => {
-                    match self.open_wire(front, conn, Owner::Attempt(attempt), slot, request) {
+                    let owner = Owner::Attempt { conn, id: attempt };
+                    match self.open_wire(front, owner, slot, request, None) {
                         Ok(wire) => routed.wires.push((attempt, wire)),
                         Err(_) => routed.machine.on_failure(attempt),
                     }
@@ -364,9 +359,8 @@ impl EventLoop<'_> {
         let mut pending = Vec::new();
         for (i, slot) in topo.slots.iter().enumerate() {
             let request = request_bytes("GET", &path, slot.addr(), &[], None);
-            if let Ok(wire) =
-                self.open_wire(front, token, Owner::Fetch(i), Arc::clone(slot), request)
-            {
+            let owner = Owner::Fetch { conn: token, i };
+            if let Ok(wire) = self.open_wire(front, owner, Arc::clone(slot), request, None) {
                 pending.push(wire);
             }
         }
@@ -401,191 +395,53 @@ impl EventLoop<'_> {
         }
     }
 
-    // ---------- wires ----------
+    /// One probe sweep ([`Shared::start_sweep`]): a `GET /healthz` to
+    /// every target at once, each within [`Shared::probe_timeout`].
+    fn sweep(&mut self, front: &mut Front<Parked>) {
+        let (targets, next) = self.shared.start_sweep();
+        let deadline = self.shared.cfg.clock.now() + self.shared.probe_timeout();
+        for slot in targets {
+            let request = request_bytes("GET", "/healthz", slot.addr(), &[], None);
+            let opened =
+                self.open_wire(front, Owner::Probe, Arc::clone(&slot), request, Some(deadline));
+            if opened.is_err() {
+                self.probed(front, &slot, false);
+            }
+        }
+        if let Some(at) = next {
+            front.reactor.set_timer_at(at, SWEEP);
+        }
+    }
 
-    /// Opens a nonblocking exchange with `slot`: an attempt takes a
-    /// pooled stream if there is one, anything else dials. Registered
-    /// with the reactor, request bytes staged; returns the wire's token.
+    /// A probe ended; the sweep's last one arms the next sweep.
+    fn probed(&mut self, front: &mut Front<Parked>, slot: &BackendSlot, healthy: bool) {
+        if let Some(at) = self.shared.probe_answered(slot, healthy) {
+            front.reactor.set_timer_at(at, SWEEP);
+        }
+    }
+
+    /// Opens a wire to `slot`: an attempt takes a pooled stream if there
+    /// is one, anything else dials. Returns the wire's token.
     fn open_wire(
         &mut self,
         front: &mut Front<Parked>,
-        conn: u64,
         owner: Owner,
         slot: Arc<BackendSlot>,
         request: Vec<u8>,
+        deadline: Option<Instant>,
     ) -> std::io::Result<u64> {
         let pooled = match owner {
-            Owner::Attempt(_) => slot.take_idle(),
-            Owner::Fetch(_) => None,
+            Owner::Attempt { .. } => slot.take_idle(),
+            Owner::Fetch { .. } | Owner::Probe => None,
         };
-        let (stream, connected) = match pooled {
-            Some(stream) => (stream, true),
-            None => dial(slot.addr())?,
-        };
-        let token = front.token();
-        front.reactor.register(stream.as_raw_fd(), token, Interest::BOTH)?;
-        let phase = if connected {
-            WirePhase::Sending { out: request, pos: 0 }
-        } else {
-            WirePhase::Connecting { out: request }
-        };
-        self.wires.insert(token, Wire { conn, owner, slot, stream, phase });
-        self.kick.push(token);
+        let token = front.open_wire(slot.addr(), pooled, request, deadline)?;
+        self.wires.insert(token, (owner, slot));
         Ok(token)
     }
 
-    /// Drops a wire nobody waits for: deregistered and closed.
+    /// Drops a wire nobody waits for.
     fn close_wire(&mut self, front: &mut Front<Parked>, token: u64) {
-        if let Some(wire) = self.wires.remove(&token) {
-            let _ = front.reactor.deregister(wire.stream.as_raw_fd());
-        }
-    }
-
-    /// Advances one wire as far as readiness allows and hands its
-    /// outcome to its owner if it finished.
-    fn drive_wire(
-        &mut self,
-        front: &mut Front<Parked>,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) {
-        let Some(mut wire) = self.wires.remove(&token) else { return };
-        let step = step_wire(&mut wire, readable, writable);
-        if let WireStep::Continue = step {
-            self.wires.insert(token, wire);
-            return;
-        }
-        let _ = front.reactor.deregister(wire.stream.as_raw_fd());
-        let Wire { conn, owner, slot, stream, .. } = wire;
-        match (owner, step) {
-            (Owner::Attempt(id), WireStep::Done { resp, clean }) => self.input(front, conn, |r| {
-                r.resolved(id);
-                if r.machine.on_response(id, resp) && clean {
-                    slot.put_idle(stream);
-                }
-            }),
-            (Owner::Attempt(id), _) => self.input(front, conn, |r| {
-                r.resolved(id);
-                r.machine.on_failure(id);
-            }),
-            (Owner::Fetch(i), step) => {
-                // A fetch touches no breaker, pool or counter: a failed
-                // or non-200 one only contributes nothing.
-                let spans = match step {
-                    WireStep::Done { resp, .. } if resp.status == 200 => {
-                        tracewire::spans_from_doc(&resp.body_text()).unwrap_or_default()
-                    }
-                    _ => Vec::new(),
-                };
-                let src = slot.addr();
-                let spans = spans.into_iter().map(|s| SpanRecord { src: src.to_string(), ..s });
-                self.fetch_done(front, conn, token, i, spans.collect());
-            }
-        }
-    }
-}
-
-/// Starts a nonblocking connect to `addr` with `TCP_NODELAY` set; `true`
-/// when it completed at once.
-fn dial(addr: &str) -> std::io::Result<(TcpStream, bool)> {
-    let addr =
-        addr.to_socket_addrs()?.next().ok_or_else(|| std::io::Error::other("unresolvable"))?;
-    let (stream, connected) = match tcp_connect_nonblocking(addr)? {
-        ConnectStart::Connected(s) => (s, true),
-        ConnectStart::Pending(s) => (s, false),
-    };
-    // Only streams dialed here enter the idle pool, and they keep the
-    // option, so one `setsockopt` per stream covers every forward on it.
-    stream.set_nodelay(true)?;
-    Ok((stream, connected))
-}
-
-/// Advances one wire's state machine.
-fn step_wire(wire: &mut Wire, mut readable: bool, mut writable: bool) -> WireStep {
-    loop {
-        match &mut wire.phase {
-            WirePhase::Connecting { out } => {
-                if !writable {
-                    return WireStep::Continue;
-                }
-                match wire.stream.take_error() {
-                    Ok(None) => {
-                        let out = std::mem::take(out);
-                        wire.phase = WirePhase::Sending { out, pos: 0 };
-                    }
-                    // A pending error or an inspection failure both
-                    // mean the handshake did not complete.
-                    _ => return WireStep::Failed,
-                }
-            }
-            WirePhase::Sending { out, pos } => {
-                if !writable {
-                    return WireStep::Continue;
-                }
-                while *pos < out.len() {
-                    match wire.stream.write(&out[*pos..]) {
-                        Ok(0) => return WireStep::Failed,
-                        Ok(n) => *pos += n,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            writable = false;
-                            break;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => return WireStep::Failed,
-                    }
-                }
-                if *pos < out.len() {
-                    return WireStep::Continue;
-                }
-                wire.phase = WirePhase::Receiving {
-                    parser: ResponseParser::new(hre_svc::http::DEFAULT_MAX_BODY),
-                };
-            }
-            WirePhase::Receiving { parser } => {
-                if !readable {
-                    return WireStep::Continue;
-                }
-                let mut chunk = [0u8; 4096];
-                loop {
-                    match wire.stream.read(&mut chunk) {
-                        // EOF before a complete response — including a
-                        // pooled stream the backend closed while idle.
-                        // A transport error; failover handles it.
-                        Ok(0) => return WireStep::Failed,
-                        Ok(n) => {
-                            parser.push(&chunk[..n]);
-                            match parser.step() {
-                                RespStep::Response(resp) => {
-                                    let clean = parser.is_idle();
-                                    return WireStep::Done { resp, clean };
-                                }
-                                RespStep::Invalid { .. } => return WireStep::Failed,
-                                RespStep::NeedMore => {}
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            readable = false;
-                            break;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => return WireStep::Failed,
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn dialed_streams_carry_nodelay() {
-        // Pooled streams are reused without touching the option, so the
-        // dial must leave it set.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let (stream, _) = super::dial(&addr).expect("dial");
-        assert!(stream.nodelay().expect("read TCP_NODELAY"));
+        self.wires.remove(&token);
+        front.close_wire(token);
     }
 }

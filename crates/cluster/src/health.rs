@@ -18,7 +18,7 @@
 //!
 //! All transitions are tallied (opened/half-opened/closed counters) so
 //! `GET /metrics` can expose breaker churn, and so tests can assert "the
-//! breaker opened, then probed" without racing the prober thread. Every
+//! breaker opened, then probed" without racing the probe sweep. Every
 //! recorded failure is tallied too ([`Breaker::failures_total`]): the
 //! simulator reconciles it against the failures it delivered.
 

@@ -2,8 +2,9 @@
 //!
 //! A front-door router that spreads `POST /elect` traffic across N
 //! backend `hre-svc` daemons, built from the same std-only pieces as the
-//! rest of the workspace (the daemon's hand-rolled HTTP/1.1 server and
-//! client, the shared log₂ histogram, the shared backoff policy):
+//! rest of the workspace (the daemon's hand-rolled HTTP/1.1 machine,
+//! whose wires carry the router's backend exchanges, the shared log₂
+//! histogram, the shared backoff policy):
 //!
 //! * **Rotation-affinity sharding** ([`hash`]): a consistent-hash ring
 //!   over the backends, keyed by the *canonical* (Booth least) rotation
@@ -55,4 +56,4 @@ pub use topology::{BackendSlot, Topology};
 
 // The shared wire codec: one source of truth, re-exported so cluster
 // users never import a second copy that could drift from the backends.
-pub use hre_svc::{error_json, AlgoId, Client, ClientResponse, ElectRequest, Json};
+pub use hre_svc::{error_json, AlgoId, ClientResponse, ElectRequest, Json};

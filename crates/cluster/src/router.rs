@@ -47,11 +47,12 @@
 //! set the router may start with no backends at all and answers `502`
 //! until the first config push lands.
 //!
-//! A background prober hits every backend's `GET /healthz` each
-//! `health_interval` ([`Shared::probe_targets`]); probe outcomes feed
-//! the same breakers as live traffic ([`Shared::probe_outcome`]), and
-//! open breakers pace their probes on the shared capped-backoff
-//! schedule ([`hre_runtime::Backoff`]).
+//! The same reactor sweeps the backends with `GET /healthz` probes, all
+//! of a sweep's at once, starting the next sweep `health_interval` after
+//! the last answer ([`Shared::start_sweep`]); probe outcomes feed the
+//! same breakers as live traffic ([`Shared::probe_answered`]), and open
+//! breakers pace their probes on the shared capped-backoff schedule
+//! ([`hre_runtime::Backoff`]).
 
 use crate::hash::shard_key;
 use crate::metrics::ClusterMetrics;
@@ -60,14 +61,14 @@ use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, Reactor, DEFAULT_TRACE_CAP};
 use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, ArrayWriter, Json};
-use hre_svc::{error_json, Client, ClientResponse, ElectRequest, RequestSpan};
+use hre_svc::{error_json, ClientResponse, ElectRequest, RequestSpan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Router configuration (defaults match `hre cluster-route`'s flags).
 #[derive(Clone, Debug)]
@@ -92,7 +93,7 @@ pub struct ClusterConfig {
     pub probe_start: Duration,
     /// Probe-delay cap.
     pub probe_cap: Duration,
-    /// How often the background prober sweeps the backends.
+    /// The pause between a probe sweep's last answer and the next sweep.
     pub health_interval: Duration,
     /// Idle keep-alive streams retained per backend.
     pub pool_cap: usize,
@@ -136,13 +137,14 @@ impl Default for ClusterConfig {
     }
 }
 
-/// How often blocked loops wake up to check the shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
+/// How often [`RouterHandle::run_until`] checks its flag.
+const POLL: Duration = Duration::from_millis(25);
 
-/// Everything the reactor, the prober and the controllers share, and
-/// all a [`ForwardMachine`](crate::ForwardMachine) reads besides its own
-/// request: the config (clock and timing), the topology, the counters
-/// and the recorder. The simulator builds one to drive the machine.
+/// Everything the reactor and the controllers share, and all a
+/// [`ForwardMachine`](crate::ForwardMachine) and the probe sweep read
+/// besides their own inputs: the config (clock and timing), the
+/// topology, the counters and the recorder. The simulator builds one to
+/// drive them.
 pub struct Shared {
     /// The router's configuration.
     pub cfg: ClusterConfig,
@@ -159,6 +161,8 @@ pub struct Shared {
     local: Vec<String>,
     /// See [`Shared::with_planted_regression`].
     pub(crate) planted_regression: bool,
+    /// Probes of the current sweep still unanswered.
+    probing: AtomicUsize,
 }
 
 impl Shared {
@@ -180,6 +184,7 @@ impl Shared {
             cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
             planted_regression,
+            probing: AtomicUsize::new(0),
         }
     }
 
@@ -259,31 +264,46 @@ impl Shared {
         }
     }
 
-    /// The prober's sweep: every slot of the active topology whose
-    /// breaker admits a request now (an open breaker only once its
-    /// capped backoff makes a probe due). Each is sent `GET /healthz`
-    /// within [`Shared::probe_timeout`], and the outcome goes to
-    /// [`Shared::probe_outcome`].
-    pub fn probe_targets(&self) -> Vec<Arc<BackendSlot>> {
+    /// Starts a probe sweep. Its targets are the slots of the active
+    /// topology whose breaker admits a request now (an open breaker only
+    /// once its capped backoff makes a probe due), each to be sent
+    /// `GET /healthz` now, within [`Shared::probe_timeout`], and reported
+    /// to [`Shared::probe_answered`]. With no target it also returns the
+    /// instant the next sweep starts. Each sweep works off a fresh
+    /// topology snapshot, so new members are probed and removed ones are
+    /// not.
+    pub fn start_sweep(&self) -> (Vec<Arc<BackendSlot>>, Option<Instant>) {
         let now = self.cfg.clock.now();
         let topo = self.topology();
-        topo.slots.iter().filter(|s| s.breaker.allows_request_at(now)).cloned().collect()
+        let targets: Vec<Arc<BackendSlot>> =
+            topo.slots.iter().filter(|s| s.breaker.allows_request_at(now)).cloned().collect();
+        self.probing.store(targets.len(), Ordering::Relaxed);
+        let next = targets.is_empty().then(|| self.next_sweep());
+        (targets, next)
     }
 
-    /// How long a probe waits for its answer.
-    pub fn probe_timeout(&self) -> Duration {
-        self.cfg.timeout.min(Duration::from_millis(500))
-    }
-
-    /// A probe's outcome feeds its slot's breaker as live traffic's
-    /// does; a failed probe also closes the slot's idle streams.
-    pub fn probe_outcome(&self, slot: &BackendSlot, healthy: bool) {
+    /// A probe of the current sweep ended: answered, failed or timed
+    /// out. Its outcome feeds its slot's breaker as live traffic's does,
+    /// and a failed probe also closes the slot's idle streams. The
+    /// sweep's last probe returns the instant the next sweep starts,
+    /// `health_interval` from now.
+    pub fn probe_answered(&self, slot: &BackendSlot, healthy: bool) -> Option<Instant> {
         if healthy {
             slot.breaker.record_success();
         } else {
             slot.breaker.record_failure_at(self.cfg.clock.now());
             slot.clear_idle();
         }
+        (self.probing.fetch_sub(1, Ordering::Relaxed) == 1).then(|| self.next_sweep())
+    }
+
+    fn next_sweep(&self) -> Instant {
+        self.cfg.clock.now() + self.cfg.health_interval
+    }
+
+    /// How long a probe waits for its answer.
+    pub fn probe_timeout(&self) -> Duration {
+        self.cfg.timeout.min(Duration::from_millis(500))
     }
 }
 
@@ -293,7 +313,6 @@ pub struct RouterHandle {
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     reactor: JoinHandle<u64>,
-    prober: JoinHandle<()>,
 }
 
 /// Final per-backend counters reported when the router drains.
@@ -385,7 +404,8 @@ fn invalid(why: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, why)
 }
 
-/// Binds the listener and spins up the reactor and the health prober.
+/// Binds the listener and spins up the reactor: the router's one
+/// thread, which also probes the backends.
 ///
 /// Startup validation: a static router (the default) needs at least one
 /// backend; duplicates are rejected before the bind, self-referential
@@ -411,12 +431,8 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || crate::eventloop::reactor_loop(reactor, listener, &shared))
     };
-    let prober = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || prober_loop(&shared))
-    };
 
-    Ok(RouterHandle { addr, shared, reactor, prober })
+    Ok(RouterHandle { addr, shared, reactor })
 }
 
 impl RouterHandle {
@@ -483,12 +499,11 @@ impl RouterHandle {
         self.controller().trip_backend(addr)
     }
 
-    /// Requests a drain and joins the reactor (which runs until every
-    /// connection has finished its in-flight request) and the prober.
+    /// Requests a drain and joins the reactor, which runs until every
+    /// connection has finished its in-flight request.
     pub fn shutdown(self) -> RouterSummary {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let _ = self.reactor.join().expect("reactor panicked");
-        self.prober.join().expect("prober panicked");
         let m = &self.shared.metrics;
         let topo = self.shared.topology();
         let backends = topo
@@ -793,31 +808,6 @@ pub(crate) fn pass_through(resp: &ClientResponse, backend: &str) -> Response {
         }
     }
     out
-}
-
-/// Runs [`Shared::probe_targets`]' sweep each `health_interval`, one
-/// blocking probe at a time. Each sweep works off a fresh topology
-/// snapshot, so new members are probed and removed ones are not.
-fn prober_loop(shared: &Arc<Shared>) {
-    let probe_timeout = shared.probe_timeout();
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        for slot in shared.probe_targets() {
-            let healthy = Client::connect(slot.addr(), probe_timeout)
-                .and_then(|mut c| c.get("/healthz"))
-                .map(|r| r.status == 200)
-                .unwrap_or(false);
-            shared.probe_outcome(&slot, healthy);
-        }
-        let mut slept = Duration::ZERO;
-        while slept < shared.cfg.health_interval {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let step = POLL.min(shared.cfg.health_interval - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-    }
 }
 
 #[cfg(test)]

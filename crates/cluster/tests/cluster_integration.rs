@@ -149,7 +149,7 @@ fn fails_over_when_a_backend_dies_and_reports_the_breaker() {
         std::thread::sleep(Duration::from_millis(15));
     }
 
-    // Give the prober time to trip and then probe the open breaker.
+    // Give the probe sweeps time to trip and then probe the open breaker.
     std::thread::sleep(Duration::from_millis(300));
     let metrics = c.get("/metrics").expect("metrics").body_text();
     let line = |name: &str| {
@@ -187,8 +187,8 @@ fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
         hedge_min: Duration::from_millis(10),
         deadline: Duration::from_secs(20),
         timeout: Duration::from_secs(20),
-        // The prober's start-up sweep is its only one: one failed probe
-        // of the tar pit leaves its breaker closed.
+        // No probe sweep runs before the first interval is up, so no
+        // failed probe of the tar pit touches its breaker.
         health_interval: Duration::from_secs(60),
         ..Default::default()
     })
@@ -647,8 +647,8 @@ fn removing_or_tripping_a_backend_closes_its_pooled_streams() {
         let router = start(ClusterConfig {
             backends: addrs.clone(),
             hedge_min: Duration::from_secs(10),
-            // The prober's sweep at start-up is its only one here, so
-            // its probe connections cannot blur the count.
+            // No probe sweep runs before the first interval is up, so
+            // no probe connection can blur the count.
             health_interval: Duration::from_secs(30),
             ..Default::default()
         })

@@ -41,6 +41,6 @@ pub mod member;
 pub mod node;
 pub mod testbed;
 
-pub use machine::{ClusterTopology, Command, Machine, CTRL_TIMEOUT};
+pub use machine::{exchange_request, ClusterTopology, Command, Machine, CTRL_TIMEOUT};
 pub use member::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 pub use node::{derive_node_id, start, ConfigCallback, CtrlConfig, CtrlHandle, DeathCallback};

@@ -7,8 +7,9 @@
 //! election timers. It owns no socket, listener, thread or timer, reads
 //! `now` from [`CtrlConfig::clock`], and names peers by their control
 //! addresses as strings. ctrl's node ([`crate::node`]) drives it over
-//! TCP from its endpoint and manager threads; the deterministic
-//! simulator (`hre-dst`) over its virtual-time event heap.
+//! TCP from its one reactor thread; the deterministic simulator
+//! (`hre-dst`) over its virtual-time event heap. Both send every
+//! exchange at once, each under its own timeout.
 //!
 //! Inputs: [`Machine::tick`] (each heartbeat), [`Machine::on_request`]
 //! (an inbound `/ctrl/*` request, answered at once), [`Machine::on_reply`]
@@ -32,9 +33,10 @@
 //! 3. **Failure detection**: a peer whose latest exchange failed and
 //!    that has not been heard from for `failure_timeout` is declared
 //!    dead — a sticky, incarnation-fenced mark that gossip then spreads.
-//!    Requiring the failed exchange keeps one silent peer, which stalls
-//!    a tick that runs its exchanges one at a time for [`CTRL_TIMEOUT`],
-//!    from aging every other peer past the timeout. A member that sees
+//!    Requiring the failed exchange means silence alone never kills a
+//!    peer: one that answers stays alive however long its driver took to
+//!    ask (a driver running exchanges one at a time holds each behind a
+//!    silent peer's [`CTRL_TIMEOUT`]). A member that sees
 //!    *itself* declared dead (it was partitioned, not crashed) rejoins by
 //!    bumping its incarnation.
 //! 4. **Election**: when the live backend set disagrees with the
@@ -64,17 +66,23 @@ use crate::node::{derive_node_id, CtrlConfig};
 use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage};
 use hre_runtime::DEFAULT_TRACE_CAP;
 use hre_svc::error_json;
-use hre_svc::http::{ClientResponse, Request, Response};
+use hre_svc::http::{request_bytes, ClientResponse, Request, Response};
 use hre_svc::json::{self, Json};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Timeout for one control-plane exchange (join, gossip, prepare,
-/// commit, config push), connect and answer. Deliberately short: the
-/// control plane prefers declaring a peer slow over stalling its own
-/// tick.
+/// commit, config push), connect and answer. Deliberately short: a
+/// peer that has not answered by then counts as failed.
 pub const CTRL_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The request bytes of a [`Command::Exchange`]: `POST` `body` as JSON
+/// to `path` at the control address `to`.
+pub fn exchange_request(to: &str, path: &str, body: &str) -> Vec<u8> {
+    let json = [("content-type", "application/json")];
+    request_bytes("POST", path, to, &json, Some(body.as_bytes()))
+}
 
 /// The coordinator's product: the epoch-stamped backend list.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,9 +129,9 @@ fn strings(v: &Json, key: &str, missing: &str) -> Result<Vec<String>, String> {
 /// What a [`Machine`] asks the code running it to do.
 #[derive(Debug)]
 pub enum Command {
-    /// `POST` `body` to `path` at the control address `to`, within
-    /// [`CTRL_TIMEOUT`]; report the outcome to [`Machine::on_reply`]
-    /// under `id`.
+    /// `POST` `body` to `path` at the control address `to` (the bytes
+    /// are [`exchange_request`]'s), within [`CTRL_TIMEOUT`]; report the
+    /// outcome to [`Machine::on_reply`] under `id`.
     Exchange {
         /// The exchange's name in [`Machine::on_reply`].
         id: u64,
@@ -962,9 +970,9 @@ mod tests {
 
     #[test]
     fn a_silent_peer_does_not_age_the_peers_that_answered() {
-        // Exchanges run one at a time: replies from 2 and 3 land 1 and
-        // 2 ms into the tick, the silent peer fails at its 500 ms timeout,
-        // and only then does detection run.
+        // A driver that runs exchanges one at a time: replies from 2 and
+        // 3 land 1 and 2 ms into the tick, the silent peer fails at its
+        // 500 ms timeout, and only then does detection run.
         let mut sim = Sim::new(&[1, 2, 3, 4]);
         sim.round();
         let t = sim.now();

@@ -1,39 +1,39 @@
 //! The control-plane node: one per process, next to the data-plane
 //! daemon it represents. It drives one [`Machine`] — the member's whole
 //! state and every decision, see [`crate::machine`] for the protocol —
-//! over real sockets, from two threads.
+//! over real sockets, from one reactor thread.
 //!
-//! The machine sits behind one lock. The node's small HTTP endpoint —
-//! served by the data plane's front-connection machine
-//! ([`hre_svc::front`]) on one reactor thread — hands it each request
+//! The machine sits behind one lock, which the handle's readers share.
+//! The node's small HTTP endpoint — served by the data plane's
+//! front-connection machine ([`hre_svc::front`]) — hands it each request
 //! and answers at once. A prepare it accepts binds an election listener
-//! on that reactor, and a commit starts the round's `Ak` member there
+//! on the reactor, and a commit starts the round's `Ak` member there
 //! ([`RingSocket`], the socket shell `run_tcp` uses too), which reports
 //! the elected coordinator to the machine the moment its process halts
 //! or idles out; the member's window drains and its ACKs linger on the
-//! reactor's timers after that. A manager thread ticks the machine every
-//! heartbeat interval and carries out its exchanges as blocking
-//! [`Client`] calls, one at a time, each within [`CTRL_TIMEOUT`] — the
-//! endpoint's too, which it hands over instead of blocking its reactor.
-//! Accepted configs and declared deaths reach the `on_config`/`on_death`
-//! callbacks, called outside the lock.
+//! reactor's timers after that. A reactor timer ticks the machine every
+//! heartbeat interval, and each exchange it asks for is a wire of the
+//! front machine ([`Front::open_wire`]): all of a tick's exchanges are
+//! out at once, each failing on its own after [`CTRL_TIMEOUT`], as the
+//! deterministic simulator schedules them. Accepted configs and
+//! declared deaths reach the `on_config`/`on_death` callbacks, called
+//! outside the lock.
 
 use crate::election;
-use crate::machine::{ClusterTopology, Command, Machine, CTRL_TIMEOUT};
+use crate::machine::{exchange_request, ClusterTopology, Command, Machine, CTRL_TIMEOUT};
 use crate::member::{MemberId, RingPlan, Role, View};
 use hre_core::AkProc;
 use hre_net::{Ledger, RingSocket};
 use hre_runtime::trace::FlightRecorder;
 use hre_runtime::{ClockHandle, Event, Interest, Reactor};
-use hre_svc::front::{self, Dispatch, Front, Service};
+use hre_svc::front::{self, Dispatch, Front, Service, WireOutcome};
 use hre_svc::http::{Request, DEFAULT_MAX_BODY};
-use hre_svc::{Client, StatusProvider};
-use std::collections::VecDeque;
+use hre_svc::StatusProvider;
+use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -120,8 +120,8 @@ impl std::fmt::Debug for CtrlConfig {
     }
 }
 
-/// How often the manager wakes up to check the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
+/// Timer token of the heartbeat; far above every socket token.
+const TICK: u64 = 1 << 60;
 
 struct Inner {
     cfg: CtrlConfig,
@@ -129,14 +129,13 @@ struct Inner {
     shutdown: Arc<AtomicBool>,
 }
 
-/// A running control-plane node. Dropping the handle leaks the threads;
+/// A running control-plane node. Dropping the handle leaks its thread;
 /// call [`CtrlHandle::shutdown`] to drain.
 pub struct CtrlHandle {
     /// The control-plane address actually bound (resolves port 0).
     pub addr: SocketAddr,
     inner: Arc<Inner>,
     endpoint: JoinHandle<()>,
-    manager: JoinHandle<()>,
 }
 
 /// Derives a stable node id from the advertised serve address (FNV-1a
@@ -151,8 +150,9 @@ pub fn derive_node_id(serve_addr: &str) -> MemberId {
     h ^ (h >> 31)
 }
 
-/// Binds the control endpoint, joins through the seeds, and starts the
-/// gossip/election manager.
+/// Binds the control endpoint and starts its reactor, which joins
+/// through the seeds at once and ticks one heartbeat later. Returns
+/// without waiting for the joins.
 pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
     let listener = TcpListener::bind(&cfg.ctrl_addr)?;
     listener.set_nonblocking(true)?;
@@ -174,33 +174,19 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
         machine: Mutex::new(machine),
         shutdown: Arc::new(AtomicBool::new(false)),
     });
-
-    // Join through the seeds before the manager starts, so the first
-    // tick already gossips with a populated view. Seed failures are
-    // non-fatal: the seed may simply not be up yet, and later gossip
-    // (seeds also learn about us from *our* records spreading) heals.
-    carry_out(&inner, step(&inner, |_| ()).1);
-
-    let (handoff, handed) = mpsc::channel();
-    let endpoint = {
-        let mut endpoint = Endpoint {
-            inner: Arc::clone(&inner),
-            me,
-            ip: addr.ip(),
-            handoff,
-            prepared: None,
-            round: None,
-        };
-        let shutdown = Arc::clone(&inner.shutdown);
-        std::thread::spawn(move || {
-            front::serve(&mut endpoint, reactor, listener, DEFAULT_MAX_BODY, shutdown);
-        })
+    let mut endpoint = Endpoint {
+        inner: Arc::clone(&inner),
+        me,
+        ip: addr.ip(),
+        exchanges: HashMap::new(),
+        prepared: None,
+        round: None,
     };
-    let manager = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || manager_loop(&inner, &handed))
-    };
-    Ok(CtrlHandle { addr, inner, endpoint, manager })
+    let shutdown = Arc::clone(&inner.shutdown);
+    let endpoint = std::thread::spawn(move || {
+        front::serve(&mut endpoint, reactor, listener, DEFAULT_MAX_BODY, shutdown);
+    });
+    Ok(CtrlHandle { addr, inner, endpoint })
 }
 
 impl CtrlHandle {
@@ -251,11 +237,10 @@ impl CtrlHandle {
         StatusProvider::new(move || inner.machine.lock().unwrap().status_doc().to_string())
     }
 
-    /// Stops gossiping, drains the endpoint, and joins the manager and
-    /// the endpoint (with any election round on its reactor).
+    /// Drains the endpoint and joins its reactor; exchanges and any
+    /// election round still on it are dropped.
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.manager.join();
         let _ = self.endpoint.join();
     }
 }
@@ -288,49 +273,17 @@ fn notify(cfg: &CtrlConfig, command: Command) -> Option<Command> {
     }
 }
 
-/// The manager's side: carries out `todo` — and every command the
-/// replies to its exchanges lead to — with the lock released.
-fn carry_out(inner: &Inner, mut todo: VecDeque<Command>) {
-    while let Some(command) = todo.pop_front() {
-        // Only a commit, an inbound request the endpoint takes, starts a
-        // round: the manager never sees `Run`.
-        if let Some(Command::Exchange { id, to, path, body }) = notify(&inner.cfg, command) {
-            let reply =
-                Client::connect(&to, CTRL_TIMEOUT).and_then(|mut c| c.post_json(path, &body)).ok();
-            todo.extend(step(inner, |m| m.on_reply(id, reply)).1);
-        }
-    }
-}
-
-fn manager_loop(inner: &Inner, handed: &Receiver<Command>) {
-    let mut next_tick = Instant::now();
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        if now >= next_tick {
-            carry_out(inner, step(inner, Machine::tick).1);
-            next_tick = Instant::now() + inner.cfg.heartbeat_interval;
-            continue;
-        }
-        let wait = (next_tick - now).min(POLL);
-        match handed.recv_timeout(wait) {
-            Ok(command) => carry_out(inner, VecDeque::from([command])),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-        }
-    }
-}
-
 /// The control endpoint: a listener of the front-connection machine,
-/// and the round this member runs on the same reactor. Every route
-/// answers at once, so nothing parks.
+/// and the heartbeat, the exchanges and the round this member runs on
+/// the same reactor. Every route answers at once, so nothing parks.
 struct Endpoint {
     inner: Arc<Inner>,
     me: MemberId,
     /// The interface the control endpoint listens on; election
     /// listeners bind there too.
     ip: IpAddr,
-    /// Exchanges for the manager to carry out.
-    handoff: Sender<Command>,
+    /// The machine's id of the exchange on each wire.
+    exchanges: HashMap<u64, u64>,
     /// The election listener of the round this member prepared, watched
     /// by the reactor under the first of its tokens.
     prepared: Option<(TcpListener, [u64; 3])>,
@@ -339,20 +292,32 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    /// Carries out what the machine emitted on the endpoint's thread:
-    /// callbacks here, a round on this reactor, exchanges by the manager.
-    fn carry_out(&mut self, front: &mut Front<Infallible>, todo: VecDeque<Command>) {
-        for command in todo {
+    /// Carries out what the machine emitted: callbacks, a round, and
+    /// exchanges as wires. An exchange that cannot even be dialed fails
+    /// at once, and what its failure leads to is carried out too.
+    fn carry_out(&mut self, front: &mut Front<Infallible>, mut todo: VecDeque<Command>) {
+        while let Some(command) = todo.pop_front() {
             match notify(&self.inner.cfg, command) {
                 Some(Command::Run { epoch, plan, successor }) => {
                     self.run(front, epoch, plan, &successor)
                 }
-                // The manager outlives the endpoint, so a send fails only
-                // while the node shuts down.
-                Some(exchange) => drop(self.handoff.send(exchange)),
-                None => {}
+                Some(Command::Exchange { id, to, path, body }) => {
+                    let request = exchange_request(&to, path, &body);
+                    let deadline = Some(Instant::now() + CTRL_TIMEOUT);
+                    match front.open_wire(&to, None, request, deadline) {
+                        Ok(wire) => drop(self.exchanges.insert(wire, id)),
+                        Err(_) => todo.extend(step(&self.inner, |m| m.on_reply(id, None)).1),
+                    }
+                }
+                _ => {}
             }
         }
+    }
+
+    /// Feeds `input` to the machine and carries out what it emitted.
+    fn input(&mut self, front: &mut Front<Infallible>, input: impl FnOnce(&mut Machine)) {
+        let todo = step(&self.inner, input).1;
+        self.carry_out(front, todo);
     }
 
     /// Starts this member's round committed at `epoch` on the listener
@@ -409,8 +374,7 @@ impl Endpoint {
         if let Err(why) = &outcome {
             eprintln!("ctrl[{}]: election round at epoch {epoch} failed: {why}", self.me);
         }
-        let todo = step(&self.inner, |m| m.on_round(epoch, outcome)).1;
-        self.carry_out(front, todo);
+        self.input(front, |m| m.on_round(epoch, outcome));
     }
 }
 
@@ -443,6 +407,13 @@ impl Service for Endpoint {
         Dispatch::Answer(resp)
     }
 
+    /// The joins [`Machine::new`] asked for go out at once; the first
+    /// tick comes one heartbeat later.
+    fn started(&mut self, front: &mut Front<Infallible>) {
+        self.input(front, |_| ());
+        front.reactor.set_timer(self.inner.cfg.heartbeat_interval, TICK);
+    }
+
     fn event(&mut self, front: &mut Front<Infallible>, ev: Event) {
         // A dial that reaches a prepared listener before its round
         // starts waits in the backlog: the round accepts it at start.
@@ -453,9 +424,26 @@ impl Service for Endpoint {
     }
 
     fn timer(&mut self, front: &mut Front<Infallible>, token: u64) {
-        if let Some((_, _, socket)) = self.round.as_mut().filter(|r| r.2.owns(token)) {
+        if token == TICK {
+            // A draining node stops gossiping.
+            if !self.inner.shutdown.load(Ordering::Relaxed) {
+                self.input(front, Machine::tick);
+                front.reactor.set_timer(self.inner.cfg.heartbeat_interval, TICK);
+            }
+        } else if let Some((_, _, socket)) = self.round.as_mut().filter(|r| r.2.owns(token)) {
             socket.timer(&mut front.reactor);
             self.report(front);
         }
+    }
+
+    /// An exchange's reply, or its failure: refused, broken, or past
+    /// [`CTRL_TIMEOUT`].
+    fn wire_done(&mut self, front: &mut Front<Infallible>, wire: u64, outcome: WireOutcome) {
+        let Some(id) = self.exchanges.remove(&wire) else { return };
+        let reply = match outcome {
+            WireOutcome::Done(resp, _) => Some(resp),
+            WireOutcome::Failed => None,
+        };
+        self.input(front, |m| m.on_reply(id, reply));
     }
 }

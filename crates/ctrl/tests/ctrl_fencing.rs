@@ -1,10 +1,17 @@
-//! Live checks of two control-plane rules: one epoch names one config,
-//! and a member that never answers gets no healthy member declared dead.
+//! Live checks of three control-plane rules: one epoch names one
+//! config, a member that never answers gets no healthy member declared
+//! dead, and it does not slow the node's exchanges with the others.
 
 use hre_ctrl::testbed::{wait_for_agreement, wait_until};
 use hre_ctrl::{start, CtrlConfig, CtrlHandle, MemberInfo, Role, Status};
+use hre_runtime::Reactor;
+use hre_svc::front::{self, Dispatch, Front, Service};
+use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::Client;
+use std::convert::Infallible;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -92,4 +99,62 @@ fn a_member_that_never_answers_gets_no_healthy_member_declared_dead() {
     for h in nodes {
         h.shutdown();
     }
+}
+
+/// A stand-in peer that answers every control request with 200 and
+/// counts the gossips it gets.
+struct Stub(Arc<AtomicUsize>);
+
+impl Service for Stub {
+    type Parked = Infallible;
+
+    fn dispatch(
+        &mut self,
+        _: &mut Front<Infallible>,
+        _: u64,
+        req: &Request,
+    ) -> Dispatch<Infallible> {
+        if req.path == "/ctrl/gossip" {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        Dispatch::Answer(Response::json(200, "{}".into()))
+    }
+}
+
+#[test]
+fn a_member_that_never_answers_does_not_slow_gossip_to_the_others() {
+    let solo = node(18321, Vec::new());
+    let gossips = Arc::new(AtomicUsize::new(0));
+    let stub = TcpListener::bind("127.0.0.1:0").unwrap();
+    stub.set_nonblocking(true).unwrap();
+    let stub_addr = stub.local_addr().unwrap().to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let served = {
+        let (mut svc, flag) = (Stub(Arc::clone(&gossips)), Arc::clone(&shutdown));
+        let reactor = Reactor::new().unwrap();
+        std::thread::spawn(move || front::serve(&mut svc, reactor, stub, DEFAULT_MAX_BODY, flag))
+    };
+    let pit = TcpListener::bind("127.0.0.1:0").unwrap();
+    let router = |id, ctrl_addr: String| MemberInfo {
+        id,
+        role: Role::Router,
+        ctrl_addr,
+        serve_addr: format!("127.0.0.1:{}", 18320 + id),
+        incarnation: 1,
+        status: Status::Alive,
+    };
+    for record in [router(1, stub_addr), router(2, pit.local_addr().unwrap().to_string())] {
+        assert_eq!(post(&solo, "/ctrl/join", &record.to_json().to_string()), 200);
+    }
+
+    // One gossip per 75 ms heartbeat is about 13 a second; exchanges run
+    // one at a time, each tick would wait out the pit's 500 ms timeout.
+    let before = gossips.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_secs(1));
+    let heard = gossips.load(Ordering::Relaxed) - before;
+    assert!(heard >= 8, "the stub heard {heard} gossips in 1 s");
+
+    solo.shutdown();
+    shutdown.store(true, Ordering::SeqCst);
+    served.join().unwrap();
 }

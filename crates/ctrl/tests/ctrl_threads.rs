@@ -1,6 +1,6 @@
-//! A control-plane node serves every connection from its one reactor
-//! thread: idle connections cost it no threads. Its own test binary, so
-//! no test running in parallel can move this process's thread count.
+//! A control-plane node runs on one reactor thread, which serves every
+//! connection: idle connections cost it no threads. Its own test binary,
+//! so no test running in parallel can move this process's thread count.
 
 use hre_ctrl::CtrlConfig;
 use hre_svc::Client;
@@ -19,9 +19,11 @@ fn threads() -> usize {
 
 #[test]
 fn idle_connections_to_a_ctrl_listener_add_no_threads() {
+    let at_rest = threads();
     let node =
         hre_ctrl::start(CtrlConfig { serve_addr: "127.0.0.1:1".into(), ..Default::default() })
             .expect("start");
+    assert_eq!(threads(), at_rest + 1, "a node runs one thread");
     let addr = node.addr.to_string();
     let mut client = Client::connect(&addr, Duration::from_secs(5)).expect("connect");
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);

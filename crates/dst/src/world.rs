@@ -333,8 +333,6 @@ struct Router {
     breaker_prev: BTreeMap<u64, BreakerState>,
     /// Every config the fence accepted, by epoch (I1).
     accepted: BTreeMap<u64, Vec<String>>,
-    /// Probes of the current sweep still unanswered.
-    probing: usize,
 }
 
 impl Router {
@@ -609,7 +607,6 @@ impl World {
                 books: Vec::new(),
                 breaker_prev: BTreeMap::new(),
                 accepted: BTreeMap::new(),
-                probing: 0,
             },
             reqs: Vec::new(),
             calls: Vec::new(),
@@ -1097,30 +1094,30 @@ impl World {
         }
     }
 
-    /// One sweep of the shipped prober: a `GET /healthz` to every backend
-    /// whose breaker admits one. As the router's prober thread does, the
-    /// next sweep waits `health_interval` after this one's last answer.
+    /// One sweep of the shipped prober ([`Shared::start_sweep`]): a
+    /// `GET /healthz` to every backend whose breaker admits one, as the
+    /// router's reactor sends them, with the next sweep scheduled by the
+    /// shipped rule.
     fn on_probe_sweep(&mut self) {
         let timeout = self.router.shared.probe_timeout();
-        for slot in self.router.shared.probe_targets() {
+        let (targets, next) = self.router.shared.start_sweep();
+        for slot in targets {
             let b: u64 = slot.addr().parse().expect("backends are named by id");
             let book = self.router.book(&slot);
-            self.router.probing += 1;
             let request = request_bytes("GET", "/healthz", slot.addr(), &[], None);
             self.call(ROUTER, b, Caller::Probe { book }, request, timeout);
         }
         for slot in &self.router.shared.topology().slots {
             self.note_breaker(slot.addr().parse().expect("named by id"), &slot.breaker);
         }
-        if self.router.probing == 0 {
-            self.next_sweep();
-        }
+        self.next_sweep(next);
     }
 
-    fn next_sweep(&mut self) {
-        let now = self.now_ns();
-        if now < self.duration_ns {
-            let at = now + self.router.shared.cfg.health_interval.as_nanos() as u64;
+    /// Schedules the next sweep at `at`, if the sweep schedule named one
+    /// and the run is not over.
+    fn next_sweep(&mut self, at: Option<Instant>) {
+        if let Some(at) = at.filter(|_| self.now_ns() < self.duration_ns) {
+            let at = virtual_ns(&self.clock, at);
             sched(&mut self.events, &mut self.evseq, at, Ev::ProbeSweep);
         }
     }
@@ -1204,7 +1201,7 @@ impl World {
             Caller::Probe { book } => {
                 let slot = Arc::clone(&self.router.books[book].0);
                 let healthy = answer.is_some_and(|r| r.status == 200);
-                self.router.shared.probe_outcome(&slot, healthy);
+                let next = self.router.shared.probe_answered(&slot, healthy);
                 let b: u64 = slot.addr().parse().expect("backends are named by id");
                 if !healthy {
                     // Delivered as a transport failure: I2a expects it in
@@ -1214,10 +1211,7 @@ impl World {
                     self.tape.note(now, &format!("probe backend={b} failed"));
                 }
                 self.note_breaker(b, &slot.breaker);
-                self.router.probing -= 1;
-                if self.router.probing == 0 {
-                    self.next_sweep();
-                }
+                self.next_sweep(next);
             }
         }
     }
@@ -1260,8 +1254,7 @@ impl World {
             match command {
                 hre_ctrl::Command::Exchange { id, to, path, body } => {
                     let dest = ctrl_endpoint(&to).expect("members name each other ctrl:{id}");
-                    let json = [("content-type", "application/json")];
-                    let request = request_bytes("POST", path, &to, &json, Some(body.as_bytes()));
+                    let request = hre_ctrl::exchange_request(&to, path, &body);
                     let caller = Caller::Member { generation, id };
                     self.call(endpoint, dest, caller, request, CTRL_TIMEOUT);
                 }

@@ -133,11 +133,6 @@ impl LinkInjector {
         }
         WireAction::Deliver
     }
-
-    /// Transmission attempts rolled so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
 }
 
 #[cfg(test)]

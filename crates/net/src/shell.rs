@@ -219,7 +219,6 @@ where
     fn dial(&mut self, reactor: &mut Reactor, now: Instant) {
         self.conns[SUCC] = None;
         let started = tcp_connect_nonblocking(self.successor).and_then(|start| {
-            let _ = start.stream().set_nodelay(true);
             reactor.register(start.stream().as_raw_fd(), self.tokens[2], Interest::BOTH)?;
             Ok(start)
         });

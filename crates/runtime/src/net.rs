@@ -39,22 +39,19 @@ impl ConnectStart {
             ConnectStart::Connected(s) | ConnectStart::Pending(s) => s,
         }
     }
-
-    /// Consumes the outcome, yielding the stream.
-    pub fn into_stream(self) -> TcpStream {
-        match self {
-            ConnectStart::Connected(s) | ConnectStart::Pending(s) => s,
-        }
-    }
 }
 
 /// Starts a TCP connection without ever blocking the caller.
 ///
-/// The returned stream is in nonblocking mode and owns its fd (close on
+/// The returned stream is in nonblocking mode, carries `TCP_NODELAY`
+/// (every caller writes small requests or frames it wants sent at once,
+/// and a stream it pools keeps the option) and owns its fd (close on
 /// drop, `CLOEXEC` set at creation). On non-Linux targets this reports
 /// `Unsupported`, mirroring [`crate::Reactor::new`].
 pub fn tcp_connect_nonblocking(addr: SocketAddr) -> io::Result<ConnectStart> {
-    sys::start_connect(addr)
+    let start = sys::start_connect(addr)?;
+    start.stream().set_nodelay(true)?;
+    Ok(start)
 }
 
 /// The `extern "C"` shim — `socket(2)` + `connect(2)`, each wrapped in a

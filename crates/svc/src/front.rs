@@ -24,24 +24,45 @@
 //! token through [`Front::answer`]. A parked connection reads nothing:
 //! pipelined follow-ups stay in the kernel buffer and are answered in
 //! order once the parked answer is written.
+//!
+//! The machine's one outbound path is the wire: [`Front::open_wire`]
+//! sends one request to a peer on the same reactor and hands its outcome
+//! to [`Service::wire_done`]. The router's attempts, trace fetches and
+//! health probes and each control-plane exchange run on it, every one
+//! independent of the others and under its own timeout:
+//!
+//! ```text
+//!   pooled stream ──────────────┐
+//!                               ▼          flush          response
+//!   tcp_connect_nonblocking ▶ CONNECTING ─▶ SENDING ─▶ RECEIVING ─▶ Done
+//!        (EINPROGRESS)          │ take_error() != None     │
+//!                               └──── transport error or deadline ─▶ Failed
+//! ```
 
 use crate::api::error_json;
-use crate::http::{ParseStep, Phase, Request, RequestParser, Response};
-use hre_runtime::{Event, Interest, Reactor, TimerKey};
+use crate::http::{
+    ClientResponse, ParseStep, Phase, Request, RequestParser, RespStep, Response, ResponseParser,
+    DEFAULT_MAX_BODY,
+};
+use hre_runtime::{tcp_connect_nonblocking, ConnectStart, Event, Interest, Reactor, TimerKey};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 /// Token of the listening socket.
 const LISTENER_TOKEN: u64 = 0;
+/// Timer-token bit marking the deadline of wire `token & !WIRE_BIT`.
+const WIRE_BIT: u64 = 1 << 63;
 /// Timer-token bit marking the deadline of the request parked on
 /// connection `token & !DEADLINE_BIT`.
 const DEADLINE_BIT: u64 = 1 << 62;
-/// Timer-token bit marking a request-head timeout.
+/// Timer-token bit marking a request-head timeout. Timer tokens at or
+/// above it are the machine's; a service's own stay below.
 const HEAD_BIT: u64 = 1 << 61;
 /// How long a partial request may dribble in before the connection is
 /// timed out.
@@ -71,6 +92,15 @@ pub enum Tally {
     Refused,
 }
 
+/// How a wire ended, as [`Service::wire_done`] hears it.
+pub enum WireOutcome {
+    /// A complete response, and the stream it came on if the stream is
+    /// clean for another request (nothing after the response).
+    Done(ClientResponse, Option<TcpStream>),
+    /// Refused, reset, malformed, or past its deadline.
+    Failed,
+}
+
 /// One listener: its routes, and whatever else it drives on the
 /// machine's reactor. Only `dispatch` is required.
 pub trait Service {
@@ -92,6 +122,10 @@ pub trait Service {
     /// Readiness on a token the service registered itself.
     fn event(&mut self, _front: &mut Front<Self::Parked>, _ev: Event) {}
 
+    /// Runs once, before the first poll: arms the service's first timers
+    /// and opens its first wires.
+    fn started(&mut self, _front: &mut Front<Self::Parked>) {}
+
     /// Runs after each wakeup's readiness events and before its timers,
     /// to collect work finished on other threads: an answer given here
     /// beats a deadline that fired in the same wakeup.
@@ -100,12 +134,8 @@ pub trait Service {
     /// A timer the service armed fired.
     fn timer(&mut self, _front: &mut Front<Self::Parked>, _token: u64) {}
 
-    /// Runs after the ready connections were serviced. `true` means it
-    /// did work that may have answered more, and the machine services
-    /// again.
-    fn settle(&mut self, _front: &mut Front<Self::Parked>) -> bool {
-        false
-    }
+    /// The wire [`Front::open_wire`] opened under `token` ended.
+    fn wire_done(&mut self, _front: &mut Front<Self::Parked>, _token: u64, _outcome: WireOutcome) {}
 
     /// Counts what the machine observed.
     fn tally(&self, _what: Tally) {}
@@ -140,15 +170,36 @@ enum Drive {
     Close,
 }
 
+/// One wire's progress.
+enum WirePhase {
+    /// Writing the request bytes. While `connecting` (`connect(2)`
+    /// returned `EINPROGRESS`), writability first means the handshake
+    /// ended, and `take_error()` says how.
+    Sending { out: Vec<u8>, pos: usize, connecting: bool },
+    /// Request flushed; accumulating the response.
+    Receiving { parser: ResponseParser },
+}
+
+/// One outbound exchange: a nonblocking socket and its deadline timer.
+struct Wire {
+    stream: TcpStream,
+    phase: WirePhase,
+    deadline: Option<TimerKey>,
+}
+
 /// The machine: the reactor and every connection of one listener.
 pub struct Front<P> {
     /// The reactor the listener, its connections and the service's own
     /// sockets and timers share.
     pub reactor: Reactor,
     conns: HashMap<u64, Conn<P>>,
+    wires: HashMap<u64, Wire>,
     next_token: u64,
     /// Connections to service before the next poll.
     ready: Vec<u64>,
+    /// Fresh wires to drive with synthetic readiness once the code that
+    /// opened them has returned.
+    kick: Vec<u64>,
     max_body: usize,
     shutdown: Arc<AtomicBool>,
 }
@@ -158,7 +209,8 @@ pub struct Front<P> {
 ///
 /// Drain: the listener closes, idle connections close, busy ones finish
 /// their request (which carries `connection: close`), and partial reads
-/// run into the head timer.
+/// run into the head timer. Wires still out when the last connection
+/// closes are dropped.
 pub fn serve<S: Service>(
     svc: &mut S,
     reactor: Reactor,
@@ -169,14 +221,17 @@ pub fn serve<S: Service>(
     let mut front = Front {
         reactor,
         conns: HashMap::new(),
+        wires: HashMap::new(),
         next_token: LISTENER_TOKEN + 1,
         ready: Vec::new(),
+        kick: Vec::new(),
         max_body,
         shutdown,
     };
     if front.reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE).is_err() {
         return 0;
     }
+    svc.started(&mut front);
     let mut listener = Some(listener);
     let mut accepted = 0u64;
     let mut events = Vec::new();
@@ -216,13 +271,18 @@ pub fn serve<S: Service>(
                     conn.want_read = true;
                 }
                 front.ready.push(ev.token);
+            } else if front.wires.contains_key(&ev.token) {
+                let writable = ev.writable || ev.error || ev.hangup;
+                front.drive_wire(svc, ev.token, ev.readable, writable);
             } else {
                 svc.event(&mut front, ev);
             }
         }
         svc.woken(&mut front);
         for token in fired.drain(..) {
-            if token & DEADLINE_BIT != 0 {
+            if token & WIRE_BIT != 0 {
+                front.expire_wire(svc, token & !WIRE_BIT);
+            } else if token & DEADLINE_BIT != 0 {
                 front.expire_deadline(svc, token & !DEADLINE_BIT);
             } else if token & HEAD_BIT != 0 {
                 front.expire_head(svc, token & !HEAD_BIT);
@@ -230,11 +290,18 @@ pub fn serve<S: Service>(
                 svc.timer(&mut front, token);
             }
         }
+        // Fresh wires get a synthetic first drive: their fd may already
+        // be writable, and edge-triggered epoll reports current readiness
+        // only on the next poll. Their outcomes may answer connections.
         loop {
             for token in std::mem::take(&mut front.ready) {
                 front.service(svc, token);
             }
-            if !svc.settle(&mut front) && front.ready.is_empty() {
+            let kicked = std::mem::take(&mut front.kick);
+            for &token in &kicked {
+                front.drive_wire(svc, token, true, true);
+            }
+            if kicked.is_empty() && front.ready.is_empty() {
                 break;
             }
         }
@@ -281,6 +348,74 @@ impl<P> Front<P> {
         }
         push_response(conn, &resp, waiting.close);
         self.ready.push(token);
+    }
+
+    /// Opens a wire: `request` goes out over `pooled` if given, else over
+    /// a fresh nonblocking dial to `addr`, and the outcome reaches
+    /// [`Service::wire_done`] under the returned token — a failure if
+    /// `deadline` passes first. Nothing is delivered before the code that
+    /// opened the wire returns to the machine.
+    pub fn open_wire(
+        &mut self,
+        addr: &str,
+        pooled: Option<TcpStream>,
+        request: Vec<u8>,
+        deadline: Option<Instant>,
+    ) -> std::io::Result<u64> {
+        let (stream, connected) = match pooled {
+            Some(stream) => (stream, true),
+            None => dial(addr)?,
+        };
+        let token = self.token();
+        self.reactor.register(stream.as_raw_fd(), token, Interest::BOTH)?;
+        let phase = WirePhase::Sending { out: request, pos: 0, connecting: !connected };
+        let deadline = deadline.map(|at| self.reactor.set_timer_at(at, token | WIRE_BIT));
+        self.wires.insert(token, Wire { stream, phase, deadline });
+        self.kick.push(token);
+        Ok(token)
+    }
+
+    /// Drops a wire nobody waits for: deregistered and closed, and its
+    /// outcome never delivered.
+    pub fn close_wire(&mut self, token: u64) {
+        self.take_wire(token);
+    }
+
+    /// Removes a wire from the reactor; the stream closes when dropped.
+    fn take_wire(&mut self, token: u64) -> Option<TcpStream> {
+        let wire = self.wires.remove(&token)?;
+        let _ = self.reactor.deregister(wire.stream.as_raw_fd());
+        if let Some(key) = wire.deadline {
+            self.reactor.cancel_timer(key);
+        }
+        Some(wire.stream)
+    }
+
+    /// Advances one wire as far as readiness allows and hands its
+    /// outcome to the service if it finished.
+    fn drive_wire<S: Service<Parked = P>>(
+        &mut self,
+        svc: &mut S,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) {
+        let Some(wire) = self.wires.get_mut(&token) else { return };
+        let Poll::Ready(done) = step_wire(wire, readable, writable) else { return };
+        let stream = self.take_wire(token);
+        let outcome = match done {
+            Some((resp, clean)) => WireOutcome::Done(resp, stream.filter(|_| clean)),
+            None => WireOutcome::Failed,
+        };
+        svc.wire_done(self, token, outcome);
+    }
+
+    /// The deadline of wire `token` passed before its outcome.
+    fn expire_wire<S: Service<Parked = P>>(&mut self, svc: &mut S, token: u64) {
+        let Some(wire) = self.wires.get_mut(&token) else { return };
+        wire.deadline = None; // fired: nothing to cancel
+        self.take_wire(token);
+        svc.wire_done(self, token, WireOutcome::Failed);
     }
 
     fn draining(&self) -> bool {
@@ -372,7 +507,7 @@ impl<P> Front<P> {
         loop {
             // 1. Flush whatever response bytes are pending.
             if conn.out_pos < conn.out.len() {
-                match flush(conn) {
+                match flush(&mut conn.stream, &conn.out, &mut conn.out_pos) {
                     Ok(true) => {
                         conn.out.clear();
                         conn.out_pos = 0;
@@ -524,7 +659,7 @@ fn abort<P, S: Service<Parked = P>>(svc: &S, conn: &mut Conn<P>, resp: &Response
     svc.tally(Tally::Refused);
     push_response(conn, resp, true);
     // Best-effort write to a peer that may be gone; then close.
-    let _ = flush(conn);
+    let _ = flush(&mut conn.stream, &conn.out, &mut conn.out_pos);
     Drive::Close
 }
 
@@ -540,19 +675,91 @@ fn push_response<P>(conn: &mut Conn<P>, resp: &Response, close: bool) {
     conn.close_after_flush |= close;
 }
 
-/// Writes as much buffered output as the socket accepts; `Ok(true)`
-/// when the buffer is fully flushed.
-fn flush<P>(conn: &mut Conn<P>) -> std::io::Result<bool> {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
+/// Writes `out` from `*pos` on as far as the socket accepts; `Ok(true)`
+/// when all of it is written.
+fn flush(stream: &mut TcpStream, out: &[u8], pos: &mut usize) -> std::io::Result<bool> {
+    while *pos < out.len() {
+        match stream.write(&out[*pos..]) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.out_pos += n,
+            Ok(n) => *pos += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     Ok(true)
+}
+
+/// Starts a nonblocking connect to `addr`; `true` when it completed at
+/// once.
+fn dial(addr: &str) -> std::io::Result<(TcpStream, bool)> {
+    let addr =
+        addr.to_socket_addrs()?.next().ok_or_else(|| std::io::Error::other("unresolvable"))?;
+    Ok(match tcp_connect_nonblocking(addr)? {
+        ConnectStart::Connected(s) => (s, true),
+        ConnectStart::Pending(s) => (s, false),
+    })
+}
+
+/// Advances one wire's state machine: pending while it waits on
+/// readiness, then the response and whether its stream is clean for
+/// reuse, or `None` for a transport failure (connect refused, reset,
+/// desync).
+fn step_wire(
+    wire: &mut Wire,
+    readable: bool,
+    writable: bool,
+) -> Poll<Option<(ClientResponse, bool)>> {
+    loop {
+        match &mut wire.phase {
+            WirePhase::Sending { out, pos, connecting } => {
+                if !writable {
+                    return Poll::Pending;
+                }
+                // A pending error or an inspection failure both mean the
+                // handshake did not complete.
+                if std::mem::take(connecting) && !matches!(wire.stream.take_error(), Ok(None)) {
+                    return Poll::Ready(None);
+                }
+                match flush(&mut wire.stream, out, pos) {
+                    Ok(true) => {
+                        let parser = ResponseParser::new(DEFAULT_MAX_BODY);
+                        wire.phase = WirePhase::Receiving { parser };
+                    }
+                    Ok(false) => return Poll::Pending,
+                    Err(_) => return Poll::Ready(None),
+                }
+            }
+            WirePhase::Receiving { parser } => {
+                if !readable {
+                    return Poll::Pending;
+                }
+                let mut chunk = [0u8; 4096];
+                loop {
+                    match wire.stream.read(&mut chunk) {
+                        // EOF before a complete response — including a
+                        // pooled stream the peer closed while idle.
+                        Ok(0) => return Poll::Ready(None),
+                        Ok(n) => {
+                            parser.push(&chunk[..n]);
+                            match parser.step() {
+                                RespStep::Response(resp) => {
+                                    return Poll::Ready(Some((resp, parser.is_idle())));
+                                }
+                                RespStep::Invalid { .. } => return Poll::Ready(None),
+                                RespStep::NeedMore => {}
+                            }
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            return Poll::Pending
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(_) => return Poll::Ready(None),
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -586,7 +793,43 @@ mod tests {
         }
     }
 
-    /// `Echo` served on an ephemeral port; dropping it drains the machine.
+    /// Relays `GET /<addr>` to `<addr>` as `GET /x` over a wire with a
+    /// 200 ms deadline: the status and body it got, and whether the
+    /// stream came back clean as `x-clean`, or a 502 if the wire failed.
+    #[derive(Default)]
+    struct Relay {
+        /// The connection each wire answers.
+        waiting: HashMap<u64, u64>,
+    }
+
+    impl Service for Relay {
+        type Parked = ();
+
+        fn dispatch(&mut self, front: &mut Front<()>, token: u64, req: &Request) -> Dispatch<()> {
+            let addr = &req.path[1..];
+            let request = crate::http::request_bytes("GET", "/x", addr, &[], None);
+            let deadline = Instant::now() + Duration::from_millis(200);
+            match front.open_wire(addr, None, request, Some(deadline)) {
+                Ok(wire) => {
+                    self.waiting.insert(wire, token);
+                    Dispatch::Park((), None)
+                }
+                Err(_) => Dispatch::Answer(Response::text(502, "no dial")),
+            }
+        }
+
+        fn wire_done(&mut self, front: &mut Front<()>, wire: u64, outcome: WireOutcome) {
+            let Some(conn) = self.waiting.remove(&wire) else { return };
+            let resp = match outcome {
+                WireOutcome::Done(resp, stream) => Response::text(resp.status, resp.body)
+                    .with_header("x-clean", stream.is_some().to_string()),
+                WireOutcome::Failed => Response::text(502, "failed"),
+            };
+            front.answer(conn, resp);
+        }
+    }
+
+    /// A service on an ephemeral port; dropping it drains the machine.
     struct Served {
         addr: String,
         shutdown: Arc<AtomicBool>,
@@ -595,6 +838,10 @@ mod tests {
 
     impl Served {
         fn start(max_body: usize) -> Served {
+            Served::serving(Echo, max_body)
+        }
+
+        fn serving<S: Service + Send + 'static>(mut svc: S, max_body: usize) -> Served {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             listener.set_nonblocking(true).expect("nonblocking");
             let addr = listener.local_addr().expect("addr").to_string();
@@ -602,7 +849,7 @@ mod tests {
             let shutdown = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&shutdown);
             let thread =
-                std::thread::spawn(move || serve(&mut Echo, reactor, listener, max_body, flag));
+                std::thread::spawn(move || serve(&mut svc, reactor, listener, max_body, flag));
             Served { addr, shutdown, thread: Some(thread) }
         }
 
@@ -741,6 +988,31 @@ mod tests {
         assert_eq!(responses[0].status, 413);
         assert_eq!(responses[0].header("connection"), Some("close"));
         assert!(responses[0].body_text().contains("1000000 bytes"), "{:?}", responses[0]);
+    }
+
+    #[test]
+    fn a_wire_carries_an_exchange_and_fails_at_its_deadline() {
+        let echo = Served::start(crate::http::DEFAULT_MAX_BODY);
+        let relay = Served::serving(Relay::default(), crate::http::DEFAULT_MAX_BODY);
+        let mut client = relay.client();
+        let resp = client.get(&format!("/{}", echo.addr)).expect("relayed");
+        assert_eq!((resp.status, resp.header("x-clean")), (200, Some("true")));
+        // A tar pit: the connect completes and the request goes unanswered.
+        let pit = TcpListener::bind("127.0.0.1:0").expect("tar pit");
+        let t0 = Instant::now();
+        let resp = client.get(&format!("/{}", pit.local_addr().expect("addr"))).expect("relayed");
+        assert_eq!(resp.status, 502);
+        assert!(t0.elapsed() >= Duration::from_millis(200), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn dialed_streams_carry_nodelay() {
+        // Pooled streams are reused without touching the option, so the
+        // dial must leave it set.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (stream, _) = dial(&addr).expect("dial");
+        assert!(stream.nodelay().expect("read TCP_NODELAY"));
     }
 
     #[test]
